@@ -33,9 +33,10 @@ for s in report.team_summaries:
           f"{s.mean_stc:.3f}   {s.stories_passed_total}")
 
 utest = report.trend_utest
+p = "undefined" if utest.p is None else f"{utest.p:.3f}"
 print(f"\nSTC trend groups: {len(utest.increasing_teams)} increasing vs "
       f"{len(utest.decreasing_teams)} decreasing; "
-      f"stories-passed U = {utest.u}, p = {utest.p:.3f} ({utest.method})")
+      f"stories-passed U = {utest.u}, p = {p} ({utest.method})")
 
 print("\ncorrelation table (per-sprint means):")
 for cell in report.stc_table:

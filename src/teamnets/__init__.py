@@ -5,7 +5,6 @@ from .config import AnomalyThresholds, PipelineConfig, TeamConfig, load_config
 from .errors import InputError, ValidationError
 from .ingestion import (
     Commit,
-    Dataset,
     Diagnostics,
     FeedbackRecord,
     MergeRequest,
@@ -16,16 +15,12 @@ from .ingestion import (
     Roster,
     Sprint,
     SprintCalendar,
-    TeamData,
     Week,
-    assign_week,
-    load_dataset,
     parse_chat_export,
     parse_feedback,
     parse_outcomes,
     parse_repo_activity,
     parse_work_logs,
-    save_dataset,
 )
 from .network import (
     CommEvent,

@@ -7,7 +7,7 @@ Subcommands::
     teamnets census    --config cfg.json --out out/
     teamnets correlate --config cfg.json --out out/ [--format ...]
     teamnets report    --config cfg.json --out out/ [--format ...]
-                       [--exclude-teams a,b] [--exclude-sprints 1] [--seed N]
+                       [--exclude-teams a,b] [--exclude-sprints 1]
 
 Exit codes: 0 success, 1 validation failure, 2 input error.
 """
@@ -17,15 +17,28 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .config import PipelineConfig, load_config
 from .errors import InputError, ValidationError
-from .ingestion import Diagnostics, parse_chat_export, parse_feedback, parse_outcomes, \
-    parse_repo_activity, parse_work_logs
-from .network import build_network, derive_comm_events, sprint_window, write_edge_list
-from .report import FORMATS, emit, run_pipeline
-from .stc import weekly_team_scores, write_weekly_scores
-from .triad import relative_census, triad_census
+from .ingestion import (
+    Diagnostics,
+    parse_feedback,
+    parse_outcomes,
+    parse_repo_activity,
+    parse_work_logs,
+)
+from .network import write_edge_list
+from .report import (
+    FORMATS,
+    emit,
+    included_weeks,
+    run_pipeline,
+    sprint_census,
+    team_events,
+    team_stc,
+)
+from .stc import write_weekly_scores
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,12 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="comma-separated sprint ids to exclude in addition to the config",
         )
-        cmd.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="seed for randomized tooling shipped alongside (recorded, not used here)",
-        )
     return parser
 
 
@@ -98,11 +105,8 @@ def _cmd_validate(config: PipelineConfig) -> int:
     for team_cfg in config.teams:
         team = team_cfg.team_id
         try:
-            log = parse_chat_export(
-                team_cfg.chat_export, team_cfg.roster, config.excluded_handles, diag
-            )
+            log, events = team_events(team_cfg, config, diag)
             repo = parse_repo_activity(team_cfg.repo_activity, team_cfg.roster, diag)
-            events = derive_comm_events(log, team_cfg.roster, config.calendar, diag)
             print(
                 f"team {team}: {len(log.messages)} messages, "
                 f"{len(repo.commits)} commits, {len(repo.merge_requests)} merge requests, "
@@ -126,17 +130,11 @@ def _cmd_validate(config: PipelineConfig) -> int:
 
 def _cmd_stc(config: PipelineConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    cal = config.calendar
-    included = set(cal.included_sprints())
-    weeks = [w for w in cal.week_ids() if cal.sprint_of_week(w) in included]
+    weeks = included_weeks(config.calendar)
     scores = {}
     for team_cfg in config.teams:
-        log = parse_chat_export(team_cfg.chat_export, team_cfg.roster, config.excluded_handles)
-        repo = parse_repo_activity(team_cfg.repo_activity, team_cfg.roster)
-        events = derive_comm_events(log, team_cfg.roster, cal)
-        scores[team_cfg.team_id] = weekly_team_scores(
-            repo, events, team_cfg.roster, cal, weeks, config.self_dependency
-        )
+        _, events = team_events(team_cfg, config)
+        scores[team_cfg.team_id] = team_stc(team_cfg, config, events, weeks)
     path = out / "stc_weekly.csv"
     write_weekly_scores(scores, path)
     print(f"wrote {path}")
@@ -148,32 +146,24 @@ def _cmd_census(config: PipelineConfig, out: Path) -> int:
     cal = config.calendar
     rows = ["team,sprint,rel_0_edges,rel_1_edges,rel_2_edges,rel_3_edges"]
     for team_cfg in config.teams:
-        log = parse_chat_export(team_cfg.chat_export, team_cfg.roster, config.excluded_handles)
-        events = derive_comm_events(log, team_cfg.roster, cal)
+        team = team_cfg.team_id
+        _, events = team_events(team_cfg, config)
         for sprint in cal.included_sprints():
-            net = build_network(events, team_cfg.roster, sprint_window(cal, sprint))
-            edge_path = out / f"edges_{team_cfg.team_id}_sprint{sprint}.tsv"
-            write_edge_list(net, edge_path)
-            rel = relative_census(triad_census(net))
-            cells = ",".join(f"{v:.6f}" for v in rel.freqs)
-            rows.append(f"{team_cfg.team_id},{sprint},{cells}")
+            net, census = sprint_census(events, team_cfg.roster, cal, sprint)
+            write_edge_list(net, out / f"edges_{team}_sprint{sprint}.tsv")
+            # a roster too small for triads keeps its row with blank cells
+            cells = ",".join(f"{v:.6f}" for v in census) if census else ",,,"
+            rows.append(f"{team},{sprint},{cells}")
     path = out / "census_sprint.csv"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_report(config: PipelineConfig, out: Path, fmt: str, full: bool) -> int:
-    report = run_pipeline(config)
-    written = emit(report, fmt, out)
-    if not full:
-        # correlate: keep only the correlation tables
-        keep = {p for p in written if "correlations" in p.name or p.name == "report.json"}
-        for p in written:
-            if p not in keep:
-                p.unlink()
-        written = sorted(keep)
-    for p in written:
+def _cmd_report(
+    config: PipelineConfig, out: Path, fmt: str, select: Callable[[str], bool] | None
+) -> int:
+    for p in emit(run_pipeline(config), fmt, out, select):
         print(f"wrote {p}")
     return 0
 
@@ -189,8 +179,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "census":
             return _cmd_census(config, _require_out(args))
         if args.command == "correlate":
-            return _cmd_report(config, _require_out(args), args.format, full=False)
-        return _cmd_report(config, _require_out(args), args.format, full=True)
+            return _cmd_report(
+                config, _require_out(args), args.format, lambda name: "correlations" in name
+            )
+        return _cmd_report(config, _require_out(args), args.format, None)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -48,6 +48,8 @@ EXCLUDED_SUBTYPES = frozenset({"channel_join", "channel_leave", "bot_message"})
 
 def parse_utc(value: str) -> datetime:
     """Parse an ISO-8601 timestamp; naive values and 'Z' suffixes mean UTC."""
+    if not isinstance(value, str):
+        raise InputError(f"timestamp {value!r} is not a string")
     try:
         ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     except ValueError as exc:
@@ -55,10 +57,6 @@ def parse_utc(value: str) -> datetime:
     if ts.tzinfo is None:
         return ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
-
-
-def format_utc(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
 @dataclass
@@ -73,10 +71,6 @@ class Diagnostics:
 
     def note(self, text: str) -> None:
         self.notes.append(text)
-
-    def merge(self, other: "Diagnostics") -> None:
-        self.counts.update(other.counts)
-        self.notes.extend(other.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +172,20 @@ class SprintCalendar:
         )
 
 
-def assign_week(ts: datetime, cal: SprintCalendar) -> int | None:
-    """Module-level alias for SprintCalendar.assign_week."""
-    return cal.assign_week(ts)
+def calendar_from_dict(data: dict) -> SprintCalendar:
+    try:
+        weeks = tuple(
+            Week(week_id=int(w["week_id"]), start=parse_utc(w["start"]), end=parse_utc(w["end"]))
+            for w in data["weeks"]
+        )
+        sprints = tuple(
+            Sprint(sprint_id=int(s["sprint_id"]), week_ids=tuple(int(w) for w in s["weeks"]))
+            for s in data["sprints"]
+        )
+        excluded = frozenset(int(s) for s in data.get("excluded_sprints", []))
+    except (TypeError, KeyError) as exc:
+        raise InputError(f"calendar section missing field {exc}") from None
+    return SprintCalendar(weeks=weeks, sprints=sprints, excluded_sprints=excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +247,6 @@ class MergeRequest:
 class RepoActivity:
     commits: tuple[Commit, ...]
     merge_requests: tuple[MergeRequest, ...]
-
-    def commits_by_sha(self) -> dict[str, Commit]:
-        return {c.sha: c for c in self.commits}
 
 
 @dataclass(frozen=True)
@@ -331,7 +333,7 @@ def parse_chat_export(
                 ts_raw = obj["ts"]
                 try:
                     ts = datetime.fromtimestamp(float(ts_raw), tz=timezone.utc)
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError, OSError):
                     raise InputError(
                         f"{day_file}: entry {i} has invalid ts {ts_raw!r}"
                     ) from None
@@ -413,6 +415,8 @@ def parse_repo_activity(
             authored_at = parse_utc(obj["authored_at"])
         except (TypeError, KeyError) as exc:
             raise InputError(f"{p}: commit entry {i} missing field {exc}") from None
+        except InputError as exc:
+            raise InputError(f"{p}: commit entry {i}: {exc}") from None
         if sha in raw_shas:
             raise ValidationError(f"{p}: duplicate commit sha {sha}")
         raw_shas.add(sha)
@@ -433,6 +437,8 @@ def parse_repo_activity(
             files = list(obj["files"])
         except (TypeError, KeyError) as exc:
             raise InputError(f"{p}: merge request entry {i} missing field {exc}") from None
+        except InputError as exc:
+            raise InputError(f"{p}: merge request entry {i}: {exc}") from None
         if mr_id in seen_mrs:
             raise ValidationError(f"{p}: duplicate merge request id {mr_id}")
         seen_mrs.add(mr_id)
@@ -639,187 +645,3 @@ def parse_work_logs(
         totals[row["team_id"]] = totals.get(row["team_id"], 0.0) + hours
         diag.bump("work_log_rows")
     return totals
-
-
-# ---------------------------------------------------------------------------
-# Whole-dataset serialization (round-trippable domain model)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TeamData:
-    roster: Roster
-    messages: MessageLog
-    repo: RepoActivity
-
-
-@dataclass(frozen=True)
-class Dataset:
-    calendar: SprintCalendar
-    teams: Mapping[str, TeamData]
-    feedback: tuple[FeedbackRecord, ...]
-    outcomes: tuple[OutcomeRecord, ...]
-    pair_hours: Mapping[str, float]
-
-
-def dataset_to_dict(ds: Dataset) -> dict:
-    return {
-        "calendar": {
-            "weeks": [
-                {"week_id": w.week_id, "start": format_utc(w.start), "end": format_utc(w.end)}
-                for w in ds.calendar.weeks
-            ],
-            "sprints": [
-                {"sprint_id": s.sprint_id, "weeks": list(s.week_ids)}
-                for s in ds.calendar.sprints
-            ],
-            "excluded_sprints": sorted(ds.calendar.excluded_sprints),
-        },
-        "teams": {
-            team_id: {
-                "roster": {
-                    "members": sorted(td.roster.members),
-                    "identity_map": dict(sorted(td.roster.identity_map.items())),
-                },
-                "messages": [
-                    {
-                        "message_id": m.message_id,
-                        "channel_id": m.channel_id,
-                        "author": m.author,
-                        "timestamp": format_utc(m.timestamp),
-                        "thread_root": m.thread_root,
-                    }
-                    for m in td.messages.messages
-                ],
-                "commits": [
-                    {"sha": c.sha, "author": c.author, "authored_at": format_utc(c.authored_at)}
-                    for c in td.repo.commits
-                ],
-                "merge_requests": [
-                    {
-                        "id": m.mr_id,
-                        "created_at": format_utc(m.created_at),
-                        "commits": sorted(m.commit_shas),
-                        "files": sorted(m.changed_files),
-                    }
-                    for m in td.repo.merge_requests
-                ],
-            }
-            for team_id, td in sorted(ds.teams.items())
-        },
-        "feedback": [
-            {
-                "sprint_id": f.sprint_id,
-                "rater": f.rater,
-                "ratee": f.ratee,
-                "communication_rating": f.communication_rating,
-            }
-            for f in ds.feedback
-        ],
-        "outcomes": [
-            {
-                "team_id": o.team_id,
-                "sprint_id": o.sprint_id,
-                "story_points_committed": o.story_points_committed,
-                "story_points_passed": o.story_points_passed,
-                "team_score": o.team_score,
-                "stories_passed_total": o.stories_passed_total,
-                "pair_programming_hours": o.pair_programming_hours,
-            }
-            for o in ds.outcomes
-        ],
-        "pair_hours": dict(sorted(ds.pair_hours.items())),
-    }
-
-
-def dataset_from_dict(data: dict) -> Dataset:
-    cal = calendar_from_dict(data["calendar"])
-    teams: dict[str, TeamData] = {}
-    for team_id, td in data["teams"].items():
-        roster = Roster(
-            team_id=team_id,
-            members=frozenset(td["roster"]["members"]),
-            identity_map=dict(td["roster"]["identity_map"]),
-        )
-        messages = MessageLog(
-            messages=tuple(
-                Message(
-                    message_id=m["message_id"],
-                    channel_id=m["channel_id"],
-                    author=m["author"],
-                    timestamp=parse_utc(m["timestamp"]),
-                    thread_root=m["thread_root"],
-                )
-                for m in td["messages"]
-            )
-        )
-        repo = RepoActivity(
-            commits=tuple(
-                Commit(sha=c["sha"], author=c["author"], authored_at=parse_utc(c["authored_at"]))
-                for c in td["commits"]
-            ),
-            merge_requests=tuple(
-                MergeRequest(
-                    mr_id=m["id"],
-                    created_at=parse_utc(m["created_at"]),
-                    commit_shas=frozenset(m["commits"]),
-                    changed_files=frozenset(m["files"]),
-                )
-                for m in td["merge_requests"]
-            ),
-        )
-        teams[team_id] = TeamData(roster=roster, messages=messages, repo=repo)
-    feedback = tuple(
-        FeedbackRecord(
-            sprint_id=f["sprint_id"],
-            rater=f["rater"],
-            ratee=f["ratee"],
-            communication_rating=f["communication_rating"],
-        )
-        for f in data["feedback"]
-    )
-    outcomes = tuple(
-        OutcomeRecord(
-            team_id=o["team_id"],
-            sprint_id=o["sprint_id"],
-            story_points_committed=o["story_points_committed"],
-            story_points_passed=o["story_points_passed"],
-            team_score=o["team_score"],
-            stories_passed_total=o["stories_passed_total"],
-            pair_programming_hours=o["pair_programming_hours"],
-        )
-        for o in data["outcomes"]
-    )
-    return Dataset(
-        calendar=cal,
-        teams=teams,
-        feedback=feedback,
-        outcomes=outcomes,
-        pair_hours=dict(data["pair_hours"]),
-    )
-
-
-def calendar_from_dict(data: dict) -> SprintCalendar:
-    try:
-        weeks = tuple(
-            Week(week_id=int(w["week_id"]), start=parse_utc(w["start"]), end=parse_utc(w["end"]))
-            for w in data["weeks"]
-        )
-        sprints = tuple(
-            Sprint(sprint_id=int(s["sprint_id"]), week_ids=tuple(int(w) for w in s["weeks"]))
-            for s in data["sprints"]
-        )
-        excluded = frozenset(int(s) for s in data.get("excluded_sprints", []))
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"calendar section missing field {exc}") from None
-    return SprintCalendar(weeks=weeks, sprints=sprints, excluded_sprints=excluded)
-
-
-def save_dataset(ds: Dataset, path: Path | str) -> None:
-    Path(path).write_text(
-        json.dumps(dataset_to_dict(ds), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def load_dataset(path: Path | str) -> Dataset:
-    return dataset_from_dict(_load_json(Path(path)))

@@ -87,9 +87,6 @@ class CommunicationNetwork:
     def has_edge(self, a: str, b: str) -> bool:
         return _edge(a, b) in self.edges
 
-    def degree(self, node: str) -> int:
-        return sum(1 for a, b in self.edges if node in (a, b))
-
 
 def derive_comm_events(
     log: MessageLog,

@@ -11,24 +11,38 @@ and weeks ascending, fixed float formatting.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .config import AnomalyThresholds, PipelineConfig
+from .config import AnomalyThresholds, PipelineConfig, TeamConfig
 from .errors import InputError, ValidationError
 from .ingestion import (
     Diagnostics,
     FeedbackRecord,
+    MessageLog,
+    Roster,
+    SprintCalendar,
     parse_chat_export,
     parse_feedback,
     parse_outcomes,
     parse_repo_activity,
     parse_work_logs,
 )
-from .network import build_network, derive_comm_events, sprint_window, week_window
+from .network import (
+    CommEvent,
+    CommunicationNetwork,
+    build_network,
+    derive_comm_events,
+    sprint_window,
+    week_window,
+)
 from .stats import mann_whitney_u, p_stars, pearson
 from .stc import weekly_team_scores, year_summary
 from .triad import mean_weekly_relative_census, relative_census, triad_census
@@ -39,11 +53,13 @@ __all__ = [
     "AnomalyFlag",
     "UTestSummary",
     "AnalysisReport",
+    "included_weeks",
+    "team_events",
+    "team_stc",
+    "sprint_census",
     "run_pipeline",
     "detect_anomalies",
     "emit",
-    "report_to_dict",
-    "report_from_dict",
     "load_report",
 ]
 
@@ -116,6 +132,55 @@ class AnalysisReport:
 
 
 # ---------------------------------------------------------------------------
+# Per-team steps, shared by the pipeline and the single-stage subcommands
+# ---------------------------------------------------------------------------
+
+
+def included_weeks(cal: SprintCalendar) -> tuple[int, ...]:
+    """Weeks of the season's included sprints, ascending."""
+    included = set(cal.included_sprints())
+    return tuple(w for w in cal.week_ids() if cal.sprint_of_week(w) in included)
+
+
+def team_events(
+    team: TeamConfig, config: PipelineConfig, diag: Diagnostics | None = None
+) -> tuple[MessageLog, list[CommEvent]]:
+    """Parse a team's chat export and derive its communication events."""
+    log = parse_chat_export(team.chat_export, team.roster, config.excluded_handles, diag)
+    return log, derive_comm_events(log, team.roster, config.calendar, diag)
+
+
+def team_stc(
+    team: TeamConfig,
+    config: PipelineConfig,
+    events: Sequence[CommEvent],
+    weeks: Sequence[int],
+    diag: Diagnostics | None = None,
+) -> dict[int, float | None]:
+    """Parse a team's repo activity and score its weekly STC."""
+    repo = parse_repo_activity(team.repo_activity, team.roster, diag)
+    return weekly_team_scores(
+        repo, events, team.roster, config.calendar, weeks, config.self_dependency, diag
+    )
+
+
+def sprint_census(
+    events: Sequence[CommEvent],
+    roster: Roster,
+    cal: SprintCalendar,
+    sprint: int,
+    diag: Diagnostics | None = None,
+) -> tuple[CommunicationNetwork, Census | None]:
+    """A sprint's network and relative census; None for rosters under 3 members."""
+    net = build_network(events, roster, sprint_window(cal, sprint))
+    if net.n < 3:
+        if diag is not None:
+            diag.bump("censuses_skipped_small_roster")
+        return net, None
+    return net, relative_census(triad_census(net)).freqs
+
+
+# ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
 
@@ -132,25 +197,26 @@ def _try_cell(label: str, pairs: Sequence[tuple[float, float]]) -> CorrelationCe
     )
 
 
-def _census_cells(
+def _census_table(
     census: Mapping[str, Mapping[int, Census | None]],
-    outcome_values: Mapping[tuple[str, int], float | None],
-    outcome_label: str,
+    outcomes: Mapping[str, Mapping[tuple[str, int], float | None]],
     teams: Sequence[str],
     sprints: Sequence[int],
-) -> list[CorrelationCell]:
+) -> tuple[CorrelationCell, ...]:
+    """Each outcome against each census component, over the teams' sprints."""
     cells = []
-    for k in range(4):
-        pairs = []
-        for team in teams:
-            for sprint in sprints:
-                rel = census.get(team, {}).get(sprint)
-                out = outcome_values.get((team, sprint))
-                if rel is None or out is None:
-                    continue
-                pairs.append((rel[k], out))
-        cells.append(_try_cell(f"rel_{k}_edges~{outcome_label}", pairs))
-    return cells
+    for outcome_label, outcome_values in outcomes.items():
+        for k in range(4):
+            pairs = []
+            for team in teams:
+                for sprint in sprints:
+                    rel = census.get(team, {}).get(sprint)
+                    out = outcome_values.get((team, sprint))
+                    if rel is None or out is None:
+                        continue
+                    pairs.append((rel[k], out))
+            cells.append(_try_cell(f"rel_{k}_edges~{outcome_label}", pairs))
+    return tuple(cells)
 
 
 def run_pipeline(config: PipelineConfig) -> AnalysisReport:
@@ -158,8 +224,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     diag = Diagnostics()
     cal = config.calendar
     sprints = cal.included_sprints()
-    sprint_set = set(sprints)
-    weeks = tuple(w for w in cal.week_ids() if cal.sprint_of_week(w) in sprint_set)
+    weeks = included_weeks(cal)
 
     if config.outcomes_path is None:
         raise InputError("missing input: no outcomes table configured")
@@ -174,7 +239,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     teams = config.team_ids()
     person_team: dict[str, str] = {}
     stc_weekly: dict[str, dict[int, float | None]] = {}
-    sprint_census: dict[str, dict[int, Census | None]] = {}
+    sprint_censuses: dict[str, dict[int, Census | None]] = {}
     mean_weekly_census: dict[str, dict[int, Census | None]] = {}
 
     for team_cfg in config.teams:
@@ -182,24 +247,16 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         team = roster.team_id
         for person in roster.members:
             person_team[person] = team
-        log = parse_chat_export(
-            team_cfg.chat_export, roster, config.excluded_handles, diag
-        )
-        repo = parse_repo_activity(team_cfg.repo_activity, roster, diag)
-        events = derive_comm_events(log, roster, cal, diag)
-        stc_weekly[team] = weekly_team_scores(
-            repo, events, roster, cal, weeks, config.self_dependency, diag
-        )
-        sprint_census[team] = {}
+        _, events = team_events(team_cfg, config, diag)
+        stc_weekly[team] = team_stc(team_cfg, config, events, weeks, diag)
+        sprint_censuses[team] = {}
         mean_weekly_census[team] = {}
         for sprint in sprints:
-            if len(roster.members) < 3:
-                diag.bump("censuses_skipped_small_roster")
-                sprint_census[team][sprint] = None
+            _, census = sprint_census(events, roster, cal, sprint, diag)
+            sprint_censuses[team][sprint] = census
+            if census is None:
                 mean_weekly_census[team][sprint] = None
                 continue
-            net = build_network(events, roster, sprint_window(cal, sprint))
-            sprint_census[team][sprint] = relative_census(triad_census(net)).freqs
             weekly_rel = [
                 relative_census(triad_census(build_network(events, roster, week_window(w))))
                 for w in cal.sprint_weeks(sprint)
@@ -265,16 +322,9 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         ),
     )
 
-    census_sprint_table = tuple(
-        _census_cells(sprint_census, pct_passed, "pct_story_points_passed", teams, sprints)
-        + _census_cells(sprint_census, score_of, "team_score", teams, sprints)
-    )
-    census_mw_table = tuple(
-        _census_cells(
-            mean_weekly_census, pct_passed, "pct_story_points_passed", teams, sprints
-        )
-        + _census_cells(mean_weekly_census, score_of, "team_score", teams, sprints)
-    )
+    census_outcomes = {"pct_story_points_passed": pct_passed, "team_score": score_of}
+    census_sprint_table = _census_table(sprint_censuses, census_outcomes, teams, sprints)
+    census_mw_table = _census_table(mean_weekly_census, census_outcomes, teams, sprints)
 
     summaries = []
     for team in teams:
@@ -326,18 +376,8 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
 
     excluded = config.exclude_teams or tuple(sorted(f.team_id for f in anomalies))
     remaining = tuple(t for t in teams if t not in excluded)
-    census_sprint_excl = tuple(
-        _census_cells(
-            sprint_census, pct_passed, "pct_story_points_passed", remaining, sprints
-        )
-        + _census_cells(sprint_census, score_of, "team_score", remaining, sprints)
-    )
-    census_mw_excl = tuple(
-        _census_cells(
-            mean_weekly_census, pct_passed, "pct_story_points_passed", remaining, sprints
-        )
-        + _census_cells(mean_weekly_census, score_of, "team_score", remaining, sprints)
-    )
+    census_sprint_excl = _census_table(sprint_censuses, census_outcomes, remaining, sprints)
+    census_mw_excl = _census_table(mean_weekly_census, census_outcomes, remaining, sprints)
 
     lagged_table: tuple[CorrelationCell, ...] = ()
     if config.include_lagged_table:
@@ -369,7 +409,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         sprints=sprints,
         stc_weekly=stc_weekly,
         stc_sprint_mean=stc_sprint_mean,
-        sprint_census=sprint_census,
+        sprint_census=sprint_censuses,
         mean_weekly_census=mean_weekly_census,
         stc_table=stc_table,
         census_sprint_table=census_sprint_table,
@@ -661,8 +701,17 @@ def _series(report: AnalysisReport) -> dict[str, tuple[list[str], list[dict]]]:
     return series
 
 
-def emit(report: AnalysisReport, format: str, out_dir: Path | str) -> list[Path]:
-    """Write tables and per-team series files; returns the paths written."""
+def emit(
+    report: AnalysisReport,
+    format: str,
+    out_dir: Path | str,
+    select: Callable[[str], bool] | None = None,
+) -> list[Path]:
+    """Write tables and per-team series files; returns the paths written.
+
+    ``select`` picks the table and series names to write (default: all).
+    The structured-data format always adds ``report.json``.
+    """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     out = Path(out_dir)
@@ -674,11 +723,11 @@ def emit(report: AnalysisReport, format: str, out_dir: Path | str) -> list[Path]
     except OSError as exc:
         raise InputError(f"output directory not writable: {out}: {exc}") from None
 
-    files: dict[str, tuple[list[str], list[dict]]] = {}
-    files.update(_tables(report))
-    files.update(_series(report))
+    files = {**_tables(report), **_series(report)}
     written: list[Path] = []
     for name in sorted(files):
+        if select is not None and not select(name):
+            continue
         columns, rows = files[name]
         if format == "delimited-table":
             path = out / f"{name}.csv"
@@ -696,7 +745,7 @@ def emit(report: AnalysisReport, format: str, out_dir: Path | str) -> list[Path]
     if format == "structured-data":
         path = out / "report.json"
         path.write_text(
-            json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
+            json.dumps(_to_json(report), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
         written.append(path)
@@ -708,149 +757,40 @@ def emit(report: AnalysisReport, format: str, out_dir: Path | str) -> list[Path]
 # ---------------------------------------------------------------------------
 
 
-def _cells_to_list(cells: Iterable[CorrelationCell]) -> list[dict]:
-    return [
-        {"label": c.label, "r": c.r, "n": c.n, "p": c.p, "stars": c.stars} for c in cells
-    ]
+def _to_json(value):
+    """JSON-ready form of a report value: dataclasses become objects, tuples
+    lists, and dict keys strings (json.dumps would sort int keys as numbers)."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _to_json(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    return value
 
 
-def _cells_from_list(data: Iterable[dict]) -> tuple[CorrelationCell, ...]:
-    return tuple(
-        CorrelationCell(label=d["label"], r=d["r"], n=d["n"], p=d["p"], stars=d["stars"])
-        for d in data
-    )
+_type_hints = functools.cache(typing.get_type_hints)
 
 
-def _census_map_to_dict(data: Mapping[str, Mapping[int, Census | None]]) -> dict:
-    return {
-        team: {str(s): (list(v) if v is not None else None) for s, v in sorted(inner.items())}
-        for team, inner in sorted(data.items())
-    }
-
-
-def _census_map_from_dict(data: dict) -> dict[str, dict[int, Census | None]]:
-    return {
-        team: {int(s): (tuple(v) if v is not None else None) for s, v in inner.items()}
-        for team, inner in data.items()
-    }
-
-
-def _score_map_to_dict(data: Mapping[str, Mapping[int, float | None]]) -> dict:
-    return {
-        team: {str(k): v for k, v in sorted(inner.items())}
-        for team, inner in sorted(data.items())
-    }
-
-
-def _score_map_from_dict(data: dict) -> dict[str, dict[int, float | None]]:
-    return {team: {int(k): v for k, v in inner.items()} for team, inner in data.items()}
-
-
-def report_to_dict(report: AnalysisReport) -> dict:
-    return {
-        "teams": list(report.teams),
-        "weeks": list(report.weeks),
-        "sprints": list(report.sprints),
-        "stc_weekly": _score_map_to_dict(report.stc_weekly),
-        "stc_sprint_mean": _score_map_to_dict(report.stc_sprint_mean),
-        "sprint_census": _census_map_to_dict(report.sprint_census),
-        "mean_weekly_census": _census_map_to_dict(report.mean_weekly_census),
-        "stc_table": _cells_to_list(report.stc_table),
-        "census_sprint_table": _cells_to_list(report.census_sprint_table),
-        "census_mean_weekly_table": _cells_to_list(report.census_mean_weekly_table),
-        "census_sprint_table_excluding": _cells_to_list(
-            report.census_sprint_table_excluding
-        ),
-        "census_mean_weekly_table_excluding": _cells_to_list(
-            report.census_mean_weekly_table_excluding
-        ),
-        "excluded_teams": list(report.excluded_teams),
-        "lagged_table": _cells_to_list(report.lagged_table),
-        "team_summaries": [
-            {
-                "team_id": s.team_id,
-                "pair_programming_hours": s.pair_programming_hours,
-                "mean_stc": s.mean_stc,
-                "stories_passed_total": s.stories_passed_total,
-                "mean_team_score": s.mean_team_score,
-                "trend_slope": s.trend_slope,
-            }
-            for s in report.team_summaries
-        ],
-        "anomalies": [
-            {
-                "team_id": f.team_id,
-                "kind": f.kind,
-                "stc_rank": f.stc_rank,
-                "evidence_metric": f.evidence_metric,
-                "evidence_rank": f.evidence_rank,
-            }
-            for f in report.anomalies
-        ],
-        "trend_utest": {
-            "increasing_teams": list(report.trend_utest.increasing_teams),
-            "decreasing_teams": list(report.trend_utest.decreasing_teams),
-            "u": report.trend_utest.u,
-            "p": report.trend_utest.p,
-            "method": report.trend_utest.method,
-        },
-        "diagnostics": dict(report.diagnostics),
-        "notes": list(report.notes),
-    }
-
-
-def report_from_dict(data: dict) -> AnalysisReport:
-    utest = data["trend_utest"]
-    return AnalysisReport(
-        teams=tuple(data["teams"]),
-        weeks=tuple(data["weeks"]),
-        sprints=tuple(data["sprints"]),
-        stc_weekly=_score_map_from_dict(data["stc_weekly"]),
-        stc_sprint_mean=_score_map_from_dict(data["stc_sprint_mean"]),
-        sprint_census=_census_map_from_dict(data["sprint_census"]),
-        mean_weekly_census=_census_map_from_dict(data["mean_weekly_census"]),
-        stc_table=_cells_from_list(data["stc_table"]),
-        census_sprint_table=_cells_from_list(data["census_sprint_table"]),
-        census_mean_weekly_table=_cells_from_list(data["census_mean_weekly_table"]),
-        census_sprint_table_excluding=_cells_from_list(
-            data["census_sprint_table_excluding"]
-        ),
-        census_mean_weekly_table_excluding=_cells_from_list(
-            data["census_mean_weekly_table_excluding"]
-        ),
-        excluded_teams=tuple(data["excluded_teams"]),
-        lagged_table=_cells_from_list(data["lagged_table"]),
-        team_summaries=tuple(
-            TeamSummary(
-                team_id=s["team_id"],
-                pair_programming_hours=s["pair_programming_hours"],
-                mean_stc=s["mean_stc"],
-                stories_passed_total=s["stories_passed_total"],
-                mean_team_score=s["mean_team_score"],
-                trend_slope=s["trend_slope"],
-            )
-            for s in data["team_summaries"]
-        ),
-        anomalies=tuple(
-            AnomalyFlag(
-                team_id=f["team_id"],
-                kind=f["kind"],
-                stc_rank=f["stc_rank"],
-                evidence_metric=f["evidence_metric"],
-                evidence_rank=f["evidence_rank"],
-            )
-            for f in data["anomalies"]
-        ),
-        trend_utest=UTestSummary(
-            increasing_teams=tuple(utest["increasing_teams"]),
-            decreasing_teams=tuple(utest["decreasing_teams"]),
-            u=utest["u"],
-            p=utest["p"],
-            method=utest["method"],
-        ),
-        diagnostics=dict(data["diagnostics"]),
-        notes=tuple(data["notes"]),
-    )
+def _from_json(tp, data):
+    """Rebuild a value of annotated type ``tp`` from its ``_to_json`` form."""
+    if data is None:
+        return None
+    if dataclasses.is_dataclass(tp):
+        hints = _type_hints(tp)
+        fields = dataclasses.fields(tp)
+        return tp(**{f.name: _from_json(hints[f.name], data[f.name]) for f in fields})
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_from_json(args[0], v) for v in data)
+        return tuple(_from_json(a, v) for a, v in zip(args, data))
+    if origin is dict:
+        return {_from_json(args[0], k): _from_json(args[1], v) for k, v in data.items()}
+    if origin in (typing.Union, types.UnionType):  # X | None; None is handled above
+        (inner,) = [a for a in args if a is not type(None)]
+        return _from_json(inner, data)
+    return int(data) if tp is int else data
 
 
 def load_report(path: Path | str) -> AnalysisReport:
@@ -859,4 +799,4 @@ def load_report(path: Path | str) -> AnalysisReport:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load report from {path}: {exc}") from None
-    return report_from_dict(data)
+    return _from_json(AnalysisReport, data)

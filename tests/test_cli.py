@@ -4,7 +4,23 @@ import json
 import shutil
 
 from teamnets.cli import main
-from teamnets.report import load_report
+from teamnets.config import load_config
+from teamnets.report import load_report, run_pipeline
+
+
+def _cell(value) -> str:
+    return "" if value is None else f"{value:.6f}"
+
+
+def _mini_with_two_member_beta(mini_dir, tmp_path):
+    work = tmp_path / "mini"
+    shutil.copytree(mini_dir, work)
+    config = json.loads((work / "config.json").read_text())
+    beta = next(t for t in config["teams"] if t["team_id"] == "beta")
+    beta["members"] = ["b1", "b2"]
+    beta["identity_map"] = {"HB1": "b1", "HB2": "b2"}
+    (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    return work / "config.json"
 
 
 class TestValidate:
@@ -25,6 +41,16 @@ class TestValidate:
         day.write_text("{broken", encoding="utf-8")
         assert main(["validate", "--config", str(work / "config.json")]) == 2
         assert day.name in capsys.readouterr().err
+
+    def test_unrepresentable_chat_ts_is_input_error(self, team7_dir, tmp_path, capsys):
+        work = tmp_path / "team7"
+        shutil.copytree(team7_dir, work)
+        day = next((work / "chat" / "general").glob("*.json"))
+        messages = json.loads(day.read_text())
+        messages[0]["ts"] = "inf"
+        day.write_text(json.dumps(messages), encoding="utf-8")
+        assert main(["validate", "--config", str(work / "config.json")]) == 2
+        assert f"{day.name}: entry 0 has invalid ts" in capsys.readouterr().err
 
     def test_integrity_violation_is_validation_failure(self, team7_dir, tmp_path):
         work = tmp_path / "team7"
@@ -55,6 +81,34 @@ class TestSubcommands:
         edges = (out / "edges_X_sprint2.tsv").read_text().splitlines()
         assert edges == sorted(edges)
         assert all("\t" in line for line in edges)
+
+    def test_census_small_roster_gets_blank_cells(self, mini_dir, tmp_path):
+        config = _mini_with_two_member_beta(mini_dir, tmp_path)
+        out = tmp_path / "out"
+        assert main(["census", "--config", str(config), "--out", str(out)]) == 0
+        rows = (out / "census_sprint.csv").read_text().splitlines()
+        assert rows[3:] == ["beta,2,,,,", "beta,3,,,,"]
+        assert rows[1].startswith("alpha,2,0.000000,")
+        assert (out / "edges_beta_sprint2.tsv").exists()
+
+    def test_stc_and_census_tables_match_pipeline(self, mini_dir, tmp_path):
+        config = str(mini_dir / "config.json")
+        out = tmp_path / "out"
+        assert main(["stc", "--config", config, "--out", str(out)]) == 0
+        assert main(["census", "--config", config, "--out", str(out)]) == 0
+        report = run_pipeline(load_config(config))
+        stc_rows = ["team,week,stc_score"] + [
+            f"{team},{week},{_cell(score)}"
+            for team in report.teams
+            for week, score in sorted(report.stc_weekly[team].items())
+        ]
+        census_rows = ["team,sprint,rel_0_edges,rel_1_edges,rel_2_edges,rel_3_edges"] + [
+            f"{team},{sprint}," + ",".join(_cell(v) for v in census)
+            for team in report.teams
+            for sprint, census in sorted(report.sprint_census[team].items())
+        ]
+        assert (out / "stc_weekly.csv").read_text().splitlines() == stc_rows
+        assert (out / "census_sprint.csv").read_text().splitlines() == census_rows
 
     def test_report_full_run(self, mini_dir, tmp_path):
         out = tmp_path / "report"
@@ -87,6 +141,14 @@ class TestSubcommands:
         names = {p.name for p in out.iterdir()}
         assert all("correlations" in n for n in names)
         assert "stc_correlations.csv" in names
+
+    def test_correlate_leaves_other_report_files(self, mini_dir, tmp_path):
+        config = str(mini_dir / "config.json")
+        out = tmp_path / "out"
+        assert main(["report", "--config", config, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["correlate", "--config", config, "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_exclude_teams_flag(self, mini_dir, tmp_path):
         out = tmp_path / "excl"

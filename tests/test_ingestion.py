@@ -8,23 +8,16 @@ import pytest
 
 from teamnets.errors import InputError, ValidationError
 from teamnets.ingestion import (
-    Dataset,
     Diagnostics,
     Roster,
     Sprint,
     SprintCalendar,
-    TeamData,
     Week,
-    assign_week,
-    dataset_from_dict,
-    dataset_to_dict,
-    load_dataset,
     parse_chat_export,
     parse_feedback,
     parse_outcomes,
     parse_repo_activity,
     parse_work_logs,
-    save_dataset,
 )
 
 
@@ -45,12 +38,12 @@ def simple_calendar():
 class TestCalendar:
     def test_assign_week_start_inclusive(self):
         cal = simple_calendar()
-        assert assign_week(utc(2023, 3, 6), cal) == 1
+        assert cal.assign_week(utc(2023, 3, 6)) == 1
 
     def test_assign_week_end_exclusive(self):
         cal = simple_calendar()
-        assert assign_week(utc(2023, 3, 13), cal) == 2  # contiguous weeks
-        assert assign_week(utc(2023, 3, 20), cal) is None
+        assert cal.assign_week(utc(2023, 3, 13)) == 2  # contiguous weeks
+        assert cal.assign_week(utc(2023, 3, 20)) is None
 
     def test_gap_returns_none(self, team7_config):
         # the fixture calendar has a two-week break after week 3
@@ -162,6 +155,18 @@ class TestChatParser:
         assert "2023-03-06.json" in message
         assert "column" in message
 
+    @pytest.mark.parametrize("ts", ["inf", "1e20", "nan", None])
+    def test_unrepresentable_ts_names_file_and_entry(self, tmp_path, two_person_roster, ts):
+        write_channel(
+            tmp_path,
+            "general",
+            "2023-03-06",
+            [{"user": "UA", "ts": "1678100000.0"}, {"user": "UB", "ts": ts}],
+        )
+        with pytest.raises(InputError) as err:
+            parse_chat_export(tmp_path, two_person_roster)
+        assert "2023-03-06.json: entry 1 has invalid ts" in str(err.value)
+
     def test_missing_directory(self, two_person_roster, tmp_path):
         with pytest.raises(InputError):
             parse_chat_export(tmp_path / "nope", two_person_roster)
@@ -235,6 +240,21 @@ class TestRepoParser:
         with pytest.raises(ValidationError) as err:
             parse_repo_activity(path, two_person_roster)
         assert "M7" in str(err.value)
+
+    @pytest.mark.parametrize("stamp", [1678100000, None, ["2023-03-06"], "yesterday"])
+    @pytest.mark.parametrize("entry", ["commit", "merge request"])
+    def test_bad_timestamp_names_file_and_entry(self, tmp_path, two_person_roster, entry, stamp):
+        commit = {"sha": "c1", "author": "alice", "authored_at": "2023-03-06T10:00:00Z"}
+        mr = {"id": "M1", "created_at": "2023-03-07T10:00:00Z", "commits": [], "files": []}
+        if entry == "commit":
+            commit["authored_at"] = stamp
+        else:
+            mr["created_at"] = stamp
+        path = tmp_path / "repo.json"
+        path.write_text(json.dumps({"commits": [commit], "merge_requests": [mr]}))
+        with pytest.raises(InputError) as err:
+            parse_repo_activity(path, two_person_roster)
+        assert f"repo.json: {entry} entry 0: " in str(err.value)
 
     def test_fixture_totals_match_manifest(self, team7_config, team7_dir):
         manifest = json.loads((team7_dir / "manifest.json").read_text())
@@ -342,45 +362,3 @@ class TestTables:
             parse_feedback(path, simple_calendar())
         assert "communication_rating" in str(err.value)
 
-
-class TestRoundTrip:
-    def test_dataset_roundtrip(self, team7_config, team7_dir, tmp_path):
-        team = team7_config.teams[0]
-        cal = team7_config.calendar
-        ds = Dataset(
-            calendar=cal,
-            teams={
-                "X": TeamData(
-                    roster=team.roster,
-                    messages=parse_chat_export(
-                        team.chat_export, team.roster, team7_config.excluded_handles
-                    ),
-                    repo=parse_repo_activity(team.repo_activity, team.roster),
-                )
-            },
-            feedback=tuple(parse_feedback(team7_dir / "feedback.csv", cal)),
-            outcomes=tuple(parse_outcomes(team7_dir / "outcomes.csv", cal)),
-            pair_hours={"X": 100.0},
-        )
-        path = tmp_path / "dataset.json"
-        save_dataset(ds, path)
-        assert load_dataset(path) == ds
-
-    def test_dict_roundtrip_is_identity(self, team7_config):
-        team = team7_config.teams[0]
-        ds = Dataset(
-            calendar=team7_config.calendar,
-            teams={
-                "X": TeamData(
-                    roster=team.roster,
-                    messages=parse_chat_export(
-                        team.chat_export, team.roster, team7_config.excluded_handles
-                    ),
-                    repo=parse_repo_activity(team.repo_activity, team.roster),
-                )
-            },
-            feedback=(),
-            outcomes=(),
-            pair_hours={},
-        )
-        assert dataset_from_dict(dataset_to_dict(ds)) == ds
