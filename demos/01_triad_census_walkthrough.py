@@ -10,14 +10,13 @@ census that makes different team sizes comparable.
 
 from itertools import combinations
 
-from teamnets import CommunicationNetwork, week_window
+from teamnets import CommunicationNetwork
 from teamnets import census_closed_form, relative_census, triad_census
 
 # Four people; D talks with everyone except B talks only with D.
 net = CommunicationNetwork(
     roster=("A", "B", "C", "D"),
     edges=frozenset({("A", "C"), ("A", "D"), ("C", "D"), ("B", "D")}),
-    window=week_window(1),
 )
 
 print("nodes:", net.roster)
@@ -36,11 +35,10 @@ print("closed form agrees:     ", census_closed_form(net).counts)
 print("relative census:        ", relative_census(census).freqs)
 
 # The same counts on the empty and complete 4-node graphs bracket the range.
-empty = CommunicationNetwork(roster=net.roster, edges=frozenset(), window=net.window)
+empty = CommunicationNetwork(roster=net.roster, edges=frozenset())
 full = CommunicationNetwork(
     roster=net.roster,
     edges=frozenset(tuple(sorted(e)) for e in combinations(net.roster, 2)),
-    window=net.window,
 )
 print()
 print("empty graph census:   ", triad_census(empty).counts)

@@ -5,7 +5,8 @@ Socio-technical congruence, step by step
 Runs the five-step weekly STC pipeline on a tiny in-memory team: task
 assignments from merge-request authorship, task dependencies from file
 overlap, coordination requirements from the matrix product, actual
-coordination from threaded chat replies, and finally per-person scores.
+coordination from the week's network of threaded chat replies, and finally
+per-person scores.
 """
 
 from datetime import datetime, timedelta, timezone
@@ -19,11 +20,13 @@ from teamnets import (
     Sprint,
     SprintCalendar,
     Week,
-    actual_coordination,
     assignment_matrix,
     coordination_requirements,
     dependency_matrix,
+    merge_requests_by_week,
     stc_scores,
+    weekly_edges,
+    window_network,
 )
 
 start = datetime(2023, 3, 6, tzinfo=timezone.utc)
@@ -48,13 +51,17 @@ repo = RepoActivity(
     ),
 )
 
-ta = assignment_matrix(repo, roster, 1, cal)
+# the week's merge requests, grouped by creation week once
+mrs = merge_requests_by_week(repo, cal, cal.week_ids())[1]
+commit_author = {c.sha: c.author for c in repo.commits}
+
+ta = assignment_matrix(mrs, commit_author, roster)
 print("step 1, task assignments (people x MRs):")
 print("   ", ta.mr_ids)
 for person, row in zip(ta.people, ta.values):
     print("   ", person, row)
 
-td = dependency_matrix(repo, 1, cal)
+td = dependency_matrix(mrs)
 print("\nstep 2, task dependencies (MRs x MRs, shared files):")
 for mr, row in zip(td.mr_ids, td.values):
     print("   ", mr, row)
@@ -66,12 +73,12 @@ for person, row in zip(cr.people, cr.values):
 
 # step 4: only ana and ben actually talked (ben replied in ana's thread)
 events = [CommEvent(sender="ben", recipient="ana", timestamp=start + timedelta(hours=6), week_id=1)]
-ca = actual_coordination(events, roster, 1)
-print("\nstep 4, actual coordination (from threaded replies):")
-for person, row in zip(ca.roster, ca.values):
-    print("   ", person, row)
+net = window_network(weekly_edges(events), roster, (1,))
+print("\nstep 4, actual coordination (the week's network of threaded replies):")
+for a, b in sorted(net.edges):
+    print(f"    {a} -- {b}")
 
-scores, team = stc_scores(cr, ca, roster, 1)
+scores, team = stc_scores(cr, net)
 print("\nstep 5, scores (fulfilled requirements / requirements):")
 for s in scores:
     shown = "undefined" if s.value is None else f"{s.value:.3f} ({s.n_fulfilled}/{s.n_required})"

@@ -25,13 +25,9 @@ from .ingestion import (
 from .network import (
     CommEvent,
     CommunicationNetwork,
-    CoordinationMatrix,
-    Window,
-    actual_coordination,
-    build_network,
     derive_comm_events,
-    sprint_window,
-    week_window,
+    weekly_edges,
+    window_network,
     write_edge_list,
 )
 from .report import (
@@ -64,6 +60,7 @@ from .stc import (
     assignment_matrix,
     coordination_requirements,
     dependency_matrix,
+    merge_requests_by_week,
     stc_scores,
     weekly_team_scores,
     write_weekly_scores,

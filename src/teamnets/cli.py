@@ -28,7 +28,7 @@ from .ingestion import (
     parse_repo_activity,
     parse_work_logs,
 )
-from .network import write_edge_list
+from .network import weekly_edges, write_edge_list
 from .report import (
     FORMATS,
     emit,
@@ -133,8 +133,8 @@ def _cmd_stc(config: PipelineConfig, out: Path) -> int:
     weeks = included_weeks(config.calendar)
     scores = {}
     for team_cfg in config.teams:
-        _, events = team_events(team_cfg, config)
-        scores[team_cfg.team_id] = team_stc(team_cfg, config, events, weeks)
+        weekly = weekly_edges(team_events(team_cfg, config)[1])
+        scores[team_cfg.team_id] = team_stc(team_cfg, config, weekly, weeks)
     path = out / "stc_weekly.csv"
     write_weekly_scores(scores, path)
     print(f"wrote {path}")
@@ -147,9 +147,9 @@ def _cmd_census(config: PipelineConfig, out: Path) -> int:
     rows = ["team,sprint,rel_0_edges,rel_1_edges,rel_2_edges,rel_3_edges"]
     for team_cfg in config.teams:
         team = team_cfg.team_id
-        _, events = team_events(team_cfg, config)
+        weekly = weekly_edges(team_events(team_cfg, config)[1])
         for sprint in cal.included_sprints():
-            net, census = sprint_census(events, team_cfg.roster, cal, sprint)
+            net, census = sprint_census(weekly, team_cfg.roster, cal, sprint)
             write_edge_list(net, out / f"edges_{team}_sprint{sprint}.tsv")
             # a roster too small for triads keeps its row with blank cells
             cells = ",".join(f"{v:.6f}" for v in census) if census else ",,,"

@@ -80,6 +80,10 @@ class PipelineConfig:
         return tuple(sorted(t.team_id for t in self.teams))
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _resolve(base: Path, value: str) -> Path:
     p = Path(value)
     return p if p.is_absolute() else base / p
@@ -100,7 +104,14 @@ def load_config(path: Path | str) -> PipelineConfig:
         raise InputError(f"{cfg_path}: config must be a JSON object")
     if "calendar" not in data:
         raise InputError(f"{cfg_path}: missing 'calendar' section")
-    calendar = calendar_from_dict(data["calendar"])
+    try:
+        calendar = calendar_from_dict(data["calendar"])
+    except InputError as exc:
+        raise InputError(f"{cfg_path}: {exc}") from None
+
+    def expect(ok: bool, field: str, kind: str) -> None:
+        if not ok:
+            raise InputError(f"{cfg_path}: {field} must be {kind}")
 
     base = cfg_path.parent
     teams_raw = data.get("teams")
@@ -117,6 +128,16 @@ def load_config(path: Path | str) -> PipelineConfig:
             repo_activity = entry["repo_activity"]
         except (TypeError, KeyError) as exc:
             raise InputError(f"{cfg_path}: team entry {i} missing field {exc}") from None
+        where = f"team entry {i}"
+        expect(isinstance(team_id, str), f"{where} 'team_id'", "a string")
+        expect(_is_strings(members), f"{where} 'members'", "an array of strings")
+        expect(
+            isinstance(identity_map, dict) and _is_strings(list(identity_map.values())),
+            f"{where} 'identity_map'",
+            "an object mapping handles to member ids",
+        )
+        expect(isinstance(chat_export, str), f"{where} 'chat_export'", "a path string")
+        expect(isinstance(repo_activity, str), f"{where} 'repo_activity'", "a path string")
         if team_id in seen:
             raise ValidationError(f"{cfg_path}: duplicate team id {team_id}")
         seen.add(team_id)
@@ -135,18 +156,32 @@ def load_config(path: Path | str) -> PipelineConfig:
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise InputError(f"{cfg_path}: 'options' must be an object")
+
+    def fraction(key: str, default: float) -> float:
+        value = options.get(key, default)
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise InputError(f"{cfg_path}: options.{key} must be a number, got {value!r}") from None
+
     anomaly = AnomalyThresholds(
-        top_fraction=float(options.get("anomaly_top_fraction", 0.2)),
-        bottom_fraction=float(options.get("anomaly_bottom_fraction", 0.3)),
+        top_fraction=fraction("anomaly_top_fraction", 0.2),
+        bottom_fraction=fraction("anomaly_bottom_fraction", 0.3),
     )
-    exclude_teams = tuple(sorted(options.get("exclude_teams", [])))
+    exclude_teams = options.get("exclude_teams", [])
+    expect(_is_strings(exclude_teams), "options.exclude_teams", "an array of team ids")
+    exclude_teams = tuple(sorted(exclude_teams))
     unknown = [t for t in exclude_teams if t not in seen]
     if unknown:
         raise ValidationError(f"{cfg_path}: exclude_teams references unknown team(s) {unknown}")
 
     def optional_path(key: str) -> Path | None:
         value = data.get(key)
+        expect(value is None or isinstance(value, str), f"'{key}'", "a path string")
         return _resolve(base, value) if value else None
+
+    excluded_handles = data.get("excluded_handles", [])
+    expect(_is_strings(excluded_handles), "'excluded_handles'", "an array of strings")
 
     return PipelineConfig(
         calendar=calendar,
@@ -154,7 +189,7 @@ def load_config(path: Path | str) -> PipelineConfig:
         feedback_path=optional_path("feedback"),
         outcomes_path=optional_path("outcomes"),
         work_logs_path=optional_path("work_logs"),
-        excluded_handles=tuple(data.get("excluded_handles", [])),
+        excluded_handles=tuple(excluded_handles),
         anomaly=anomaly,
         exclude_teams=exclude_teams,
         include_lagged_table=bool(options.get("include_lagged_table", False)),

@@ -5,8 +5,9 @@ Input formats
 Chat export (one directory per team workspace):
     <export_root>/<channel>/<YYYY-MM-DD>.json, each file a JSON array of
     message objects with fields ``user`` (raw platform handle), ``ts``
-    (decimal seconds as a string, unique per channel), optional
-    ``thread_ts`` (the ``ts`` of the thread root) and optional ``subtype``.
+    (decimal seconds as a string, unique per channel; two kept messages with
+    one ``ts`` are a validation error), optional ``thread_ts`` (the ``ts``
+    of the thread root) and optional ``subtype``.
     A message whose ``thread_ts`` equals its own ``ts`` is a thread root.
 
 Repo activity (one JSON file per team):
@@ -172,19 +173,41 @@ class SprintCalendar:
         )
 
 
+def _as_int(value, name: str) -> int:
+    """An integer input value; ``name`` is the field it came from."""
+    try:
+        result = int(value)
+    except (TypeError, ValueError, OverflowError):
+        result = None
+    if result is None or (isinstance(value, float) and result != value):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return result
+
+
 def calendar_from_dict(data: dict) -> SprintCalendar:
     try:
         weeks = tuple(
-            Week(week_id=int(w["week_id"]), start=parse_utc(w["start"]), end=parse_utc(w["end"]))
-            for w in data["weeks"]
+            Week(
+                week_id=_as_int(w["week_id"], f"calendar.weeks[{i}].week_id"),
+                start=parse_utc(w["start"]),
+                end=parse_utc(w["end"]),
+            )
+            for i, w in enumerate(data["weeks"])
         )
         sprints = tuple(
-            Sprint(sprint_id=int(s["sprint_id"]), week_ids=tuple(int(w) for w in s["weeks"]))
-            for s in data["sprints"]
+            Sprint(
+                sprint_id=_as_int(s["sprint_id"], f"calendar.sprints[{i}].sprint_id"),
+                week_ids=tuple(_as_int(w, f"calendar.sprints[{i}].weeks") for w in s["weeks"]),
+            )
+            for i, s in enumerate(data["sprints"])
         )
-        excluded = frozenset(int(s) for s in data.get("excluded_sprints", []))
-    except (TypeError, KeyError) as exc:
+        excluded = frozenset(
+            _as_int(s, "calendar.excluded_sprints") for s in data.get("excluded_sprints", [])
+        )
+    except KeyError as exc:
         raise InputError(f"calendar section missing field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise InputError(f"calendar section is malformed: {exc}") from None
     return SprintCalendar(weeks=weeks, sprints=sprints, excluded_sprints=excluded)
 
 
@@ -338,6 +361,8 @@ def parse_chat_export(
                         f"{day_file}: entry {i} has invalid ts {ts_raw!r}"
                     ) from None
                 mid = f"{channel}/{ts_raw}"
+                if mid in kept_ids:
+                    raise ValidationError(f"{day_file}: entry {i} has duplicate ts {ts_raw!r}")
                 thread_ts = obj.get("thread_ts")
                 thread_ref = (
                     f"{channel}/{thread_ts}" if thread_ts and thread_ts != ts_raw else None
@@ -505,7 +530,7 @@ def parse_feedback(
         try:
             sprint_id = int(row["sprint_id"])
             rating = int(row["communication_rating"])
-        except ValueError:
+        except (TypeError, ValueError):
             raise ValidationError(f"{p}:line {line}: non-integer sprint or rating") from None
         if sprint_id not in known_sprints:
             raise ValidationError(f"{p}:line {line}: unknown sprint {sprint_id}")
@@ -561,7 +586,11 @@ def parse_outcomes(
             committed = float(row["story_points_committed"])
             passed = float(row["story_points_passed"])
             score = float(row["team_score"])
-        except ValueError:
+            stories_raw = (row.get("stories_passed_total") or "").strip()
+            hours_raw = (row.get("pair_programming_hours") or "").strip()
+            stories = int(stories_raw) if stories_raw else None
+            hours = float(hours_raw) if hours_raw else None
+        except (TypeError, ValueError):  # TypeError: a short row leaves cells None
             raise ValidationError(f"{p}:line {line}: non-numeric outcome value") from None
         if sprint_id not in known_sprints:
             raise ValidationError(f"{p}:line {line}: unknown sprint {sprint_id}")
@@ -572,10 +601,6 @@ def parse_outcomes(
                 f"{p}:line {line}: story points passed ({passed:g}) exceeds "
                 f"committed ({committed:g})"
             )
-        stories_raw = (row.get("stories_passed_total") or "").strip()
-        hours_raw = (row.get("pair_programming_hours") or "").strip()
-        stories = int(stories_raw) if stories_raw else None
-        hours = float(hours_raw) if hours_raw else None
         if hours is not None and hours < 0:
             raise ValidationError(f"{p}:line {line}: negative pair programming hours")
         if team in year_level:
@@ -638,7 +663,7 @@ def parse_work_logs(
     for line, row in _read_rows(p, ("team_id", "hours")):
         try:
             hours = float(row["hours"])
-        except ValueError:
+        except (TypeError, ValueError):
             raise ValidationError(f"{p}:line {line}: non-numeric hours") from None
         if hours < 0:
             raise ValidationError(f"{p}:line {line}: negative hours")

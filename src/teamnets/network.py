@@ -3,33 +3,33 @@
 A directed communication event is recorded when one person replies inside a
 thread started by another. Networks discard direction and edge weight: an
 undirected edge is present iff at least one event connects the pair inside
-the window. Every roster member is a node whether or not they communicated,
-so triads over silent members are measurable.
+the window. Events are grouped into per-week edge sets once
+(``weekly_edges``); a week's or a sprint's network is the union of its weeks'
+edge sets (``window_network``). The weekly network serves both the triad
+census and STC's actual coordination. Every roster member is a node whether
+or not they communicated, so triads over silent members are measurable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Mapping
 
 from .errors import ValidationError
 from .ingestion import Diagnostics, MessageLog, Roster, SprintCalendar
 
 __all__ = [
     "CommEvent",
-    "Window",
     "CommunicationNetwork",
-    "CoordinationMatrix",
-    "week_window",
-    "sprint_window",
     "derive_comm_events",
-    "build_network",
-    "actual_coordination",
+    "weekly_edges",
+    "window_network",
     "write_edge_list",
 ]
+
+Edge = tuple[str, str]  # a pair sorted lexicographically
+WeeklyEdges = Mapping[int, frozenset[Edge]]  # week id -> that week's edges
 
 
 @dataclass(frozen=True)
@@ -42,35 +42,14 @@ class CommEvent:
     week_id: int
 
 
-@dataclass(frozen=True)
-class Window:
-    kind: str  # "week" | "sprint"
-    window_id: int
-    week_ids: frozenset[int]
-
-    def label(self) -> str:
-        return f"{self.kind}{self.window_id}"
-
-
-def week_window(week_id: int) -> Window:
-    return Window(kind="week", window_id=week_id, week_ids=frozenset({week_id}))
-
-
-def sprint_window(cal: SprintCalendar, sprint_id: int) -> Window:
-    return Window(
-        kind="sprint", window_id=sprint_id, week_ids=frozenset(cal.sprint_weeks(sprint_id))
-    )
-
-
-def _edge(a: str, b: str) -> tuple[str, str]:
+def _edge(a: str, b: str) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
 class CommunicationNetwork:
     roster: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]  # each pair sorted lexicographically
-    window: Window
+    edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
         nodes = set(self.roster)
@@ -125,50 +104,20 @@ def derive_comm_events(
     return events
 
 
-def build_network(
-    events: Iterable[CommEvent], roster: Roster, window: Window
-) -> CommunicationNetwork:
-    """Undirected presence/absence network over the full roster."""
-    edges = {
-        _edge(e.sender, e.recipient) for e in events if e.week_id in window.week_ids
-    }
-    return CommunicationNetwork(
-        roster=tuple(sorted(roster.members)), edges=frozenset(edges), window=window
-    )
-
-
-@dataclass
-class CoordinationMatrix:
-    """Symmetric binary actual-coordination matrix for one week."""
-
-    roster: tuple[str, ...]
-    week_id: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        n = len(self.roster)
-        if self.values.shape != (n, n):
-            raise ValidationError("coordination matrix shape does not match roster")
-        if np.any(np.diag(self.values) != 0):
-            raise ValidationError("coordination matrix has a nonzero diagonal")
-        if not np.array_equal(self.values, self.values.T):
-            raise ValidationError("coordination matrix is not symmetric")
-
-
-def actual_coordination(
-    events: Iterable[CommEvent], roster: Roster, week_id: int
-) -> CoordinationMatrix:
-    """Entry (x, y) = 1 iff at least one event links x and y that week."""
-    people = tuple(sorted(roster.members))
-    index = {p: i for i, p in enumerate(people)}
-    values = np.zeros((len(people), len(people)), dtype=np.int8)
+def weekly_edges(events: Iterable[CommEvent]) -> dict[int, frozenset[Edge]]:
+    """Each week's undirected edge set, from one pass over the events."""
+    by_week: dict[int, set[Edge]] = {}
     for e in events:
-        if e.week_id != week_id:
-            continue
-        i, j = index[e.sender], index[e.recipient]
-        values[i, j] = 1
-        values[j, i] = 1
-    return CoordinationMatrix(roster=people, week_id=week_id, values=values)
+        by_week.setdefault(e.week_id, set()).add(_edge(e.sender, e.recipient))
+    return {week: frozenset(edges) for week, edges in by_week.items()}
+
+
+def window_network(
+    weekly: WeeklyEdges, roster: Roster, week_ids: Iterable[int]
+) -> CommunicationNetwork:
+    """Presence/absence network of a window of weeks over the full roster."""
+    edges = frozenset().union(*(weekly.get(w, ()) for w in week_ids))
+    return CommunicationNetwork(roster=tuple(sorted(roster.members)), edges=edges)
 
 
 def write_edge_list(net: CommunicationNetwork, path) -> None:

@@ -38,10 +38,10 @@ from .ingestion import (
 from .network import (
     CommEvent,
     CommunicationNetwork,
-    build_network,
+    WeeklyEdges,
     derive_comm_events,
-    sprint_window,
-    week_window,
+    weekly_edges,
+    window_network,
 )
 from .stats import mann_whitney_u, p_stars, pearson
 from .stc import weekly_team_scores, year_summary
@@ -153,26 +153,26 @@ def team_events(
 def team_stc(
     team: TeamConfig,
     config: PipelineConfig,
-    events: Sequence[CommEvent],
+    weekly: WeeklyEdges,
     weeks: Sequence[int],
     diag: Diagnostics | None = None,
 ) -> dict[int, float | None]:
     """Parse a team's repo activity and score its weekly STC."""
     repo = parse_repo_activity(team.repo_activity, team.roster, diag)
     return weekly_team_scores(
-        repo, events, team.roster, config.calendar, weeks, config.self_dependency, diag
+        repo, weekly, team.roster, config.calendar, weeks, config.self_dependency, diag
     )
 
 
 def sprint_census(
-    events: Sequence[CommEvent],
+    weekly: WeeklyEdges,
     roster: Roster,
     cal: SprintCalendar,
     sprint: int,
     diag: Diagnostics | None = None,
 ) -> tuple[CommunicationNetwork, Census | None]:
     """A sprint's network and relative census; None for rosters under 3 members."""
-    net = build_network(events, roster, sprint_window(cal, sprint))
+    net = window_network(weekly, roster, cal.sprint_weeks(sprint))
     if net.n < 3:
         if diag is not None:
             diag.bump("censuses_skipped_small_roster")
@@ -247,18 +247,18 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         team = roster.team_id
         for person in roster.members:
             person_team[person] = team
-        _, events = team_events(team_cfg, config, diag)
-        stc_weekly[team] = team_stc(team_cfg, config, events, weeks, diag)
+        weekly = weekly_edges(team_events(team_cfg, config, diag)[1])
+        stc_weekly[team] = team_stc(team_cfg, config, weekly, weeks, diag)
         sprint_censuses[team] = {}
         mean_weekly_census[team] = {}
         for sprint in sprints:
-            _, census = sprint_census(events, roster, cal, sprint, diag)
+            _, census = sprint_census(weekly, roster, cal, sprint, diag)
             sprint_censuses[team][sprint] = census
             if census is None:
                 mean_weekly_census[team][sprint] = None
                 continue
             weekly_rel = [
-                relative_census(triad_census(build_network(events, roster, week_window(w))))
+                relative_census(triad_census(window_network(weekly, roster, (w,))))
                 for w in cal.sprint_weeks(sprint)
             ]
             mean_weekly_census[team][sprint] = mean_weekly_relative_census(weekly_rel).freqs

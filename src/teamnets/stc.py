@@ -1,11 +1,14 @@
 """Socio-technical congruence: the five-step weekly matrix pipeline.
 
-Per week: a people-by-MR assignment matrix over merge requests created that
-week, an MR-by-MR file-overlap dependency matrix, a binarized coordination
-requirements matrix T_A . T_D . T_A^T with zeroed diagonal, and per-person
-scores of how many required pairs were fulfilled by actual communication.
-A person with no requirements has an undefined score; the team week score
-averages the defined member scores and is undefined when all are.
+Merge requests are grouped by the week they were created in, once per team
+(``merge_requests_by_week``). Per week: a people-by-MR assignment matrix over
+that week's merge requests, an MR-by-MR file-overlap dependency matrix, a
+binarized coordination requirements matrix T_A . T_D . T_A^T with zeroed
+diagonal, and per-person scores of how many required pairs were fulfilled by
+actual communication: a required pair is fulfilled when it is an edge of the
+week's communication network, the same network the weekly triad census
+counts. A person with no requirements has an undefined score; the team week
+score averages the defined member scores and is undefined when all are.
 
 The dependency diagonal is 1 by default so that co-authors of one merge
 request count as needing to coordinate (same MR implies same files); pass
@@ -18,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .ingestion import Diagnostics, RepoActivity, Roster, SprintCalendar
-from .network import CommEvent, CoordinationMatrix, actual_coordination
+from .ingestion import Diagnostics, MergeRequest, RepoActivity, Roster, SprintCalendar
+from .network import CommunicationNetwork, WeeklyEdges, window_network
 from .stats import TrendLine, ols
 
 __all__ = [
@@ -33,7 +36,7 @@ __all__ = [
     "RequirementMatrix",
     "StcScore",
     "YearSummary",
-    "week_merge_requests",
+    "merge_requests_by_week",
     "assignment_matrix",
     "dependency_matrix",
     "coordination_requirements",
@@ -51,7 +54,6 @@ class AssignmentMatrix:
     people: tuple[str, ...]
     mr_ids: tuple[str, ...]
     values: np.ndarray = field(repr=False)
-    week_id: int = 0
 
 
 @dataclass
@@ -60,7 +62,6 @@ class DependencyMatrix:
 
     mr_ids: tuple[str, ...]
     values: np.ndarray = field(repr=False)
-    week_id: int = 0
 
 
 @dataclass
@@ -69,13 +70,11 @@ class RequirementMatrix:
 
     people: tuple[str, ...]
     values: np.ndarray = field(repr=False)
-    week_id: int = 0
 
 
 @dataclass(frozen=True)
 class StcScore:
     person_id: str
-    week_id: int
     value: float | None  # fulfilled / required, None when nothing was required
     n_required: int
     n_fulfilled: int
@@ -87,37 +86,41 @@ class YearSummary:
     trend: TrendLine | None
 
 
-def week_merge_requests(
+def merge_requests_by_week(
     repo: RepoActivity,
-    week_id: int,
     cal: SprintCalendar,
+    week_ids: Iterable[int],
     diagnostics: Diagnostics | None = None,
-):
-    """MRs attributed to the week they were created in, with non-empty files."""
-    diag = diagnostics if diagnostics is not None else Diagnostics()
-    picked = []
+) -> dict[int, list[MergeRequest]]:
+    """Each week's matrix universe: MRs created that week with changed files, by id.
+
+    MRs without changed files are left out and counted, in the given weeks only.
+    """
+    by_week: dict[int, list[MergeRequest]] = {w: [] for w in week_ids}
+    empty = 0
     for mr in repo.merge_requests:
-        if cal.assign_week(mr.created_at) != week_id:
+        week = cal.assign_week(mr.created_at)
+        if week not in by_week:
             continue
         if not mr.changed_files:
-            diag.bump("mrs_excluded_empty_files")
+            empty += 1
             continue
-        picked.append(mr)
-    picked.sort(key=lambda m: m.mr_id)
-    return picked
+        by_week[week].append(mr)
+    if empty and diagnostics is not None:
+        diagnostics.bump("mrs_excluded_empty_files", empty)
+    for mrs in by_week.values():
+        mrs.sort(key=lambda m: m.mr_id)
+    return by_week
 
 
 def assignment_matrix(
-    repo: RepoActivity,
-    roster: Roster,
-    week_id: int,
-    cal: SprintCalendar,
-    diagnostics: Diagnostics | None = None,
+    mrs: Sequence[MergeRequest], commit_author: Mapping[str, str], roster: Roster
 ) -> AssignmentMatrix:
-    """People x MRs-created-this-week; commits from any date assign a person."""
+    """People x the week's MRs; commits from any date assign a person.
+
+    ``commit_author`` maps each commit sha to its author.
+    """
     people = tuple(sorted(roster.members))
-    mrs = week_merge_requests(repo, week_id, cal, diagnostics)
-    commit_author = {c.sha: c.author for c in repo.commits}
     values = np.zeros((len(people), len(mrs)), dtype=np.int8)
     index = {p: i for i, p in enumerate(people)}
     for j, mr in enumerate(mrs):
@@ -125,20 +128,13 @@ def assignment_matrix(
             author = commit_author.get(sha)
             if author in index:
                 values[index[author], j] = 1
-    return AssignmentMatrix(
-        people=people, mr_ids=tuple(m.mr_id for m in mrs), values=values, week_id=week_id
-    )
+    return AssignmentMatrix(people=people, mr_ids=tuple(m.mr_id for m in mrs), values=values)
 
 
 def dependency_matrix(
-    repo: RepoActivity,
-    week_id: int,
-    cal: SprintCalendar,
-    include_self_dependency: bool = True,
-    diagnostics: Diagnostics | None = None,
+    mrs: Sequence[MergeRequest], include_self_dependency: bool = True
 ) -> DependencyMatrix:
     """Symmetric file-overlap matrix over the week's merge requests."""
-    mrs = week_merge_requests(repo, week_id, cal, diagnostics)
     k = len(mrs)
     values = np.zeros((k, k), dtype=np.int8)
     for i in range(k):
@@ -148,9 +144,7 @@ def dependency_matrix(
                 values[j, i] = 1
     if include_self_dependency:
         np.fill_diagonal(values, 1)
-    return DependencyMatrix(
-        mr_ids=tuple(m.mr_id for m in mrs), values=values, week_id=week_id
-    )
+    return DependencyMatrix(mr_ids=tuple(m.mr_id for m in mrs), values=values)
 
 
 def coordination_requirements(
@@ -164,43 +158,39 @@ def coordination_requirements(
     product = ta.values.astype(np.int64) @ td.values.astype(np.int64) @ ta.values.T.astype(np.int64)
     values = (product > 0).astype(np.int8)
     np.fill_diagonal(values, 0)
-    return RequirementMatrix(people=ta.people, values=values, week_id=ta.week_id)
+    return RequirementMatrix(people=ta.people, values=values)
 
 
 def stc_scores(
-    cr: RequirementMatrix,
-    ca: CoordinationMatrix,
-    roster: Roster,
-    week_id: int,
+    cr: RequirementMatrix, net: CommunicationNetwork
 ) -> tuple[list[StcScore], float | None]:
     """Per-person fulfilled/required ratios plus the team week score.
 
-    The team score is the mean of the defined member scores, or None when no
-    member had a requirement that week.
+    A required pair is fulfilled when it is an edge of ``net``, the week's
+    communication network. The team score is the mean of the defined member
+    scores, or None when no member had a requirement that week.
     """
-    people = tuple(sorted(roster.members))
-    if cr.people != people or ca.roster != people:
-        raise ValidationError("requirement/coordination matrices are not roster-aligned")
+    people = net.roster
+    if cr.people != people:
+        raise ValidationError("requirement matrix and network are not roster-aligned")
+    index = {p: i for i, p in enumerate(people)}
+    talked = np.zeros((len(people), len(people)), dtype=bool)
+    for a, b in net.edges:
+        talked[index[a], index[b]] = talked[index[b], index[a]] = True
     scores: list[StcScore] = []
     defined: list[float] = []
     for i, person in enumerate(people):
         required = cr.values[i]
         n_required = int(required.sum())
         if n_required == 0:
-            scores.append(
-                StcScore(person_id=person, week_id=week_id, value=None, n_required=0, n_fulfilled=0)
-            )
+            scores.append(StcScore(person_id=person, value=None, n_required=0, n_fulfilled=0))
             continue
-        n_fulfilled = int((required & (ca.values[i] > 0)).sum())
+        n_fulfilled = int((required & talked[i]).sum())
         value = n_fulfilled / n_required
         defined.append(value)
         scores.append(
             StcScore(
-                person_id=person,
-                week_id=week_id,
-                value=value,
-                n_required=n_required,
-                n_fulfilled=n_fulfilled,
+                person_id=person, value=value, n_required=n_required, n_fulfilled=n_fulfilled
             )
         )
     team = math.fsum(defined) / len(defined) if defined else None
@@ -209,25 +199,28 @@ def stc_scores(
 
 def weekly_team_scores(
     repo: RepoActivity,
-    events: Iterable[CommEvent],
+    weekly: WeeklyEdges,
     roster: Roster,
     cal: SprintCalendar,
     week_ids: Iterable[int] | None = None,
     include_self_dependency: bool = True,
     diagnostics: Diagnostics | None = None,
 ) -> dict[int, float | None]:
-    """Run the five-step pipeline per week and return team week scores."""
-    events = list(events)
+    """Run the five-step pipeline per week and return team week scores.
+
+    ``weekly`` holds each week's communication edges (``weekly_edges``).
+    """
     weeks = tuple(week_ids) if week_ids is not None else cal.week_ids()
+    mrs_by_week = merge_requests_by_week(repo, cal, weeks, diagnostics)
+    commit_author = {c.sha: c.author for c in repo.commits}
     out: dict[int, float | None] = {}
     for week_id in weeks:
-        # diagnostics only on the dependency pass; both calls share the universe
-        ta = assignment_matrix(repo, roster, week_id, cal)
-        td = dependency_matrix(repo, week_id, cal, include_self_dependency, diagnostics)
-        cr = coordination_requirements(ta, td)
-        ca = actual_coordination(events, roster, week_id)
-        _, team = stc_scores(cr, ca, roster, week_id)
-        out[week_id] = team
+        mrs = mrs_by_week[week_id]
+        cr = coordination_requirements(
+            assignment_matrix(mrs, commit_author, roster),
+            dependency_matrix(mrs, include_self_dependency),
+        )
+        _, out[week_id] = stc_scores(cr, window_network(weekly, roster, (week_id,)))
     return out
 
 

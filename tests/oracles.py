@@ -116,3 +116,12 @@ def stc_brute_force(
         defined.append(scores[p])
     team = sum(defined) / len(defined) if defined else None
     return scores, team
+
+
+def window_edges_oracle(events, week_ids) -> frozenset[tuple[str, str]]:
+    """A window's edges by a scan of every event instead of per-week groups:
+    the sorted pairs of the events whose week lies in the window."""
+    weeks = set(week_ids)
+    return frozenset(
+        tuple(sorted((e.sender, e.recipient))) for e in events if e.week_id in weeks
+    )

@@ -19,7 +19,7 @@ import pytest
 from teamnets.config import load_config
 from teamnets.ingestion import Commit, MergeRequest, RepoActivity, Roster, Sprint, \
     SprintCalendar, Week
-from teamnets.network import CommEvent, CommunicationNetwork, actual_coordination, week_window
+from teamnets.network import CommEvent, CommunicationNetwork, weekly_edges, window_network
 from teamnets.report import (
     KIND_HIGH_STC_LOW_DELIVERY,
     KIND_LOW_STC_HIGH_PAIRING,
@@ -29,7 +29,7 @@ from teamnets.report import (
 )
 from teamnets.stats import mann_whitney_u, pearson, t_sf
 from teamnets.stc import assignment_matrix, coordination_requirements, dependency_matrix, \
-    stc_scores
+    merge_requests_by_week, stc_scores
 from teamnets.synthetic import make_season
 from teamnets.triad import census_closed_form, relative_census, triad_census
 
@@ -41,7 +41,6 @@ def make_net(roster, edges):
     return CommunicationNetwork(
         roster=tuple(roster),
         edges=frozenset(tuple(sorted(e)) for e in edges),
-        window=week_window(1),
     )
 
 
@@ -110,19 +109,24 @@ def _repo_from(mr_specs):
     return RepoActivity(commits=tuple(commits), merge_requests=tuple(mrs))
 
 
+def _week1_stc(repo, roster, cal, events):
+    mrs = merge_requests_by_week(repo, cal, (1,))[1]
+    cr = coordination_requirements(
+        assignment_matrix(mrs, {c.sha: c.author for c in repo.commits}, roster),
+        dependency_matrix(mrs),
+    )
+    return stc_scores(cr, window_network(weekly_edges(events), roster, (1,)))
+
+
 def test_criterion_3_stc_hand_fixture_and_oracle():
     cal = _one_week_calendar()
     roster = Roster(team_id="T", members=frozenset({"P1", "P2", "P3"}), identity_map={})
     repo = _repo_from(
         [("M1", ["shared.py"], ["P1", "P2"]), ("M2", ["shared.py"], ["P3"])]
     )
-    cr = coordination_requirements(
-        assignment_matrix(repo, roster, 1, cal), dependency_matrix(repo, 1, cal)
+    scores, team = _week1_stc(
+        repo, roster, cal, [CommEvent("P1", "P2", datetime(2023, 3, 7, tzinfo=timezone.utc), 1)]
     )
-    ca = actual_coordination(
-        [CommEvent("P1", "P2", datetime(2023, 3, 7, tzinfo=timezone.utc), 1)], roster, 1
-    )
-    scores, team = stc_scores(cr, ca, roster, 1)
     assert {s.person_id: s.value for s in scores} == {"P1": 0.5, "P2": 0.5, "P3": 0.0}
     assert team == 1 / 3
 
@@ -145,10 +149,7 @@ def test_criterion_3_stc_hand_fixture_and_oracle():
             if rng.random() < 0.3:
                 pairs.add(frozenset((a, b)))
                 events.append(CommEvent(a, b, datetime(2023, 3, 7, tzinfo=timezone.utc), 1))
-        cr = coordination_requirements(
-            assignment_matrix(repo, team_roster, 1, cal), dependency_matrix(repo, 1, cal)
-        )
-        scores, team = stc_scores(cr, actual_coordination(events, team_roster, 1), team_roster, 1)
+        scores, team = _week1_stc(repo, team_roster, cal, events)
         oracle_scores, oracle_team = stc_brute_force(sorted(people), mr_people, mr_files, pairs)
         assert {s.person_id: s.value for s in scores} == oracle_scores
         assert (team is None) == (oracle_team is None)

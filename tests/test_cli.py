@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import shutil
 
+import pytest
+
 from teamnets.cli import main
 from teamnets.config import load_config
 from teamnets.report import load_report, run_pipeline
@@ -59,6 +61,59 @@ class TestValidate:
         repo["merge_requests"][0]["commits"].append("nonexistent")
         (work / "repo.json").write_text(json.dumps(repo), encoding="utf-8")
         assert main(["validate", "--config", str(work / "config.json")]) == 1
+
+    @pytest.mark.parametrize(
+        "path,value,field",
+        [
+            (("calendar", "weeks", 0, "week_id"), "one", "calendar.weeks[0].week_id"),
+            (("calendar", "weeks", 0, "week_id"), 1.5, "calendar.weeks[0].week_id"),
+            (("calendar", "sprints", 1, "weeks", 0), "three", "calendar.sprints[1].weeks"),
+            (("calendar", "excluded_sprints"), ["first"], "calendar.excluded_sprints"),
+            (("options", "anomaly_top_fraction"), "high", "options.anomaly_top_fraction"),
+            (("options", "anomaly_bottom_fraction"), [0.3], "options.anomaly_bottom_fraction"),
+            (("teams", 0, "identity_map"), ["HA1", "a1"], "team entry 0 'identity_map'"),
+            (("teams", 0, "identity_map"), [["HA1", "a1"]], "team entry 0 'identity_map'"),
+            (("options", "exclude_teams"), "alpha", "options.exclude_teams"),
+            (("options", "exclude_teams"), 7, "options.exclude_teams"),
+            (("teams", 1, "members"), "b1b2b3b4", "team entry 1 'members'"),
+            (("teams", 1, "team_id"), ["beta"], "team entry 1 'team_id'"),
+            (("teams", 0, "chat_export"), 3, "team entry 0 'chat_export'"),
+            (("excluded_handles",), "UBOT", "'excluded_handles'"),
+            (("feedback",), ["feedback.csv"], "'feedback'"),
+        ],
+        ids=[
+            "week_id-str",
+            "week_id-fraction",
+            "sprint_weeks-str",
+            "excluded_sprints-str",
+            "top_fraction-str",
+            "bottom_fraction-list",
+            "identity_map-list",
+            "identity_map-pairs",
+            "exclude_teams-str",
+            "exclude_teams-int",
+            "members-str",
+            "team_id-list",
+            "chat_export-int",
+            "excluded_handles-str",
+            "feedback-list",
+        ],
+    )
+    def test_bad_config_value_is_named_input_error(
+        self, mini_dir, tmp_path, capsys, path, value, field
+    ):
+        config = json.loads((mini_dir / "config.json").read_text())
+        *parents, last = path
+        node = config
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {cfg}: " in err
+        assert field in err
 
 
 class TestSubcommands:

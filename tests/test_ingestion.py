@@ -167,6 +167,29 @@ class TestChatParser:
             parse_chat_export(tmp_path, two_person_roster)
         assert "2023-03-06.json: entry 1 has invalid ts" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "days,where",
+        [
+            ({"2023-03-06": ["X", "Y", "X"]}, "2023-03-06.json: entry 2"),
+            ({"2023-03-06": ["X"], "2023-03-07": ["Y", "X"]}, "2023-03-07.json: entry 1"),
+        ],
+        ids=["same-file", "two-files"],
+    )
+    def test_duplicate_ts_names_file_and_ts(self, tmp_path, two_person_roster, days, where):
+        stamps = {"X": "1678100000.0001", "Y": "1678100050.0"}
+        for day, keys in days.items():
+            write_channel(
+                tmp_path, "general", day, [{"user": "UA", "ts": stamps[k]} for k in keys]
+            )
+        with pytest.raises(ValidationError) as err:
+            parse_chat_export(tmp_path, two_person_roster)
+        assert f"{where} has duplicate ts '1678100000.0001'" in str(err.value)
+
+    def test_same_ts_in_two_channels_allowed(self, tmp_path, two_person_roster):
+        for channel in ("general", "dev"):
+            write_channel(tmp_path, channel, "2023-03-06", [{"user": "UA", "ts": "1678100000.0"}])
+        assert len(parse_chat_export(tmp_path, two_person_roster).messages) == 2
+
     def test_missing_directory(self, two_person_roster, tmp_path):
         with pytest.raises(InputError):
             parse_chat_export(tmp_path / "nope", two_person_roster)
@@ -340,6 +363,44 @@ class TestTables:
         )
         with pytest.raises(ValidationError):
             parse_outcomes(path, simple_calendar())
+
+    @pytest.mark.parametrize(
+        "stories,hours", [("twenty", "100"), ("20.5", "100"), ("20", "lots")]
+    )
+    def test_outcomes_bad_year_level_names_line(self, tmp_path, stories, hours):
+        path = tmp_path / "o.csv"
+        path.write_text(
+            "team_id,sprint_id,story_points_committed,story_points_passed,team_score,"
+            "stories_passed_total,pair_programming_hours\n"
+            "X,1,10,5,70,20,100\n"
+            f"X,2,10,5,70,{stories},{hours}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError) as err:
+            parse_outcomes(path, simple_calendar())
+        assert f"{path}:line 3: non-numeric outcome value" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "table,parse",
+        [
+            (
+                "team_id,sprint_id,story_points_committed,story_points_passed,team_score\nX,1",
+                lambda path: parse_outcomes(path, simple_calendar()),
+            ),
+            (
+                "sprint_id,rater,ratee,communication_rating\n1,A",
+                lambda path: parse_feedback(path, simple_calendar()),
+            ),
+            ("team_id,person_id,hours\nX,p1", parse_work_logs),
+        ],
+        ids=["outcomes", "feedback", "work_logs"],
+    )
+    def test_short_table_row_names_line(self, tmp_path, table, parse):
+        path = tmp_path / "t.csv"
+        path.write_text(table + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            parse(path)
+        assert f"{path}:line 2" in str(err.value)
 
     def test_work_logs_sum_per_team(self, tmp_path):
         path = tmp_path / "wl.csv"

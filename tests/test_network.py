@@ -4,7 +4,6 @@ import json
 from collections import Counter
 from datetime import datetime, timezone
 
-import numpy as np
 import pytest
 
 from teamnets.errors import ValidationError
@@ -18,13 +17,13 @@ from teamnets.ingestion import (
 from teamnets.network import (
     CommEvent,
     CommunicationNetwork,
-    actual_coordination,
-    build_network,
     derive_comm_events,
-    sprint_window,
-    week_window,
+    weekly_edges,
+    window_network,
     write_edge_list,
 )
+
+from oracles import window_edges_oracle
 
 
 def ts(day, hour=12):
@@ -89,28 +88,31 @@ class TestDeriveEvents:
         assert sum(per_week.values()) == len(events)
 
 
+def week_network(events, roster, week_id):
+    return window_network(weekly_edges(events), roster, (week_id,))
+
+
 class TestBuildNetwork:
     def test_single_event_single_edge(self, roster):
         events = [CommEvent("A", "B", ts(13), 2)]
-        net = build_network(events, roster, week_window(2))
+        net = week_network(events, roster, 2)
         assert net.edges == frozenset({("A", "B")})
         assert net.roster == ("A", "B", "C", "D")
 
     def test_symmetrization_idempotent(self, roster):
         forward = [CommEvent("A", "B", ts(13), 2)]
         both = forward + [CommEvent("B", "A", ts(13, 14), 2)]
-        w = week_window(2)
-        assert build_network(forward, roster, w).edges == build_network(both, roster, w).edges
+        assert week_network(forward, roster, 2).edges == week_network(both, roster, 2).edges
 
     def test_monotone_under_added_events(self, roster):
         base = [CommEvent("A", "B", ts(13), 2)]
         more = base + [CommEvent("C", "D", ts(13, 15), 2)]
-        w = week_window(2)
-        assert build_network(base, roster, w).edges <= build_network(more, roster, w).edges
+        assert week_network(base, roster, 2).edges <= week_network(more, roster, 2).edges
 
     def test_window_filters_weeks(self, roster):
         events = [CommEvent("A", "B", ts(13), 2), CommEvent("C", "D", ts(20), 3)]
-        net = build_network(events, roster, week_window(2))
+        assert weekly_edges(events) == {2: {("A", "B")}, 3: {("C", "D")}}
+        net = week_network(events, roster, 2)
         assert net.edges == frozenset({("A", "B")})
 
     def test_figure_network_from_events(self, roster):
@@ -120,7 +122,7 @@ class TestBuildNetwork:
             CommEvent("D", "C", ts(13, 14), 2),
             CommEvent("D", "B", ts(13, 15), 2),
         ]
-        net = build_network(events, roster, week_window(2))
+        net = week_network(events, roster, 2)
         assert net.n == 4
         assert net.edges == frozenset({("A", "C"), ("A", "D"), ("C", "D"), ("B", "D")})
 
@@ -129,14 +131,13 @@ class TestBuildNetwork:
         cal = team7_config.calendar
         log = parse_chat_export(team.chat_export, team.roster, team7_config.excluded_handles)
         events = derive_comm_events(log, team.roster, cal)
-        sprint_net = build_network(events, team.roster, sprint_window(cal, 2))
-        week_union = frozenset().union(
-            *(build_network(events, team.roster, week_window(w)).edges for w in (2, 3))
-        )
-        assert sprint_net.edges == week_union
+        weekly = weekly_edges(events)
+        sprint_net = window_network(weekly, team.roster, cal.sprint_weeks(2))
+        assert sprint_net.edges == weekly[2] | weekly[3]
+        assert sprint_net.edges == window_edges_oracle(events, (2, 3))
 
     def test_isolates_stay_in_roster(self, roster):
-        net = build_network([], roster, week_window(2))
+        net = week_network([], roster, 2)
         assert net.roster == ("A", "B", "C", "D")
         assert net.edges == frozenset()
 
@@ -144,58 +145,46 @@ class TestBuildNetwork:
 class TestNetworkValidation:
     def test_self_loop_rejected(self):
         with pytest.raises(ValidationError):
-            CommunicationNetwork(
-                roster=("A", "B"), edges=frozenset({("A", "A")}), window=week_window(1)
-            )
+            CommunicationNetwork(roster=("A", "B"), edges=frozenset({("A", "A")}))
 
     def test_foreign_node_rejected(self):
         with pytest.raises(ValidationError):
-            CommunicationNetwork(
-                roster=("A", "B"), edges=frozenset({("A", "Z")}), window=week_window(1)
-            )
+            CommunicationNetwork(roster=("A", "B"), edges=frozenset({("A", "Z")}))
 
 
 class TestActualCoordination:
+    """STC's actual coordination is the week's network."""
+
     def test_single_event(self, roster):
-        ca = actual_coordination([CommEvent("A", "B", ts(13), 2)], roster, 2)
-        expected = np.zeros((4, 4), dtype=np.int8)
-        expected[0, 1] = expected[1, 0] = 1
-        assert np.array_equal(ca.values, expected)
+        net = week_network([CommEvent("A", "B", ts(13), 2)], roster, 2)
+        assert net.edges == frozenset({("A", "B")})
+        assert net.has_edge("B", "A")
 
     def test_no_events_zero_matrix(self, roster):
-        ca = actual_coordination([], roster, 2)
-        assert not ca.values.any()
+        assert weekly_edges([]) == {}
+        assert not week_network([], roster, 2).edges
 
     def test_fixture_week3_pairs(self, team7_config, team7_dir):
         manifest = json.loads((team7_dir / "manifest.json").read_text())
         team = team7_config.teams[0]
         log = parse_chat_export(team.chat_export, team.roster, team7_config.excluded_handles)
         events = derive_comm_events(log, team.roster, team7_config.calendar)
-        ca = actual_coordination(events, team.roster, 3)
-        people = ca.roster
-        got = {
-            f"{people[i]},{people[j]}"
-            for i in range(len(people))
-            for j in range(i + 1, len(people))
-            if ca.values[i, j]
-        }
-        assert sorted(got) == manifest["week3_pairs"]
-        assert int(ca.values.sum()) == 2 * 3  # exactly 3 symmetric pairs
+        net = week_network(events, team.roster, 3)
+        assert sorted(f"{a},{b}" for a, b in net.edges) == manifest["week3_pairs"]
+        assert len(net.edges) == 3
 
 
 class TestEdgeList:
     def test_lexicographic_lines(self, roster, tmp_path):
-        net = build_network(
-            [CommEvent("D", "B", ts(13), 2), CommEvent("A", "C", ts(13, 13), 2)],
-            roster,
-            week_window(2),
+        net = week_network(
+            [CommEvent("D", "B", ts(13), 2), CommEvent("A", "C", ts(13, 13), 2)], roster, 2
         )
         path = tmp_path / "edges.tsv"
         write_edge_list(net, path)
         assert path.read_text() == "A\tC\nB\tD\n"
 
     def test_empty_network_empty_file(self, roster, tmp_path):
-        net = build_network([], roster, week_window(2))
+        net = week_network([], roster, 2)
         path = tmp_path / "edges.tsv"
         write_edge_list(net, path)
         assert path.read_text() == ""

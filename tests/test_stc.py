@@ -19,14 +19,20 @@ from teamnets.ingestion import (
     parse_chat_export,
     parse_repo_activity,
 )
-from teamnets.network import CommEvent, CoordinationMatrix, actual_coordination, derive_comm_events
+from teamnets.network import (
+    CommEvent,
+    CommunicationNetwork,
+    derive_comm_events,
+    weekly_edges,
+    window_network,
+)
 from teamnets.stc import (
     RequirementMatrix,
     assignment_matrix,
     coordination_requirements,
     dependency_matrix,
+    merge_requests_by_week,
     stc_scores,
-    week_merge_requests,
     weekly_team_scores,
     write_weekly_scores,
     year_summary,
@@ -75,10 +81,28 @@ def roster_of(*people):
     return Roster(team_id="T", members=frozenset(people), identity_map={})
 
 
+def week_mrs(repo, cal, week):
+    return merge_requests_by_week(repo, cal, (week,))[week]
+
+
+def ta_of(repo, roster, week, cal):
+    """The week's assignment matrix, as the weekly pipeline builds it."""
+    commit_author = {c.sha: c.author for c in repo.commits}
+    return assignment_matrix(week_mrs(repo, cal, week), commit_author, roster)
+
+
+def td_of(repo, week, cal, include_self_dependency=True):
+    return dependency_matrix(week_mrs(repo, cal, week), include_self_dependency)
+
+
+def week_net(events, roster, week=1):
+    return window_network(weekly_edges(events), roster, (week,))
+
+
 class TestAssignmentMatrix:
     def test_single_mr_two_authors(self):
         repo = make_repo([("M1", ["a.py"], {"P1": 1, "P2": 1})])
-        ta = assignment_matrix(repo, roster_of("P1", "P2", "P3"), 1, one_week_calendar())
+        ta = ta_of(repo, roster_of("P1", "P2", "P3"), 1, one_week_calendar())
         assert ta.mr_ids == ("M1",)
         assert ta.values[:, 0].tolist() == [1, 1, 0]  # rows P1, P2, P3
 
@@ -86,18 +110,18 @@ class TestAssignmentMatrix:
         # M08 was created in week 3 but carries commits authored in week 1 by p4
         team = team7_config.teams[0]
         repo = parse_repo_activity(team.repo_activity, team.roster)
-        ta = assignment_matrix(repo, team.roster, 3, team7_config.calendar)
+        ta = ta_of(repo, team.roster, 3, team7_config.calendar)
         row_p4 = ta.people.index("p4")
         col_m08 = ta.mr_ids.index("M08")
         assert ta.values[row_p4, col_m08] == 1
         # and nothing assigns p4 in week 1 (no MRs created then carry p4 commits)
-        ta1 = assignment_matrix(repo, team.roster, 1, team7_config.calendar)
+        ta1 = ta_of(repo, team.roster, 1, team7_config.calendar)
         assert ta1.values[ta1.people.index("p4"), :].sum() == 1  # only via M02
 
     def test_fixture_week3_hand_table(self, team7_config):
         team = team7_config.teams[0]
         repo = parse_repo_activity(team.repo_activity, team.roster)
-        ta = assignment_matrix(repo, team.roster, 3, team7_config.calendar)
+        ta = ta_of(repo, team.roster, 3, team7_config.calendar)
         assert ta.mr_ids == ("M07", "M08", "M09")
         expected = {
             "p1": [1, 0, 0],
@@ -113,32 +137,34 @@ class TestAssignmentMatrix:
 
     def test_week_without_mrs(self):
         repo = make_repo([])
-        ta = assignment_matrix(repo, roster_of("P1"), 1, one_week_calendar())
+        ta = ta_of(repo, roster_of("P1"), 1, one_week_calendar())
         assert ta.values.shape == (1, 0)
 
 
 class TestDependencyMatrix:
     def test_shared_file(self):
         repo = make_repo([("M1", ["f1", "f2"], {"P1": 1}), ("M2", ["f2"], {"P2": 1})])
-        td = dependency_matrix(repo, 1, one_week_calendar())
+        td = td_of(repo, 1, one_week_calendar())
         assert td.values.tolist() == [[1, 1], [1, 1]]
 
     def test_disjoint_files(self):
         repo = make_repo([("M1", ["f1"], {"P1": 1}), ("M2", ["f2"], {"P2": 1})])
-        td = dependency_matrix(repo, 1, one_week_calendar())
+        td = td_of(repo, 1, one_week_calendar())
         assert td.values.tolist() == [[1, 0], [0, 1]]
 
     def test_self_dependency_switch(self):
         repo = make_repo([("M1", ["f1"], {"P1": 1})])
-        td = dependency_matrix(repo, 1, one_week_calendar(), include_self_dependency=False)
+        td = td_of(repo, 1, one_week_calendar(), include_self_dependency=False)
         assert td.values.tolist() == [[0]]
 
     def test_empty_file_mrs_excluded(self, team7_config):
         team = team7_config.teams[0]
         repo = parse_repo_activity(team.repo_activity, team.roster)
         diag = Diagnostics()
-        mrs = week_merge_requests(repo, 2, team7_config.calendar, diag)
-        assert [m.mr_id for m in mrs] == ["M04", "M06"]  # M05 has no files
+        by_week = merge_requests_by_week(repo, team7_config.calendar, (2,), diag)
+        assert {w: [m.mr_id for m in mrs] for w, mrs in by_week.items()} == {
+            2: ["M04", "M06"]  # M05 has no files
+        }
         assert diag.counts["mrs_excluded_empty_files"] == 1
 
     def test_brute_force_pairwise_oracle(self, team7_config):
@@ -146,7 +172,7 @@ class TestDependencyMatrix:
         repo = parse_repo_activity(team.repo_activity, team.roster)
         cal = team7_config.calendar
         for week in (1, 2, 3, 4):
-            td = dependency_matrix(repo, week, cal)
+            td = td_of(repo, week, cal)
             mrs = {m.mr_id: m for m in repo.merge_requests}
             for i, a in enumerate(td.mr_ids):
                 for j, b in enumerate(td.mr_ids):
@@ -162,7 +188,7 @@ class TestDependencyMatrix:
         mrs = [
             (f"M{i}", rng.sample(files, rng.randint(1, 3)), {"P1": 1}) for i in range(6)
         ]
-        td = dependency_matrix(make_repo(mrs), 1, one_week_calendar())
+        td = td_of(make_repo(mrs), 1, one_week_calendar())
         assert np.array_equal(td.values, td.values.T)
 
 
@@ -174,8 +200,8 @@ class TestCoordinationRequirements:
         )
         cal = one_week_calendar()
         cr = coordination_requirements(
-            assignment_matrix(repo, roster_of("P1", "P2", "P3"), 1, cal),
-            dependency_matrix(repo, 1, cal),
+            ta_of(repo, roster_of("P1", "P2", "P3"), 1, cal),
+            td_of(repo, 1, cal),
         )
         assert cr.values.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
@@ -183,8 +209,8 @@ class TestCoordinationRequirements:
         repo = make_repo([("M1", ["a"], {"P1": 1}), ("M2", ["a"], {"P1": 2})])
         cal = one_week_calendar()
         cr = coordination_requirements(
-            assignment_matrix(repo, roster_of("P1", "P2"), 1, cal),
-            dependency_matrix(repo, 1, cal),
+            ta_of(repo, roster_of("P1", "P2"), 1, cal),
+            td_of(repo, 1, cal),
         )
         assert not cr.values.any()
 
@@ -192,8 +218,8 @@ class TestCoordinationRequirements:
         repo = make_repo([("M1", ["a"], {"P1": 1}), ("M2", ["b"], {"P2": 1})])
         cal = one_week_calendar()
         cr = coordination_requirements(
-            assignment_matrix(repo, roster_of("P1", "P2"), 1, cal),
-            dependency_matrix(repo, 1, cal),
+            ta_of(repo, roster_of("P1", "P2"), 1, cal),
+            td_of(repo, 1, cal),
         )
         assert not cr.values.any()
 
@@ -212,14 +238,14 @@ class TestCoordinationRequirements:
             ]
             repo = make_repo(mrs)
             cr = coordination_requirements(
-                assignment_matrix(repo, roster_of(*people), 1, cal),
-                dependency_matrix(repo, 1, cal),
+                ta_of(repo, roster_of(*people), 1, cal),
+                td_of(repo, 1, cal),
             )
             assert np.array_equal(cr.values, cr.values.T)
             assert not np.diag(cr.values).any()
 
 
-def matrix_from_pairs(people, pairs, week=1):
+def matrix_from_pairs(people, pairs):
     index = {p: i for i, p in enumerate(people)}
     values = np.zeros((len(people), len(people)), dtype=np.int8)
     for a, b in pairs:
@@ -228,39 +254,37 @@ def matrix_from_pairs(people, pairs, week=1):
     return values
 
 
+def net_of(people, pairs):
+    return CommunicationNetwork(
+        roster=people, edges=frozenset(tuple(sorted(p)) for p in pairs)
+    )
+
+
 class TestScores:
     def test_hand_oracle(self):
         people = ("P1", "P2", "P3")
         cr = RequirementMatrix(
             people=people,
             values=matrix_from_pairs(people, [("P1", "P2"), ("P1", "P3"), ("P2", "P3")]),
-            week_id=1,
         )
-        ca = CoordinationMatrix(
-            roster=people, week_id=1, values=matrix_from_pairs(people, [("P1", "P2")])
-        )
-        scores, team = stc_scores(cr, ca, roster_of(*people), 1)
+        scores, team = stc_scores(cr, net_of(people, [("P1", "P2")]))
         by_person = {s.person_id: s.value for s in scores}
         assert by_person == {"P1": 0.5, "P2": 0.5, "P3": 0.0}
         assert team == pytest.approx(1 / 3)
 
     def test_zero_requirements_undefined(self):
         people = ("P1", "P2")
-        cr = RequirementMatrix(people=people, values=np.zeros((2, 2), dtype=np.int8), week_id=1)
-        ca = CoordinationMatrix(roster=people, week_id=1, values=np.zeros((2, 2), dtype=np.int8))
-        scores, team = stc_scores(cr, ca, roster_of(*people), 1)
+        cr = RequirementMatrix(people=people, values=np.zeros((2, 2), dtype=np.int8))
+        scores, team = stc_scores(cr, net_of(people, []))
         assert all(s.value is None for s in scores)
         assert team is None
 
     def test_full_congruence(self):
         people = ("P1", "P2", "P3")
         req = matrix_from_pairs(people, [("P1", "P2"), ("P2", "P3")])
-        ca_values = matrix_from_pairs(
-            people, [("P1", "P2"), ("P2", "P3"), ("P1", "P3")]
-        )
-        cr = RequirementMatrix(people=people, values=req, week_id=1)
-        ca = CoordinationMatrix(roster=people, week_id=1, values=ca_values)
-        scores, team = stc_scores(cr, ca, roster_of(*people), 1)
+        cr = RequirementMatrix(people=people, values=req)
+        net = net_of(people, [("P1", "P2"), ("P2", "P3"), ("P1", "P3")])
+        scores, team = stc_scores(cr, net)
         assert team == 1.0
         assert all(s.value == 1.0 for s in scores if s.value is not None)
 
@@ -271,10 +295,9 @@ class TestScores:
         log = parse_chat_export(team.chat_export, team.roster, team7_config.excluded_handles)
         events = derive_comm_events(log, team.roster, cal)
         cr = coordination_requirements(
-            assignment_matrix(repo, team.roster, 3, cal), dependency_matrix(repo, 3, cal)
+            ta_of(repo, team.roster, 3, cal), td_of(repo, 3, cal)
         )
-        ca = actual_coordination(events, team.roster, 3)
-        scores, team_score = stc_scores(cr, ca, team.roster, 3)
+        scores, team_score = stc_scores(cr, week_net(events, team.roster, 3))
         by_person = {s.person_id: s.value for s in scores}
         assert by_person["p1"] == pytest.approx(2 / 3)
         assert by_person["p2"] == pytest.approx(1 / 3)
@@ -318,10 +341,9 @@ class TestProperties:
             people, repo, mr_people, mr_files, pairs, events = self._random_instance(rng)
             roster = roster_of(*people)
             cr = coordination_requirements(
-                assignment_matrix(repo, roster, 1, cal), dependency_matrix(repo, 1, cal)
+                ta_of(repo, roster, 1, cal), td_of(repo, 1, cal)
             )
-            ca = actual_coordination(events, roster, 1)
-            scores, team = stc_scores(cr, ca, roster, 1)
+            scores, team = stc_scores(cr, week_net(events, roster))
             oracle_scores, oracle_team = stc_brute_force(
                 sorted(people), mr_people, mr_files, pairs
             )
@@ -338,17 +360,13 @@ class TestProperties:
             people, repo, _, _, _, events = self._random_instance(rng)
             roster = roster_of(*people)
             cr = coordination_requirements(
-                assignment_matrix(repo, roster, 1, cal), dependency_matrix(repo, 1, cal)
+                ta_of(repo, roster, 1, cal), td_of(repo, 1, cal)
             )
-            base_scores, base_team = stc_scores(
-                cr, actual_coordination(events, roster, 1), roster, 1
-            )
+            base_scores, base_team = stc_scores(cr, week_net(events, roster))
             extra = events + [
                 CommEvent(people[0], people[-1], utc(2023, 3, 7), 1)
             ] if len(people) > 1 else events
-            more_scores, more_team = stc_scores(
-                cr, actual_coordination(extra, roster, 1), roster, 1
-            )
+            more_scores, more_team = stc_scores(cr, week_net(extra, roster))
             for b, m in zip(base_scores, more_scores):
                 if b.value is not None:
                     assert m.value is not None and m.value >= b.value
@@ -362,9 +380,9 @@ class TestProperties:
             people, repo, _, _, _, events = self._random_instance(rng)
             roster = roster_of(*people)
             cr = coordination_requirements(
-                assignment_matrix(repo, roster, 1, cal), dependency_matrix(repo, 1, cal)
+                ta_of(repo, roster, 1, cal), td_of(repo, 1, cal)
             )
-            scores, team = stc_scores(cr, actual_coordination(events, roster, 1), roster, 1)
+            scores, team = stc_scores(cr, week_net(events, roster))
             for s in scores:
                 if s.value is not None:
                     assert 0.0 <= s.value <= 1.0
@@ -379,7 +397,7 @@ class TestWeeklyAndYear:
         repo = parse_repo_activity(team.repo_activity, team.roster)
         log = parse_chat_export(team.chat_export, team.roster, team7_config.excluded_handles)
         events = derive_comm_events(log, team.roster, cal)
-        weekly = weekly_team_scores(repo, events, team.roster, cal)
+        weekly = weekly_team_scores(repo, weekly_edges(events), team.roster, cal)
         assert set(weekly) == {1, 2, 3, 4}
         assert weekly[3] == pytest.approx(1 / 3)
         for value in weekly.values():
@@ -388,7 +406,7 @@ class TestWeeklyAndYear:
 
     def test_week_without_mrs_is_undefined(self):
         repo = make_repo([])
-        weekly = weekly_team_scores(repo, [], roster_of("P1", "P2"), one_week_calendar())
+        weekly = weekly_team_scores(repo, {}, roster_of("P1", "P2"), one_week_calendar())
         assert weekly == {1: None}
 
     def test_year_summary_exact_line(self):
@@ -420,7 +438,7 @@ class TestWeeklyAndYear:
         repo = parse_repo_activity(team.repo_activity, team.roster)
         log = parse_chat_export(team.chat_export, team.roster, team7_config.excluded_handles)
         events = derive_comm_events(log, team.roster, cal)
-        weekly = weekly_team_scores(repo, events, team.roster, cal)
+        weekly = weekly_team_scores(repo, weekly_edges(events), team.roster, cal)
         summary = year_summary(weekly)
         defined = [v for v in weekly.values() if v is not None]
         oracle = sum(Fraction(v).limit_denominator(10**9) for v in defined) / len(defined)

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from teamnets.network import CommunicationNetwork, week_window
+from teamnets.network import CommunicationNetwork
 from teamnets.triad import (
     RelativeTriadCensus,
     TriadCensus,
@@ -22,7 +22,6 @@ def make_net(roster, edges):
     return CommunicationNetwork(
         roster=tuple(roster),
         edges=frozenset(tuple(sorted(e)) for e in edges),
-        window=week_window(1),
     )
 
 

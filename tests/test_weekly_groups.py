@@ -1,0 +1,127 @@
+"""Property tests: windows built from the per-week groups equal a full rescan.
+
+Events are grouped into per-week edge sets and merge requests into per-week
+lists once per team. Over random rosters, calendars (with break gaps),
+events and merge requests, every week and sprint network built from the
+groups must equal the scan oracle, and the weekly STC scores must equal the
+brute-force chain enumeration.
+"""
+
+from __future__ import annotations
+
+from datetime import datetime, timedelta, timezone
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from teamnets.ingestion import (
+    Commit,
+    Diagnostics,
+    MergeRequest,
+    RepoActivity,
+    Roster,
+    Sprint,
+    SprintCalendar,
+    Week,
+)
+from teamnets.network import CommEvent, weekly_edges, window_network
+from teamnets.stc import weekly_team_scores
+
+from oracles import stc_brute_force, window_edges_oracle
+
+SEASON_START = datetime(2024, 1, 1, tzinfo=timezone.utc)
+FILES = ("a.py", "b.py", "c.py", "d.py")
+
+
+@st.composite
+def seasons(draw):
+    people = tuple(f"p{i}" for i in range(draw(st.integers(2, 6))))
+    sprint_sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    weeks: list[Week] = []
+    start = SEASON_START
+    for week_id in range(1, sum(sprint_sizes) + 1):
+        start += timedelta(weeks=draw(st.integers(0, 1)))  # a break before the week
+        weeks.append(Week(week_id, start, start + timedelta(weeks=1)))
+        start += timedelta(weeks=1)
+    sprints, first = [], 1
+    for sprint_id, size in enumerate(sprint_sizes, start=1):
+        sprints.append(Sprint(sprint_id, tuple(range(first, first + size))))
+        first += size
+    cal = SprintCalendar(weeks=tuple(weeks), sprints=tuple(sprints))
+
+    person = st.sampled_from(people)
+    pairs = st.tuples(person, person).filter(lambda p: p[0] != p[1])
+    events = [
+        CommEvent(a, b, weeks[w - 1].start, w)
+        for (a, b), w in draw(
+            st.lists(st.tuples(pairs, st.integers(1, len(weeks))), max_size=30)
+        )
+    ]
+
+    span_hours = int((start - SEASON_START).total_seconds() // 3600)
+    mr_specs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-48, span_hours + 48),  # some fall outside the calendar
+                st.sets(person, min_size=1, max_size=3),
+                st.frozensets(st.sampled_from(FILES), max_size=3),  # sometimes empty
+            ),
+            max_size=12,
+        )
+    )
+    commits, mrs = [], []
+    for i, (hour, authors, files) in enumerate(mr_specs):
+        created = SEASON_START + timedelta(hours=hour)
+        shas = []
+        for author in sorted(authors):
+            shas.append(f"c{len(commits)}")
+            commits.append(Commit(shas[-1], author, created - timedelta(minutes=5)))
+        mrs.append(MergeRequest(f"M{i:02d}", created, frozenset(shas), files))
+    repo = RepoActivity(commits=tuple(commits), merge_requests=tuple(mrs))
+
+    scored = draw(st.sets(st.sampled_from([s.sprint_id for s in sprints])))
+    week_ids = tuple(w for s in sprints if s.sprint_id in scored for w in s.week_ids)
+    roster = Roster(team_id="T", members=frozenset(people), identity_map={})
+    return roster, cal, events, repo, week_ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(seasons())
+def test_windows_from_weekly_groups_equal_scan(season):
+    roster, cal, events, _, _ = season
+    weekly = weekly_edges(events)
+    windows = [(w,) for w in cal.week_ids()] + [s.week_ids for s in cal.sprints]
+    for week_ids in windows:
+        net = window_network(weekly, roster, week_ids)
+        assert net.roster == tuple(sorted(roster.members))
+        assert net.edges == window_edges_oracle(events, week_ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seasons())
+def test_weekly_scores_equal_brute_force(season):
+    roster, cal, events, repo, week_ids = season
+    diag = Diagnostics()
+    got = weekly_team_scores(repo, weekly_edges(events), roster, cal, week_ids, diagnostics=diag)
+
+    author = {c.sha: c.author for c in repo.commits}
+    expected, empty = {}, 0
+    for week in (w for w in cal.weeks if w.week_id in week_ids):
+        created = [mr for mr in repo.merge_requests if week.start <= mr.created_at < week.end]
+        empty += sum(1 for mr in created if not mr.changed_files)
+        pairs = {frozenset(e) for e in window_edges_oracle(events, (week.week_id,))}
+        _, expected[week.week_id] = stc_brute_force(
+            sorted(roster.members),
+            {mr.mr_id: {author[s] for s in mr.commit_shas} for mr in created},
+            {mr.mr_id: set(mr.changed_files) for mr in created},
+            pairs,
+        )
+    assert list(got) == list(week_ids)
+    for week_id, team in expected.items():
+        if team is None:
+            assert got[week_id] is None
+        else:
+            assert got[week_id] == pytest.approx(team, abs=1e-12)
+    # empty-file MRs are counted in the scored weeks only, and no zero key is added
+    assert dict(diag.counts) == ({"mrs_excluded_empty_files": empty} if empty else {})
