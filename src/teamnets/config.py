@@ -164,6 +164,12 @@ def load_config(path: Path | str) -> PipelineConfig:
         except (TypeError, ValueError):
             raise InputError(f"{cfg_path}: options.{key} must be a number, got {value!r}") from None
 
+    def flag(key: str, default: bool) -> bool:
+        value = options.get(key, default)
+        if not isinstance(value, bool):
+            raise InputError(f"{cfg_path}: options.{key} must be true or false, got {value!r}")
+        return value
+
     anomaly = AnomalyThresholds(
         top_fraction=fraction("anomaly_top_fraction", 0.2),
         bottom_fraction=fraction("anomaly_bottom_fraction", 0.3),
@@ -192,6 +198,6 @@ def load_config(path: Path | str) -> PipelineConfig:
         excluded_handles=tuple(excluded_handles),
         anomaly=anomaly,
         exclude_teams=exclude_teams,
-        include_lagged_table=bool(options.get("include_lagged_table", False)),
-        self_dependency=bool(options.get("self_dependency", True)),
+        include_lagged_table=flag("include_lagged_table", False),
+        self_dependency=flag("self_dependency", True),
     )

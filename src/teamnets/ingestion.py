@@ -30,6 +30,7 @@ per-team inputs can safely be parsed concurrently.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import logging
@@ -99,6 +100,7 @@ class SprintCalendar:
     weeks: tuple[Week, ...]
     sprints: tuple[Sprint, ...]
     excluded_sprints: frozenset[int] = frozenset()
+    _starts: tuple[datetime, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.weeks:
@@ -137,13 +139,15 @@ class SprintCalendar:
         for sid in self.excluded_sprints:
             if sid not in seen_sprints:
                 raise ValidationError(f"excluded sprint {sid} is not in the calendar")
+        # Weeks are ordered and disjoint, so their starts ascend strictly.
+        object.__setattr__(self, "_starts", tuple(w.start for w in self.weeks))
 
     def assign_week(self, ts: datetime) -> int | None:
         """Week containing ts under [start, end), or None (e.g. break gaps)."""
-        for week in self.weeks:
-            if week.start <= ts < week.end:
-                return week.week_id
-        return None
+        i = bisect.bisect_right(self._starts, ts) - 1
+        if i < 0 or ts >= self.weeks[i].end:
+            return None
+        return self.weeks[i].week_id
 
     def week_ids(self) -> tuple[int, ...]:
         return tuple(w.week_id for w in self.weeks)
@@ -184,13 +188,21 @@ def _as_int(value, name: str) -> int:
     return result
 
 
+def _as_time(value, name: str) -> datetime:
+    """A timestamp input value; ``name`` is the field it came from."""
+    try:
+        return parse_utc(value)
+    except InputError as exc:
+        raise InputError(f"{name}: {exc}") from None
+
+
 def calendar_from_dict(data: dict) -> SprintCalendar:
     try:
         weeks = tuple(
             Week(
                 week_id=_as_int(w["week_id"], f"calendar.weeks[{i}].week_id"),
-                start=parse_utc(w["start"]),
-                end=parse_utc(w["end"]),
+                start=_as_time(w["start"], f"calendar.weeks[{i}].start"),
+                end=_as_time(w["end"], f"calendar.weeks[{i}].end"),
             )
             for i, w in enumerate(data["weeks"])
         )

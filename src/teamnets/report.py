@@ -45,7 +45,7 @@ from .network import (
 )
 from .stats import mann_whitney_u, p_stars, pearson
 from .stc import weekly_team_scores, year_summary
-from .triad import mean_weekly_relative_census, relative_census, triad_census
+from .triad import census_closed_form, mean_weekly_relative_census, relative_census
 
 __all__ = [
     "CorrelationCell",
@@ -177,7 +177,7 @@ def sprint_census(
         if diag is not None:
             diag.bump("censuses_skipped_small_roster")
         return net, None
-    return net, relative_census(triad_census(net)).freqs
+    return net, relative_census(census_closed_form(net)).freqs
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                 mean_weekly_census[team][sprint] = None
                 continue
             weekly_rel = [
-                relative_census(triad_census(window_network(weekly, roster, (w,))))
+                relative_census(census_closed_form(window_network(weekly, roster, (w,))))
                 for w in cal.sprint_weeks(sprint)
             ]
             mean_weekly_census[team][sprint] = mean_weekly_relative_census(weekly_rel).freqs

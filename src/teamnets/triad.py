@@ -1,11 +1,14 @@
 """Undirected triad census over communication networks.
 
 Every 3-node subset of an undirected graph has 0, 1, 2, or 3 edges; the
-census counts each class over all C(n, 3) triples. ``triad_census``
-enumerates triples directly and is the reference; ``census_closed_form``
-derives the same counts from the edge count, wedge count and triangle count
-and serves as a fast cross-check. The relative census divides by C(n, 3)
-using exact rational arithmetic before rounding to floats.
+census counts each class over all C(n, 3) triples. ``census_closed_form``
+derives the counts from the edge count, wedge count and triangle count
+(Moody 1998; Batagelj & Mrvar 2001) and is what the pipeline uses: its cost
+grows with the edges and degrees, not with the C(n, 3) triples.
+``triad_census`` enumerates every triple directly and is the reference the
+tests check the closed form against. Both give the same integers. The
+relative census divides by C(n, 3) using exact rational arithmetic before
+rounding to floats.
 """
 
 from __future__ import annotations
@@ -52,7 +55,11 @@ def _require_triads(net: CommunicationNetwork) -> None:
 
 
 def triad_census(net: CommunicationNetwork) -> TriadCensus:
-    """Census by direct enumeration of all C(n, 3) node triples."""
+    """Census by direct enumeration of all C(n, 3) node triples.
+
+    The reference that ``census_closed_form`` is tested against; the
+    pipeline does not call it.
+    """
     _require_triads(net)
     edges = net.edges
     counts = [0, 0, 0, 0]
@@ -66,10 +73,11 @@ def triad_census(net: CommunicationNetwork) -> TriadCensus:
 
 
 def census_closed_form(net: CommunicationNetwork) -> TriadCensus:
-    """Census from edge, wedge, and triangle counts.
+    """Census from edge, wedge, and triangle counts; the pipeline's census.
 
     c3 = triangles; c2 = wedges - 3*triangles;
     c1 = m*(n-2) - 2*c2 - 3*c3; c0 = C(n, 3) - c1 - c2 - c3.
+    The counts equal ``triad_census``, the enumeration reference.
     """
     _require_triads(net)
     n = net.n

@@ -125,3 +125,12 @@ def window_edges_oracle(events, week_ids) -> frozenset[tuple[str, str]]:
     return frozenset(
         tuple(sorted((e.sender, e.recipient))) for e in events if e.week_id in weeks
     )
+
+
+def assign_week_oracle(cal, ts) -> int | None:
+    """The week containing ts by a scan of every week under [start, end),
+    instead of a bisect over the week starts; None when no week holds it."""
+    for week in cal.weeks:
+        if week.start <= ts < week.end:
+            return week.week_id
+    return None

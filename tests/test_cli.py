@@ -80,6 +80,10 @@ class TestValidate:
             (("teams", 0, "chat_export"), 3, "team entry 0 'chat_export'"),
             (("excluded_handles",), "UBOT", "'excluded_handles'"),
             (("feedback",), ["feedback.csv"], "'feedback'"),
+            (("options", "include_lagged_table"), "false", "options.include_lagged_table"),
+            (("options", "self_dependency"), 0, "options.self_dependency"),
+            (("calendar", "weeks", 0, "start"), 5, "calendar.weeks[0].start"),
+            (("calendar", "weeks", 1, "end"), "next monday", "calendar.weeks[1].end"),
         ],
         ids=[
             "week_id-str",
@@ -97,6 +101,10 @@ class TestValidate:
             "chat_export-int",
             "excluded_handles-str",
             "feedback-list",
+            "lagged_table-str",
+            "self_dependency-int",
+            "week_start-int",
+            "week_end-str",
         ],
     )
     def test_bad_config_value_is_named_input_error(

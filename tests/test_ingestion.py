@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamnets.errors import InputError, ValidationError
 from teamnets.ingestion import (
@@ -19,6 +21,8 @@ from teamnets.ingestion import (
     parse_repo_activity,
     parse_work_logs,
 )
+
+from oracles import assign_week_oracle
 
 
 def utc(*args):
@@ -73,6 +77,43 @@ class TestCalendar:
             SprintCalendar(
                 weeks=weeks, sprints=(Sprint(1, (1,)),), excluded_sprints=frozenset({9})
             )
+
+
+@st.composite
+def calendars_and_times(draw):
+    """A calendar of weeks of varied length with optional gaps, and times
+    on and next to every boundary plus random times around the season."""
+    n = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(1, 99), min_size=n, max_size=n, unique=True))
+    weeks, start = [], datetime(2024, 1, 1, tzinfo=timezone.utc)
+    for week_id in ids:
+        start += timedelta(hours=draw(st.sampled_from([0, 0, 1, 24 * 14])))  # a gap
+        end = start + timedelta(hours=draw(st.integers(1, 24 * 7)))
+        weeks.append(Week(week_id, start, end))
+        start = end
+    cal = SprintCalendar(weeks=tuple(weeks), sprints=(Sprint(1, tuple(ids)),))
+    tick = timedelta(microseconds=1)
+    times = [t + d for w in weeks for t in (w.start, w.end) for d in (-tick, 0 * tick, tick)]
+    around = timedelta(weeks=2)
+    times += draw(
+        st.lists(
+            st.datetimes(
+                min_value=(weeks[0].start - around).replace(tzinfo=None),
+                max_value=(weeks[-1].end + around).replace(tzinfo=None),
+                timezones=st.just(timezone.utc),
+            ),
+            max_size=20,
+        )
+    )
+    return cal, times
+
+
+@settings(max_examples=200, deadline=None)
+@given(calendars_and_times())
+def test_assign_week_equals_scan(season):
+    cal, times = season
+    for ts in times:
+        assert cal.assign_week(ts) == assign_week_oracle(cal, ts)
 
 
 class TestRoster:

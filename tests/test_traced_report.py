@@ -4,7 +4,9 @@
 look them up by, and some of its hooks read the wrapped call's arguments. A
 function that keeps a traced name but changes its arguments would crash the
 traced benchmark run; this test runs ``teamnets report`` on the mini season
-with every wrapper installed.
+with every wrapper installed. Each census the wrappers record is checked
+against the reference algorithm the tracer names for it, so the pipeline's
+closed-form census is compared with enumeration.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import teamnets.triad
 from teamnets.cli import main
-from teamnets.triad import census_closed_form
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -26,5 +28,6 @@ def test_traced_report_runs_and_censuses_agree(mini_dir, tmp_path):
         code = main(["report", "--config", str(mini_dir / "config.json"), "--out", str(tmp_path)])
     assert code == 0
     assert tracer.censuses, "the tracer recorded no census"
-    for net, census, _ in tracer.censuses:
-        assert census.counts == census_closed_form(net).counts
+    for net, census, reference in tracer.censuses:
+        assert census.counts == getattr(teamnets.triad, reference)(net).counts
+    assert "triad_census" in {reference for _, _, reference in tracer.censuses}

@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import math
 import random
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teamnets.network import CommunicationNetwork
+from teamnets.ingestion import Roster, Sprint, SprintCalendar, Week
+from teamnets.network import CommunicationNetwork, window_network
+from teamnets.report import sprint_census
 from teamnets.triad import (
     RelativeTriadCensus,
     TriadCensus,
@@ -153,3 +158,53 @@ class TestInvariances:
             assert triad_census(complement).counts == tuple(
                 reversed(triad_census(net).counts)
             )
+
+
+@st.composite
+def weekly_networks(draw):
+    """A roster, a one-sprint calendar and per-week edge sets over it.
+
+    Edges join only the first ``active`` members, so the rest are isolated;
+    the edge set is empty, complete, a star or random, and each edge lands in
+    one or more of the sprint's weeks.
+    """
+    people = tuple(f"p{i:02d}" for i in range(draw(st.integers(3, 45))))
+    active = people[: draw(st.integers(0, len(people)))]
+    pairs = list(combinations(active, 2))
+    shape = draw(st.sampled_from(["empty", "complete", "star", "random"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if shape == "empty" or not pairs:
+        edges = []
+    elif shape == "complete":
+        edges = pairs
+    elif shape == "star":
+        hub = rng.choice(active)
+        edges = [tuple(sorted((hub, p))) for p in active if p != hub]
+    else:
+        density = draw(st.floats(0.0, 1.0))
+        edges = [e for e in pairs if rng.random() < density]
+    n_weeks = draw(st.integers(1, 3))
+    weekly: dict[int, set] = {}
+    for edge in edges:
+        for week in rng.sample(range(1, n_weeks + 1), rng.randint(1, n_weeks)):
+            weekly.setdefault(week, set()).add(edge)
+    start = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    weeks = tuple(
+        Week(w, start + timedelta(weeks=w - 1), start + timedelta(weeks=w))
+        for w in range(1, n_weeks + 1)
+    )
+    cal = SprintCalendar(weeks=weeks, sprints=(Sprint(1, tuple(range(1, n_weeks + 1))),))
+    roster = Roster(team_id="T", members=frozenset(people), identity_map={})
+    return roster, cal, {w: frozenset(e) for w, e in weekly.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(weekly_networks())
+def test_closed_form_equals_enumeration_on_pipeline_networks(season):
+    roster, cal, weekly = season
+    windows = [(w,) for w in cal.week_ids()] + [cal.sprint_weeks(1)]
+    for week_ids in windows:
+        net = window_network(weekly, roster, week_ids)
+        assert census_closed_form(net) == triad_census(net)
+    sprint_net, rel = sprint_census(weekly, roster, cal, 1)
+    assert rel == relative_census(triad_census(sprint_net)).freqs
