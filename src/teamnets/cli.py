@@ -9,13 +9,15 @@ Subcommands::
     teamnets report    --config cfg.json --out out/ [--format ...]
                        [--exclude-teams a,b] [--exclude-sprints 1]
 
-Exit codes: 0 success, 1 validation failure, 2 input error.
+Exit codes: 0 success, 1 validation failure, 2 input error, 3 internal error
+(an unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 from typing import Callable
 
@@ -189,6 +191,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # Any other exception is a fault in teamnets, not in its input: its own
+        # exit code keeps it apart from a validation failure.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

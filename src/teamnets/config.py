@@ -100,6 +100,8 @@ def load_config(path: Path | str) -> PipelineConfig:
         raise InputError(
             f"{cfg_path}: malformed JSON at line {exc.lineno} column {exc.colno}"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{cfg_path}: not UTF-8: {exc}") from None
     if not isinstance(data, dict):
         raise InputError(f"{cfg_path}: config must be a JSON object")
     if "calendar" not in data:

@@ -3,11 +3,14 @@
 Input formats
 -------------
 Chat export (one directory per team workspace):
-    <export_root>/<channel>/<YYYY-MM-DD>.json, each file a JSON array of
-    message objects with fields ``user`` (raw platform handle), ``ts``
-    (decimal seconds as a string, unique per channel; two kept messages with
-    one ``ts`` are a validation error), optional ``thread_ts`` (the ``ts``
-    of the thread root) and optional ``subtype``.
+    <export_root>/<channel>/<YYYY-MM-DD>.json, each file UTF-8 (no byte
+    order mark) holding a JSON array of message objects with fields
+    ``user`` (raw platform handle, a string), ``ts`` (decimal seconds as a
+    string or number, unique per channel; two kept messages with one ``ts``
+    are a validation error), optional ``thread_ts`` (the ``ts`` of the
+    thread root, a string or number) and optional ``subtype`` (a string).
+    ``null`` counts as absent; a ``user``, ``subtype`` or ``thread_ts`` of
+    another type is an input error naming the file and entry.
     A message whose ``thread_ts`` equals its own ``ts`` is a thread root.
 
 Repo activity (one JSON file per team):
@@ -34,6 +37,7 @@ import bisect
 import csv
 import json
 import logging
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -308,17 +312,38 @@ class OutcomeRecord:
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path: Path):
+def _load_json(path: Path | str):
+    """The JSON value of a UTF-8 file; every failure is an InputError naming it."""
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc}") from None
     try:
+        # Decoded explicitly: json.loads(bytes) would also accept UTF-16/32
+        # and a UTF-8 byte order mark.
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8: {exc}") from None
+    try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
+        if "\r" in text:
+            # Positions count newlines as text-mode reading translates them.
+            try:
+                json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+            except json.JSONDecodeError as translated:
+                exc = translated
         raise InputError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno} (char {exc.pos})"
         ) from None
+
+
+def _listdir(path: str) -> list[str]:
+    try:
+        return sorted(os.listdir(path))
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from None
 
 
 def parse_chat_export(
@@ -334,84 +359,109 @@ def parse_chat_export(
     channel. Bot/app messages, excluded subtypes, and unknown handles are
     dropped with diagnostics. Replies whose thread root was itself dropped
     are kept as plain messages (their root author is not a team member, so
-    they carry no reply relation).
+    they carry no reply relation). Messages are ordered by (timestamp,
+    message_id). The diagnostics counters are updated also when the parse
+    raises, with the counts reached by then.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     root = Path(export_root)
     if not root.is_dir():
         raise InputError(f"chat export directory not found: {root}")
     excluded = frozenset(excluded_handles)
-    kept: list[tuple[str, str, str, datetime, str | None]] = []
-    kept_ids: set[str] = set()
-    for channel_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        channel = channel_dir.name
-        for day_file in sorted(channel_dir.glob("*.json")):
-            payload = _load_json(day_file)
-            if not isinstance(payload, list):
-                raise InputError(f"{day_file}: expected a JSON array of messages")
-            for i, obj in enumerate(payload):
-                if not isinstance(obj, dict) or "ts" not in obj:
-                    raise InputError(f"{day_file}: entry {i} is not a message object")
-                diag.bump("messages_seen")
-                if obj.get("subtype") in EXCLUDED_SUBTYPES:
-                    diag.bump("messages_dropped_subtype")
+    person_of = roster.identity_map.get
+    fromtimestamp = datetime.fromtimestamp
+    utc = timezone.utc
+    # message_id -> timestamp of every kept message: the duplicate-ts check,
+    # the dropped-root rule and the thread-order check all read it.
+    time_of: dict[str, datetime] = {}
+    rows: list[tuple[datetime, str, str, str, str | None]] = []
+    seen = dropped_subtype = dropped_excluded = dropped_unknown = dropped_root = 0
+    try:
+        for channel in _listdir(str(root)):
+            channel_dir = str(root / channel)
+            if not os.path.isdir(channel_dir):
+                continue
+            for name in _listdir(channel_dir):
+                if not name.endswith(".json"):
                     continue
-                handle = obj.get("user")
-                if not handle or handle in excluded:
-                    diag.bump("messages_dropped_excluded_handle")
-                    continue
-                person = roster.resolve(handle)
-                if person is None:
-                    diag.bump("messages_dropped_unknown_handle")
-                    logger.debug("%s: unknown handle %s", day_file, handle)
-                    continue
-                ts_raw = obj["ts"]
-                try:
-                    ts = datetime.fromtimestamp(float(ts_raw), tz=timezone.utc)
-                except (TypeError, ValueError, OverflowError, OSError):
-                    raise InputError(
-                        f"{day_file}: entry {i} has invalid ts {ts_raw!r}"
-                    ) from None
-                mid = f"{channel}/{ts_raw}"
-                if mid in kept_ids:
-                    raise ValidationError(f"{day_file}: entry {i} has duplicate ts {ts_raw!r}")
-                thread_ts = obj.get("thread_ts")
-                thread_ref = (
-                    f"{channel}/{thread_ts}" if thread_ts and thread_ts != ts_raw else None
-                )
-                kept.append((mid, channel, person, ts, thread_ref))
-                kept_ids.add(mid)
+                day_file = f"{channel_dir}/{name}"
+                payload = _load_json(day_file)
+                if not isinstance(payload, list):
+                    raise InputError(f"{day_file}: expected a JSON array of messages")
+                for i, obj in enumerate(payload):
+                    if not isinstance(obj, dict) or "ts" not in obj:
+                        raise InputError(f"{day_file}: entry {i} is not a message object")
+                    seen += 1
+                    subtype = obj.get("subtype")
+                    if subtype is not None:
+                        if not isinstance(subtype, str):
+                            raise InputError(
+                                f"{day_file}: entry {i} has invalid subtype {subtype!r}"
+                            )
+                        if subtype in EXCLUDED_SUBTYPES:
+                            dropped_subtype += 1
+                            continue
+                    handle = obj.get("user")
+                    if handle is not None and not isinstance(handle, str):
+                        raise InputError(f"{day_file}: entry {i} has invalid user {handle!r}")
+                    if not handle or handle in excluded:
+                        dropped_excluded += 1
+                        continue
+                    person = person_of(handle)
+                    if person is None:
+                        dropped_unknown += 1
+                        logger.debug("%s: unknown handle %s", day_file, handle)
+                        continue
+                    ts_raw = obj["ts"]
+                    try:
+                        ts = fromtimestamp(float(ts_raw), utc)
+                    except (TypeError, ValueError, OverflowError, OSError):
+                        raise InputError(
+                            f"{day_file}: entry {i} has invalid ts {ts_raw!r}"
+                        ) from None
+                    mid = f"{channel}/{ts_raw}"
+                    if mid in time_of:
+                        raise ValidationError(
+                            f"{day_file}: entry {i} has duplicate ts {ts_raw!r}"
+                        )
+                    thread_ts = obj.get("thread_ts")
+                    if thread_ts is not None and type(thread_ts) not in (str, int, float):
+                        raise InputError(
+                            f"{day_file}: entry {i} has invalid thread_ts {thread_ts!r}"
+                        )
+                    thread_ref = (
+                        f"{channel}/{thread_ts}" if thread_ts and thread_ts != ts_raw else None
+                    )
+                    rows.append((ts, mid, channel, person, thread_ref))
+                    time_of[mid] = ts
 
-    messages: list[Message] = []
-    for mid, channel, person, ts, thread_ref in kept:
-        if thread_ref is not None and thread_ref not in kept_ids:
-            diag.bump("replies_to_dropped_root")
-            thread_ref = None
-        messages.append(
-            Message(
-                message_id=mid,
-                channel_id=channel,
-                author=person,
-                timestamp=ts,
-                thread_root=thread_ref,
-            )
-        )
-    messages.sort(key=lambda m: (m.timestamp, m.message_id))
-    _check_thread_order(messages)
-    diag.bump("messages_kept", len(messages))
-    return MessageLog(messages=tuple(messages))
-
-
-def _check_thread_order(messages: list[Message]) -> None:
-    by_id = {m.message_id: m for m in messages}
-    for m in messages:
-        if m.thread_root is None:
-            continue
-        root = by_id[m.thread_root]
-        if m.timestamp < root.timestamp:
-            raise ValidationError(
-                f"message {m.message_id} predates its thread root {m.thread_root}"
-            )
+        # message_id is unique, so the tuples never compare past it.
+        rows.sort()
+        messages: list[Message] = []
+        late: str | None = None
+        for ts, mid, channel, person, thread_ref in rows:
+            if thread_ref is not None:
+                root_ts = time_of.get(thread_ref)
+                if root_ts is None:
+                    dropped_root += 1
+                    thread_ref = None
+                elif ts < root_ts and late is None:
+                    late = f"message {mid} predates its thread root {thread_ref}"
+            messages.append(Message(mid, channel, person, ts, thread_ref))
+        if late is not None:
+            raise ValidationError(late)
+        diag.bump("messages_kept", len(messages))
+        return MessageLog(messages=tuple(messages))
+    finally:
+        for key, n in (
+            ("messages_seen", seen),
+            ("messages_dropped_subtype", dropped_subtype),
+            ("messages_dropped_excluded_handle", dropped_excluded),
+            ("messages_dropped_unknown_handle", dropped_unknown),
+            ("replies_to_dropped_root", dropped_root),
+        ):
+            if n:
+                diag.bump(key, n)
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +565,17 @@ def parse_repo_activity(
 def _read_rows(path: Path, required: tuple[str, ...]):
     if not path.is_file():
         raise InputError(f"table not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-        # Row numbers are 1-based counting the header as line 1.
-        yield from ((i, row) for i, row in enumerate(reader, start=2))
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
+            # Row numbers are 1-based counting the header as line 1.
+            yield from ((i, row) for i, row in enumerate(reader, start=2))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8: {exc}") from None
 
 
 def parse_feedback(

@@ -80,27 +80,37 @@ def derive_comm_events(
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     author_of = {m.message_id: m.author for m in log.messages}
+    members = roster.members
+    assign_week = cal.assign_week
     events: list[CommEvent] = []
+    missing_root = self_reply = non_roster = out_of_calendar = 0
     for m in log.messages:
         if m.thread_root is None:
             continue
         root_author = author_of.get(m.thread_root)
         if root_author is None:
-            diag.bump("events_dropped_missing_root")
+            missing_root += 1
             continue
-        if root_author == m.author:
-            diag.bump("events_skipped_self_reply")
+        author = m.author
+        if root_author == author:
+            self_reply += 1
             continue
-        if m.author not in roster.members or root_author not in roster.members:
-            diag.bump("events_dropped_non_roster")
+        if author not in members or root_author not in members:
+            non_roster += 1
             continue
-        week = cal.assign_week(m.timestamp)
+        week = assign_week(m.timestamp)
         if week is None:
-            diag.bump("events_dropped_out_of_calendar")
+            out_of_calendar += 1
             continue
-        events.append(
-            CommEvent(sender=m.author, recipient=root_author, timestamp=m.timestamp, week_id=week)
-        )
+        events.append(CommEvent(author, root_author, m.timestamp, week))
+    for key, n in (
+        ("events_dropped_missing_root", missing_root),
+        ("events_skipped_self_reply", self_reply),
+        ("events_dropped_non_roster", non_roster),
+        ("events_dropped_out_of_calendar", out_of_calendar),
+    ):
+        if n:
+            diag.bump(key, n)
     return events
 
 

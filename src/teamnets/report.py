@@ -797,6 +797,6 @@ def load_report(path: Path | str) -> AnalysisReport:
     """Re-parse a structured report.json written by emit()."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load report from {path}: {exc}") from None
     return _from_json(AnalysisReport, data)

@@ -3,15 +3,22 @@
 Each oracle deliberately takes a different computational route from the
 package code it checks: quadrature instead of the incomplete beta function,
 direct pair counting instead of rank sums, chain enumeration instead of the
-matrix product, numpy instead of the hand-rolled moment formulas.
+matrix product, numpy instead of the hand-rolled moment formulas, a
+message per kept record sorted by key instead of one pass over tuples.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from datetime import datetime, timezone
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
+
+from teamnets.errors import InputError, ValidationError
+from teamnets.ingestion import EXCLUDED_SUBTYPES, Diagnostics, Message, MessageLog
 
 _LEGENDRE_NODES = 200
 
@@ -134,3 +141,102 @@ def assign_week_oracle(cal, ts) -> int | None:
         if week.start <= ts < week.end:
             return week.week_id
     return None
+
+
+def _load_json_oracle(path: Path):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8: {exc}") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno} (char {exc.pos})"
+        ) from None
+
+
+def parse_chat_export_oracle(export_root, roster, excluded_handles=(), diagnostics=None):
+    """parse_chat_export by a slower route: pathlib listing and text-mode
+    reads, a counter bump per message, a Message per kept message before a
+    key sort, and a separate thread-order check over a second index. The
+    input checks, error texts and diagnostics counters are the same."""
+    diag = diagnostics if diagnostics is not None else Diagnostics()
+    root = Path(export_root)
+    if not root.is_dir():
+        raise InputError(f"chat export directory not found: {root}")
+    excluded = frozenset(excluded_handles)
+    kept = []
+    kept_ids = set()
+    for channel_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+        channel = channel_dir.name
+        for day_file in sorted(channel_dir.glob("*.json")):
+            payload = _load_json_oracle(day_file)
+            if not isinstance(payload, list):
+                raise InputError(f"{day_file}: expected a JSON array of messages")
+            for i, obj in enumerate(payload):
+                if not isinstance(obj, dict) or "ts" not in obj:
+                    raise InputError(f"{day_file}: entry {i} is not a message object")
+                diag.bump("messages_seen")
+                subtype = obj.get("subtype")
+                if subtype is not None and not isinstance(subtype, str):
+                    raise InputError(f"{day_file}: entry {i} has invalid subtype {subtype!r}")
+                if subtype in EXCLUDED_SUBTYPES:
+                    diag.bump("messages_dropped_subtype")
+                    continue
+                handle = obj.get("user")
+                if handle is not None and not isinstance(handle, str):
+                    raise InputError(f"{day_file}: entry {i} has invalid user {handle!r}")
+                if not handle or handle in excluded:
+                    diag.bump("messages_dropped_excluded_handle")
+                    continue
+                person = roster.resolve(handle)
+                if person is None:
+                    diag.bump("messages_dropped_unknown_handle")
+                    continue
+                ts_raw = obj["ts"]
+                try:
+                    ts = datetime.fromtimestamp(float(ts_raw), tz=timezone.utc)
+                except (TypeError, ValueError, OverflowError, OSError):
+                    raise InputError(f"{day_file}: entry {i} has invalid ts {ts_raw!r}") from None
+                mid = f"{channel}/{ts_raw}"
+                if mid in kept_ids:
+                    raise ValidationError(f"{day_file}: entry {i} has duplicate ts {ts_raw!r}")
+                thread_ts = obj.get("thread_ts")
+                if thread_ts is not None and (
+                    isinstance(thread_ts, bool) or not isinstance(thread_ts, (str, int, float))
+                ):
+                    raise InputError(
+                        f"{day_file}: entry {i} has invalid thread_ts {thread_ts!r}"
+                    )
+                thread_ref = (
+                    f"{channel}/{thread_ts}" if thread_ts and thread_ts != ts_raw else None
+                )
+                kept.append((mid, channel, person, ts, thread_ref))
+                kept_ids.add(mid)
+
+    messages = []
+    for mid, channel, person, ts, thread_ref in kept:
+        if thread_ref is not None and thread_ref not in kept_ids:
+            diag.bump("replies_to_dropped_root")
+            thread_ref = None
+        messages.append(
+            Message(
+                message_id=mid,
+                channel_id=channel,
+                author=person,
+                timestamp=ts,
+                thread_root=thread_ref,
+            )
+        )
+    messages.sort(key=lambda m: (m.timestamp, m.message_id))
+    by_id = {m.message_id: m for m in messages}
+    for m in messages:
+        if m.thread_root is not None and m.timestamp < by_id[m.thread_root].timestamp:
+            raise ValidationError(
+                f"message {m.message_id} predates its thread root {m.thread_root}"
+            )
+    diag.bump("messages_kept", len(messages))
+    return MessageLog(messages=tuple(messages))

@@ -63,6 +63,43 @@ class TestValidate:
         assert main(["validate", "--config", str(work / "config.json")]) == 1
 
     @pytest.mark.parametrize(
+        "target,fault",
+        [
+            ("chat/alpha/general/2024-03-04.json", "utf-16"),
+            ("chat/alpha/general/2024-03-04.json", "user-list"),
+            ("repo_alpha.json", "utf-16"),
+            ("config.json", "utf-16"),
+        ],
+    )
+    def test_unreadable_input_is_named_input_error(
+        self, mini_dir, tmp_path, capsys, target, fault
+    ):
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        path = work / target
+        if fault == "utf-16":
+            path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        else:
+            messages = json.loads(path.read_text())
+            messages[0]["user"] = [messages[0]["user"]]
+            path.write_text(json.dumps(messages), encoding="utf-8")
+        assert main(["validate", "--config", str(work / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {path}: " in err
+        assert "Traceback" not in err
+
+    def test_unexpected_exception_is_internal_error(self, mini_dir, tmp_path, capsys, monkeypatch):
+        def crash(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("teamnets.cli.run_pipeline", crash)
+        code = main(["report", "--config", str(mini_dir / "config.json"), "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError: boom\n")
+        assert "Traceback (most recent call last)" in err
+
+    @pytest.mark.parametrize(
         "path,value,field",
         [
             (("calendar", "weeks", 0, "week_id"), "one", "calendar.weeks[0].week_id"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from teamnets.ingestion import (
     parse_work_logs,
 )
 
-from oracles import assign_week_oracle
+from oracles import assign_week_oracle, parse_chat_export_oracle
 
 
 def utc(*args):
@@ -264,6 +265,199 @@ class TestChatParser:
         assert log.messages[0].thread_root is None
         assert diag.counts["replies_to_dropped_root"] == 1
 
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig", "latin-1"])
+    def test_day_file_not_utf8_is_input_error(self, tmp_path, two_person_roster, encoding):
+        day = tmp_path / "general" / "2023-03-06.json"
+        day.parent.mkdir()
+        day.write_bytes(json.dumps([{"user": "UA", "ts": "1678100000.0", "x": "é"}],
+                                   ensure_ascii=False).encode(encoding))
+        with pytest.raises(InputError) as err:
+            parse_chat_export(tmp_path, two_person_roster)
+        assert str(err.value).startswith(f"{day}: ")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("user", ["UA"]),
+            ("user", 7),
+            ("subtype", ["bot_message"]),
+            ("thread_ts", ["1678100000.0"]),
+            ("thread_ts", {"ts": "1678100000.0"}),
+            ("thread_ts", True),
+        ],
+    )
+    def test_field_of_wrong_type_names_file_and_entry(
+        self, tmp_path, two_person_roster, field, value
+    ):
+        reply = {"user": "UB", "ts": "1678100100.0", "thread_ts": "1678100000.0", field: value}
+        write_channel(
+            tmp_path, "general", "2023-03-06", [{"user": "UA", "ts": "1678100000.0"}, reply]
+        )
+        with pytest.raises(InputError) as err:
+            parse_chat_export(tmp_path, two_person_roster)
+        assert f"2023-03-06.json: entry 1 has invalid {field} {value!r}" in str(err.value)
+
+    def test_number_thread_ts_names_its_root(self, tmp_path, two_person_roster):
+        write_channel(
+            tmp_path,
+            "general",
+            "2023-03-06",
+            [
+                {"user": "UA", "ts": "1678100000.5"},
+                {"user": "UB", "ts": 1678100100, "thread_ts": 1678100000.5},
+            ],
+        )
+        root, reply = parse_chat_export(tmp_path, two_person_roster).messages
+        assert reply.thread_root == root.message_id == "general/1678100000.5"
+        assert reply.message_id == "general/1678100100"
+
+
+# Message timestamps as an export writes them: strings and numbers, two
+# strings that round to one microsecond, two spellings of one instant, and a
+# number that names the same message as a string. STRAY is the ts of no
+# message, so a reply to it has a dropped root.
+TS_POOL = (
+    "1678100000.0000001",
+    "1678100000.0000002",
+    "1678100000.5",
+    "1678100000.50",
+    1678100000.5,
+    "1678100100",
+    1678100100,
+    "1678100200.000001",
+    "1678100200.0000012",
+    "1678099000.25",
+    1678100300,
+    "1678100400.75",
+)
+STRAY = "1678100050.0"
+CHAT_ROSTER = Roster(
+    team_id="T",
+    members=frozenset({"alice", "bob", "carol"}),
+    identity_map={"UA": "alice", "UB": "bob", "UC": "carol"},
+)
+ENTRY_FAULTS = (
+    "duplicate-ts", "not-object", "no-ts", "bad-ts", "user-list", "user-int",
+    "subtype-list", "thread-list", "thread-object", "thread-bool",
+)
+FILE_FAULTS = ("bom", "utf-16", "latin-1", "crlf-truncated", "not-array", "dir")
+
+
+def _break_entry(entries: list, at: int, fault: str) -> None:
+    entry = entries[at]
+    if fault == "duplicate-ts":
+        entries.append({**entry, "ts": entries[0]["ts"]})
+    elif fault == "not-object":
+        entries[at] = [entry]
+    elif fault == "no-ts":
+        del entry["ts"]
+    elif fault == "bad-ts":
+        entry["ts"] = "inf"
+    elif fault == "user-list":
+        entry["user"] = ["UA"]
+    elif fault == "user-int":
+        entry["user"] = 7
+    elif fault == "subtype-list":
+        entry["subtype"] = ["bot_message"]
+    else:
+        entry["thread_ts"] = {"thread-list": [STRAY], "thread-object": {}}.get(fault, True)
+
+
+def _day_bytes(payload: list, fault: str | None, crlf: bool) -> bytes | None:
+    text = json.dumps(payload, indent=1)
+    if crlf or fault == "crlf-truncated":
+        text = text.replace("\n", "\r\n")
+    if fault == "bom":
+        return text.encode("utf-8-sig")
+    if fault == "utf-16":
+        return text.encode("utf-16")
+    if fault == "latin-1":
+        return text[:1].encode() + "\u00e9".encode("latin-1") + text[1:].encode()
+    if fault == "crlf-truncated":
+        return text[:-3].encode()
+    if fault == "not-array":
+        return json.dumps({"messages": payload}).encode()
+    if fault == "dir":
+        return None
+    return text.encode()
+
+
+@st.composite
+def export_trees(draw):
+    """{channel: {file name: bytes, or None for a directory}}: a few channels
+    and day files, one message per distinct ts, and at most one fault."""
+    late_replies = draw(st.booleans())  # may a reply precede its root?
+    fault = draw(st.sampled_from((None,) * 12 + ENTRY_FAULTS + FILE_FAULTS))
+    channels = draw(
+        st.lists(st.sampled_from(["dev", "general", ".ops", "x.json"]),
+                 min_size=1, max_size=3, unique=True)
+    )
+    tree = {}
+    for channel in channels:
+        stamps = draw(st.lists(st.sampled_from(TS_POOL), max_size=9, unique_by=str))
+        days: dict[str, list] = {}
+        for ts in stamps:
+            entry: dict = {"ts": ts}
+            user = draw(st.sampled_from(["UA", "UB", "UC", "UA", "UBOT", "UX", "", None]))
+            if user is not None:
+                entry["user"] = user
+            subtype = draw(st.sampled_from([None] * 5 + ["channel_join", "me_message"]))
+            if subtype is not None:
+                entry["subtype"] = subtype
+            roots = [s for s in stamps if late_replies or float(s) <= float(ts)]
+            thread = draw(st.sampled_from(["none", "self", "root", "root", "stray"]))
+            if thread == "self":
+                entry["thread_ts"] = ts
+            elif thread == "root":
+                entry["thread_ts"] = draw(st.sampled_from(roots))
+            elif thread == "stray":
+                entry["thread_ts"] = STRAY
+            day = draw(st.sampled_from(["2023-03-06.json", "2023-03-07.json", ".x.json"]))
+            days.setdefault(day, []).append(entry)
+        if fault in ENTRY_FAULTS and days:
+            entries = days[draw(st.sampled_from(sorted(days)))]
+            _break_entry(entries, draw(st.integers(0, len(entries) - 1)), fault)
+            fault = None
+        files = {"notes.txt": b"not a day file"}
+        broken = draw(st.sampled_from(sorted(days))) if fault in FILE_FAULTS and days else None
+        for day, payload in days.items():
+            files[day] = _day_bytes(payload, fault if day == broken else None, draw(st.booleans()))
+        if broken:
+            fault = None
+        tree[channel] = files
+    return tree
+
+
+def _parse_outcome(parse, root) -> tuple:
+    diag = Diagnostics()
+    try:
+        result = parse(root, CHAT_ROSTER, ("UBOT",), diag).messages
+    except (InputError, ValidationError) as exc:
+        result = (type(exc), str(exc))
+    # dict, not Counter: Counter equality ignores zero-count keys
+    return result, dict(diag.counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(export_trees(), st.sampled_from(["path", "str", "slash"]))
+def test_chat_parser_equals_oracle(tree, spelling):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "export"
+        root.mkdir()
+        (root / "README").write_text("not a channel", encoding="utf-8")
+        for channel, files in tree.items():
+            for name, data in files.items():
+                path = root / channel / name
+                if data is None:
+                    path.mkdir(parents=True)
+                else:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    path.write_bytes(data)
+        given_root = {"path": root, "str": str(root), "slash": f"{root}/"}[spelling]
+        assert _parse_outcome(parse_chat_export, given_root) == _parse_outcome(
+            parse_chat_export_oracle, given_root
+        )
+
 
 class TestRepoParser:
     def test_trivial(self, tmp_path, two_person_roster):
@@ -286,6 +480,13 @@ class TestRepoParser:
         repo = parse_repo_activity(path, two_person_roster)
         assert len(repo.merge_requests) == 1
         assert repo.merge_requests[0].commit_shas == frozenset({"c1", "c2"})
+
+    def test_not_utf8_is_input_error(self, tmp_path, two_person_roster):
+        path = tmp_path / "repo.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps({"commits": [], "merge_requests": []}).encode())
+        with pytest.raises(InputError) as err:
+            parse_repo_activity(path, two_person_roster)
+        assert str(err.value).startswith(f"{path}: not UTF-8: ")
 
     def test_dangling_sha_names_mr(self, tmp_path, two_person_roster):
         payload = {
@@ -442,6 +643,13 @@ class TestTables:
         with pytest.raises(ValidationError) as err:
             parse(path)
         assert f"{path}:line 2" in str(err.value)
+
+    def test_table_not_utf8_is_input_error(self, tmp_path):
+        path = tmp_path / "wl.csv"
+        path.write_bytes("team_id,hours\nÄ,1\n".encode("latin-1"))
+        with pytest.raises(InputError) as err:
+            parse_work_logs(path)
+        assert str(err.value).startswith(f"{path}: not UTF-8: ")
 
     def test_work_logs_sum_per_team(self, tmp_path):
         path = tmp_path / "wl.csv"

@@ -255,6 +255,14 @@ class TestEmission:
         emit(mini_report, "structured-data", tmp_path)
         assert load_report(tmp_path / "report.json") == mini_report
 
+    def test_load_report_not_utf8_is_input_error(self, mini_report, tmp_path):
+        emit(mini_report, "structured-data", tmp_path)
+        path = tmp_path / "report.json"
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        with pytest.raises(InputError) as err:
+            load_report(path)
+        assert f"cannot load report from {path}: 'utf-8' codec can't decode" in str(err.value)
+
     def test_unknown_format(self, mini_report, tmp_path):
         with pytest.raises(ValueError):
             emit(mini_report, "yaml", tmp_path)
