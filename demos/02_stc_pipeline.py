@@ -2,11 +2,11 @@
 Socio-technical congruence, step by step
 ========================================
 
-Runs the five-step weekly STC pipeline on a tiny in-memory team: task
-assignments from merge-request authorship, task dependencies from file
-overlap, coordination requirements from the matrix product, actual
-coordination from the week's network of threaded chat replies, and finally
-per-person scores.
+Runs the weekly STC pipeline on a tiny in-memory team: task assignments
+from merge-request authorship, task dependencies from file overlap,
+coordination requirements as the pairs of people whose merge requests
+depend on each other, actual coordination from the week's network of
+threaded chat replies, and finally per-person scores.
 """
 
 from datetime import datetime, timedelta, timezone
@@ -20,9 +20,7 @@ from teamnets import (
     Sprint,
     SprintCalendar,
     Week,
-    assignment_matrix,
     coordination_requirements,
-    dependency_matrix,
     merge_requests_by_week,
     stc_scores,
     weekly_edges,
@@ -55,21 +53,22 @@ repo = RepoActivity(
 mrs = merge_requests_by_week(repo, cal, cal.week_ids())[1]
 commit_author = {c.sha: c.author for c in repo.commits}
 
-ta = assignment_matrix(mrs, commit_author, roster)
-print("step 1, task assignments (people x MRs):")
-print("   ", ta.mr_ids)
-for person, row in zip(ta.people, ta.values):
-    print("   ", person, row)
+print("step 1, task assignments (who authored a commit in each MR):")
+for mr in mrs:
+    authors = sorted({commit_author[sha] for sha in mr.commit_shas})
+    print(f"    {mr.mr_id}: {', '.join(authors)}")
 
-td = dependency_matrix(mrs)
-print("\nstep 2, task dependencies (MRs x MRs, shared files):")
-for mr, row in zip(td.mr_ids, td.values):
-    print("   ", mr, row)
+print("\nstep 2, task dependencies (MR pairs that share a changed file):")
+for i, a in enumerate(mrs):
+    for b in mrs[i + 1:]:
+        shared = a.changed_files & b.changed_files
+        if shared:
+            print(f"    {a.mr_id} -- {b.mr_id} ({', '.join(sorted(shared))})")
 
-cr = coordination_requirements(ta, td)
-print("\nstep 3, coordination requirements (people x people):")
-for person, row in zip(cr.people, cr.values):
-    print("   ", person, row)
+required = coordination_requirements(mrs, commit_author, roster)
+print("\nstep 3, coordination requirements (pairs of people who must coordinate):")
+for a, b in sorted(required):
+    print(f"    {a} -- {b}")
 
 # step 4: only ana and ben actually talked (ben replied in ana's thread)
 events = [CommEvent(sender="ben", recipient="ana", timestamp=start + timedelta(hours=6), week_id=1)]
@@ -78,7 +77,7 @@ print("\nstep 4, actual coordination (the week's network of threaded replies):")
 for a, b in sorted(net.edges):
     print(f"    {a} -- {b}")
 
-scores, team = stc_scores(cr, net)
+scores, team = stc_scores(required, net)
 print("\nstep 5, scores (fulfilled requirements / requirements):")
 for s in scores:
     shown = "undefined" if s.value is None else f"{s.value:.3f} ({s.n_fulfilled}/{s.n_required})"

@@ -52,14 +52,9 @@ from .stats import (
     t_sf,
 )
 from .stc import (
-    AssignmentMatrix,
-    DependencyMatrix,
-    RequirementMatrix,
     StcScore,
     YearSummary,
-    assignment_matrix,
     coordination_requirements,
-    dependency_matrix,
     merge_requests_by_week,
     stc_scores,
     weekly_team_scores,

@@ -11,13 +11,17 @@ Chat export (one directory per team workspace):
     thread root, a string or number) and optional ``subtype`` (a string).
     ``null`` counts as absent; a ``user``, ``subtype`` or ``thread_ts`` of
     another type is an input error naming the file and entry.
-    A message whose ``thread_ts`` equals its own ``ts`` is a thread root.
+    A message is named ``<channel>/<ts>`` by the text of its ``ts`` (a
+    number as Python writes it), and ``thread_ts`` names its root by the
+    same text; a message whose ``thread_ts`` names itself is a thread root.
 
 Repo activity (one JSON file per team):
     {"commits": [{"sha", "author", "authored_at"}, ...],
      "merge_requests": [{"id", "created_at", "commits": [sha],
                          "files": [path]}, ...]}
-    with ISO-8601 UTC timestamps.
+    with ISO-8601 UTC timestamps. ``sha``, ``author`` and the entries of
+    the ``commits`` and ``files`` arrays are strings; another type is an
+    input error naming the file and entry.
 
 Feedback / outcomes / work logs are delimited tables with header rows; see
 ``parse_feedback``, ``parse_outcomes`` and ``parse_work_logs`` for columns.
@@ -429,9 +433,11 @@ def parse_chat_export(
                         raise InputError(
                             f"{day_file}: entry {i} has invalid thread_ts {thread_ts!r}"
                         )
-                    thread_ref = (
-                        f"{channel}/{thread_ts}" if thread_ts and thread_ts != ts_raw else None
-                    )
+                    # Messages are named by text, so a root may spell its own
+                    # thread_ts as a number where its ts is a string.
+                    thread_ref = f"{channel}/{thread_ts}" if thread_ts else None
+                    if thread_ref == mid:
+                        thread_ref = None
                     rows.append((ts, mid, channel, person, thread_ref))
                     time_of[mid] = ts
 
@@ -504,6 +510,9 @@ def parse_repo_activity(
             raise InputError(f"{p}: commit entry {i} missing field {exc}") from None
         except InputError as exc:
             raise InputError(f"{p}: commit entry {i}: {exc}") from None
+        for key, value in (("sha", sha), ("author", author)):
+            if not isinstance(value, str):
+                raise InputError(f"{p}: commit entry {i} has invalid {key} {value!r}")
         if sha in raw_shas:
             raise ValidationError(f"{p}: duplicate commit sha {sha}")
         raw_shas.add(sha)
@@ -520,12 +529,20 @@ def parse_repo_activity(
         try:
             mr_id = str(obj["id"])
             created_at = parse_utc(obj["created_at"])
-            shas = list(obj["commits"])
-            files = list(obj["files"])
+            shas = obj["commits"]
+            files = obj["files"]
         except (TypeError, KeyError) as exc:
             raise InputError(f"{p}: merge request entry {i} missing field {exc}") from None
         except InputError as exc:
             raise InputError(f"{p}: merge request entry {i}: {exc}") from None
+        for key, values in (("commits", shas), ("files", files)):
+            if not isinstance(values, list):
+                raise InputError(f"{p}: merge request entry {i} has invalid {key} {values!r}")
+            for value in values:
+                if not isinstance(value, str):
+                    raise InputError(
+                        f"{p}: merge request entry {i} has invalid {key} entry {value!r}"
+                    )
         if mr_id in seen_mrs:
             raise ValidationError(f"{p}: duplicate merge request id {mr_id}")
         seen_mrs.add(mr_id)

@@ -1,75 +1,46 @@
-"""Socio-technical congruence: the five-step weekly matrix pipeline.
+"""Socio-technical congruence: weekly coordination requirements as pair sets.
 
 Merge requests are grouped by the week they were created in, once per team
-(``merge_requests_by_week``). Per week: a people-by-MR assignment matrix over
-that week's merge requests, an MR-by-MR file-overlap dependency matrix, a
-binarized coordination requirements matrix T_A . T_D . T_A^T with zeroed
-diagonal, and per-person scores of how many required pairs were fulfilled by
-actual communication: a required pair is fulfilled when it is an edge of the
-week's communication network, the same network the weekly triad census
-counts. A person with no requirements has an undefined score; the team week
-score averages the defined member scores and is undefined when all are.
+(``merge_requests_by_week``). Per week, the coordination requirements are a
+set of person pairs (Cataldo et al. 2006): p and q, p != q, must coordinate
+when p authored a commit in merge request i, q authored one in merge request
+j, and i and j share a changed file or are the same merge request. Each pair
+is an ``Edge``, the form of the week's communication network, the same
+network the weekly triad census counts; a required pair is fulfilled when it
+is an edge there. A person's score is fulfilled / required over the pairs
+that name them. A person with no requirements has an undefined score; the
+team week score averages the defined member scores and is undefined when all
+are.
 
-The dependency diagonal is 1 by default so that co-authors of one merge
-request count as needing to coordinate (same MR implies same files); pass
+Self-dependency is on by default so that co-authors of one merge request
+count as needing to coordinate (same MR implies same files); pass
 ``include_self_dependency=False`` for the strict other-MRs-only reading.
-Merge requests with no changed files are excluded from the week's matrix
-universe, with a diagnostic.
+Merge requests with no changed files are excluded from the week's universe,
+with a diagnostic. The pair set is the nonzero off-diagonal part of the
+binarized matrix product T_A . T_D . T_A^T (assignment, dependency).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import ValidationError
 from .ingestion import Diagnostics, MergeRequest, RepoActivity, Roster, SprintCalendar
-from .network import CommunicationNetwork, WeeklyEdges, window_network
+from .network import CommunicationNetwork, Edge, WeeklyEdges, _edge, window_network
 from .stats import TrendLine, ols
 
 __all__ = [
-    "AssignmentMatrix",
-    "DependencyMatrix",
-    "RequirementMatrix",
     "StcScore",
     "YearSummary",
     "merge_requests_by_week",
-    "assignment_matrix",
-    "dependency_matrix",
     "coordination_requirements",
     "stc_scores",
     "weekly_team_scores",
     "write_weekly_scores",
     "year_summary",
 ]
-
-
-@dataclass
-class AssignmentMatrix:
-    """Binary people x MR matrix: 1 iff the person authored a commit in the MR."""
-
-    people: tuple[str, ...]
-    mr_ids: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
-
-
-@dataclass
-class DependencyMatrix:
-    """Symmetric binary MR x MR matrix: 1 iff the MRs share a changed file."""
-
-    mr_ids: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
-
-
-@dataclass
-class RequirementMatrix:
-    """Symmetric binary people x people matrix with zero diagonal."""
-
-    people: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -92,7 +63,7 @@ def merge_requests_by_week(
     week_ids: Iterable[int],
     diagnostics: Diagnostics | None = None,
 ) -> dict[int, list[MergeRequest]]:
-    """Each week's matrix universe: MRs created that week with changed files, by id.
+    """Each week's universe: MRs created that week with changed files, by id.
 
     MRs without changed files are left out and counted, in the given weeks only.
     """
@@ -113,86 +84,74 @@ def merge_requests_by_week(
     return by_week
 
 
-def assignment_matrix(
-    mrs: Sequence[MergeRequest], commit_author: Mapping[str, str], roster: Roster
-) -> AssignmentMatrix:
-    """People x the week's MRs; commits from any date assign a person.
-
-    ``commit_author`` maps each commit sha to its author.
-    """
-    people = tuple(sorted(roster.members))
-    values = np.zeros((len(people), len(mrs)), dtype=np.int8)
-    index = {p: i for i, p in enumerate(people)}
-    for j, mr in enumerate(mrs):
-        for sha in mr.commit_shas:
-            author = commit_author.get(sha)
-            if author in index:
-                values[index[author], j] = 1
-    return AssignmentMatrix(people=people, mr_ids=tuple(m.mr_id for m in mrs), values=values)
-
-
-def dependency_matrix(
-    mrs: Sequence[MergeRequest], include_self_dependency: bool = True
-) -> DependencyMatrix:
-    """Symmetric file-overlap matrix over the week's merge requests."""
-    k = len(mrs)
-    values = np.zeros((k, k), dtype=np.int8)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if mrs[i].changed_files & mrs[j].changed_files:
-                values[i, j] = 1
-                values[j, i] = 1
-    if include_self_dependency:
-        np.fill_diagonal(values, 1)
-    return DependencyMatrix(mr_ids=tuple(m.mr_id for m in mrs), values=values)
-
-
 def coordination_requirements(
-    ta: AssignmentMatrix, td: DependencyMatrix
-) -> RequirementMatrix:
-    """Binarized T_A . T_D . T_A^T with the diagonal zeroed."""
-    if ta.mr_ids != td.mr_ids:
-        raise ValidationError(
-            "assignment and dependency matrices cover different merge requests"
-        )
-    product = ta.values.astype(np.int64) @ td.values.astype(np.int64) @ ta.values.T.astype(np.int64)
-    values = (product > 0).astype(np.int8)
-    np.fill_diagonal(values, 0)
-    return RequirementMatrix(people=ta.people, values=values)
+    mrs: Sequence[MergeRequest],
+    commit_author: Mapping[str, str],
+    roster: Roster,
+    include_self_dependency: bool = True,
+) -> frozenset[Edge]:
+    """The pairs of roster members who must coordinate over ``mrs``.
+
+    ``commit_author`` maps each commit sha to its author; commits from any
+    date assign their author to the merge request.
+    """
+    members = roster.members
+    authors: list[set[str]] = []
+    by_file: dict[str, list[int]] = {}
+    for i, mr in enumerate(mrs):
+        authors.append({a for a in map(commit_author.get, mr.commit_shas) if a in members})
+        for path in mr.changed_files:
+            by_file.setdefault(path, []).append(i)
+    required: set[Edge] = set()
+    for i, mr in enumerate(mrs):
+        mine = authors[i]
+        if not mine:
+            continue
+        partners = set(mine) if include_self_dependency else set()
+        # Sharing a file is symmetric, so each pair of MRs is visited once.
+        for path in mr.changed_files:
+            for j in by_file[path]:
+                if j > i:
+                    partners |= authors[j]
+        for p in mine:
+            for q in partners:
+                if p != q:
+                    required.add(_edge(p, q))
+    return frozenset(required)
 
 
 def stc_scores(
-    cr: RequirementMatrix, net: CommunicationNetwork
+    required: frozenset[Edge], net: CommunicationNetwork
 ) -> tuple[list[StcScore], float | None]:
     """Per-person fulfilled/required ratios plus the team week score.
 
-    A required pair is fulfilled when it is an edge of ``net``, the week's
-    communication network. The team score is the mean of the defined member
+    ``required`` holds sorted pairs, as ``coordination_requirements`` returns
+    them. A required pair is fulfilled when it is an edge of ``net``, the
+    week's communication network. The team score is the mean of the defined member
     scores, or None when no member had a requirement that week.
     """
     people = net.roster
-    if cr.people != people:
-        raise ValidationError("requirement matrix and network are not roster-aligned")
-    index = {p: i for i, p in enumerate(people)}
-    talked = np.zeros((len(people), len(people)), dtype=bool)
-    for a, b in net.edges:
-        talked[index[a], index[b]] = talked[index[b], index[a]] = True
-    scores: list[StcScore] = []
-    defined: list[float] = []
-    for i, person in enumerate(people):
-        required = cr.values[i]
-        n_required = int(required.sum())
-        if n_required == 0:
-            scores.append(StcScore(person_id=person, value=None, n_required=0, n_fulfilled=0))
-            continue
-        n_fulfilled = int((required & talked[i]).sum())
-        value = n_fulfilled / n_required
-        defined.append(value)
-        scores.append(
-            StcScore(
-                person_id=person, value=value, n_required=n_required, n_fulfilled=n_fulfilled
-            )
+    n_required = dict.fromkeys(people, 0)
+    n_fulfilled = dict.fromkeys(people, 0)
+    for pair in required:
+        a, b = pair
+        if a not in n_required or b not in n_required:
+            raise ValidationError("requirement matrix and network are not roster-aligned")
+        n_required[a] += 1
+        n_required[b] += 1
+        if pair in net.edges:
+            n_fulfilled[a] += 1
+            n_fulfilled[b] += 1
+    scores = [
+        StcScore(
+            person_id=p,
+            value=n_fulfilled[p] / n_required[p] if n_required[p] else None,
+            n_required=n_required[p],
+            n_fulfilled=n_fulfilled[p],
         )
+        for p in people
+    ]
+    defined = [s.value for s in scores if s.value is not None]
     team = math.fsum(defined) / len(defined) if defined else None
     return scores, team
 
@@ -206,7 +165,7 @@ def weekly_team_scores(
     include_self_dependency: bool = True,
     diagnostics: Diagnostics | None = None,
 ) -> dict[int, float | None]:
-    """Run the five-step pipeline per week and return team week scores.
+    """Score each week's required pairs against its network; return team week scores.
 
     ``weekly`` holds each week's communication edges (``weekly_edges``).
     """
@@ -215,12 +174,10 @@ def weekly_team_scores(
     commit_author = {c.sha: c.author for c in repo.commits}
     out: dict[int, float | None] = {}
     for week_id in weeks:
-        mrs = mrs_by_week[week_id]
-        cr = coordination_requirements(
-            assignment_matrix(mrs, commit_author, roster),
-            dependency_matrix(mrs, include_self_dependency),
+        required = coordination_requirements(
+            mrs_by_week[week_id], commit_author, roster, include_self_dependency
         )
-        _, out[week_id] = stc_scores(cr, window_network(weekly, roster, (week_id,)))
+        _, out[week_id] = stc_scores(required, window_network(weekly, roster, (week_id,)))
     return out
 
 

@@ -2,9 +2,10 @@
 
 Each oracle deliberately takes a different computational route from the
 package code it checks: quadrature instead of the incomplete beta function,
-direct pair counting instead of rank sums, chain enumeration instead of the
-matrix product, numpy instead of the hand-rolled moment formulas, a
-message per kept record sorted by key instead of one pass over tuples.
+direct pair counting instead of rank sums, chain enumeration and the matrix
+product instead of pair sets, numpy instead of the hand-rolled moment
+formulas, a message per kept record sorted by key instead of one pass over
+tuples.
 """
 
 from __future__ import annotations
@@ -125,6 +126,35 @@ def stc_brute_force(
     return scores, team
 
 
+def coordination_requirements_oracle(
+    mrs, commit_author, roster, include_self_dependency: bool = True
+) -> frozenset[tuple[str, str]]:
+    """coordination_requirements by the matrix route: the binarized product
+    T_A . T_D . T_A^T with its diagonal zeroed, where T_A is the people x MR
+    assignment matrix and T_D the MR x MR file-overlap matrix (unit diagonal
+    with self-dependency on), read back as sorted pairs."""
+    people = sorted(roster.members)
+    index = {p: i for i, p in enumerate(people)}
+    ta = np.zeros((len(people), len(mrs)), dtype=np.int64)
+    for j, mr in enumerate(mrs):
+        for sha in mr.commit_shas:
+            author = commit_author.get(sha)
+            if author in index:
+                ta[index[author], j] = 1
+    td = np.zeros((len(mrs), len(mrs)), dtype=np.int64)
+    for i, a in enumerate(mrs):
+        for j, b in enumerate(mrs):
+            if i != j and a.changed_files & b.changed_files:
+                td[i, j] = 1
+    if include_self_dependency:
+        np.fill_diagonal(td, 1)
+    product = ta @ td @ ta.T
+    np.fill_diagonal(product, 0)
+    return frozenset(
+        (people[i], people[j]) for i, j in zip(*np.nonzero(product)) if i < j
+    )
+
+
 def window_edges_oracle(events, week_ids) -> frozenset[tuple[str, str]]:
     """A window's edges by a scan of every event instead of per-week groups:
     the sorted pairs of the events whose week lies in the window."""
@@ -211,9 +241,9 @@ def parse_chat_export_oracle(export_root, roster, excluded_handles=(), diagnosti
                     raise InputError(
                         f"{day_file}: entry {i} has invalid thread_ts {thread_ts!r}"
                     )
-                thread_ref = (
-                    f"{channel}/{thread_ts}" if thread_ts and thread_ts != ts_raw else None
-                )
+                thread_ref = f"{channel}/{thread_ts}" if thread_ts else None
+                if thread_ref == mid:
+                    thread_ref = None
                 kept.append((mid, channel, person, ts, thread_ref))
                 kept_ids.add(mid)
 

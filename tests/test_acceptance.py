@@ -28,8 +28,7 @@ from teamnets.report import (
     run_pipeline,
 )
 from teamnets.stats import mann_whitney_u, pearson, t_sf
-from teamnets.stc import assignment_matrix, coordination_requirements, dependency_matrix, \
-    merge_requests_by_week, stc_scores
+from teamnets.stc import coordination_requirements, merge_requests_by_week, stc_scores
 from teamnets.synthetic import make_season
 from teamnets.triad import census_closed_form, relative_census, triad_census
 
@@ -111,11 +110,8 @@ def _repo_from(mr_specs):
 
 def _week1_stc(repo, roster, cal, events):
     mrs = merge_requests_by_week(repo, cal, (1,))[1]
-    cr = coordination_requirements(
-        assignment_matrix(mrs, {c.sha: c.author for c in repo.commits}, roster),
-        dependency_matrix(mrs),
-    )
-    return stc_scores(cr, window_network(weekly_edges(events), roster, (1,)))
+    required = coordination_requirements(mrs, {c.sha: c.author for c in repo.commits}, roster)
+    return stc_scores(required, window_network(weekly_edges(events), roster, (1,)))
 
 
 def test_criterion_3_stc_hand_fixture_and_oracle():

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,17 @@ def _mini_with_two_member_beta(mini_dir, tmp_path):
     beta["identity_map"] = {"HB1": "b1", "HB2": "b2"}
     (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
     return work / "config.json"
+
+
+def test_cli_import_leaves_numpy_out():
+    """numpy is a test dependency only: the command line must not load it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, teamnets.cli; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestValidate:
@@ -160,6 +175,47 @@ class TestValidate:
         assert f"input error: {cfg}: " in err
         assert field in err
 
+
+    @pytest.mark.parametrize(
+        "kind,key,value,text",
+        [
+            ("commits", "sha", ["alpha001"], "commit entry 0 has invalid sha ['alpha001']"),
+            ("commits", "author", ["a1"], "commit entry 0 has invalid author ['a1']"),
+            (
+                "merge_requests",
+                "commits",
+                [["alpha001"], "alpha002"],
+                "merge request entry 0 has invalid commits entry ['alpha001']",
+            ),
+            (
+                "merge_requests",
+                "files",
+                [["x.py"], "y.py"],
+                "merge request entry 0 has invalid files entry ['x.py']",
+            ),
+            ("merge_requests", "files", "x.py", "merge request entry 0 has invalid files 'x.py'"),
+        ],
+        ids=[
+            "commit_sha-list",
+            "commit_author-list",
+            "mr_commit-list",
+            "mr_file-list",
+            "mr_files-str",
+        ],
+    )
+    def test_bad_repo_field_is_named_input_error(
+        self, mini_dir, tmp_path, capsys, kind, key, value, text
+    ):
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        repo_path = work / "repo_alpha.json"
+        repo = json.loads(repo_path.read_text())
+        repo[kind][0][key] = value
+        repo_path.write_text(json.dumps(repo), encoding="utf-8")
+        assert main(["validate", "--config", str(work / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {repo_path}: {text}" in err
+        assert "Traceback" not in err
 
 class TestSubcommands:
     def test_stc_writes_weekly_table(self, team7_dir, tmp_path):

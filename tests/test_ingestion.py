@@ -311,6 +311,23 @@ class TestChatParser:
         assert reply.thread_root == root.message_id == "general/1678100000.5"
         assert reply.message_id == "general/1678100100"
 
+    @pytest.mark.parametrize(
+        "ts,thread_ts", [(1678100000, "1678100000"), ("1678100000.5", 1678100000.5)]
+    )
+    def test_thread_ts_naming_itself_is_a_root(self, tmp_path, two_person_roster, ts, thread_ts):
+        write_channel(
+            tmp_path,
+            "general",
+            "2023-03-06",
+            [
+                {"user": "UA", "ts": ts, "thread_ts": thread_ts},
+                {"user": "UB", "ts": "1678100100", "thread_ts": thread_ts},
+            ],
+        )
+        root, reply = parse_chat_export(tmp_path, two_person_roster).messages
+        assert root.thread_root is None
+        assert reply.thread_root == root.message_id
+
 
 # Message timestamps as an export writes them: strings and numbers, two
 # strings that round to one microsecond, two spellings of one instant, and a
@@ -405,9 +422,11 @@ def export_trees(draw):
             if subtype is not None:
                 entry["subtype"] = subtype
             roots = [s for s in stamps if late_replies or float(s) <= float(ts)]
-            thread = draw(st.sampled_from(["none", "self", "root", "root", "stray"]))
+            thread = draw(st.sampled_from(["none", "self", "self-text", "root", "root", "stray"]))
             if thread == "self":
                 entry["thread_ts"] = ts
+            elif thread == "self-text":
+                entry["thread_ts"] = str(ts)
             elif thread == "root":
                 entry["thread_ts"] = draw(st.sampled_from(roots))
             elif thread == "stray":

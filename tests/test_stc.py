@@ -4,9 +4,9 @@ import random
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from teamnets.errors import ValidationError
 from teamnets.ingestion import (
     Commit,
     Diagnostics,
@@ -27,10 +27,7 @@ from teamnets.network import (
     window_network,
 )
 from teamnets.stc import (
-    RequirementMatrix,
-    assignment_matrix,
     coordination_requirements,
-    dependency_matrix,
     merge_requests_by_week,
     stc_scores,
     weekly_team_scores,
@@ -38,7 +35,7 @@ from teamnets.stc import (
     year_summary,
 )
 
-from oracles import stc_brute_force
+from oracles import coordination_requirements_oracle, stc_brute_force
 
 
 def utc(*args):
@@ -85,77 +82,92 @@ def week_mrs(repo, cal, week):
     return merge_requests_by_week(repo, cal, (week,))[week]
 
 
-def ta_of(repo, roster, week, cal):
-    """The week's assignment matrix, as the weekly pipeline builds it."""
+def required_of(repo, roster, week, cal, include_self_dependency=True, extra_mrs=()):
+    """The week's required pairs, as the weekly pipeline computes them."""
     commit_author = {c.sha: c.author for c in repo.commits}
-    return assignment_matrix(week_mrs(repo, cal, week), commit_author, roster)
-
-
-def td_of(repo, week, cal, include_self_dependency=True):
-    return dependency_matrix(week_mrs(repo, cal, week), include_self_dependency)
+    mrs = week_mrs(repo, cal, week) + list(extra_mrs)
+    return coordination_requirements(mrs, commit_author, roster, include_self_dependency)
 
 
 def week_net(events, roster, week=1):
     return window_network(weekly_edges(events), roster, (week,))
 
 
+def partners(required, person):
+    return {q for pair in required if person in pair for q in pair if q != person}
+
+
 class TestAssignmentMatrix:
+    """Who is assigned to which merge request, read through the required pairs."""
+
     def test_single_mr_two_authors(self):
         repo = make_repo([("M1", ["a.py"], {"P1": 1, "P2": 1})])
-        ta = ta_of(repo, roster_of("P1", "P2", "P3"), 1, one_week_calendar())
-        assert ta.mr_ids == ("M1",)
-        assert ta.values[:, 0].tolist() == [1, 1, 0]  # rows P1, P2, P3
+        required = required_of(repo, roster_of("P1", "P2", "P3"), 1, one_week_calendar())
+        assert required == {("P1", "P2")}  # P3 authored nothing
 
     def test_creation_week_attribution(self, team7_config):
         # M08 was created in week 3 but carries commits authored in week 1 by p4
         team = team7_config.teams[0]
         repo = parse_repo_activity(team.repo_activity, team.roster)
-        ta = ta_of(repo, team.roster, 3, team7_config.calendar)
-        row_p4 = ta.people.index("p4")
-        col_m08 = ta.mr_ids.index("M08")
-        assert ta.values[row_p4, col_m08] == 1
-        # and nothing assigns p4 in week 1 (no MRs created then carry p4 commits)
-        ta1 = ta_of(repo, team.roster, 1, team7_config.calendar)
-        assert ta1.values[ta1.people.index("p4"), :].sum() == 1  # only via M02
+        cal = team7_config.calendar
+        # M08 shares app/b.py with M07 (p1, p2), so p4 needs both in week 3
+        assert partners(required_of(repo, team.roster, 3, cal, False), "p4") == {"p1", "p2"}
+        # and nothing assigns p4 in week 1 but M02 (co-author p3, db.py shared with M01)
+        assert partners(required_of(repo, team.roster, 1, cal), "p4") == {"p1", "p2", "p3"}
 
     def test_fixture_week3_hand_table(self, team7_config):
+        # M07: p1, p2 (app/a.py, app/b.py); M08: p3, p4 (app/b.py, app/c.py);
+        # M09: p5 (docs/readme.md); p6 and p7 authored nothing this week
         team = team7_config.teams[0]
         repo = parse_repo_activity(team.repo_activity, team.roster)
-        ta = ta_of(repo, team.roster, 3, team7_config.calendar)
-        assert ta.mr_ids == ("M07", "M08", "M09")
-        expected = {
-            "p1": [1, 0, 0],
-            "p2": [1, 0, 0],
-            "p3": [0, 1, 0],
-            "p4": [0, 1, 0],
-            "p5": [0, 0, 1],
-            "p6": [0, 0, 0],
-            "p7": [0, 0, 0],
+        cal = team7_config.calendar
+        assert [m.mr_id for m in week_mrs(repo, cal, 3)] == ["M07", "M08", "M09"]
+        across = {("p1", "p3"), ("p1", "p4"), ("p2", "p3"), ("p2", "p4")}
+        assert required_of(repo, team.roster, 3, cal, False) == across
+        assert required_of(repo, team.roster, 3, cal) == across | {("p1", "p2"), ("p3", "p4")}
+        # a probe MR by p6 on docs/readme.md shows p5 alone is assigned to M09
+        probe = MergeRequest(
+            "M99", utc(2023, 3, 23), frozenset({"c001"}), frozenset({"docs/readme.md"})
+        )
+        p6_repo = RepoActivity(
+            commits=repo.commits + (Commit("c001", "p6", utc(2023, 3, 23)),),
+            merge_requests=repo.merge_requests,
+        )
+        assert required_of(p6_repo, team.roster, 3, cal, False, [probe]) == across | {
+            ("p5", "p6")
         }
-        for person, row in expected.items():
-            assert ta.values[ta.people.index(person)].tolist() == row
 
     def test_week_without_mrs(self):
         repo = make_repo([])
-        ta = ta_of(repo, roster_of("P1"), 1, one_week_calendar())
-        assert ta.values.shape == (1, 0)
+        assert required_of(repo, roster_of("P1"), 1, one_week_calendar()) == frozenset()
 
 
 class TestDependencyMatrix:
+    """Which merge requests depend on each other, read through the required pairs."""
+
     def test_shared_file(self):
         repo = make_repo([("M1", ["f1", "f2"], {"P1": 1}), ("M2", ["f2"], {"P2": 1})])
-        td = td_of(repo, 1, one_week_calendar())
-        assert td.values.tolist() == [[1, 1], [1, 1]]
+        for self_dependency in (True, False):
+            required = required_of(
+                repo, roster_of("P1", "P2"), 1, one_week_calendar(), self_dependency
+            )
+            assert required == {("P1", "P2")}
 
     def test_disjoint_files(self):
-        repo = make_repo([("M1", ["f1"], {"P1": 1}), ("M2", ["f2"], {"P2": 1})])
-        td = td_of(repo, 1, one_week_calendar())
-        assert td.values.tolist() == [[1, 0], [0, 1]]
+        repo = make_repo(
+            [("M1", ["f1"], {"P1": 1, "P3": 1}), ("M2", ["f2"], {"P2": 1, "P4": 1})]
+        )
+        roster = roster_of("P1", "P2", "P3", "P4")
+        cal = one_week_calendar()
+        assert required_of(repo, roster, 1, cal) == {("P1", "P3"), ("P2", "P4")}
+        assert required_of(repo, roster, 1, cal, False) == frozenset()
 
     def test_self_dependency_switch(self):
-        repo = make_repo([("M1", ["f1"], {"P1": 1})])
-        td = td_of(repo, 1, one_week_calendar(), include_self_dependency=False)
-        assert td.values.tolist() == [[0]]
+        repo = make_repo([("M1", ["f1"], {"P1": 1, "P2": 1})])
+        roster = roster_of("P1", "P2")
+        cal = one_week_calendar()
+        assert required_of(repo, roster, 1, cal, True) == {("P1", "P2")}
+        assert required_of(repo, roster, 1, cal, False) == frozenset()
 
     def test_empty_file_mrs_excluded(self, team7_config):
         team = team7_config.teams[0]
@@ -171,25 +183,49 @@ class TestDependencyMatrix:
         team = team7_config.teams[0]
         repo = parse_repo_activity(team.repo_activity, team.roster)
         cal = team7_config.calendar
+        author_of = {c.sha: c.author for c in repo.commits}
         for week in (1, 2, 3, 4):
-            td = td_of(repo, week, cal)
-            mrs = {m.mr_id: m for m in repo.merge_requests}
-            for i, a in enumerate(td.mr_ids):
-                for j, b in enumerate(td.mr_ids):
-                    if i == j:
-                        expected = 1
-                    else:
-                        expected = int(bool(mrs[a].changed_files & mrs[b].changed_files))
-                    assert td.values[i, j] == expected
+            mrs = week_mrs(repo, cal, week)
+            for self_dependency in (True, False):
+                expected = set()
+                for a in mrs:
+                    for b in mrs:
+                        if a is b and not self_dependency:
+                            continue
+                        if a is not b and not a.changed_files & b.changed_files:
+                            continue
+                        for p in (author_of[s] for s in a.commit_shas):
+                            for q in (author_of[s] for s in b.commit_shas):
+                                if p < q:
+                                    expected.add((p, q))
+                required = required_of(repo, team.roster, week, cal, self_dependency)
+                assert required == expected
 
     def test_symmetry(self):
+        # file sharing is symmetric: the MRs' order does not change the pairs
         rng = random.Random(2)
         files = [f"f{i}" for i in range(6)]
-        mrs = [
-            (f"M{i}", rng.sample(files, rng.randint(1, 3)), {"P1": 1}) for i in range(6)
-        ]
-        td = td_of(make_repo(mrs), 1, one_week_calendar())
-        assert np.array_equal(td.values, td.values.T)
+        people = [f"P{i}" for i in range(5)]
+        cal = one_week_calendar()
+        commit_author = {f"c{i}": p for i, p in enumerate(people)}
+        for _ in range(25):
+            mrs = [
+                MergeRequest(
+                    f"M{i}",
+                    utc(2023, 3, 6),
+                    frozenset(f"c{people.index(p)}" for p in rng.sample(people, 2)),
+                    frozenset(rng.sample(files, rng.randint(1, 3))),
+                )
+                for i in range(6)
+            ]
+            for self_dependency in (True, False):
+                forward = coordination_requirements(
+                    mrs, commit_author, roster_of(*people), self_dependency
+                )
+                backward = coordination_requirements(
+                    mrs[::-1], commit_author, roster_of(*people), self_dependency
+                )
+                assert forward == backward
 
 
 class TestCoordinationRequirements:
@@ -198,30 +234,16 @@ class TestCoordinationRequirements:
         repo = make_repo(
             [("M1", ["shared.py"], {"P1": 1, "P2": 1}), ("M2", ["shared.py"], {"P3": 1})]
         )
-        cal = one_week_calendar()
-        cr = coordination_requirements(
-            ta_of(repo, roster_of("P1", "P2", "P3"), 1, cal),
-            td_of(repo, 1, cal),
-        )
-        assert cr.values.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        required = required_of(repo, roster_of("P1", "P2", "P3"), 1, one_week_calendar())
+        assert required == {("P1", "P2"), ("P1", "P3"), ("P2", "P3")}
 
     def test_single_person_all_mrs(self):
         repo = make_repo([("M1", ["a"], {"P1": 1}), ("M2", ["a"], {"P1": 2})])
-        cal = one_week_calendar()
-        cr = coordination_requirements(
-            ta_of(repo, roster_of("P1", "P2"), 1, cal),
-            td_of(repo, 1, cal),
-        )
-        assert not cr.values.any()
+        assert required_of(repo, roster_of("P1", "P2"), 1, one_week_calendar()) == frozenset()
 
     def test_disjoint_no_requirements(self):
         repo = make_repo([("M1", ["a"], {"P1": 1}), ("M2", ["b"], {"P2": 1})])
-        cal = one_week_calendar()
-        cr = coordination_requirements(
-            ta_of(repo, roster_of("P1", "P2"), 1, cal),
-            td_of(repo, 1, cal),
-        )
-        assert not cr.values.any()
+        assert required_of(repo, roster_of("P1", "P2"), 1, one_week_calendar()) == frozenset()
 
     def test_symmetric_zero_diagonal_random(self):
         rng = random.Random(5)
@@ -236,22 +258,15 @@ class TestCoordinationRequirements:
                 )
                 for i in range(rng.randint(1, 5))
             ]
-            repo = make_repo(mrs)
-            cr = coordination_requirements(
-                ta_of(repo, roster_of(*people), 1, cal),
-                td_of(repo, 1, cal),
-            )
-            assert np.array_equal(cr.values, cr.values.T)
-            assert not np.diag(cr.values).any()
+            required = required_of(make_repo(mrs), roster_of(*people), 1, cal)
+            # one sorted pair per unordered pair, never a person with themself
+            assert all(a < b for a, b in required)
 
-
-def matrix_from_pairs(people, pairs):
-    index = {p: i for i, p in enumerate(people)}
-    values = np.zeros((len(people), len(people)), dtype=np.int8)
-    for a, b in pairs:
-        values[index[a], index[b]] = 1
-        values[index[b], index[a]] = 1
-    return values
+    def test_non_roster_authors_ignored(self):
+        repo = make_repo([("M1", ["a"], {"P1": 1, "X": 1}), ("M2", ["a"], {"P2": 1})])
+        assert required_of(repo, roster_of("P1", "P2"), 1, one_week_calendar()) == {
+            ("P1", "P2")
+        }
 
 
 def net_of(people, pairs):
@@ -263,30 +278,29 @@ def net_of(people, pairs):
 class TestScores:
     def test_hand_oracle(self):
         people = ("P1", "P2", "P3")
-        cr = RequirementMatrix(
-            people=people,
-            values=matrix_from_pairs(people, [("P1", "P2"), ("P1", "P3"), ("P2", "P3")]),
-        )
-        scores, team = stc_scores(cr, net_of(people, [("P1", "P2")]))
+        required = frozenset({("P1", "P2"), ("P1", "P3"), ("P2", "P3")})
+        scores, team = stc_scores(required, net_of(people, [("P1", "P2")]))
         by_person = {s.person_id: s.value for s in scores}
         assert by_person == {"P1": 0.5, "P2": 0.5, "P3": 0.0}
         assert team == pytest.approx(1 / 3)
 
     def test_zero_requirements_undefined(self):
         people = ("P1", "P2")
-        cr = RequirementMatrix(people=people, values=np.zeros((2, 2), dtype=np.int8))
-        scores, team = stc_scores(cr, net_of(people, []))
+        scores, team = stc_scores(frozenset(), net_of(people, []))
         assert all(s.value is None for s in scores)
         assert team is None
 
     def test_full_congruence(self):
         people = ("P1", "P2", "P3")
-        req = matrix_from_pairs(people, [("P1", "P2"), ("P2", "P3")])
-        cr = RequirementMatrix(people=people, values=req)
+        required = frozenset({("P1", "P2"), ("P2", "P3")})
         net = net_of(people, [("P1", "P2"), ("P2", "P3"), ("P1", "P3")])
-        scores, team = stc_scores(cr, net)
+        scores, team = stc_scores(required, net)
         assert team == 1.0
         assert all(s.value == 1.0 for s in scores if s.value is not None)
+
+    def test_pair_outside_roster_rejected(self):
+        with pytest.raises(ValidationError, match="not roster-aligned"):
+            stc_scores(frozenset({("P1", "P9")}), net_of(("P1", "P2"), []))
 
     def test_fixture_week3_scores(self, team7_config):
         team = team7_config.teams[0]
@@ -294,10 +308,8 @@ class TestScores:
         repo = parse_repo_activity(team.repo_activity, team.roster)
         log = parse_chat_export(team.chat_export, team.roster, team7_config.excluded_handles)
         events = derive_comm_events(log, team.roster, cal)
-        cr = coordination_requirements(
-            ta_of(repo, team.roster, 3, cal), td_of(repo, 3, cal)
-        )
-        scores, team_score = stc_scores(cr, week_net(events, team.roster, 3))
+        required = required_of(repo, team.roster, 3, cal)
+        scores, team_score = stc_scores(required, week_net(events, team.roster, 3))
         by_person = {s.person_id: s.value for s in scores}
         assert by_person["p1"] == pytest.approx(2 / 3)
         assert by_person["p2"] == pytest.approx(1 / 3)
@@ -340,18 +352,22 @@ class TestProperties:
         for _ in range(100):
             people, repo, mr_people, mr_files, pairs, events = self._random_instance(rng)
             roster = roster_of(*people)
-            cr = coordination_requirements(
-                ta_of(repo, roster, 1, cal), td_of(repo, 1, cal)
-            )
-            scores, team = stc_scores(cr, week_net(events, roster))
-            oracle_scores, oracle_team = stc_brute_force(
-                sorted(people), mr_people, mr_files, pairs
-            )
-            assert {s.person_id: s.value for s in scores} == oracle_scores
-            if team is None:
-                assert oracle_team is None
-            else:
-                assert team == pytest.approx(oracle_team, abs=1e-12)
+            commit_author = {c.sha: c.author for c in repo.commits}
+            mrs = week_mrs(repo, cal, 1)
+            for self_dependency in (True, False):
+                required = coordination_requirements(mrs, commit_author, roster, self_dependency)
+                assert required == coordination_requirements_oracle(
+                    mrs, commit_author, roster, self_dependency
+                )
+                scores, team = stc_scores(required, week_net(events, roster))
+                oracle_scores, oracle_team = stc_brute_force(
+                    sorted(people), mr_people, mr_files, pairs, self_dependency
+                )
+                assert {s.person_id: s.value for s in scores} == oracle_scores
+                if team is None:
+                    assert oracle_team is None
+                else:
+                    assert team == pytest.approx(oracle_team, abs=1e-12)
 
     def test_monotone_in_events(self):
         rng = random.Random(31)
@@ -359,14 +375,12 @@ class TestProperties:
         for _ in range(30):
             people, repo, _, _, _, events = self._random_instance(rng)
             roster = roster_of(*people)
-            cr = coordination_requirements(
-                ta_of(repo, roster, 1, cal), td_of(repo, 1, cal)
-            )
-            base_scores, base_team = stc_scores(cr, week_net(events, roster))
+            required = required_of(repo, roster, 1, cal)
+            base_scores, base_team = stc_scores(required, week_net(events, roster))
             extra = events + [
                 CommEvent(people[0], people[-1], utc(2023, 3, 7), 1)
             ] if len(people) > 1 else events
-            more_scores, more_team = stc_scores(cr, week_net(extra, roster))
+            more_scores, more_team = stc_scores(required, week_net(extra, roster))
             for b, m in zip(base_scores, more_scores):
                 if b.value is not None:
                     assert m.value is not None and m.value >= b.value
@@ -379,10 +393,7 @@ class TestProperties:
         for _ in range(30):
             people, repo, _, _, _, events = self._random_instance(rng)
             roster = roster_of(*people)
-            cr = coordination_requirements(
-                ta_of(repo, roster, 1, cal), td_of(repo, 1, cal)
-            )
-            scores, team = stc_scores(cr, week_net(events, roster))
+            scores, team = stc_scores(required_of(repo, roster, 1, cal), week_net(events, roster))
             for s in scores:
                 if s.value is not None:
                     assert 0.0 <= s.value <= 1.0
