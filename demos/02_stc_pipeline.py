@@ -13,8 +13,9 @@ from datetime import datetime, timedelta, timezone
 
 from teamnets import (
     Commit,
-    CommEvent,
     MergeRequest,
+    Message,
+    MessageLog,
     RepoActivity,
     Roster,
     Sprint,
@@ -71,8 +72,12 @@ for a, b in sorted(required):
     print(f"    {a} -- {b}")
 
 # step 4: only ana and ben actually talked (ben replied in ana's thread)
-events = [CommEvent(sender="ben", recipient="ana", timestamp=start + timedelta(hours=6), week_id=1)]
-net = window_network(weekly_edges(events), roster, (1,))
+log = MessageLog(messages=(
+    Message("general/1", "general", "ana", start + timedelta(hours=6)),
+    Message("general/2", "general", "ben", start + timedelta(hours=7), thread_root="general/1"),
+))
+weekly, _ = weekly_edges(log, roster, cal)  # and the number of replies counted
+net = window_network(weekly, roster, (1,))
 print("\nstep 4, actual coordination (the week's network of threaded replies):")
 for a, b in sorted(net.edges):
     print(f"    {a} -- {b}")

@@ -23,9 +23,7 @@ from .ingestion import (
     parse_work_logs,
 )
 from .network import (
-    CommEvent,
     CommunicationNetwork,
-    derive_comm_events,
     weekly_edges,
     window_network,
     write_edge_list,
@@ -58,7 +56,6 @@ from .stc import (
     merge_requests_by_week,
     stc_scores,
     weekly_team_scores,
-    write_weekly_scores,
     year_summary,
 )
 from .triad import (

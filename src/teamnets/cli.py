@@ -30,7 +30,7 @@ from .ingestion import (
     parse_repo_activity,
     parse_work_logs,
 )
-from .network import weekly_edges, write_edge_list
+from .network import write_edge_list
 from .report import (
     FORMATS,
     emit,
@@ -39,8 +39,8 @@ from .report import (
     sprint_census,
     team_events,
     team_stc,
+    write_table,
 )
-from .stc import write_weekly_scores
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,12 +107,12 @@ def _cmd_validate(config: PipelineConfig) -> int:
     for team_cfg in config.teams:
         team = team_cfg.team_id
         try:
-            log, events = team_events(team_cfg, config, diag)
+            log, _, replies = team_events(team_cfg, config, diag)
             repo = parse_repo_activity(team_cfg.repo_activity, team_cfg.roster, diag)
             print(
                 f"team {team}: {len(log.messages)} messages, "
                 f"{len(repo.commits)} commits, {len(repo.merge_requests)} merge requests, "
-                f"{len(events)} communication events"
+                f"{replies} communication events"
             )
         except ValidationError as exc:
             failures += 1
@@ -133,12 +133,12 @@ def _cmd_validate(config: PipelineConfig) -> int:
 def _cmd_stc(config: PipelineConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     weeks = included_weeks(config.calendar)
-    scores = {}
+    rows = []
     for team_cfg in config.teams:
-        weekly = weekly_edges(team_events(team_cfg, config)[1])
-        scores[team_cfg.team_id] = team_stc(team_cfg, config, weekly, weeks)
+        scores = team_stc(team_cfg, config, team_events(team_cfg, config)[1], weeks)
+        rows.extend((team_cfg.team_id, week, score) for week, score in sorted(scores.items()))
     path = out / "stc_weekly.csv"
-    write_weekly_scores(scores, path)
+    write_table(path, ("team", "week", "stc_score"), rows)
     print(f"wrote {path}")
     return 0
 
@@ -146,18 +146,17 @@ def _cmd_stc(config: PipelineConfig, out: Path) -> int:
 def _cmd_census(config: PipelineConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cal = config.calendar
-    rows = ["team,sprint,rel_0_edges,rel_1_edges,rel_2_edges,rel_3_edges"]
+    rows = []
     for team_cfg in config.teams:
         team = team_cfg.team_id
-        weekly = weekly_edges(team_events(team_cfg, config)[1])
+        weekly = team_events(team_cfg, config)[1]
         for sprint in cal.included_sprints():
             net, census = sprint_census(weekly, team_cfg.roster, cal, sprint)
             write_edge_list(net, out / f"edges_{team}_sprint{sprint}.tsv")
             # a roster too small for triads keeps its row with blank cells
-            cells = ",".join(f"{v:.6f}" for v in census) if census else ",,,"
-            rows.append(f"{team},{sprint},{cells}")
+            rows.append((team, sprint, *(census or (None,) * 4)))
     path = out / "census_sprint.csv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_table(path, ("team", "sprint", *(f"rel_{k}_edges" for k in range(4))), rows)
     print(f"wrote {path}")
     return 0
 

@@ -132,6 +132,12 @@ def load_config(path: Path | str) -> PipelineConfig:
             raise InputError(f"{cfg_path}: team entry {i} missing field {exc}") from None
         where = f"team entry {i}"
         expect(isinstance(team_id, str), f"{where} 'team_id'", "a string")
+        # the id names output files, and team lists are joined and split on commas
+        expect(
+            team_id not in ("", ".", "..") and not any(c in team_id for c in "/\\,"),
+            f"{where} 'team_id'",
+            "a file name without '/', '\\', ',' (not empty, '.' or '..')",
+        )
         expect(_is_strings(members), f"{where} 'members'", "an array of strings")
         expect(
             isinstance(identity_map, dict) and _is_strings(list(identity_map.values())),

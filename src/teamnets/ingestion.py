@@ -20,8 +20,9 @@ Repo activity (one JSON file per team):
      "merge_requests": [{"id", "created_at", "commits": [sha],
                          "files": [path]}, ...]}
     with ISO-8601 UTC timestamps. ``sha``, ``author`` and the entries of
-    the ``commits`` and ``files`` arrays are strings; another type is an
-    input error naming the file and entry.
+    the ``commits`` and ``files`` arrays are strings, and ``id`` is a string
+    or an integer (not a boolean); another type is an input error naming
+    the file and entry.
 
 Feedback / outcomes / work logs are delimited tables with header rows; see
 ``parse_feedback``, ``parse_outcomes`` and ``parse_work_logs`` for columns.
@@ -71,7 +72,7 @@ def parse_utc(value: str) -> datetime:
 
 @dataclass
 class Diagnostics:
-    """Counters and notes accumulated while parsing and deriving events."""
+    """Counters and notes accumulated while parsing and grouping replies."""
 
     counts: Counter = field(default_factory=Counter)
     notes: list[str] = field(default_factory=list)
@@ -527,7 +528,7 @@ def parse_repo_activity(
     seen_mrs: set[str] = set()
     for i, obj in enumerate(payload["merge_requests"]):
         try:
-            mr_id = str(obj["id"])
+            mr_id = obj["id"]
             created_at = parse_utc(obj["created_at"])
             shas = obj["commits"]
             files = obj["files"]
@@ -535,6 +536,10 @@ def parse_repo_activity(
             raise InputError(f"{p}: merge request entry {i} missing field {exc}") from None
         except InputError as exc:
             raise InputError(f"{p}: merge request entry {i}: {exc}") from None
+        # bool is an int subclass, so it is ruled out by name
+        if isinstance(mr_id, bool) or not isinstance(mr_id, (str, int)):
+            raise InputError(f"{p}: merge request entry {i} has invalid id {mr_id!r}")
+        mr_id = str(mr_id)
         for key, values in (("commits", shas), ("files", files)):
             if not isinstance(values, list):
                 raise InputError(f"{p}: merge request entry {i} has invalid {key} {values!r}")

@@ -1,28 +1,26 @@
-"""Communication events and per-window team networks.
+"""Per-week communication edges and per-window team networks.
 
-A directed communication event is recorded when one person replies inside a
-thread started by another. Networks discard direction and edge weight: an
-undirected edge is present iff at least one event connects the pair inside
-the window. Events are grouped into per-week edge sets once
-(``weekly_edges``); a week's or a sprint's network is the union of its weeks'
-edge sets (``window_network``). The weekly network serves both the triad
-census and STC's actual coordination. Every roster member is a node whether
-or not they communicated, so triads over silent members are measurable.
+Two people communicate when one replies inside a thread started by the
+other. Networks discard direction, timing and count: an undirected edge is
+present iff at least one reply connects the pair inside the window. The
+replies go straight into per-week edge sets in one pass over the message log
+(``weekly_edges``); a week's or a sprint's network is the union of its
+weeks' edge sets (``window_network``). The weekly network serves both the
+triad census and STC's actual coordination. Every roster member is a node
+whether or not they communicated, so triads over silent members are
+measurable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
 from .ingestion import Diagnostics, MessageLog, Roster, SprintCalendar
 
 __all__ = [
-    "CommEvent",
     "CommunicationNetwork",
-    "derive_comm_events",
     "weekly_edges",
     "window_network",
     "write_edge_list",
@@ -30,16 +28,6 @@ __all__ = [
 
 Edge = tuple[str, str]  # a pair sorted lexicographically
 WeeklyEdges = Mapping[int, frozenset[Edge]]  # week id -> that week's edges
-
-
-@dataclass(frozen=True)
-class CommEvent:
-    """Reply author -> thread-root author, pinned to a calendar week."""
-
-    sender: str
-    recipient: str
-    timestamp: datetime
-    week_id: int
 
 
 def _edge(a: str, b: str) -> Edge:
@@ -67,23 +55,25 @@ class CommunicationNetwork:
         return _edge(a, b) in self.edges
 
 
-def derive_comm_events(
+def weekly_edges(
     log: MessageLog,
     roster: Roster,
     cal: SprintCalendar,
     diagnostics: Diagnostics | None = None,
-) -> list[CommEvent]:
-    """One event per threaded reply toward the thread root's author.
+) -> tuple[dict[int, frozenset[Edge]], int]:
+    """Each week's undirected edge set, from one pass over the threaded replies.
 
-    Self-replies produce no event; replies falling outside every calendar
-    week are dropped and counted.
+    A reply joins its author and the thread root's author in the week it was
+    sent. Self-replies are skipped; replies to a missing root, with an author
+    off the roster, or outside every calendar week are dropped. Each rule is
+    counted. Also returns the number of replies that made an edge.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     author_of = {m.message_id: m.author for m in log.messages}
     members = roster.members
     assign_week = cal.assign_week
-    events: list[CommEvent] = []
-    missing_root = self_reply = non_roster = out_of_calendar = 0
+    by_week: dict[int, set[Edge]] = {}
+    replies = missing_root = self_reply = non_roster = out_of_calendar = 0
     for m in log.messages:
         if m.thread_root is None:
             continue
@@ -102,7 +92,11 @@ def derive_comm_events(
         if week is None:
             out_of_calendar += 1
             continue
-        events.append(CommEvent(author, root_author, m.timestamp, week))
+        replies += 1
+        edges = by_week.get(week)
+        if edges is None:
+            edges = by_week[week] = set()
+        edges.add(_edge(author, root_author))
     for key, n in (
         ("events_dropped_missing_root", missing_root),
         ("events_skipped_self_reply", self_reply),
@@ -111,15 +105,7 @@ def derive_comm_events(
     ):
         if n:
             diag.bump(key, n)
-    return events
-
-
-def weekly_edges(events: Iterable[CommEvent]) -> dict[int, frozenset[Edge]]:
-    """Each week's undirected edge set, from one pass over the events."""
-    by_week: dict[int, set[Edge]] = {}
-    for e in events:
-        by_week.setdefault(e.week_id, set()).add(_edge(e.sender, e.recipient))
-    return {week: frozenset(edges) for week, edges in by_week.items()}
+    return {week: frozenset(edges) for week, edges in by_week.items()}, replies
 
 
 def window_network(

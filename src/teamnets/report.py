@@ -1,10 +1,10 @@
 """Season-level orchestration: run every analysis and emit result tables.
 
-The pipeline parses all configured inputs, derives communication events,
-computes weekly STC scores and sprint censuses per team, correlates them
-with delivery outcomes, compares increasing- against decreasing-trend teams,
-flags anomalous teams, and can write everything as delimited tables or
-structured JSON. Output ordering is bit-stable: teams alphabetical, sprints
+The pipeline parses all configured inputs, groups each team's replies into
+weekly communication edges, computes weekly STC scores and sprint censuses
+per team, correlates them with delivery outcomes, compares increasing-
+against decreasing-trend teams, flags anomalous teams, and can write
+everything as delimited tables or structured JSON. Output ordering is bit-stable: teams alphabetical, sprints
 and weeks ascending, fixed float formatting.
 """
 
@@ -36,10 +36,8 @@ from .ingestion import (
     parse_work_logs,
 )
 from .network import (
-    CommEvent,
     CommunicationNetwork,
     WeeklyEdges,
-    derive_comm_events,
     weekly_edges,
     window_network,
 )
@@ -60,6 +58,7 @@ __all__ = [
     "run_pipeline",
     "detect_anomalies",
     "emit",
+    "write_table",
     "load_report",
 ]
 
@@ -144,10 +143,10 @@ def included_weeks(cal: SprintCalendar) -> tuple[int, ...]:
 
 def team_events(
     team: TeamConfig, config: PipelineConfig, diag: Diagnostics | None = None
-) -> tuple[MessageLog, list[CommEvent]]:
-    """Parse a team's chat export and derive its communication events."""
+) -> tuple[MessageLog, WeeklyEdges, int]:
+    """Parse a team's chat export; return it, its weekly edges and reply count."""
     log = parse_chat_export(team.chat_export, team.roster, config.excluded_handles, diag)
-    return log, derive_comm_events(log, team.roster, config.calendar, diag)
+    return (log, *weekly_edges(log, team.roster, config.calendar, diag))
 
 
 def team_stc(
@@ -247,7 +246,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         team = roster.team_id
         for person in roster.members:
             person_team[person] = team
-        weekly = weekly_edges(team_events(team_cfg, config, diag)[1])
+        weekly = team_events(team_cfg, config, diag)[1]
         stc_weekly[team] = team_stc(team_cfg, config, weekly, weeks, diag)
         sprint_censuses[team] = {}
         mean_weekly_census[team] = {}
@@ -579,6 +578,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def write_table(path: Path | str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A delimited table: the header, then one line per row, each float with
+    six decimals and each None blank."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
 def _cell_rows(cells: Iterable[CorrelationCell], extra: dict | None = None):
     for cell in cells:
         row = {
@@ -731,11 +739,7 @@ def emit(
         columns, rows = files[name]
         if format == "delimited-table":
             path = out / f"{name}.csv"
-            with path.open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(columns)
-                for row in rows:
-                    writer.writerow([_fmt(row[c]) for c in columns])
+            write_table(path, columns, ([row[c] for c in columns] for row in rows))
         else:
             path = out / f"{name}.json"
             path.write_text(

@@ -38,7 +38,6 @@ __all__ = [
     "coordination_requirements",
     "stc_scores",
     "weekly_team_scores",
-    "write_weekly_scores",
     "year_summary",
 ]
 
@@ -179,19 +178,6 @@ def weekly_team_scores(
         )
         _, out[week_id] = stc_scores(required, window_network(weekly, roster, (week_id,)))
     return out
-
-
-def write_weekly_scores(
-    scores_by_team: Mapping[str, Mapping[int, float | None]], path
-) -> None:
-    """Export weekly team scores as a delimited table: team, week, score-or-blank."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("team,week,stc_score\n")
-        for team in sorted(scores_by_team):
-            for week in sorted(scores_by_team[team]):
-                value = scores_by_team[team][week]
-                cell = f"{value:.6f}" if value is not None else ""
-                fh.write(f"{team},{week},{cell}\n")
 
 
 def year_summary(weekly: Mapping[int, float | None]) -> YearSummary:

@@ -5,7 +5,8 @@ package code it checks: quadrature instead of the incomplete beta function,
 direct pair counting instead of rank sums, chain enumeration and the matrix
 product instead of pair sets, numpy instead of the hand-rolled moment
 formulas, a message per kept record sorted by key instead of one pass over
-tuples.
+tuples, a tuple per reply grouped afterwards instead of one pass into weekly
+edge sets.
 """
 
 from __future__ import annotations
@@ -155,13 +156,39 @@ def coordination_requirements_oracle(
     )
 
 
+def comm_events_oracle(log, roster, cal, diagnostics=None):
+    """weekly_edges by the two-step route it replaced: a (sender, recipient,
+    week) tuple per counted reply, its week found by a scan of the calendar,
+    then the tuples grouped into each week's sorted pairs. Returns the weekly
+    edge sets and the tuples; the diagnostics counters are the same."""
+    diag = diagnostics if diagnostics is not None else Diagnostics()
+    author_of = {m.message_id: m.author for m in log.messages}
+    events = []
+    for m in log.messages:
+        if m.thread_root is None:
+            continue
+        if m.thread_root not in author_of:
+            diag.bump("events_dropped_missing_root")
+        elif author_of[m.thread_root] == m.author:
+            diag.bump("events_skipped_self_reply")
+        elif not {m.author, author_of[m.thread_root]} <= roster.members:
+            diag.bump("events_dropped_non_roster")
+        elif (week := assign_week_oracle(cal, m.timestamp)) is None:
+            diag.bump("events_dropped_out_of_calendar")
+        else:
+            events.append((m.author, author_of[m.thread_root], week))
+    weekly = {
+        week: window_edges_oracle(events, (week,)) for week in {w for _, _, w in events}
+    }
+    return weekly, events
+
+
 def window_edges_oracle(events, week_ids) -> frozenset[tuple[str, str]]:
-    """A window's edges by a scan of every event instead of per-week groups:
-    the sorted pairs of the events whose week lies in the window."""
+    """A window's edges by a scan of every (sender, recipient, week) reply
+    tuple instead of per-week groups: the sorted pairs of the replies whose
+    week lies in the window."""
     weeks = set(week_ids)
-    return frozenset(
-        tuple(sorted((e.sender, e.recipient))) for e in events if e.week_id in weeks
-    )
+    return frozenset(tuple(sorted((a, b))) for a, b, week in events if week in weeks)
 
 
 def assign_week_oracle(cal, ts) -> int | None:

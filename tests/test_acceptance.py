@@ -19,7 +19,7 @@ import pytest
 from teamnets.config import load_config
 from teamnets.ingestion import Commit, MergeRequest, RepoActivity, Roster, Sprint, \
     SprintCalendar, Week
-from teamnets.network import CommEvent, CommunicationNetwork, weekly_edges, window_network
+from teamnets.network import CommunicationNetwork, window_network
 from teamnets.report import (
     KIND_HIGH_STC_LOW_DELIVERY,
     KIND_LOW_STC_HIGH_PAIRING,
@@ -108,10 +108,10 @@ def _repo_from(mr_specs):
     return RepoActivity(commits=tuple(commits), merge_requests=tuple(mrs))
 
 
-def _week1_stc(repo, roster, cal, events):
+def _week1_stc(repo, roster, cal, edges):
     mrs = merge_requests_by_week(repo, cal, (1,))[1]
     required = coordination_requirements(mrs, {c.sha: c.author for c in repo.commits}, roster)
-    return stc_scores(required, window_network(weekly_edges(events), roster, (1,)))
+    return stc_scores(required, window_network({1: frozenset(edges)}, roster, (1,)))
 
 
 def test_criterion_3_stc_hand_fixture_and_oracle():
@@ -120,9 +120,7 @@ def test_criterion_3_stc_hand_fixture_and_oracle():
     repo = _repo_from(
         [("M1", ["shared.py"], ["P1", "P2"]), ("M2", ["shared.py"], ["P3"])]
     )
-    scores, team = _week1_stc(
-        repo, roster, cal, [CommEvent("P1", "P2", datetime(2023, 3, 7, tzinfo=timezone.utc), 1)]
-    )
+    scores, team = _week1_stc(repo, roster, cal, [("P1", "P2")])
     assert {s.person_id: s.value for s in scores} == {"P1": 0.5, "P2": 0.5, "P3": 0.0}
     assert team == 1 / 3
 
@@ -140,12 +138,12 @@ def test_criterion_3_stc_hand_fixture_and_oracle():
             mr_files[f"M{i}"] = files
         repo = _repo_from(mr_specs)
         team_roster = Roster(team_id="T", members=frozenset(people), identity_map={})
-        pairs, events = set(), []
+        pairs, edges = set(), []
         for a, b in combinations(sorted(people), 2):
             if rng.random() < 0.3:
                 pairs.add(frozenset((a, b)))
-                events.append(CommEvent(a, b, datetime(2023, 3, 7, tzinfo=timezone.utc), 1))
-        scores, team = _week1_stc(repo, team_roster, cal, events)
+                edges.append((a, b))
+        scores, team = _week1_stc(repo, team_roster, cal, edges)
         oracle_scores, oracle_team = stc_brute_force(sorted(people), mr_people, mr_files, pairs)
         assert {s.person_id: s.value for s in scores} == oracle_scores
         assert (team is None) == (oracle_team is None)

@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
 from teamnets.cli import main
 from teamnets.config import load_config
+from teamnets.ingestion import parse_chat_export
 from teamnets.report import load_report, run_pipeline
 
 
@@ -129,6 +132,13 @@ class TestValidate:
             (("options", "exclude_teams"), 7, "options.exclude_teams"),
             (("teams", 1, "members"), "b1b2b3b4", "team entry 1 'members'"),
             (("teams", 1, "team_id"), ["beta"], "team entry 1 'team_id'"),
+            (("teams", 1, "team_id"), "", "team entry 1 'team_id'"),
+            (("teams", 1, "team_id"), ".", "team entry 1 'team_id'"),
+            (("teams", 1, "team_id"), "..", "team entry 1 'team_id'"),
+            (("teams", 1, "team_id"), "be/ta", "team entry 1 'team_id'"),
+            (("teams", 1, "team_id"), "../x", "team entry 1 'team_id'"),
+            (("teams", 1, "team_id"), "be\\ta", "team entry 1 'team_id'"),
+            (("teams", 1, "team_id"), "be,ta", "team entry 1 'team_id'"),
             (("teams", 0, "chat_export"), 3, "team entry 0 'chat_export'"),
             (("excluded_handles",), "UBOT", "'excluded_handles'"),
             (("feedback",), ["feedback.csv"], "'feedback'"),
@@ -150,6 +160,13 @@ class TestValidate:
             "exclude_teams-int",
             "members-str",
             "team_id-list",
+            "team_id-empty",
+            "team_id-dot",
+            "team_id-dotdot",
+            "team_id-slash",
+            "team_id-parent",
+            "team_id-backslash",
+            "team_id-comma",
             "chat_export-int",
             "excluded_handles-str",
             "feedback-list",
@@ -194,6 +211,9 @@ class TestValidate:
                 "merge request entry 0 has invalid files entry ['x.py']",
             ),
             ("merge_requests", "files", "x.py", "merge request entry 0 has invalid files 'x.py'"),
+            ("merge_requests", "id", ["M1"], "merge request entry 0 has invalid id ['M1']"),
+            ("merge_requests", "id", {"id": "M1"}, "merge request entry 0 has invalid id {'id': 'M1'}"),
+            ("merge_requests", "id", True, "merge request entry 0 has invalid id True"),
         ],
         ids=[
             "commit_sha-list",
@@ -201,6 +221,9 @@ class TestValidate:
             "mr_commit-list",
             "mr_file-list",
             "mr_files-str",
+            "mr_id-list",
+            "mr_id-object",
+            "mr_id-bool",
         ],
     )
     def test_bad_repo_field_is_named_input_error(
@@ -356,3 +379,52 @@ class TestSubcommands:
 
     def test_missing_out_is_input_error(self, mini_dir):
         assert main(["stc", "--config", str(mini_dir / "config.json")]) == 2
+
+
+def test_second_reply_in_thread_and_week_changes_only_the_count(mini_dir, tmp_path, capsys):
+    """Edges are presence-only: a repeated reply leaves every report table as
+    it was and adds exactly one to validate's communication events."""
+    work = tmp_path / "mini"
+    shutil.copytree(mini_dir, work)
+    config = load_config(work / "config.json")
+    team = config.teams[0]
+    cal = config.calendar
+    log = parse_chat_export(team.chat_export, team.roster, config.excluded_handles)
+    author_of = {m.message_id: m.author for m in log.messages}
+    reply = next(
+        m
+        for m in log.messages
+        if m.thread_root in author_of
+        and author_of[m.thread_root] != m.author
+        and cal.assign_week(m.timestamp) is not None
+    )
+    channel, ts = reply.message_id.split("/")
+    for day in sorted((team.chat_export / channel).glob("*.json")):
+        entries = json.loads(day.read_text())
+        entry = next((e for e in entries if e["ts"] == ts), None)
+        if entry is not None:
+            break
+    new_ts = f"{float(ts) + 1:.4f}"
+    assert cal.assign_week(datetime.fromtimestamp(float(new_ts), timezone.utc)) == (
+        cal.assign_week(reply.timestamp)
+    )
+    assert all(e["ts"] != new_ts for e in entries)
+    day.write_text(json.dumps(entries + [dict(entry, ts=new_ts)]), encoding="utf-8")
+
+    def run(root):
+        capsys.readouterr()
+        assert main(["validate", "--config", str(root / "config.json")]) == 0
+        counts = dict(
+            re.match(r"team (\S+): .*, (\d+) communication events$", line).groups()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("team ")
+        )
+        out = tmp_path / f"out_{root.name}"
+        assert main(["report", "--config", str(root / "config.json"), "--out", str(out)]) == 0
+        return counts, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    before_counts, before_tables = run(mini_dir)
+    after_counts, after_tables = run(work)
+    assert after_tables == before_tables
+    assert int(after_counts.pop(team.team_id)) == int(before_counts.pop(team.team_id)) + 1
+    assert after_counts == before_counts

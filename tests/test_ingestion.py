@@ -500,6 +500,15 @@ class TestRepoParser:
         assert len(repo.merge_requests) == 1
         assert repo.merge_requests[0].commit_shas == frozenset({"c1", "c2"})
 
+    def test_integer_id_named_by_digits(self, tmp_path, two_person_roster):
+        mr = {"id": 7, "created_at": "2023-03-07T10:00:00Z", "commits": [], "files": []}
+        path = tmp_path / "repo.json"
+        path.write_text(json.dumps({"commits": [], "merge_requests": [mr, dict(mr, id="7")]}))
+        with pytest.raises(ValidationError, match="duplicate merge request id 7"):
+            parse_repo_activity(path, two_person_roster)
+        path.write_text(json.dumps({"commits": [], "merge_requests": [mr]}))
+        assert parse_repo_activity(path, two_person_roster).merge_requests[0].mr_id == "7"
+
     def test_not_utf8_is_input_error(self, tmp_path, two_person_roster):
         path = tmp_path / "repo.json"
         path.write_bytes(b"\xff\xfe" + json.dumps({"commits": [], "merge_requests": []}).encode())

@@ -12,18 +12,18 @@ from teamnets.ingestion import (
     Message,
     MessageLog,
     Roster,
+    Sprint,
+    SprintCalendar,
     parse_chat_export,
 )
 from teamnets.network import (
-    CommEvent,
     CommunicationNetwork,
-    derive_comm_events,
     weekly_edges,
     window_network,
     write_edge_list,
 )
 
-from oracles import window_edges_oracle
+from oracles import comm_events_oracle, window_edges_oracle
 
 
 def ts(day, hour=12):
@@ -46,6 +46,20 @@ def cal(team7_config):
     return team7_config.calendar
 
 
+def log_of(*replies):
+    """A log with one thread per (sender, recipient, when): the recipient's
+    root message and the sender's reply to it."""
+    messages = []
+    for i, (sender, recipient, when) in enumerate(replies):
+        messages += [msg(f"r{i}", recipient, when), msg(f"m{i}", sender, when, root=f"r{i}")]
+    return MessageLog(messages=tuple(messages))
+
+
+def team7_log(config):
+    team = config.teams[0]
+    return parse_chat_export(team.chat_export, team.roster, config.excluded_handles)
+
+
 class TestDeriveEvents:
     def test_two_replies_two_events(self, roster, cal):
         log = MessageLog(
@@ -55,15 +69,15 @@ class TestDeriveEvents:
                 msg("m3", "A", ts(6, 14), root="m1"),
             )
         )
-        events = derive_comm_events(log, roster, cal)
-        assert [(e.sender, e.recipient) for e in events] == [("A", "B"), ("A", "B")]
-        assert all(e.week_id == 1 for e in events)
+        assert weekly_edges(log, roster, cal) == ({1: frozenset({("A", "B")})}, 2)
 
     def test_self_reply_no_event(self, roster, cal):
+        diag = Diagnostics()
         log = MessageLog(
             messages=(msg("m1", "A", ts(6)), msg("m2", "A", ts(6, 13), root="m1"))
         )
-        assert derive_comm_events(log, roster, cal) == []
+        assert weekly_edges(log, roster, cal, diag) == ({}, 0)
+        assert dict(diag.counts) == {"events_skipped_self_reply": 1}
 
     def test_out_of_calendar_dropped(self, roster, cal):
         diag = Diagnostics()
@@ -73,71 +87,78 @@ class TestDeriveEvents:
                 msg("m2", "A", ts(28), root="m1"),  # falls in the mid-season gap
             )
         )
-        assert derive_comm_events(log, roster, cal, diag) == []
-        assert diag.counts["events_dropped_out_of_calendar"] == 1
+        assert weekly_edges(log, roster, cal, diag) == ({}, 0)
+        assert dict(diag.counts) == {"events_dropped_out_of_calendar": 1}
 
     def test_fixture_event_count(self, team7_config, team7_dir):
         manifest = json.loads((team7_dir / "manifest.json").read_text())
         team = team7_config.teams[0]
-        log = parse_chat_export(team.chat_export, team.roster, team7_config.excluded_handles)
-        events = derive_comm_events(log, team.roster, team7_config.calendar)
-        assert len(events) == manifest["cross_person_replies"] == 37
-        per_week = Counter(e.week_id for e in events)
+        cal = team7_config.calendar
+        log = team7_log(team7_config)
+        weekly, replies = weekly_edges(log, team.roster, cal)
+        oracle_weekly, events = comm_events_oracle(log, team.roster, cal)
+        assert replies == len(events) == manifest["cross_person_replies"] == 37
+        assert weekly == oracle_weekly
+        per_week = Counter(week for _, _, week in events)
         assert {str(k): v for k, v in per_week.items()} == manifest["cross_replies_per_week"]
-        # partition property: week buckets sum to the in-calendar total
-        assert sum(per_week.values()) == len(events)
+        # partition property: a one-week calendar counts exactly that week's replies
+        for week in cal.weeks:
+            one_week = SprintCalendar(weeks=(week,), sprints=(Sprint(1, (week.week_id,)),))
+            assert weekly_edges(log, team.roster, one_week)[1] == per_week[week.week_id]
 
 
-def week_network(events, roster, week_id):
-    return window_network(weekly_edges(events), roster, (week_id,))
+def week_network(replies, roster, cal, week_id):
+    return window_network(weekly_edges(log_of(*replies), roster, cal)[0], roster, (week_id,))
 
 
 class TestBuildNetwork:
-    def test_single_event_single_edge(self, roster):
-        events = [CommEvent("A", "B", ts(13), 2)]
-        net = week_network(events, roster, 2)
+    def test_single_event_single_edge(self, roster, cal):
+        net = week_network([("A", "B", ts(13))], roster, cal, 2)
         assert net.edges == frozenset({("A", "B")})
         assert net.roster == ("A", "B", "C", "D")
 
-    def test_symmetrization_idempotent(self, roster):
-        forward = [CommEvent("A", "B", ts(13), 2)]
-        both = forward + [CommEvent("B", "A", ts(13, 14), 2)]
-        assert week_network(forward, roster, 2).edges == week_network(both, roster, 2).edges
+    def test_symmetrization_idempotent(self, roster, cal):
+        forward = [("A", "B", ts(13))]
+        both = forward + [("B", "A", ts(13, 14))]
+        assert (
+            week_network(forward, roster, cal, 2).edges
+            == week_network(both, roster, cal, 2).edges
+        )
 
-    def test_monotone_under_added_events(self, roster):
-        base = [CommEvent("A", "B", ts(13), 2)]
-        more = base + [CommEvent("C", "D", ts(13, 15), 2)]
-        assert week_network(base, roster, 2).edges <= week_network(more, roster, 2).edges
+    def test_monotone_under_added_events(self, roster, cal):
+        base = [("A", "B", ts(13))]
+        more = base + [("C", "D", ts(13, 15))]
+        assert week_network(base, roster, cal, 2).edges <= week_network(more, roster, cal, 2).edges
 
-    def test_window_filters_weeks(self, roster):
-        events = [CommEvent("A", "B", ts(13), 2), CommEvent("C", "D", ts(20), 3)]
-        assert weekly_edges(events) == {2: {("A", "B")}, 3: {("C", "D")}}
-        net = week_network(events, roster, 2)
-        assert net.edges == frozenset({("A", "B")})
+    def test_window_filters_weeks(self, roster, cal):
+        replies = [("A", "B", ts(13)), ("C", "D", ts(20))]
+        weekly, count = weekly_edges(log_of(*replies), roster, cal)
+        assert (weekly, count) == ({2: {("A", "B")}, 3: {("C", "D")}}, 2)
+        assert week_network(replies, roster, cal, 2).edges == frozenset({("A", "B")})
 
-    def test_figure_network_from_events(self, roster):
-        events = [
-            CommEvent("C", "A", ts(13), 2),
-            CommEvent("D", "A", ts(13, 13), 2),
-            CommEvent("D", "C", ts(13, 14), 2),
-            CommEvent("D", "B", ts(13, 15), 2),
+    def test_figure_network_from_events(self, roster, cal):
+        replies = [
+            ("C", "A", ts(13)),
+            ("D", "A", ts(13, 13)),
+            ("D", "C", ts(13, 14)),
+            ("D", "B", ts(13, 15)),
         ]
-        net = week_network(events, roster, 2)
+        net = week_network(replies, roster, cal, 2)
         assert net.n == 4
         assert net.edges == frozenset({("A", "C"), ("A", "D"), ("C", "D"), ("B", "D")})
 
     def test_sprint_equals_union_of_weeks(self, team7_config):
         team = team7_config.teams[0]
         cal = team7_config.calendar
-        log = parse_chat_export(team.chat_export, team.roster, team7_config.excluded_handles)
-        events = derive_comm_events(log, team.roster, cal)
-        weekly = weekly_edges(events)
+        log = team7_log(team7_config)
+        weekly, _ = weekly_edges(log, team.roster, cal)
+        _, events = comm_events_oracle(log, team.roster, cal)
         sprint_net = window_network(weekly, team.roster, cal.sprint_weeks(2))
         assert sprint_net.edges == weekly[2] | weekly[3]
         assert sprint_net.edges == window_edges_oracle(events, (2, 3))
 
-    def test_isolates_stay_in_roster(self, roster):
-        net = week_network([], roster, 2)
+    def test_isolates_stay_in_roster(self, roster, cal):
+        net = week_network([], roster, cal, 2)
         assert net.roster == ("A", "B", "C", "D")
         assert net.edges == frozenset()
 
@@ -155,36 +176,38 @@ class TestNetworkValidation:
 class TestActualCoordination:
     """STC's actual coordination is the week's network."""
 
-    def test_single_event(self, roster):
-        net = week_network([CommEvent("A", "B", ts(13), 2)], roster, 2)
+    def test_single_event(self, roster, cal):
+        net = week_network([("A", "B", ts(13))], roster, cal, 2)
         assert net.edges == frozenset({("A", "B")})
         assert net.has_edge("B", "A")
 
-    def test_no_events_zero_matrix(self, roster):
-        assert weekly_edges([]) == {}
-        assert not week_network([], roster, 2).edges
+    def test_no_events_zero_matrix(self, roster, cal):
+        assert weekly_edges(MessageLog(messages=()), roster, cal) == ({}, 0)
+        assert not week_network([], roster, cal, 2).edges
 
     def test_fixture_week3_pairs(self, team7_config, team7_dir):
         manifest = json.loads((team7_dir / "manifest.json").read_text())
         team = team7_config.teams[0]
-        log = parse_chat_export(team.chat_export, team.roster, team7_config.excluded_handles)
-        events = derive_comm_events(log, team.roster, team7_config.calendar)
-        net = week_network(events, team.roster, 3)
-        assert sorted(f"{a},{b}" for a, b in net.edges) == manifest["week3_pairs"]
-        assert len(net.edges) == 3
+        cal = team7_config.calendar
+        log = team7_log(team7_config)
+        _, events = comm_events_oracle(log, team.roster, cal)
+        for edges in (
+            window_network(weekly_edges(log, team.roster, cal)[0], team.roster, (3,)).edges,
+            window_edges_oracle(events, (3,)),
+        ):
+            assert sorted(f"{a},{b}" for a, b in edges) == manifest["week3_pairs"]
+            assert len(edges) == 3
 
 
 class TestEdgeList:
-    def test_lexicographic_lines(self, roster, tmp_path):
-        net = week_network(
-            [CommEvent("D", "B", ts(13), 2), CommEvent("A", "C", ts(13, 13), 2)], roster, 2
-        )
+    def test_lexicographic_lines(self, roster, cal, tmp_path):
+        net = week_network([("D", "B", ts(13)), ("A", "C", ts(13, 13))], roster, cal, 2)
         path = tmp_path / "edges.tsv"
         write_edge_list(net, path)
         assert path.read_text() == "A\tC\nB\tD\n"
 
-    def test_empty_network_empty_file(self, roster, tmp_path):
-        net = week_network([], roster, 2)
+    def test_empty_network_empty_file(self, roster, cal, tmp_path):
+        net = week_network([], roster, cal, 2)
         path = tmp_path / "edges.tsv"
         write_edge_list(net, path)
         assert path.read_text() == ""

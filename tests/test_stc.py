@@ -19,19 +19,13 @@ from teamnets.ingestion import (
     parse_chat_export,
     parse_repo_activity,
 )
-from teamnets.network import (
-    CommEvent,
-    CommunicationNetwork,
-    derive_comm_events,
-    weekly_edges,
-    window_network,
-)
+from teamnets.cli import main
+from teamnets.network import CommunicationNetwork, weekly_edges, window_network
 from teamnets.stc import (
     coordination_requirements,
     merge_requests_by_week,
     stc_scores,
     weekly_team_scores,
-    write_weekly_scores,
     year_summary,
 )
 
@@ -89,8 +83,12 @@ def required_of(repo, roster, week, cal, include_self_dependency=True, extra_mrs
     return coordination_requirements(mrs, commit_author, roster, include_self_dependency)
 
 
-def week_net(events, roster, week=1):
-    return window_network(weekly_edges(events), roster, (week,))
+def team7_weekly(config):
+    """The team7 fixture's repo activity and weekly communication edges."""
+    team = config.teams[0]
+    repo = parse_repo_activity(team.repo_activity, team.roster)
+    log = parse_chat_export(team.chat_export, team.roster, config.excluded_handles)
+    return repo, weekly_edges(log, team.roster, config.calendar)[0]
 
 
 def partners(required, person):
@@ -305,11 +303,9 @@ class TestScores:
     def test_fixture_week3_scores(self, team7_config):
         team = team7_config.teams[0]
         cal = team7_config.calendar
-        repo = parse_repo_activity(team.repo_activity, team.roster)
-        log = parse_chat_export(team.chat_export, team.roster, team7_config.excluded_handles)
-        events = derive_comm_events(log, team.roster, cal)
+        repo, weekly = team7_weekly(team7_config)
         required = required_of(repo, team.roster, 3, cal)
-        scores, team_score = stc_scores(required, week_net(events, team.roster, 3))
+        scores, team_score = stc_scores(required, window_network(weekly, team.roster, (3,)))
         by_person = {s.person_id: s.value for s in scores}
         assert by_person["p1"] == pytest.approx(2 / 3)
         assert by_person["p2"] == pytest.approx(1 / 3)
@@ -337,20 +333,17 @@ class TestProperties:
             mrs.append((name, sorted(files), {a: 1 for a in authors}))
         repo = make_repo(mrs)
         pairs = set()
-        events = []
-        start = utc(2023, 3, 6, 12)
         for a in people:
             for b in people:
                 if a < b and rng.random() < 0.3:
                     pairs.add(frozenset((a, b)))
-                    events.append(CommEvent(a, b, start, 1))
-        return people, repo, mr_people, mr_files, pairs, events
+        return people, repo, mr_people, mr_files, pairs
 
     def test_matrix_pipeline_equals_chain_enumeration(self):
         rng = random.Random(77)
         cal = one_week_calendar()
         for _ in range(100):
-            people, repo, mr_people, mr_files, pairs, events = self._random_instance(rng)
+            people, repo, mr_people, mr_files, pairs = self._random_instance(rng)
             roster = roster_of(*people)
             commit_author = {c.sha: c.author for c in repo.commits}
             mrs = week_mrs(repo, cal, 1)
@@ -359,7 +352,7 @@ class TestProperties:
                 assert required == coordination_requirements_oracle(
                     mrs, commit_author, roster, self_dependency
                 )
-                scores, team = stc_scores(required, week_net(events, roster))
+                scores, team = stc_scores(required, net_of(people, pairs))
                 oracle_scores, oracle_team = stc_brute_force(
                     sorted(people), mr_people, mr_files, pairs, self_dependency
                 )
@@ -373,14 +366,12 @@ class TestProperties:
         rng = random.Random(31)
         cal = one_week_calendar()
         for _ in range(30):
-            people, repo, _, _, _, events = self._random_instance(rng)
+            people, repo, _, _, pairs = self._random_instance(rng)
             roster = roster_of(*people)
             required = required_of(repo, roster, 1, cal)
-            base_scores, base_team = stc_scores(required, week_net(events, roster))
-            extra = events + [
-                CommEvent(people[0], people[-1], utc(2023, 3, 7), 1)
-            ] if len(people) > 1 else events
-            more_scores, more_team = stc_scores(required, week_net(extra, roster))
+            base_scores, base_team = stc_scores(required, net_of(people, pairs))
+            extra = pairs | {frozenset((people[0], people[-1]))} if len(people) > 1 else pairs
+            more_scores, more_team = stc_scores(required, net_of(people, extra))
             for b, m in zip(base_scores, more_scores):
                 if b.value is not None:
                     assert m.value is not None and m.value >= b.value
@@ -391,9 +382,9 @@ class TestProperties:
         rng = random.Random(13)
         cal = one_week_calendar()
         for _ in range(30):
-            people, repo, _, _, _, events = self._random_instance(rng)
+            people, repo, _, _, pairs = self._random_instance(rng)
             roster = roster_of(*people)
-            scores, team = stc_scores(required_of(repo, roster, 1, cal), week_net(events, roster))
+            scores, team = stc_scores(required_of(repo, roster, 1, cal), net_of(people, pairs))
             for s in scores:
                 if s.value is not None:
                     assert 0.0 <= s.value <= 1.0
@@ -404,11 +395,8 @@ class TestProperties:
 class TestWeeklyAndYear:
     def test_weekly_scores_fixture(self, team7_config):
         team = team7_config.teams[0]
-        cal = team7_config.calendar
-        repo = parse_repo_activity(team.repo_activity, team.roster)
-        log = parse_chat_export(team.chat_export, team.roster, team7_config.excluded_handles)
-        events = derive_comm_events(log, team.roster, cal)
-        weekly = weekly_team_scores(repo, weekly_edges(events), team.roster, cal)
+        repo, edges = team7_weekly(team7_config)
+        weekly = weekly_team_scores(repo, edges, team.roster, team7_config.calendar)
         assert set(weekly) == {1, 2, 3, 4}
         assert weekly[3] == pytest.approx(1 / 3)
         for value in weekly.values():
@@ -445,17 +433,19 @@ class TestWeeklyAndYear:
 
     def test_mean_against_fraction_oracle(self, team7_config):
         team = team7_config.teams[0]
-        cal = team7_config.calendar
-        repo = parse_repo_activity(team.repo_activity, team.roster)
-        log = parse_chat_export(team.chat_export, team.roster, team7_config.excluded_handles)
-        events = derive_comm_events(log, team.roster, cal)
-        weekly = weekly_team_scores(repo, weekly_edges(events), team.roster, cal)
+        repo, edges = team7_weekly(team7_config)
+        weekly = weekly_team_scores(repo, edges, team.roster, team7_config.calendar)
         summary = year_summary(weekly)
         defined = [v for v in weekly.values() if v is not None]
         oracle = sum(Fraction(v).limit_denominator(10**9) for v in defined) / len(defined)
         assert summary.mean_stc == pytest.approx(float(oracle), abs=1e-12)
 
-    def test_write_weekly_scores(self, tmp_path):
-        path = tmp_path / "stc.csv"
-        write_weekly_scores({"B": {2: None, 1: 0.5}, "A": {1: 1.0}}, path)
-        assert path.read_text() == "team,week,stc_score\nA,1,1.000000\nB,1,0.500000\nB,2,\n"
+    def test_write_weekly_scores(self, mini_dir, tmp_path):
+        """The stc subcommand writes teams and weeks in order, undefined scores blank."""
+        out = tmp_path / "out"
+        assert main(["stc", "--config", str(mini_dir / "config.json"), "--out", str(out)]) == 0
+        assert (out / "stc_weekly.csv").read_text() == (
+            "team,week,stc_score\n"
+            "alpha,3,0.666667\nalpha,4,1.000000\nalpha,5,\nalpha,6,1.000000\n"
+            "beta,3,1.000000\nbeta,4,0.500000\nbeta,5,\nbeta,6,0.250000\n"
+        )

@@ -1,10 +1,11 @@
 """Property tests: windows built from the per-week groups equal a full rescan.
 
-Events are grouped into per-week edge sets and merge requests into per-week
+Replies are grouped into per-week edge sets and merge requests into per-week
 lists once per team. Over random rosters, calendars (with break gaps),
-events and merge requests, every week and sprint network built from the
-groups must equal the scan oracle, and the weekly STC scores must equal the
-brute-force chain enumeration.
+message logs and merge requests, the weekly edge sets, reply count and
+counters must equal the two-step oracle, every week and sprint network built
+from the groups must equal the scan oracle, and the weekly STC scores must
+equal the brute-force chain enumeration.
 """
 
 from __future__ import annotations
@@ -19,16 +20,18 @@ from teamnets.ingestion import (
     Commit,
     Diagnostics,
     MergeRequest,
+    Message,
+    MessageLog,
     RepoActivity,
     Roster,
     Sprint,
     SprintCalendar,
     Week,
 )
-from teamnets.network import CommEvent, weekly_edges, window_network
+from teamnets.network import weekly_edges, window_network
 from teamnets.stc import weekly_team_scores
 
-from oracles import stc_brute_force, window_edges_oracle
+from oracles import comm_events_oracle, stc_brute_force, window_edges_oracle
 
 SEASON_START = datetime(2024, 1, 1, tzinfo=timezone.utc)
 FILES = ("a.py", "b.py", "c.py", "d.py")
@@ -51,19 +54,34 @@ def seasons(draw):
     cal = SprintCalendar(weeks=tuple(weeks), sprints=tuple(sprints))
 
     person = st.sampled_from(people)
-    pairs = st.tuples(person, person).filter(lambda p: p[0] != p[1])
-    events = [
-        CommEvent(a, b, weeks[w - 1].start, w)
-        for (a, b), w in draw(
-            st.lists(st.tuples(pairs, st.integers(1, len(weeks))), max_size=30)
-        )
-    ]
-
     span_hours = int((start - SEASON_START).total_seconds() // 3600)
+    hours = st.integers(-48, span_hours + 48)  # some fall outside the calendar
+
+    # Replies name an earlier or later message, or a missing one ("gone"), so
+    # the log holds self-replies and, through "outsider", authors off the
+    # roster. Messages share a few send hours, so pairs repeat within a week.
+    n_messages = draw(st.integers(0, 30))
+    roots = st.none() | st.just("gone")
+    if n_messages:
+        message_ref = st.integers(0, n_messages - 1).map(lambda i: f"m{i}")
+        roots |= message_ref | message_ref  # as likely as the other two together
+    send_hours = st.sampled_from(draw(st.lists(hours, min_size=1, max_size=4)))
+    messages = tuple(
+        Message(
+            message_id=f"m{i}",
+            channel_id="general",
+            author=draw(st.sampled_from(people + ("outsider",))),
+            timestamp=SEASON_START + timedelta(hours=draw(send_hours)),
+            thread_root=draw(roots),
+        )
+        for i in range(n_messages)
+    )
+    log = MessageLog(messages=messages)
+
     mr_specs = draw(
         st.lists(
             st.tuples(
-                st.integers(-48, span_hours + 48),  # some fall outside the calendar
+                hours,
                 st.sets(person, min_size=1, max_size=3),
                 st.frozensets(st.sampled_from(FILES), max_size=3),  # sometimes empty
             ),
@@ -83,14 +101,28 @@ def seasons(draw):
     scored = draw(st.sets(st.sampled_from([s.sprint_id for s in sprints])))
     week_ids = tuple(w for s in sprints if s.sprint_id in scored for w in s.week_ids)
     roster = Roster(team_id="T", members=frozenset(people), identity_map={})
-    return roster, cal, events, repo, week_ids
+    return roster, cal, log, repo, week_ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(seasons())
+def test_weekly_edges_equal_oracle(season):
+    roster, cal, log, _, _ = season
+    diag, oracle_diag = Diagnostics(), Diagnostics()
+    weekly, replies = weekly_edges(log, roster, cal, diag)
+    oracle_weekly, events = comm_events_oracle(log, roster, cal, oracle_diag)
+    assert weekly == oracle_weekly
+    assert replies == len(events)
+    # Counter equality ignores zero keys; a dict shows a counter added as 0
+    assert dict(diag.counts) == dict(oracle_diag.counts)
 
 
 @settings(max_examples=100, deadline=None)
 @given(seasons())
 def test_windows_from_weekly_groups_equal_scan(season):
-    roster, cal, events, _, _ = season
-    weekly = weekly_edges(events)
+    roster, cal, log, _, _ = season
+    weekly, _ = weekly_edges(log, roster, cal)
+    _, events = comm_events_oracle(log, roster, cal)
     windows = [(w,) for w in cal.week_ids()] + [s.week_ids for s in cal.sprints]
     for week_ids in windows:
         net = window_network(weekly, roster, week_ids)
@@ -101,9 +133,11 @@ def test_windows_from_weekly_groups_equal_scan(season):
 @settings(max_examples=100, deadline=None)
 @given(seasons())
 def test_weekly_scores_equal_brute_force(season):
-    roster, cal, events, repo, week_ids = season
+    roster, cal, log, repo, week_ids = season
+    _, events = comm_events_oracle(log, roster, cal)
     diag = Diagnostics()
-    got = weekly_team_scores(repo, weekly_edges(events), roster, cal, week_ids, diagnostics=diag)
+    weekly, _ = weekly_edges(log, roster, cal)
+    got = weekly_team_scores(repo, weekly, roster, cal, week_ids, diagnostics=diag)
 
     author = {c.sha: c.author for c in repo.commits}
     expected, empty = {}, 0
