@@ -9,13 +9,14 @@ depend on each other, actual coordination from the week's network of
 threaded chat replies, and finally per-person scores.
 """
 
+import json
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 from teamnets import (
     Commit,
     MergeRequest,
-    Message,
-    MessageLog,
     RepoActivity,
     Roster,
     Sprint,
@@ -23,8 +24,8 @@ from teamnets import (
     Week,
     coordination_requirements,
     merge_requests_by_week,
+    parse_chat_edges,
     stc_scores,
-    weekly_edges,
     window_network,
 )
 
@@ -33,7 +34,11 @@ cal = SprintCalendar(
     weeks=(Week(1, start, start + timedelta(days=7)),),
     sprints=(Sprint(1, (1,)),),
 )
-roster = Roster(team_id="demo", members=frozenset({"ana", "ben", "cal"}), identity_map={})
+roster = Roster(
+    team_id="demo",
+    members=frozenset({"ana", "ben", "cal"}),
+    identity_map={"U_ANA": "ana", "U_BEN": "ben", "U_CAL": "cal"},  # chat handle -> person
+)
 
 # ana and ben committed to MR-1; cal committed to MR-2; both MRs touch api.py
 repo = RepoActivity(
@@ -71,12 +76,19 @@ print("\nstep 3, coordination requirements (pairs of people who must coordinate)
 for a, b in sorted(required):
     print(f"    {a} -- {b}")
 
-# step 4: only ana and ben actually talked (ben replied in ana's thread)
-log = MessageLog(messages=(
-    Message("general/1", "general", "ana", start + timedelta(hours=6)),
-    Message("general/2", "general", "ben", start + timedelta(hours=7), thread_root="general/1"),
-))
-weekly, _ = weekly_edges(log, roster, cal)  # and the number of replies counted
+# step 4: only ana and ben actually talked (ben replied in ana's thread), as
+# a chat export holds it: one JSON array of messages per channel and day
+root_ts = str((start + timedelta(hours=6)).timestamp())
+day = [
+    {"user": "U_ANA", "ts": root_ts},
+    {"user": "U_BEN", "ts": str((start + timedelta(hours=7)).timestamp()), "thread_ts": root_ts},
+]
+with tempfile.TemporaryDirectory() as export:
+    day_file = Path(export) / "general" / "2023-03-06.json"
+    day_file.parent.mkdir()
+    day_file.write_text(json.dumps(day), encoding="utf-8")
+    # also the number of kept messages and of replies counted
+    weekly, _, _ = parse_chat_edges(export, roster, cal)
 net = window_network(weekly, roster, (1,))
 print("\nstep 4, actual coordination (the week's network of threaded replies):")
 for a, b in sorted(net.edges):

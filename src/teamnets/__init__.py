@@ -8,15 +8,13 @@ from .ingestion import (
     Diagnostics,
     FeedbackRecord,
     MergeRequest,
-    Message,
-    MessageLog,
     OutcomeRecord,
     RepoActivity,
     Roster,
     Sprint,
     SprintCalendar,
     Week,
-    parse_chat_export,
+    parse_chat_edges,
     parse_feedback,
     parse_outcomes,
     parse_repo_activity,
@@ -24,7 +22,6 @@ from .ingestion import (
 )
 from .network import (
     CommunicationNetwork,
-    weekly_edges,
     window_network,
     write_edge_list,
 )

@@ -9,8 +9,9 @@ Subcommands::
     teamnets report    --config cfg.json --out out/ [--format ...]
                        [--exclude-teams a,b] [--exclude-sprints 1]
 
-Exit codes: 0 success, 1 validation failure, 2 input error, 3 internal error
-(an unexpected exception; its traceback goes to stderr).
+Exit codes: 0 success, 1 validation failure, 2 input error (also an input or
+output path the system cannot use), 3 internal error (an unexpected
+exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -107,10 +108,10 @@ def _cmd_validate(config: PipelineConfig) -> int:
     for team_cfg in config.teams:
         team = team_cfg.team_id
         try:
-            log, _, replies = team_events(team_cfg, config, diag)
+            _, kept, replies = team_events(team_cfg, config, diag)
             repo = parse_repo_activity(team_cfg.repo_activity, team_cfg.roster, diag)
             print(
-                f"team {team}: {len(log.messages)} messages, "
+                f"team {team}: {kept} messages, "
                 f"{len(repo.commits)} commits, {len(repo.merge_requests)} merge requests, "
                 f"{replies} communication events"
             )
@@ -135,7 +136,7 @@ def _cmd_stc(config: PipelineConfig, out: Path) -> int:
     weeks = included_weeks(config.calendar)
     rows = []
     for team_cfg in config.teams:
-        scores = team_stc(team_cfg, config, team_events(team_cfg, config)[1], weeks)
+        scores = team_stc(team_cfg, config, team_events(team_cfg, config)[0], weeks)
         rows.extend((team_cfg.team_id, week, score) for week, score in sorted(scores.items()))
     path = out / "stc_weekly.csv"
     write_table(path, ("team", "week", "stc_score"), rows)
@@ -149,7 +150,7 @@ def _cmd_census(config: PipelineConfig, out: Path) -> int:
     rows = []
     for team_cfg in config.teams:
         team = team_cfg.team_id
-        weekly = team_events(team_cfg, config)[1]
+        weekly = team_events(team_cfg, config)[0]
         for sprint in cal.included_sprints():
             net, census = sprint_census(weekly, team_cfg.roster, cal, sprint)
             write_edge_list(net, out / f"edges_{team}_sprint{sprint}.tsv")
@@ -190,6 +191,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a path the input names or the output needs is unusable
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         # Any other exception is a fault in teamnets, not in its input: its own
         # exit code keeps it apart from a validation failure.

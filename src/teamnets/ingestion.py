@@ -32,8 +32,10 @@ half-open intervals [start, end). Messages from handles outside a team's
 identity map (instructors, bots) are dropped and counted in diagnostics
 rather than failing the parse.
 
-Parsing is pure per input file and the resulting records are immutable, so
-per-team inputs can safely be parsed concurrently.
+A chat export is read straight into what both measures use of it: each
+calendar week's set of reply edges (``parse_chat_edges``). The other inputs
+become immutable records. Parsing is pure per input, so per-team inputs can
+safely be parsed concurrently.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import bisect
 import csv
 import json
 import logging
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -259,20 +262,6 @@ class Roster:
 
 
 @dataclass(frozen=True)
-class Message:
-    message_id: str
-    channel_id: str
-    author: str  # person_id
-    timestamp: datetime
-    thread_root: str | None = None
-
-
-@dataclass(frozen=True)
-class MessageLog:
-    messages: tuple[Message, ...]
-
-
-@dataclass(frozen=True)
 class Commit:
     sha: str
     author: str  # person_id
@@ -351,22 +340,27 @@ def _listdir(path: str) -> list[str]:
         raise InputError(f"{path}: cannot read: {exc}") from None
 
 
-def parse_chat_export(
+def parse_chat_edges(
     export_root: Path | str,
     roster: Roster,
+    cal: SprintCalendar,
     excluded_handles: Iterable[str] = (),
     diagnostics: Diagnostics | None = None,
-) -> MessageLog:
-    """Parse a chat workspace export tree into a MessageLog.
+) -> tuple[dict[int, frozenset[tuple[str, str]]], int, int]:
+    """Each week's reply edges of a chat workspace export tree, in one walk.
 
     Walks every channel directory and day file, maps raw handles through the
     roster's identity map, and resolves thread roots across the whole
     channel. Bot/app messages, excluded subtypes, and unknown handles are
-    dropped with diagnostics. Replies whose thread root was itself dropped
-    are kept as plain messages (their root author is not a team member, so
-    they carry no reply relation). Messages are ordered by (timestamp,
-    message_id). The diagnostics counters are updated also when the parse
-    raises, with the counts reached by then.
+    dropped with diagnostics. A reply joins its author and its thread root's
+    author, as a pair sorted by name, in the calendar week it was sent.
+    Replies to a dropped root, self-replies and replies outside every week
+    make no edge; each rule is counted. A reply that predates its root is a
+    validation error naming the least (timestamp, message_id) such reply.
+
+    Returns the edge sets by week id, the number of kept messages and the
+    number of replies that made an edge. The counters of the walk are
+    updated also when the parse raises, with the counts reached by then.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     root = Path(export_root)
@@ -376,10 +370,11 @@ def parse_chat_export(
     person_of = roster.identity_map.get
     fromtimestamp = datetime.fromtimestamp
     utc = timezone.utc
-    # message_id -> timestamp of every kept message: the duplicate-ts check,
-    # the dropped-root rule and the thread-order check all read it.
-    time_of: dict[str, datetime] = {}
-    rows: list[tuple[datetime, str, str, str, str | None]] = []
+    # message_id -> (timestamp, author) of every kept message: the
+    # duplicate-ts check, the dropped-root rule, the thread-order check and
+    # each reply's week and edge all read it.
+    kept: dict[str, tuple[datetime, str]] = {}
+    threaded: list[tuple[str, str]] = []  # (reply id, thread root id)
     seen = dropped_subtype = dropped_excluded = dropped_unknown = dropped_root = 0
     try:
         for channel in _listdir(str(root)):
@@ -425,7 +420,7 @@ def parse_chat_export(
                             f"{day_file}: entry {i} has invalid ts {ts_raw!r}"
                         ) from None
                     mid = f"{channel}/{ts_raw}"
-                    if mid in time_of:
+                    if mid in kept:
                         raise ValidationError(
                             f"{day_file}: entry {i} has duplicate ts {ts_raw!r}"
                         )
@@ -434,31 +429,47 @@ def parse_chat_export(
                         raise InputError(
                             f"{day_file}: entry {i} has invalid thread_ts {thread_ts!r}"
                         )
-                    # Messages are named by text, so a root may spell its own
-                    # thread_ts as a number where its ts is a string.
-                    thread_ref = f"{channel}/{thread_ts}" if thread_ts else None
-                    if thread_ref == mid:
-                        thread_ref = None
-                    rows.append((ts, mid, channel, person, thread_ref))
-                    time_of[mid] = ts
+                    kept[mid] = (ts, person)
+                    if thread_ts:
+                        # Messages are named by text, so a root may spell its
+                        # own thread_ts as a number where its ts is a string.
+                        thread_ref = f"{channel}/{thread_ts}"
+                        if thread_ref != mid:
+                            threaded.append((mid, thread_ref))
 
-        # message_id is unique, so the tuples never compare past it.
-        rows.sort()
-        messages: list[Message] = []
-        late: str | None = None
-        for ts, mid, channel, person, thread_ref in rows:
-            if thread_ref is not None:
-                root_ts = time_of.get(thread_ref)
-                if root_ts is None:
-                    dropped_root += 1
-                    thread_ref = None
-                elif ts < root_ts and late is None:
-                    late = f"message {mid} predates its thread root {thread_ref}"
-            messages.append(Message(mid, channel, person, ts, thread_ref))
+        assign_week = cal.assign_week
+        by_week: dict[int, set[tuple[str, str]]] = {}
+        late: tuple[datetime, str, str] | None = None
+        replies = self_reply = out_of_calendar = 0
+        for mid, thread_ref in threaded:
+            root_msg = kept.get(thread_ref)
+            if root_msg is None:
+                dropped_root += 1
+                continue
+            ts, author = kept[mid]
+            root_ts, root_author = root_msg
+            if ts < root_ts:
+                # message_id is unique, so the tuples never compare past it.
+                if late is None or (ts, mid, thread_ref) < late:
+                    late = (ts, mid, thread_ref)
+            elif root_author == author:
+                self_reply += 1
+            elif (week := assign_week(ts)) is None:
+                out_of_calendar += 1
+            else:
+                replies += 1
+                pair = (author, root_author) if author < root_author else (root_author, author)
+                by_week.setdefault(week, set()).add(pair)
         if late is not None:
-            raise ValidationError(late)
-        diag.bump("messages_kept", len(messages))
-        return MessageLog(messages=tuple(messages))
+            raise ValidationError(f"message {late[1]} predates its thread root {late[2]}")
+        diag.bump("messages_kept", len(kept))
+        for key, n in (
+            ("events_skipped_self_reply", self_reply),
+            ("events_dropped_out_of_calendar", out_of_calendar),
+        ):
+            if n:
+                diag.bump(key, n)
+        return {week: frozenset(edges) for week, edges in by_week.items()}, len(kept), replies
     finally:
         for key, n in (
             ("messages_seen", seen),
@@ -598,6 +609,9 @@ def _read_rows(path: Path, required: tuple[str, ...]):
             yield from ((i, row) for i, row in enumerate(reader, start=2))
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8: {exc}") from None
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        # line_num counts the lines of the records read whole before this one
+        raise InputError(f"{path}:line {reader.line_num + 1}: {exc}") from None
 
 
 def parse_feedback(
@@ -663,7 +677,7 @@ def parse_outcomes(
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
-    records: list[OutcomeRecord] = []
+    kept: list[tuple[str, int, float, float, float]] = []
     known_sprints = {s.sprint_id for s in cal.sprints}
     year_level: dict[str, tuple[int | None, float | None]] = {}
     for line, row in _read_rows(p, _OUTCOME_COLS):
@@ -679,6 +693,8 @@ def parse_outcomes(
             hours = float(hours_raw) if hours_raw else None
         except (TypeError, ValueError):  # TypeError: a short row leaves cells None
             raise ValidationError(f"{p}:line {line}: non-numeric outcome value") from None
+        if not all(map(math.isfinite, (committed, passed, score, hours or 0.0))):
+            raise ValidationError(f"{p}:line {line}: non-finite outcome value")
         if sprint_id not in known_sprints:
             raise ValidationError(f"{p}:line {line}: unknown sprint {sprint_id}")
         if committed < 0 or passed < 0:
@@ -690,47 +706,21 @@ def parse_outcomes(
             )
         if hours is not None and hours < 0:
             raise ValidationError(f"{p}:line {line}: negative pair programming hours")
-        if team in year_level:
-            prev = year_level[team]
-            cur = (stories if stories is not None else prev[0],
-                   hours if hours is not None else prev[1])
-            if (stories is not None and prev[0] is not None and stories != prev[0]) or (
-                hours is not None and prev[1] is not None and hours != prev[1]
-            ):
-                raise ValidationError(
-                    f"{p}:line {line}: year-level values for team {team} disagree "
-                    f"with earlier rows"
-                )
-            year_level[team] = cur
-        else:
-            year_level[team] = (stories, hours)
+        # Year-level values may be blank on some of a team's rows, not differ.
+        prev = year_level.get(team, (None, None))
+        if any(v is not None and old is not None and v != old
+               for v, old in zip((stories, hours), prev)):
+            raise ValidationError(
+                f"{p}:line {line}: year-level values for team {team} disagree "
+                f"with earlier rows"
+            )
+        year_level[team] = tuple(old if v is None else v for v, old in zip((stories, hours), prev))
         if sprint_id in cal.excluded_sprints:
             diag.bump("outcome_rows_excluded_sprint")
             continue
-        records.append(
-            OutcomeRecord(
-                team_id=team,
-                sprint_id=sprint_id,
-                story_points_committed=committed,
-                story_points_passed=passed,
-                team_score=score,
-                stories_passed_total=stories,
-                pair_programming_hours=hours,
-            )
-        )
-    # Backfill year-level values onto every kept row for the team.
-    filled = [
-        OutcomeRecord(
-            team_id=r.team_id,
-            sprint_id=r.sprint_id,
-            story_points_committed=r.story_points_committed,
-            story_points_passed=r.story_points_passed,
-            team_score=r.team_score,
-            stories_passed_total=year_level[r.team_id][0],
-            pair_programming_hours=year_level[r.team_id][1],
-        )
-        for r in records
-    ]
+        kept.append((team, sprint_id, committed, passed, score))
+    # Every kept row of a team gets the team's year-level values.
+    filled = [OutcomeRecord(*row, *year_level[row[0]]) for row in kept]
     diag.bump("outcome_rows_kept", len(filled))
     return filled
 
@@ -752,6 +742,8 @@ def parse_work_logs(
             hours = float(row["hours"])
         except (TypeError, ValueError):
             raise ValidationError(f"{p}:line {line}: non-numeric hours") from None
+        if not math.isfinite(hours):
+            raise ValidationError(f"{p}:line {line}: non-finite hours")
         if hours < 0:
             raise ValidationError(f"{p}:line {line}: negative hours")
         totals[row["team_id"]] = totals.get(row["team_id"], 0.0) + hours

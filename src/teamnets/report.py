@@ -26,10 +26,9 @@ from .errors import InputError, ValidationError
 from .ingestion import (
     Diagnostics,
     FeedbackRecord,
-    MessageLog,
     Roster,
     SprintCalendar,
-    parse_chat_export,
+    parse_chat_edges,
     parse_feedback,
     parse_outcomes,
     parse_repo_activity,
@@ -38,7 +37,6 @@ from .ingestion import (
 from .network import (
     CommunicationNetwork,
     WeeklyEdges,
-    weekly_edges,
     window_network,
 )
 from .stats import mann_whitney_u, p_stars, pearson
@@ -143,10 +141,11 @@ def included_weeks(cal: SprintCalendar) -> tuple[int, ...]:
 
 def team_events(
     team: TeamConfig, config: PipelineConfig, diag: Diagnostics | None = None
-) -> tuple[MessageLog, WeeklyEdges, int]:
-    """Parse a team's chat export; return it, its weekly edges and reply count."""
-    log = parse_chat_export(team.chat_export, team.roster, config.excluded_handles, diag)
-    return (log, *weekly_edges(log, team.roster, config.calendar, diag))
+) -> tuple[WeeklyEdges, int, int]:
+    """A team's weekly edges, kept-message count and reply count from its chat."""
+    return parse_chat_edges(
+        team.chat_export, team.roster, config.calendar, config.excluded_handles, diag
+    )
 
 
 def team_stc(
@@ -246,7 +245,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         team = roster.team_id
         for person in roster.members:
             person_team[person] = team
-        weekly = team_events(team_cfg, config, diag)[1]
+        weekly = team_events(team_cfg, config, diag)[0]
         stc_weekly[team] = team_stc(team_cfg, config, weekly, weeks, diag)
         sprint_censuses[team] = {}
         mean_weekly_census[team] = {}
@@ -803,4 +802,9 @@ def load_report(path: Path | str) -> AnalysisReport:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load report from {path}: {exc}") from None
-    return _from_json(AnalysisReport, data)
+    try:
+        return _from_json(AnalysisReport, data)
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise InputError(
+            f"cannot load report from {path}: not a report: {type(exc).__name__}: {exc}"
+        ) from None

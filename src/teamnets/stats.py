@@ -148,7 +148,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
 
     The p-value comes from t = r * sqrt((n - 2) / (1 - r^2)) against the t
     distribution with n - 2 degrees of freedom. Requires n >= 3 and both
-    variables non-constant.
+    variables finite and non-constant.
     """
     n = len(x)
     if len(y) != n:
@@ -159,6 +159,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     mean_y = math.fsum(y) / n
     sxx = math.fsum((xi - mean_x) ** 2 for xi in x)
     syy = math.fsum((yi - mean_y) ** 2 for yi in y)
+    if not (math.isfinite(sxx) and math.isfinite(syy)):  # a nan or infinity in a sample
+        raise ValueError("correlation undefined: a sample value is not finite")
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("correlation undefined: at least one variable is constant")
     sxy = math.fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))

@@ -166,7 +166,7 @@ def weekly_team_scores(
 ) -> dict[int, float | None]:
     """Score each week's required pairs against its network; return team week scores.
 
-    ``weekly`` holds each week's communication edges (``weekly_edges``).
+    ``weekly`` holds each week's communication edges (``parse_chat_edges``).
     """
     weeks = tuple(week_ids) if week_ids is not None else cal.week_ids()
     mrs_by_week = merge_requests_by_week(repo, cal, weeks, diagnostics)

@@ -4,15 +4,15 @@ Each oracle deliberately takes a different computational route from the
 package code it checks: quadrature instead of the incomplete beta function,
 direct pair counting instead of rank sums, chain enumeration and the matrix
 product instead of pair sets, numpy instead of the hand-rolled moment
-formulas, a message per kept record sorted by key instead of one pass over
-tuples, a tuple per reply grouped afterwards instead of one pass into weekly
-edge sets.
+formulas, a message log sorted by key and then a tuple per reply grouped
+afterwards instead of one walk from day files into weekly edge sets.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import combinations
 from pathlib import Path
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from teamnets.errors import InputError, ValidationError
-from teamnets.ingestion import EXCLUDED_SUBTYPES, Diagnostics, Message, MessageLog
+from teamnets.ingestion import EXCLUDED_SUBTYPES, Diagnostics
 
 _LEGENDRE_NODES = 200
 
@@ -156,23 +156,44 @@ def coordination_requirements_oracle(
     )
 
 
-def comm_events_oracle(log, roster, cal, diagnostics=None):
-    """weekly_edges by the two-step route it replaced: a (sender, recipient,
-    week) tuple per counted reply, its week found by a scan of the calendar,
-    then the tuples grouped into each week's sorted pairs. Returns the weekly
-    edge sets and the tuples; the diagnostics counters are the same."""
+@dataclass(frozen=True)
+class Message:
+    message_id: str
+    channel_id: str
+    author: str  # person_id
+    timestamp: datetime
+    thread_root: str | None = None
+
+
+@dataclass(frozen=True)
+class MessageLog:
+    messages: tuple[Message, ...]
+
+
+def chat_edges_oracle(export_root, roster, cal, excluded_handles=(), diagnostics=None):
+    """parse_chat_edges by the two-step route it replaced: the message log of
+    parse_chat_export_oracle, then the reply tuples of comm_events_oracle.
+    Returns the weekly edge sets, the kept-message count and the reply count;
+    the error types and texts and the diagnostics counters are the same."""
+    diag = diagnostics if diagnostics is not None else Diagnostics()
+    log = parse_chat_export_oracle(export_root, roster, excluded_handles, diag)
+    weekly, events = comm_events_oracle(log, cal, diag)
+    return weekly, len(log.messages), len(events)
+
+
+def comm_events_oracle(log, cal, diagnostics=None):
+    """The replies of a parsed message log by a two-step route: a (sender,
+    recipient, week) tuple per counted reply, its week found by a scan of the
+    calendar, then the tuples grouped into each week's sorted pairs. Returns
+    the weekly edge sets and the tuples."""
     diag = diagnostics if diagnostics is not None else Diagnostics()
     author_of = {m.message_id: m.author for m in log.messages}
     events = []
     for m in log.messages:
         if m.thread_root is None:
             continue
-        if m.thread_root not in author_of:
-            diag.bump("events_dropped_missing_root")
-        elif author_of[m.thread_root] == m.author:
+        if author_of[m.thread_root] == m.author:
             diag.bump("events_skipped_self_reply")
-        elif not {m.author, author_of[m.thread_root]} <= roster.members:
-            diag.bump("events_dropped_non_roster")
         elif (week := assign_week_oracle(cal, m.timestamp)) is None:
             diag.bump("events_dropped_out_of_calendar")
         else:
@@ -216,10 +237,12 @@ def _load_json_oracle(path: Path):
 
 
 def parse_chat_export_oracle(export_root, roster, excluded_handles=(), diagnostics=None):
-    """parse_chat_export by a slower route: pathlib listing and text-mode
-    reads, a counter bump per message, a Message per kept message before a
-    key sort, and a separate thread-order check over a second index. The
-    input checks, error texts and diagnostics counters are the same."""
+    """A chat export tree as a MessageLog, by a slower route than
+    parse_chat_edges: pathlib listing and text-mode reads, a counter bump per
+    message, a Message per kept message before a key sort, and a separate
+    thread-order check over a second index. Replies to a dropped root are
+    kept as plain messages. The input checks, error texts and diagnostics
+    counters are those of parse_chat_edges."""
     diag = diagnostics if diagnostics is not None else Diagnostics()
     root = Path(export_root)
     if not root.is_dir():

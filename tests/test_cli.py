@@ -13,8 +13,9 @@ import pytest
 
 from teamnets.cli import main
 from teamnets.config import load_config
-from teamnets.ingestion import parse_chat_export
 from teamnets.report import load_report, run_pipeline
+
+from oracles import parse_chat_export_oracle
 
 
 def _cell(value) -> str:
@@ -377,6 +378,33 @@ class TestSubcommands:
         stc_series = (out / "series_stc_alpha.csv").read_text().splitlines()
         assert [l.split(",")[0] for l in stc_series[1:]] == ["3", "4"]  # sprint 3 gone
 
+    @pytest.mark.parametrize(
+        "command,fault",
+        [
+            ("report", "out-is-file"),
+            ("stc", "out-is-file"),
+            ("census", "out-is-file"),
+            ("report", "long-team-id"),
+            ("census", "long-team-id"),
+        ],
+    )
+    def test_unusable_output_path_is_input_error(
+        self, mini_dir, tmp_path, capsys, command, fault
+    ):
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        out = tmp_path / "out"
+        if fault == "out-is-file":
+            out.write_text("", encoding="utf-8")
+        else:  # the team's output files get names longer than a file name may be
+            config = json.loads((work / "config.json").read_text())
+            config["teams"][0]["team_id"] = "a" * 300
+            (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main([command, "--config", str(work / "config.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert "Traceback" not in err
+
     def test_missing_out_is_input_error(self, mini_dir):
         assert main(["stc", "--config", str(mini_dir / "config.json")]) == 2
 
@@ -389,7 +417,7 @@ def test_second_reply_in_thread_and_week_changes_only_the_count(mini_dir, tmp_pa
     config = load_config(work / "config.json")
     team = config.teams[0]
     cal = config.calendar
-    log = parse_chat_export(team.chat_export, team.roster, config.excluded_handles)
+    log = parse_chat_export_oracle(team.chat_export, team.roster, config.excluded_handles)
     author_of = {m.message_id: m.author for m in log.messages}
     reply = next(
         m
@@ -428,3 +456,99 @@ def test_second_reply_in_thread_and_week_changes_only_the_count(mini_dir, tmp_pa
     assert after_tables == before_tables
     assert int(after_counts.pop(team.team_id)) == int(before_counts.pop(team.team_id)) + 1
     assert after_counts == before_counts
+
+
+@pytest.mark.parametrize(
+    "dataset,when",
+    [
+        ("team7", datetime(2023, 4, 1, 12, tzinfo=timezone.utc)),  # the mid-season break
+        ("mini", datetime(2024, 4, 20, 12, tzinfo=timezone.utc)),  # after the last week
+    ],
+)
+def test_reply_outside_the_calendar_changes_only_the_diagnostics(
+    dataset, when, tmp_path, capsys
+):
+    """A reply sent in no calendar week makes no edge: it is counted as a kept
+    message dropped from the calendar, and every table stays as it was."""
+    data = Path(__file__).parent / "data" / dataset
+    work = tmp_path / dataset
+    shutil.copytree(data, work)
+    config = json.loads((work / "config.json").read_text())
+    team = config["teams"][0]
+    people = team["identity_map"]
+    day, entries, root = next(
+        (day, entries, entry)
+        for day in sorted((work / team["chat_export"]).glob("*/*.json"))
+        for entries in [json.loads(day.read_text())]
+        for entry in entries
+        if entry.get("user") in people
+        and "subtype" not in entry
+        and entry["user"] not in config.get("excluded_handles", ())
+        and float(entry["ts"]) < when.timestamp()
+    )
+    handle = next(h for h, p in sorted(people.items()) if p != people[root["user"]])
+    reply = {"user": handle, "ts": f"{when.timestamp():.4f}", "thread_ts": root["ts"]}
+    day.write_text(json.dumps(entries + [reply]), encoding="utf-8")
+
+    def run(root_dir):
+        cfg = str(root_dir / "config.json")
+        capsys.readouterr()
+        assert main(["validate", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        out = tmp_path / f"out_{root_dir.parent.name}"
+        command = ["report", "--config", cfg, "--format", "structured-data", "--out", str(out)]
+        assert main(command) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        return lines, json.loads(files.pop("report.json")), files
+
+    before_lines, before_report, before_files = run(data)
+    after_lines, after_report, after_files = run(work)
+    assert after_files == before_files
+    before_diag, after_diag = before_report.pop("diagnostics"), after_report.pop("diagnostics")
+    assert after_report == before_report
+    bumped = ("events_dropped_out_of_calendar", "messages_kept", "messages_seen")
+    assert after_diag == {**before_diag, **{k: before_diag.get(k, 0) + 1 for k in bumped}}
+    # validate: one more message for the team, the same communication events
+    count = re.compile(rf"team {team['team_id']}: (\d+) messages, (.*)")
+
+    def team_line(lines):
+        kept, rest = next(m.groups() for m in map(count.match, lines) if m)
+        return int(kept), rest
+
+    kept, rest = team_line(before_lines)
+    assert team_line(after_lines) == (kept + 1, rest)
+
+
+def test_relabelling_roster_members_leaves_every_table_unchanged(mini_dir, tmp_path):
+    """Person ids are labels only: renaming every member, in the roster, the
+    identity map, the commit authors and the peer feedback, in an order that
+    reverses their sorting, leaves every report table byte-identical."""
+    work = tmp_path / "mini"
+    shutil.copytree(mini_dir, work)
+    config = json.loads((work / "config.json").read_text())
+    new = {}
+    for team in config["teams"]:
+        members = sorted(team["members"])
+        new.update({p: f"{team['team_id']}-{len(members) - i}" for i, p in enumerate(members)})
+        team["members"] = [new[p] for p in team["members"]]
+        team["identity_map"] = {h: new[p] for h, p in team["identity_map"].items()}
+        repo_path = work / team["repo_activity"]
+        repo = json.loads(repo_path.read_text())
+        for commit in repo["commits"]:
+            commit["author"] = new.get(commit["author"], commit["author"])
+        repo_path.write_text(json.dumps(repo), encoding="utf-8")
+    (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    feedback = work / config["feedback"]
+    lines = feedback.read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    feedback.write_text(
+        "\n".join([lines[0]] + [",".join([s, new[a], new[b], r]) for s, a, b, r in rows]) + "\n",
+        encoding="utf-8",
+    )
+
+    def tables(root):
+        out = tmp_path / f"out_{root.parent.name}"
+        assert main(["report", "--config", str(root / "config.json"), "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    assert tables(work) == tables(mini_dir)

@@ -16,14 +16,14 @@ from teamnets.ingestion import (
     Sprint,
     SprintCalendar,
     Week,
-    parse_chat_export,
+    parse_chat_edges,
     parse_feedback,
     parse_outcomes,
     parse_repo_activity,
     parse_work_logs,
 )
 
-from oracles import assign_week_oracle, parse_chat_export_oracle
+from oracles import assign_week_oracle, chat_edges_oracle, parse_chat_export_oracle
 
 
 def utc(*args):
@@ -142,6 +142,12 @@ def two_person_roster():
     )
 
 
+def parse(root, roster, excluded=(), diag=None):
+    """parse_chat_edges over ``simple_calendar``: week 1 starts 2023-03-06,
+    week 2 ends 2023-03-20."""
+    return parse_chat_edges(root, roster, simple_calendar(), excluded, diag)
+
+
 class TestChatParser:
     def test_minimal_thread(self, tmp_path, two_person_roster):
         write_channel(
@@ -153,28 +159,26 @@ class TestChatParser:
                 {"user": "UA", "ts": "1678100100.0002", "thread_ts": "1678100000.0001"},
             ],
         )
-        log = parse_chat_export(tmp_path, two_person_roster)
-        assert len(log.messages) == 2
-        root, reply = log.messages
-        assert root.thread_root is None
-        assert reply.thread_root == root.message_id
-        assert reply.author == "alice" and root.author == "bob"
+        assert parse(tmp_path, two_person_roster) == ({1: {("alice", "bob")}}, 2, 1)
 
     def test_non_threaded_message(self, tmp_path, two_person_roster):
         write_channel(
             tmp_path, "general", "2023-03-06", [{"user": "UA", "ts": "1678100000.0001"}]
         )
-        log = parse_chat_export(tmp_path, two_person_roster)
-        assert log.messages[0].thread_root is None
+        assert parse(tmp_path, two_person_roster) == ({}, 1, 0)
 
     def test_fixture_counts(self, team7_config, team7_dir):
         manifest = json.loads((team7_dir / "manifest.json").read_text())
         team = team7_config.teams[0]
         diag = Diagnostics()
-        log = parse_chat_export(
-            team.chat_export, team.roster, team7_config.excluded_handles, diag
+        _, kept, _ = parse_chat_edges(
+            team.chat_export, team.roster, team7_config.calendar,
+            team7_config.excluded_handles, diag,
         )
-        assert len(log.messages) == manifest["messages_kept"] == 120
+        assert kept == manifest["messages_kept"] == 120
+        log = parse_chat_export_oracle(
+            team.chat_export, team.roster, team7_config.excluded_handles
+        )
         roots = {m.thread_root for m in log.messages if m.thread_root is not None}
         assert len(roots) == manifest["distinct_thread_roots"] == 14
         assert diag.counts["messages_seen"] == manifest["raw_messages"]
@@ -184,15 +188,18 @@ class TestChatParser:
 
     def test_identity_mapping_total_over_retained(self, team7_config):
         team = team7_config.teams[0]
-        log = parse_chat_export(team.chat_export, team.roster, team7_config.excluded_handles)
-        assert all(m.author in team.roster.members for m in log.messages)
+        weekly, _, replies = parse_chat_edges(
+            team.chat_export, team.roster, team7_config.calendar, team7_config.excluded_handles
+        )
+        assert replies
+        assert all({a, b} <= team.roster.members for edges in weekly.values() for a, b in edges)
 
     def test_malformed_file_names_file_and_offset(self, tmp_path, two_person_roster):
         bad = tmp_path / "general" / "2023-03-06.json"
         bad.parent.mkdir(parents=True)
         bad.write_text('[{"user": "UA", "ts": }]', encoding="utf-8")
         with pytest.raises(InputError) as err:
-            parse_chat_export(tmp_path, two_person_roster)
+            parse(tmp_path, two_person_roster)
         message = str(err.value)
         assert "2023-03-06.json" in message
         assert "column" in message
@@ -206,7 +213,7 @@ class TestChatParser:
             [{"user": "UA", "ts": "1678100000.0"}, {"user": "UB", "ts": ts}],
         )
         with pytest.raises(InputError) as err:
-            parse_chat_export(tmp_path, two_person_roster)
+            parse(tmp_path, two_person_roster)
         assert "2023-03-06.json: entry 1 has invalid ts" in str(err.value)
 
     @pytest.mark.parametrize(
@@ -224,30 +231,39 @@ class TestChatParser:
                 tmp_path, "general", day, [{"user": "UA", "ts": stamps[k]} for k in keys]
             )
         with pytest.raises(ValidationError) as err:
-            parse_chat_export(tmp_path, two_person_roster)
+            parse(tmp_path, two_person_roster)
         assert f"{where} has duplicate ts '1678100000.0001'" in str(err.value)
 
     def test_same_ts_in_two_channels_allowed(self, tmp_path, two_person_roster):
         for channel in ("general", "dev"):
             write_channel(tmp_path, channel, "2023-03-06", [{"user": "UA", "ts": "1678100000.0"}])
-        assert len(parse_chat_export(tmp_path, two_person_roster).messages) == 2
+        assert parse(tmp_path, two_person_roster) == ({}, 2, 0)
 
     def test_missing_directory(self, two_person_roster, tmp_path):
         with pytest.raises(InputError):
-            parse_chat_export(tmp_path / "nope", two_person_roster)
+            parse(tmp_path / "nope", two_person_roster)
 
     def test_reply_before_root_rejected(self, tmp_path, two_person_roster):
+        """The error names the earliest reply that predates its root, wherever
+        it stands in the files; the counters of the walk are kept."""
         write_channel(
             tmp_path,
             "general",
             "2023-03-06",
             [
                 {"user": "UB", "ts": "1678100500.0", "thread_ts": "1678100500.0"},
+                {"user": "UA", "ts": "1678100400.0", "thread_ts": "1678100500.0"},
                 {"user": "UA", "ts": "1678100000.0", "thread_ts": "1678100500.0"},
+                {"user": "UA", "ts": "1678100600.0", "thread_ts": "1678100050.0"},
             ],
         )
-        with pytest.raises(ValidationError):
-            parse_chat_export(tmp_path, two_person_roster)
+        diag = Diagnostics()
+        with pytest.raises(ValidationError) as err:
+            parse(tmp_path, two_person_roster, (), diag)
+        assert str(err.value) == (
+            "message general/1678100000.0 predates its thread root general/1678100500.0"
+        )
+        assert dict(diag.counts) == {"messages_seen": 4, "replies_to_dropped_root": 1}
 
     def test_reply_to_dropped_root_becomes_plain(self, tmp_path, two_person_roster):
         write_channel(
@@ -260,10 +276,31 @@ class TestChatParser:
             ],
         )
         diag = Diagnostics()
-        log = parse_chat_export(tmp_path, two_person_roster, ("UBOT",), diag)
-        assert len(log.messages) == 1
-        assert log.messages[0].thread_root is None
+        assert parse(tmp_path, two_person_roster, ("UBOT",), diag) == ({}, 1, 0)
         assert diag.counts["replies_to_dropped_root"] == 1
+
+    def test_self_reply_and_replies_outside_the_calendar_make_no_edge(
+        self, tmp_path, two_person_roster
+    ):
+        write_channel(
+            tmp_path,
+            "general",
+            "2023-03-06",
+            [
+                {"user": "UA", "ts": "1678100000.0"},
+                {"user": "UA", "ts": "1678100100.0", "thread_ts": "1678100000.0"},
+                {"user": "UB", "ts": "1679400000.0", "thread_ts": "1678100000.0"},  # Mar 21
+                {"user": "UB", "ts": "1678700000.0", "thread_ts": "1678100000.0"},  # week 2
+            ],
+        )
+        diag = Diagnostics()
+        assert parse(tmp_path, two_person_roster, (), diag) == ({2: {("alice", "bob")}}, 4, 1)
+        assert dict(diag.counts) == {
+            "messages_seen": 4,
+            "messages_kept": 4,
+            "events_skipped_self_reply": 1,
+            "events_dropped_out_of_calendar": 1,
+        }
 
     @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig", "latin-1"])
     def test_day_file_not_utf8_is_input_error(self, tmp_path, two_person_roster, encoding):
@@ -272,7 +309,7 @@ class TestChatParser:
         day.write_bytes(json.dumps([{"user": "UA", "ts": "1678100000.0", "x": "é"}],
                                    ensure_ascii=False).encode(encoding))
         with pytest.raises(InputError) as err:
-            parse_chat_export(tmp_path, two_person_roster)
+            parse(tmp_path, two_person_roster)
         assert str(err.value).startswith(f"{day}: ")
 
     @pytest.mark.parametrize(
@@ -294,22 +331,24 @@ class TestChatParser:
             tmp_path, "general", "2023-03-06", [{"user": "UA", "ts": "1678100000.0"}, reply]
         )
         with pytest.raises(InputError) as err:
-            parse_chat_export(tmp_path, two_person_roster)
+            parse(tmp_path, two_person_roster)
         assert f"2023-03-06.json: entry 1 has invalid {field} {value!r}" in str(err.value)
 
     def test_number_thread_ts_names_its_root(self, tmp_path, two_person_roster):
-        write_channel(
-            tmp_path,
-            "general",
-            "2023-03-06",
-            [
-                {"user": "UA", "ts": "1678100000.5"},
-                {"user": "UB", "ts": 1678100100, "thread_ts": 1678100000.5},
-            ],
+        thread = [
+            {"user": "UA", "ts": "1678100000.5"},
+            {"user": "UB", "ts": 1678100100, "thread_ts": 1678100000.5},
+        ]
+        write_channel(tmp_path, "general", "2023-03-06", thread)
+        assert parse(tmp_path, two_person_roster) == ({1: {("alice", "bob")}}, 2, 1)
+        # the error text shows the names: a number ts as Python writes it
+        late = {"user": "UB", "ts": 1678099999, "thread_ts": 1678100000.5}
+        write_channel(tmp_path, "general", "2023-03-06", thread + [late])
+        with pytest.raises(ValidationError) as err:
+            parse(tmp_path, two_person_roster)
+        assert str(err.value) == (
+            "message general/1678099999 predates its thread root general/1678100000.5"
         )
-        root, reply = parse_chat_export(tmp_path, two_person_roster).messages
-        assert reply.thread_root == root.message_id == "general/1678100000.5"
-        assert reply.message_id == "general/1678100100"
 
     @pytest.mark.parametrize(
         "ts,thread_ts", [(1678100000, "1678100000"), ("1678100000.5", 1678100000.5)]
@@ -324,9 +363,9 @@ class TestChatParser:
                 {"user": "UB", "ts": "1678100100", "thread_ts": thread_ts},
             ],
         )
-        root, reply = parse_chat_export(tmp_path, two_person_roster).messages
-        assert root.thread_root is None
-        assert reply.thread_root == root.message_id
+        diag = Diagnostics()
+        assert parse(tmp_path, two_person_roster, (), diag) == ({1: {("alice", "bob")}}, 2, 1)
+        assert "events_skipped_self_reply" not in diag.counts  # the root replies to nothing
 
 
 # Message timestamps as an export writes them: strings and numbers, two
@@ -403,7 +442,7 @@ def _day_bytes(payload: list, fault: str | None, crlf: bool) -> bytes | None:
 def export_trees(draw):
     """{channel: {file name: bytes, or None for a directory}}: a few channels
     and day files, one message per distinct ts, and at most one fault."""
-    late_replies = draw(st.booleans())  # may a reply precede its root?
+    late_replies = draw(st.booleans())  # do replies name later roots where they can?
     fault = draw(st.sampled_from((None,) * 12 + ENTRY_FAULTS + FILE_FAULTS))
     channels = draw(
         st.lists(st.sampled_from(["dev", "general", ".ops", "x.json"]),
@@ -421,8 +460,10 @@ def export_trees(draw):
             subtype = draw(st.sampled_from([None] * 5 + ["channel_join", "me_message"]))
             if subtype is not None:
                 entry["subtype"] = subtype
-            roots = [s for s in stamps if late_replies or float(s) <= float(ts)]
-            thread = draw(st.sampled_from(["none", "self", "self-text", "root", "root", "stray"]))
+            later = [s for s in stamps if float(s) > float(ts)]
+            roots = later if late_replies and later else [s for s in stamps if s not in later]
+            threads = ["none", "self", "self-text", "root", "root", "stray"]
+            thread = draw(st.sampled_from(threads + ["root"] * (4 if late_replies else 0)))
             if thread == "self":
                 entry["thread_ts"] = ts
             elif thread == "self-text":
@@ -447,10 +488,31 @@ def export_trees(draw):
     return tree
 
 
-def _parse_outcome(parse, root) -> tuple:
+def _at(ts: float) -> datetime:
+    return datetime.fromtimestamp(ts, timezone.utc)
+
+
+# Calendars over TS_POOL: two weeks with a gap, whose bounds fall on pool
+# times (a start includes its time, an end excludes it, and
+# "1678100200.0000012" rounds onto an end), so some times lie before, between
+# and after the weeks; one week holding every time; one week holding none.
+CHAT_CALENDARS = (
+    SprintCalendar(
+        weeks=(
+            Week(1, _at(1678100000.5), _at(1678100200.000001)),
+            Week(2, _at(1678100300), _at(1678100400.75)),
+        ),
+        sprints=(Sprint(1, (1, 2)),),
+    ),
+    SprintCalendar(weeks=(Week(5, _at(1678099000), _at(1678101000)),), sprints=(Sprint(1, (5,)),)),
+    SprintCalendar(weeks=(Week(1, _at(1678200000), _at(1678300000)),), sprints=(Sprint(1, (1,)),)),
+)
+
+
+def _parse_outcome(parse, root, cal) -> tuple:
     diag = Diagnostics()
     try:
-        result = parse(root, CHAT_ROSTER, ("UBOT",), diag).messages
+        result = parse(root, CHAT_ROSTER, cal, ("UBOT",), diag)
     except (InputError, ValidationError) as exc:
         result = (type(exc), str(exc))
     # dict, not Counter: Counter equality ignores zero-count keys
@@ -458,8 +520,11 @@ def _parse_outcome(parse, root) -> tuple:
 
 
 @settings(max_examples=300, deadline=None)
-@given(export_trees(), st.sampled_from(["path", "str", "slash"]))
-def test_chat_parser_equals_oracle(tree, spelling):
+@given(export_trees(), st.sampled_from(CHAT_CALENDARS), st.sampled_from(["path", "str", "slash"]))
+def test_chat_parser_equals_oracle(tree, cal, spelling):
+    """parse_chat_edges equals the message log then reply tuples route: the
+    weekly edge sets, kept-message and reply counts and counters, or the
+    error type, text and the counters reached by then."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "export"
         root.mkdir()
@@ -473,8 +538,8 @@ def test_chat_parser_equals_oracle(tree, spelling):
                     path.parent.mkdir(parents=True, exist_ok=True)
                     path.write_bytes(data)
         given_root = {"path": root, "str": str(root), "slash": f"{root}/"}[spelling]
-        assert _parse_outcome(parse_chat_export, given_root) == _parse_outcome(
-            parse_chat_export_oracle, given_root
+        assert _parse_outcome(parse_chat_edges, given_root, cal) == _parse_outcome(
+            chat_edges_oracle, given_root, cal
         )
 
 
@@ -671,6 +736,61 @@ class TestTables:
         with pytest.raises(ValidationError) as err:
             parse(path)
         assert f"{path}:line 2" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "table,parse,text",
+        [
+            (
+                "team_id,sprint_id,story_points_committed,story_points_passed,team_score\n"
+                "X,2,nan,15,80",
+                lambda path: parse_outcomes(path, simple_calendar()),
+                "non-finite outcome value",
+            ),
+            (
+                "team_id,sprint_id,story_points_committed,story_points_passed,team_score\n"
+                "X,2,20,15,inf",
+                lambda path: parse_outcomes(path, simple_calendar()),
+                "non-finite outcome value",
+            ),
+            (
+                "team_id,sprint_id,story_points_committed,story_points_passed,team_score,"
+                "pair_programming_hours\nX,2,20,15,80,NaN",
+                lambda path: parse_outcomes(path, simple_calendar()),
+                "non-finite outcome value",
+            ),
+            ("team_id,hours\nX,-inf", parse_work_logs, "non-finite hours"),
+            ("team_id,hours\nX,nan", parse_work_logs, "non-finite hours"),
+        ],
+        ids=["committed-nan", "score-inf", "pair-hours-nan", "work-log-minus-inf", "work-log-nan"],
+    )
+    def test_non_finite_value_names_line(self, tmp_path, table, parse, text):
+        path = tmp_path / "t.csv"
+        path.write_text(table + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            parse(path)
+        assert str(err.value) == f"{path}:line 2: {text}"
+
+    @pytest.mark.parametrize(
+        "header,parse",
+        [
+            (
+                "team_id,sprint_id,story_points_committed,story_points_passed,team_score",
+                lambda path: parse_outcomes(path, simple_calendar()),
+            ),
+            (
+                "sprint_id,rater,ratee,communication_rating",
+                lambda path: parse_feedback(path, simple_calendar()),
+            ),
+            ("team_id,hours", parse_work_logs),
+        ],
+        ids=["outcomes", "feedback", "work_logs"],
+    )
+    def test_oversized_field_is_input_error(self, tmp_path, header, parse):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n{'9' * 200_000}\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            parse(path)
+        assert str(err.value) == f"{path}:line 2: field larger than field limit (131072)"
 
     def test_table_not_utf8_is_input_error(self, tmp_path):
         path = tmp_path / "wl.csv"

@@ -1,29 +1,28 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from collections import Counter
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
 from teamnets.errors import ValidationError
 from teamnets.ingestion import (
     Diagnostics,
-    Message,
-    MessageLog,
     Roster,
     Sprint,
     SprintCalendar,
-    parse_chat_export,
+    parse_chat_edges,
 )
 from teamnets.network import (
     CommunicationNetwork,
-    weekly_edges,
     window_network,
     write_edge_list,
 )
 
-from oracles import comm_events_oracle, window_edges_oracle
+from oracles import comm_events_oracle, parse_chat_export_oracle, window_edges_oracle
 
 
 def ts(day, hour=12):
@@ -32,13 +31,8 @@ def ts(day, hour=12):
 
 @pytest.fixture()
 def roster():
-    return Roster(team_id="T", members=frozenset({"A", "B", "C", "D"}), identity_map={})
-
-
-def msg(mid, author, when, root=None):
-    return Message(
-        message_id=mid, channel_id="general", author=author, timestamp=when, thread_root=root
-    )
+    members = ("A", "B", "C", "D")
+    return Roster(team_id="T", members=frozenset(members), identity_map={p: p for p in members})
 
 
 @pytest.fixture()
@@ -46,69 +40,85 @@ def cal(team7_config):
     return team7_config.calendar
 
 
-def log_of(*replies):
-    """A log with one thread per (sender, recipient, when): the recipient's
-    root message and the sender's reply to it."""
+def chat_edges(messages, roster, cal, diag=None):
+    """parse_chat_edges over a one-channel export of (author, when, root)
+    messages, where root is the list index of the thread root or None. The
+    i-th message is sent i milliseconds after its ``when``, so every ts is
+    unique."""
+    stamps = [f"{when.timestamp() + i / 1000:.3f}" for i, (_, when, _) in enumerate(messages)]
+    entries = [
+        {"user": author, "ts": stamp, **({} if root is None else {"thread_ts": stamps[root]})}
+        for stamp, (author, _, root) in zip(stamps, messages)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        day = Path(tmp) / "general" / "2023-03-06.json"
+        day.parent.mkdir()
+        day.write_text(json.dumps(entries), encoding="utf-8")
+        return parse_chat_edges(tmp, roster, cal, (), diag)
+
+
+def threads_of(*replies):
+    """One thread per (sender, recipient, when): the recipient's root message
+    and the sender's reply to it."""
     messages = []
-    for i, (sender, recipient, when) in enumerate(replies):
-        messages += [msg(f"r{i}", recipient, when), msg(f"m{i}", sender, when, root=f"r{i}")]
-    return MessageLog(messages=tuple(messages))
+    for sender, recipient, when in replies:
+        messages += [(recipient, when, None), (sender, when, len(messages))]
+    return messages
 
 
-def team7_log(config):
+def team7_events(config):
+    """The team7 fixture's (sender, recipient, week) replies, by the oracle route."""
     team = config.teams[0]
-    return parse_chat_export(team.chat_export, team.roster, config.excluded_handles)
+    log = parse_chat_export_oracle(team.chat_export, team.roster, config.excluded_handles)
+    return comm_events_oracle(log, config.calendar)[1]
+
+
+def team7_weekly(config, cal=None):
+    team = config.teams[0]
+    return parse_chat_edges(
+        team.chat_export, team.roster, cal or config.calendar, config.excluded_handles
+    )
 
 
 class TestDeriveEvents:
     def test_two_replies_two_events(self, roster, cal):
-        log = MessageLog(
-            messages=(
-                msg("m1", "B", ts(6)),
-                msg("m2", "A", ts(6, 13), root="m1"),
-                msg("m3", "A", ts(6, 14), root="m1"),
-            )
-        )
-        assert weekly_edges(log, roster, cal) == ({1: frozenset({("A", "B")})}, 2)
+        messages = [("B", ts(6), None), ("A", ts(6, 13), 0), ("A", ts(6, 14), 0)]
+        assert chat_edges(messages, roster, cal) == ({1: frozenset({("A", "B")})}, 3, 2)
 
     def test_self_reply_no_event(self, roster, cal):
         diag = Diagnostics()
-        log = MessageLog(
-            messages=(msg("m1", "A", ts(6)), msg("m2", "A", ts(6, 13), root="m1"))
-        )
-        assert weekly_edges(log, roster, cal, diag) == ({}, 0)
-        assert dict(diag.counts) == {"events_skipped_self_reply": 1}
+        messages = [("A", ts(6), None), ("A", ts(6, 13), 0)]
+        assert chat_edges(messages, roster, cal, diag) == ({}, 2, 0)
+        assert dict(diag.counts) == {
+            "messages_seen": 2, "messages_kept": 2, "events_skipped_self_reply": 1
+        }
 
     def test_out_of_calendar_dropped(self, roster, cal):
         diag = Diagnostics()
-        log = MessageLog(
-            messages=(
-                msg("m1", "B", ts(6)),
-                msg("m2", "A", ts(28), root="m1"),  # falls in the mid-season gap
-            )
-        )
-        assert weekly_edges(log, roster, cal, diag) == ({}, 0)
-        assert dict(diag.counts) == {"events_dropped_out_of_calendar": 1}
+        # the reply falls in the mid-season gap
+        messages = [("B", ts(6), None), ("A", ts(28), 0)]
+        assert chat_edges(messages, roster, cal, diag) == ({}, 2, 0)
+        assert dict(diag.counts) == {
+            "messages_seen": 2, "messages_kept": 2, "events_dropped_out_of_calendar": 1
+        }
 
     def test_fixture_event_count(self, team7_config, team7_dir):
         manifest = json.loads((team7_dir / "manifest.json").read_text())
-        team = team7_config.teams[0]
         cal = team7_config.calendar
-        log = team7_log(team7_config)
-        weekly, replies = weekly_edges(log, team.roster, cal)
-        oracle_weekly, events = comm_events_oracle(log, team.roster, cal)
+        weekly, _, replies = team7_weekly(team7_config)
+        events = team7_events(team7_config)
         assert replies == len(events) == manifest["cross_person_replies"] == 37
-        assert weekly == oracle_weekly
+        assert weekly == {w: window_edges_oracle(events, (w,)) for w in {e[2] for e in events}}
         per_week = Counter(week for _, _, week in events)
         assert {str(k): v for k, v in per_week.items()} == manifest["cross_replies_per_week"]
         # partition property: a one-week calendar counts exactly that week's replies
         for week in cal.weeks:
             one_week = SprintCalendar(weeks=(week,), sprints=(Sprint(1, (week.week_id,)),))
-            assert weekly_edges(log, team.roster, one_week)[1] == per_week[week.week_id]
+            assert team7_weekly(team7_config, one_week)[2] == per_week[week.week_id]
 
 
 def week_network(replies, roster, cal, week_id):
-    return window_network(weekly_edges(log_of(*replies), roster, cal)[0], roster, (week_id,))
+    return window_network(chat_edges(threads_of(*replies), roster, cal)[0], roster, (week_id,))
 
 
 class TestBuildNetwork:
@@ -132,7 +142,7 @@ class TestBuildNetwork:
 
     def test_window_filters_weeks(self, roster, cal):
         replies = [("A", "B", ts(13)), ("C", "D", ts(20))]
-        weekly, count = weekly_edges(log_of(*replies), roster, cal)
+        weekly, _, count = chat_edges(threads_of(*replies), roster, cal)
         assert (weekly, count) == ({2: {("A", "B")}, 3: {("C", "D")}}, 2)
         assert week_network(replies, roster, cal, 2).edges == frozenset({("A", "B")})
 
@@ -150,9 +160,8 @@ class TestBuildNetwork:
     def test_sprint_equals_union_of_weeks(self, team7_config):
         team = team7_config.teams[0]
         cal = team7_config.calendar
-        log = team7_log(team7_config)
-        weekly, _ = weekly_edges(log, team.roster, cal)
-        _, events = comm_events_oracle(log, team.roster, cal)
+        weekly, _, _ = team7_weekly(team7_config)
+        events = team7_events(team7_config)
         sprint_net = window_network(weekly, team.roster, cal.sprint_weeks(2))
         assert sprint_net.edges == weekly[2] | weekly[3]
         assert sprint_net.edges == window_edges_oracle(events, (2, 3))
@@ -182,17 +191,15 @@ class TestActualCoordination:
         assert net.has_edge("B", "A")
 
     def test_no_events_zero_matrix(self, roster, cal):
-        assert weekly_edges(MessageLog(messages=()), roster, cal) == ({}, 0)
+        assert chat_edges([], roster, cal) == ({}, 0, 0)
         assert not week_network([], roster, cal, 2).edges
 
     def test_fixture_week3_pairs(self, team7_config, team7_dir):
         manifest = json.loads((team7_dir / "manifest.json").read_text())
         team = team7_config.teams[0]
-        cal = team7_config.calendar
-        log = team7_log(team7_config)
-        _, events = comm_events_oracle(log, team.roster, cal)
+        events = team7_events(team7_config)
         for edges in (
-            window_network(weekly_edges(log, team.roster, cal)[0], team.roster, (3,)).edges,
+            window_network(team7_weekly(team7_config)[0], team.roster, (3,)).edges,
             window_edges_oracle(events, (3,)),
         ):
             assert sorted(f"{a},{b}" for a, b in edges) == manifest["week3_pairs"]

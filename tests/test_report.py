@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -262,6 +263,27 @@ class TestEmission:
         with pytest.raises(InputError) as err:
             load_report(path)
         assert f"cannot load report from {path}: 'utf-8' codec can't decode" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ("{}", "KeyError: 'teams'"),
+            ("[]", "TypeError: list indices must be integers or slices, not str"),
+            (None, "ValueError: invalid literal for int() with base 10: 'week-1'"),
+        ],
+        ids=["object", "array", "week-key"],
+    )
+    def test_load_report_wrong_shape_is_input_error(self, mini_report, tmp_path, text, error):
+        path = tmp_path / "report.json"
+        if text is None:
+            emit(mini_report, "structured-data", tmp_path)
+            data = json.loads(path.read_text())
+            data["stc_weekly"]["alpha"]["week-1"] = None
+            text = json.dumps(data)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            load_report(path)
+        assert str(err.value) == f"cannot load report from {path}: not a report: {error}"
 
     def test_unknown_format(self, mini_report, tmp_path):
         with pytest.raises(ValueError):

@@ -69,6 +69,10 @@ class TestPearson:
             pearson([1, 2, 3], [1, 2])
         with pytest.raises(ValueError):
             pearson([1, 1, 1], [1, 2, 3])
+        # a non-finite value would clamp r to 1 with p = 0
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="not finite"):
+                pearson([1, 2, 3], [2, bad, 1])
 
 
 def _dataset_with_r(target: float, n: int) -> tuple[list[float], list[float]]:

@@ -16,11 +16,11 @@ from teamnets.ingestion import (
     Sprint,
     SprintCalendar,
     Week,
-    parse_chat_export,
+    parse_chat_edges,
     parse_repo_activity,
 )
 from teamnets.cli import main
-from teamnets.network import CommunicationNetwork, weekly_edges, window_network
+from teamnets.network import CommunicationNetwork, window_network
 from teamnets.stc import (
     coordination_requirements,
     merge_requests_by_week,
@@ -87,8 +87,10 @@ def team7_weekly(config):
     """The team7 fixture's repo activity and weekly communication edges."""
     team = config.teams[0]
     repo = parse_repo_activity(team.repo_activity, team.roster)
-    log = parse_chat_export(team.chat_export, team.roster, config.excluded_handles)
-    return repo, weekly_edges(log, team.roster, config.calendar)[0]
+    weekly, _, _ = parse_chat_edges(
+        team.chat_export, team.roster, config.calendar, config.excluded_handles
+    )
+    return repo, weekly
 
 
 def partners(required, person):

@@ -1,16 +1,19 @@
 """Property tests: windows built from the per-week groups equal a full rescan.
 
 Replies are grouped into per-week edge sets and merge requests into per-week
-lists once per team. Over random rosters, calendars (with break gaps),
-message logs and merge requests, the weekly edge sets, reply count and
-counters must equal the two-step oracle, every week and sprint network built
-from the groups must equal the scan oracle, and the weekly STC scores must
-equal the brute-force chain enumeration.
+lists once per team. Over random rosters, calendars (with break gaps), chat
+exports and merge requests, the weekly edge sets, kept-message and reply
+counts and counters must equal the two-step oracle, every week and sprint
+network built from the groups must equal the scan oracle, and the weekly STC
+scores must equal the brute-force chain enumeration.
 """
 
 from __future__ import annotations
 
+import json
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,18 +23,23 @@ from teamnets.ingestion import (
     Commit,
     Diagnostics,
     MergeRequest,
-    Message,
-    MessageLog,
     RepoActivity,
     Roster,
     Sprint,
     SprintCalendar,
     Week,
+    parse_chat_edges,
 )
-from teamnets.network import weekly_edges, window_network
+from teamnets.network import window_network
 from teamnets.stc import weekly_team_scores
 
-from oracles import comm_events_oracle, stc_brute_force, window_edges_oracle
+from oracles import (
+    chat_edges_oracle,
+    comm_events_oracle,
+    parse_chat_export_oracle,
+    stc_brute_force,
+    window_edges_oracle,
+)
 
 SEASON_START = datetime(2024, 1, 1, tzinfo=timezone.utc)
 FILES = ("a.py", "b.py", "c.py", "d.py")
@@ -57,26 +65,29 @@ def seasons(draw):
     span_hours = int((start - SEASON_START).total_seconds() // 3600)
     hours = st.integers(-48, span_hours + 48)  # some fall outside the calendar
 
-    # Replies name an earlier or later message, or a missing one ("gone"), so
-    # the log holds self-replies and, through "outsider", authors off the
-    # roster. Messages share a few send hours, so pairs repeat within a week.
+    # One channel of messages in send order. A message is a thread root, or
+    # replies to itself or an earlier message (a self-reply when the authors
+    # match) or to the ts of no message ("gone"). Messages by "UX", off the
+    # identity map, are dropped, so replies to them have a dropped root.
+    # Messages share a few send hours, so pairs repeat within a week; the
+    # i-th is sent i milliseconds after its hour, so every ts is unique.
     n_messages = draw(st.integers(0, 30))
-    roots = st.none() | st.just("gone")
-    if n_messages:
-        message_ref = st.integers(0, n_messages - 1).map(lambda i: f"m{i}")
-        roots |= message_ref | message_ref  # as likely as the other two together
     send_hours = st.sampled_from(draw(st.lists(hours, min_size=1, max_size=4)))
-    messages = tuple(
-        Message(
-            message_id=f"m{i}",
-            channel_id="general",
-            author=draw(st.sampled_from(people + ("outsider",))),
-            timestamp=SEASON_START + timedelta(hours=draw(send_hours)),
-            thread_root=draw(roots),
-        )
-        for i in range(n_messages)
-    )
-    log = MessageLog(messages=messages)
+    sent = sorted(draw(send_hours) for _ in range(n_messages))
+    stamps = [
+        f"{(SEASON_START + timedelta(hours=h)).timestamp() + i / 1000:.3f}"
+        for i, h in enumerate(sent)
+    ]
+    handles = tuple(f"U{p}" for p in people) + ("UX",)
+    chat = []
+    for i, stamp in enumerate(stamps):
+        entry = {"user": draw(st.sampled_from(handles)), "ts": stamp}
+        thread = draw(st.sampled_from(["none", "gone", "earlier", "earlier"]))
+        if thread == "gone":
+            entry["thread_ts"] = "1.000"
+        elif thread == "earlier":
+            entry["thread_ts"] = stamps[draw(st.integers(0, i))]
+        chat.append(entry)
 
     mr_specs = draw(
         st.lists(
@@ -100,19 +111,41 @@ def seasons(draw):
 
     scored = draw(st.sets(st.sampled_from([s.sprint_id for s in sprints])))
     week_ids = tuple(w for s in sprints if s.sprint_id in scored for w in s.week_ids)
-    roster = Roster(team_id="T", members=frozenset(people), identity_map={})
-    return roster, cal, log, repo, week_ids
+    roster = Roster(
+        team_id="T", members=frozenset(people), identity_map={f"U{p}": p for p in people}
+    )
+    return roster, cal, chat, repo, week_ids
+
+
+def with_export(chat, read):
+    """``read(export_root)`` on a one-channel export holding the entries."""
+    with tempfile.TemporaryDirectory() as tmp:
+        day = Path(tmp) / "general" / "2024-01-01.json"
+        day.parent.mkdir()
+        day.write_text(json.dumps(chat), encoding="utf-8")
+        return read(tmp)
+
+
+def weekly_and_events(chat, roster, cal):
+    """The weekly edges of parse_chat_edges and the oracle's reply tuples."""
+
+    def read(root):
+        log = parse_chat_export_oracle(root, roster)
+        return parse_chat_edges(root, roster, cal)[0], comm_events_oracle(log, cal)[1]
+
+    return with_export(chat, read)
 
 
 @settings(max_examples=200, deadline=None)
 @given(seasons())
 def test_weekly_edges_equal_oracle(season):
-    roster, cal, log, _, _ = season
+    roster, cal, chat, _, _ = season
     diag, oracle_diag = Diagnostics(), Diagnostics()
-    weekly, replies = weekly_edges(log, roster, cal, diag)
-    oracle_weekly, events = comm_events_oracle(log, roster, cal, oracle_diag)
-    assert weekly == oracle_weekly
-    assert replies == len(events)
+    got = with_export(chat, lambda root: parse_chat_edges(root, roster, cal, (), diag))
+    expected = with_export(
+        chat, lambda root: chat_edges_oracle(root, roster, cal, (), oracle_diag)
+    )
+    assert got == expected
     # Counter equality ignores zero keys; a dict shows a counter added as 0
     assert dict(diag.counts) == dict(oracle_diag.counts)
 
@@ -120,9 +153,8 @@ def test_weekly_edges_equal_oracle(season):
 @settings(max_examples=100, deadline=None)
 @given(seasons())
 def test_windows_from_weekly_groups_equal_scan(season):
-    roster, cal, log, _, _ = season
-    weekly, _ = weekly_edges(log, roster, cal)
-    _, events = comm_events_oracle(log, roster, cal)
+    roster, cal, chat, _, _ = season
+    weekly, events = weekly_and_events(chat, roster, cal)
     windows = [(w,) for w in cal.week_ids()] + [s.week_ids for s in cal.sprints]
     for week_ids in windows:
         net = window_network(weekly, roster, week_ids)
@@ -133,10 +165,9 @@ def test_windows_from_weekly_groups_equal_scan(season):
 @settings(max_examples=100, deadline=None)
 @given(seasons())
 def test_weekly_scores_equal_brute_force(season):
-    roster, cal, log, repo, week_ids = season
-    _, events = comm_events_oracle(log, roster, cal)
+    roster, cal, chat, repo, week_ids = season
+    weekly, events = weekly_and_events(chat, roster, cal)
     diag = Diagnostics()
-    weekly, _ = weekly_edges(log, roster, cal)
     got = weekly_team_scores(repo, weekly, roster, cal, week_ids, diagnostics=diag)
 
     author = {c.sha: c.author for c in repo.commits}
