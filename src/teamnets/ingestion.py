@@ -746,6 +746,10 @@ def parse_work_logs(
             raise ValidationError(f"{p}:line {line}: non-finite hours")
         if hours < 0:
             raise ValidationError(f"{p}:line {line}: negative hours")
-        totals[row["team_id"]] = totals.get(row["team_id"], 0.0) + hours
+        team = row["team_id"]
+        total = totals.get(team, 0.0) + hours
+        if not math.isfinite(total):
+            raise ValidationError(f"{p}:line {line}: hours total of team {team} overflows")
+        totals[team] = total
         diag.bump("work_log_rows")
     return totals

@@ -19,7 +19,7 @@ import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .config import AnomalyThresholds, PipelineConfig, TeamConfig
 from .errors import InputError, ValidationError
@@ -64,6 +64,8 @@ KIND_HIGH_STC_LOW_DELIVERY = "high-stc-low-delivery"
 KIND_LOW_STC_HIGH_PAIRING = "low-stc-high-pairing"
 
 Census = tuple[float, float, float, float]
+# A sample series, team -> sprint -> value; an undefined value is None or absent.
+Series = Mapping[str, Mapping[int, float | None]]
 
 
 @dataclass(frozen=True)
@@ -183,11 +185,32 @@ def sprint_census(
 # ---------------------------------------------------------------------------
 
 
-def _try_cell(label: str, pairs: Sequence[tuple[float, float]]) -> CorrelationCell:
-    xs = [a for a, _ in pairs]
-    ys = [b for _, b in pairs]
+def _mean(values: Collection[float]) -> float | None:
+    """Mean of the values; None when there are none or their sum overflows."""
     try:
-        res = pearson(xs, ys)
+        return math.fsum(values) / len(values) if values else None
+    except OverflowError:
+        return None
+
+
+def _cell(
+    label: str,
+    x_of: Series,
+    y_of: Series,
+    teams: Sequence[str],
+    sprints: Sequence[int],
+) -> CorrelationCell:
+    """Pearson r of x against y over the (team, sprint) points where both are
+    defined, in team-then-sprint order; r and p are None where it is undefined."""
+    pairs = [
+        (x, y)
+        for team in teams
+        for sprint in sprints
+        if (x := x_of.get(team, {}).get(sprint)) is not None
+        and (y := y_of.get(team, {}).get(sprint)) is not None
+    ]
+    try:
+        res = pearson([x for x, _ in pairs], [y for _, y in pairs])
     except ValueError:
         return CorrelationCell(label=label, r=None, n=len(pairs), p=None, stars="")
     return CorrelationCell(
@@ -197,24 +220,20 @@ def _try_cell(label: str, pairs: Sequence[tuple[float, float]]) -> CorrelationCe
 
 def _census_table(
     census: Mapping[str, Mapping[int, Census | None]],
-    outcomes: Mapping[str, Mapping[tuple[str, int], float | None]],
+    outcomes: Mapping[str, Series],
     teams: Sequence[str],
     sprints: Sequence[int],
 ) -> tuple[CorrelationCell, ...]:
     """Each outcome against each census component, over the teams' sprints."""
-    cells = []
-    for outcome_label, outcome_values in outcomes.items():
-        for k in range(4):
-            pairs = []
-            for team in teams:
-                for sprint in sprints:
-                    rel = census.get(team, {}).get(sprint)
-                    out = outcome_values.get((team, sprint))
-                    if rel is None or out is None:
-                        continue
-                    pairs.append((rel[k], out))
-            cells.append(_try_cell(f"rel_{k}_edges~{outcome_label}", pairs))
-    return tuple(cells)
+    components = [
+        {t: {s: c[k] for s, c in census[t].items() if c is not None} for t in teams}
+        for k in range(4)
+    ]
+    return tuple(
+        _cell(f"rel_{k}_edges~{label}", components[k], series, teams, sprints)
+        for label, series in outcomes.items()
+        for k in range(4)
+    )
 
 
 def run_pipeline(config: PipelineConfig) -> AnalysisReport:
@@ -261,63 +280,35 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             ]
             mean_weekly_census[team][sprint] = mean_weekly_relative_census(weekly_rel).freqs
 
-    stc_sprint_mean: dict[str, dict[int, float | None]] = {}
-    for team in teams:
-        stc_sprint_mean[team] = {}
-        for sprint in sprints:
-            defined = [
-                stc_weekly[team][w]
-                for w in cal.sprint_weeks(sprint)
-                if stc_weekly[team].get(w) is not None
-            ]
-            stc_sprint_mean[team][sprint] = (
-                math.fsum(defined) / len(defined) if defined else None
-            )
+    stc_sprint_mean = {
+        team: {
+            s: _mean([v for w in cal.sprint_weeks(s) if (v := stc_weekly[team].get(w)) is not None])
+            for s in sprints
+        }
+        for team in teams
+    }
 
     outcome_by = {(o.team_id, o.sprint_id): o for o in outcomes}
-    pct_passed: dict[tuple[str, int], float | None] = {}
-    score_of: dict[tuple[str, int], float | None] = {}
+    pct_passed: dict[str, dict[int, float]] = {team: {} for team in teams}
+    score_of: dict[str, dict[int, float]] = {team: {} for team in teams}
     for team in teams:
         for sprint in sprints:
             rec = outcome_by.get((team, sprint))
             if rec is None:
-                pct_passed[(team, sprint)] = None
-                score_of[(team, sprint)] = None
                 continue
+            score_of[team][sprint] = rec.team_score
             if rec.story_points_committed == 0:
                 diag.bump("sprints_zero_committed_points")
-                pct_passed[(team, sprint)] = None
             else:
-                pct_passed[(team, sprint)] = (
-                    rec.story_points_passed / rec.story_points_committed
-                )
-            score_of[(team, sprint)] = rec.team_score
+                pct_passed[team][sprint] = rec.story_points_passed / rec.story_points_committed
 
-    comm_rating = _mean_comm_ratings(feedback, person_team, teams, sprints)
+    comm_rating = _mean_comm_ratings(feedback, person_team)
 
+    cell = functools.partial(_cell, teams=teams, sprints=sprints)
     stc_table = (
-        _paired_cell(
-            "pct_story_points_passed~mean_sprint_stc",
-            pct_passed,
-            stc_sprint_mean,
-            teams,
-            sprints,
-        ),
-        _paired_cell(
-            "mean_peer_comm_rating~mean_sprint_stc",
-            comm_rating,
-            stc_sprint_mean,
-            teams,
-            sprints,
-        ),
-        _paired_cell(
-            "mean_peer_comm_rating~pct_story_points_passed",
-            comm_rating,
-            pct_passed,
-            teams,
-            sprints,
-            flat_second=True,
-        ),
+        cell("pct_story_points_passed~mean_sprint_stc", stc_sprint_mean, pct_passed),
+        cell("mean_peer_comm_rating~mean_sprint_stc", stc_sprint_mean, comm_rating),
+        cell("mean_peer_comm_rating~pct_story_points_passed", pct_passed, comm_rating),
     )
 
     census_outcomes = {"pct_story_points_passed": pct_passed, "team_score": score_of}
@@ -341,16 +332,13 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                 f"using the outcomes value"
             )
         pair_hours = pair_from_outcomes if pair_from_outcomes is not None else pair_from_logs
-        scores = [
-            score_of[(team, s)] for s in sprints if score_of[(team, s)] is not None
-        ]
         summaries.append(
             TeamSummary(
                 team_id=team,
                 pair_programming_hours=pair_hours,
                 mean_stc=summary.mean_stc,
                 stories_passed_total=rec.stories_passed_total if rec else None,
-                mean_team_score=math.fsum(scores) / len(scores) if scores else None,
+                mean_team_score=_mean(score_of[team].values()),
                 trend_slope=summary.trend.slope if summary.trend else None,
             )
         )
@@ -379,24 +367,14 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
 
     lagged_table: tuple[CorrelationCell, ...] = ()
     if config.include_lagged_table:
-        lagged_pairs = []
-        for team in teams:
-            for i, sprint in enumerate(sprints[:-1]):
-                rating = comm_rating.get((team, sprint))
-                nxt = pct_passed.get((team, sprints[i + 1]))
-                if rating is not None and nxt is not None:
-                    lagged_pairs.append((rating, nxt))
-        year_pairs = []
-        by_team_score = {s.team_id: s.mean_team_score for s in team_summaries}
-        for team in teams:
-            for sprint in sprints:
-                rating = comm_rating.get((team, sprint))
-                final = by_team_score.get(team)
-                if rating is not None and final is not None:
-                    year_pairs.append((rating, final))
+        next_pct = {
+            team: {s: pct_passed[team].get(nxt) for s, nxt in zip(sprints, sprints[1:])}
+            for team in teams
+        }
+        year_score = {s.team_id: dict.fromkeys(sprints, s.mean_team_score) for s in team_summaries}
         lagged_table = (
-            _try_cell("next_sprint_pct_passed~mean_peer_comm_rating", lagged_pairs),
-            _try_cell("mean_team_score_year~mean_peer_comm_rating", year_pairs),
+            cell("next_sprint_pct_passed~mean_peer_comm_rating", comm_rating, next_pct),
+            cell("mean_team_score_year~mean_peer_comm_rating", comm_rating, year_score),
         )
 
     utest = _trend_utest(team_summaries, notes)
@@ -424,44 +402,20 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     )
 
 
-def _paired_cell(
-    label: str,
-    first: Mapping[tuple[str, int], float | None],
-    second,
-    teams: Sequence[str],
-    sprints: Sequence[int],
-    flat_second: bool = False,
-) -> CorrelationCell:
-    pairs = []
-    for team in teams:
-        for sprint in sprints:
-            a = first.get((team, sprint))
-            b = second.get((team, sprint)) if flat_second else second[team].get(sprint)
-            if a is not None and b is not None:
-                pairs.append((b, a))
-    return _try_cell(label, pairs)
-
-
 def _mean_comm_ratings(
-    feedback: Iterable[FeedbackRecord],
-    person_team: Mapping[str, str],
-    teams: Sequence[str],
-    sprints: Sequence[int],
-) -> dict[tuple[str, int], float | None]:
-    sums: dict[tuple[str, int], list[int]] = {}
+    feedback: Iterable[FeedbackRecord], person_team: Mapping[str, str]
+) -> dict[str, dict[int, float | None]]:
+    """Each team's mean communication rating per sprint, by its raters' team."""
+    ratings: dict[str, dict[int, list[int]]] = {}
     for rec in feedback:
         team = person_team.get(rec.rater)
-        if team is None:
-            continue
-        sums.setdefault((team, rec.sprint_id), []).append(rec.communication_rating)
-    out: dict[tuple[str, int], float | None] = {}
-    for team in teams:
-        for sprint in sprints:
-            ratings = sums.get((team, sprint))
-            out[(team, sprint)] = (
-                math.fsum(ratings) / len(ratings) if ratings else None
-            )
-    return out
+        if team is not None:
+            by_sprint = ratings.setdefault(team, {})
+            by_sprint.setdefault(rec.sprint_id, []).append(rec.communication_rating)
+    return {
+        team: {sprint: _mean(r) for sprint, r in by_sprint.items()}
+        for team, by_sprint in ratings.items()
+    }
 
 
 def _trend_utest(summaries: Sequence[TeamSummary], notes: list[str]) -> UTestSummary:
@@ -586,125 +540,72 @@ def write_table(path: Path | str, columns: Sequence[str], rows: Iterable[Sequenc
         writer.writerows([_fmt(value) for value in row] for row in rows)
 
 
-def _cell_rows(cells: Iterable[CorrelationCell], extra: dict | None = None):
-    for cell in cells:
-        row = {
-            "pair": cell.label,
-            "r": cell.r,
-            "n": cell.n,
-            "p": cell.p,
-            "stars": cell.stars,
-        }
-        if extra:
-            row.update(extra)
-        yield row
+Table = tuple[list[str], list[tuple]]
+
+_CELL_COLUMNS = "pair r n p stars"
 
 
-def _tables(report: AnalysisReport) -> dict[str, tuple[list[str], list[dict]]]:
+def _table(columns: str, records: Iterable, *extra) -> Table:
+    """The space-separated column names and one row per record: its fields in
+    order, each tuple comma-joined, then ``extra``. The columns name the
+    record's fields in field order, so a new field needs a new column."""
+    rows = [
+        tuple(",".join(v) if isinstance(v, tuple) else v for v in dataclasses.astuple(rec))
+        + extra
+        for rec in records
+    ]
+    return columns.split(), rows
+
+
+def _tables(report: AnalysisReport) -> dict[str, Table]:
+    """Every result table of the report, by file name."""
     excluded = ",".join(report.excluded_teams)
-    cell_cols = ["pair", "r", "n", "p", "stars"]
-    excl_cols = cell_cols + ["excluded_teams"]
-    tables: dict[str, tuple[list[str], list[dict]]] = {
-        "stc_correlations": (cell_cols, list(_cell_rows(report.stc_table))),
-        "census_sprint_correlations": (
-            cell_cols,
-            list(_cell_rows(report.census_sprint_table)),
+    excl_columns = _CELL_COLUMNS + " excluded_teams"
+    tables = {
+        "stc_correlations": _table(_CELL_COLUMNS, report.stc_table),
+        "census_sprint_correlations": _table(_CELL_COLUMNS, report.census_sprint_table),
+        "census_mean_weekly_correlations": _table(_CELL_COLUMNS, report.census_mean_weekly_table),
+        "census_sprint_correlations_excluding": _table(
+            excl_columns, report.census_sprint_table_excluding, excluded
         ),
-        "census_mean_weekly_correlations": (
-            cell_cols,
-            list(_cell_rows(report.census_mean_weekly_table)),
+        "census_mean_weekly_correlations_excluding": _table(
+            excl_columns, report.census_mean_weekly_table_excluding, excluded
         ),
-        "census_sprint_correlations_excluding": (
-            excl_cols,
-            list(
-                _cell_rows(
-                    report.census_sprint_table_excluding, {"excluded_teams": excluded}
-                )
-            ),
+        "team_summary": _table(
+            "team pair_programming_hours mean_stc_score stories_passed mean_team_score"
+            " stc_trend_slope",
+            report.team_summaries,
         ),
-        "census_mean_weekly_correlations_excluding": (
-            excl_cols,
-            list(
-                _cell_rows(
-                    report.census_mean_weekly_table_excluding, {"excluded_teams": excluded}
-                )
-            ),
-        ),
-        "team_summary": (
-            [
-                "team",
-                "pair_programming_hours",
-                "mean_stc_score",
-                "stories_passed",
-                "mean_team_score",
-                "stc_trend_slope",
-            ],
-            [
-                {
-                    "team": s.team_id,
-                    "pair_programming_hours": s.pair_programming_hours,
-                    "mean_stc_score": s.mean_stc,
-                    "stories_passed": s.stories_passed_total,
-                    "mean_team_score": s.mean_team_score,
-                    "stc_trend_slope": s.trend_slope,
-                }
-                for s in report.team_summaries
-            ],
-        ),
-        "trend_utest": (
-            ["increasing_teams", "decreasing_teams", "u", "p", "method"],
-            [
-                {
-                    "increasing_teams": ",".join(report.trend_utest.increasing_teams),
-                    "decreasing_teams": ",".join(report.trend_utest.decreasing_teams),
-                    "u": report.trend_utest.u,
-                    "p": report.trend_utest.p,
-                    "method": report.trend_utest.method,
-                }
-            ],
-        ),
-        "anomalies": (
-            ["team", "kind", "stc_rank", "evidence_metric", "evidence_rank"],
-            [
-                {
-                    "team": f.team_id,
-                    "kind": f.kind,
-                    "stc_rank": f.stc_rank,
-                    "evidence_metric": f.evidence_metric,
-                    "evidence_rank": f.evidence_rank,
-                }
-                for f in report.anomalies
-            ],
-        ),
+        "trend_utest": _table("increasing_teams decreasing_teams u p method", [report.trend_utest]),
+        "anomalies": _table("team kind stc_rank evidence_metric evidence_rank", report.anomalies),
     }
     if report.lagged_table:
-        tables["lagged_correlations"] = (cell_cols, list(_cell_rows(report.lagged_table)))
+        tables["lagged_correlations"] = _table(_CELL_COLUMNS, report.lagged_table)
     return tables
 
 
-def _series(report: AnalysisReport) -> dict[str, tuple[list[str], list[dict]]]:
-    series: dict[str, tuple[list[str], list[dict]]] = {}
+def _series(report: AnalysisReport) -> dict[str, Table]:
     census_cols = ["sprint"] + [f"rel_{k}_edges" for k in range(4)] + [
         f"mean_weekly_rel_{k}_edges" for k in range(4)
     ]
+    blank = (None,) * 4
+    series: dict[str, Table] = {}
     for team in report.teams:
         series[f"series_stc_{team}"] = (
             ["week", "stc_score"],
+            [(w, report.stc_weekly[team].get(w)) for w in report.weeks],
+        )
+        series[f"series_census_{team}"] = (
+            census_cols,
             [
-                {"week": w, "stc_score": report.stc_weekly[team].get(w)}
-                for w in report.weeks
+                (
+                    sprint,
+                    *(report.sprint_census[team].get(sprint) or blank),
+                    *(report.mean_weekly_census[team].get(sprint) or blank),
+                )
+                for sprint in report.sprints
             ],
         )
-        rows = []
-        for sprint in report.sprints:
-            rel = report.sprint_census[team].get(sprint)
-            mw = report.mean_weekly_census[team].get(sprint)
-            row: dict = {"sprint": sprint}
-            for k in range(4):
-                row[f"rel_{k}_edges"] = rel[k] if rel else None
-                row[f"mean_weekly_rel_{k}_edges"] = mw[k] if mw else None
-            rows.append(row)
-        series[f"series_census_{team}"] = (census_cols, rows)
     return series
 
 
@@ -738,11 +639,12 @@ def emit(
         columns, rows = files[name]
         if format == "delimited-table":
             path = out / f"{name}.csv"
-            write_table(path, columns, ([row[c] for c in columns] for row in rows))
+            write_table(path, columns, rows)
         else:
             path = out / f"{name}.json"
+            objects = [dict(zip(columns, row)) for row in rows]
             path.write_text(
-                json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+                json.dumps(objects, indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
         written.append(path)
     if format == "structured-data":

@@ -11,6 +11,7 @@ audit against independent oracles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations, groupby
 from typing import Sequence
@@ -155,16 +156,23 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
         raise ValueError(f"sample length mismatch: {n} vs {len(y)}")
     if n < 3:
         raise ValueError(f"pearson requires at least 3 paired samples, got {n}")
-    mean_x = math.fsum(x) / n
-    mean_y = math.fsum(y) / n
-    sxx = math.fsum((xi - mean_x) ** 2 for xi in x)
-    syy = math.fsum((yi - mean_y) ** 2 for yi in y)
+    try:
+        mean_x = math.fsum(x) / n
+        mean_y = math.fsum(y) / n
+        sxx = math.fsum((xi - mean_x) ** 2 for xi in x)
+        syy = math.fsum((yi - mean_y) ** 2 for yi in y)
+    except OverflowError:  # finite samples whose mean or sum of squares overflows
+        raise ValueError("correlation undefined: a mean or sum is not finite") from None
     if not (math.isfinite(sxx) and math.isfinite(syy)):  # a nan or infinity in a sample
         raise ValueError("correlation undefined: a sample value is not finite")
     if sxx == 0.0 or syy == 0.0:
         raise ValueError("correlation undefined: at least one variable is constant")
     sxy = math.fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
-    r = sxy / math.sqrt(sxx * syy)
+    product = sxx * syy
+    if sys.float_info.min <= product <= sys.float_info.max:
+        r = sxy / math.sqrt(product)
+    else:  # the product under- or overflows
+        r = sxy / (math.sqrt(sxx) * math.sqrt(syy))
     r = max(-1.0, min(1.0, r))
     df = n - 2
     denom = 1.0 - r * r

@@ -408,6 +408,48 @@ class TestSubcommands:
     def test_missing_out_is_input_error(self, mini_dir):
         assert main(["stc", "--config", str(mini_dir / "config.json")]) == 2
 
+    def test_overflowing_team_scores_give_blank_cells(self, mini_dir, tmp_path, capsys):
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        rows = (work / "outcomes.csv").read_text().splitlines()
+        for i, row in enumerate(rows):
+            fields = row.split(",")
+            if fields[:2] in (["alpha", "2"], ["alpha", "3"]):
+                fields[4] = "1e308"  # team_score; their sum overflows
+                rows[i] = ",".join(fields)
+        (work / "outcomes.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        # only alpha's mean team score changes, to blank
+        golden_table = mini_dir.parent / "mini_golden" / "team_summary.csv"
+        golden = [row.split(",") for row in golden_table.read_text().splitlines()]
+        golden[1][4] = ""
+        summary = [row.split(",") for row in (out / "team_summary.csv").read_text().splitlines()]
+        assert summary == golden
+        for table in ("census_sprint_correlations", "census_mean_weekly_correlations"):
+            cells = [
+                line.split(",")
+                for line in (out / f"{table}.csv").read_text().splitlines()
+                if "~team_score" in line
+            ]
+            assert len(cells) == 4
+            assert all(c[1:] == ["", "4", "", ""] for c in cells)
+
+    def test_overflowing_work_log_is_validation_failure(self, mini_dir, tmp_path, capsys):
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        logs = work / "work_logs.csv"
+        logs.write_text("team_id,hours\nalpha,1e308\nalpha,1e308\n", encoding="utf-8")
+        config = json.loads((work / "config.json").read_text())
+        config["work_logs"] = "work_logs.csv"
+        (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{logs}:line 3: hours total of team alpha overflows" in err
+        assert "Traceback" not in err
+
 
 def test_second_reply_in_thread_and_week_changes_only_the_count(mini_dir, tmp_path, capsys):
     """Edges are presence-only: a repeated reply leaves every report table as

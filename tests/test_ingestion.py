@@ -807,6 +807,13 @@ class TestTables:
         )
         assert parse_work_logs(path) == {"X": 4.0, "Y": 3.0}
 
+    def test_work_logs_overflowing_total_names_line(self, tmp_path):
+        path = tmp_path / "wl.csv"
+        path.write_text("team_id,hours\nX,1e308\nY,1e308\nX,1e308\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            parse_work_logs(path)
+        assert str(err.value) == f"{path}:line 4: hours total of team X overflows"
+
     def test_work_logs_negative_hours(self, tmp_path):
         path = tmp_path / "wl.csv"
         path.write_text("team_id,hours\nX,-1\n", encoding="utf-8")

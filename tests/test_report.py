@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -49,6 +51,17 @@ def cohort_summaries():
         )
         for team, (hours, stc, stories) in sorted(COHORT_SUMMARY.items())
     ]
+
+
+def _mini_config(mini_dir, tmp_path, excluded_sprints, **options):
+    """A copy of the mini season under ``tmp_path``; returns its raw config."""
+    work = tmp_path / "mini"
+    shutil.copytree(mini_dir, work)
+    raw = json.loads((work / "config.json").read_text())
+    raw["calendar"]["excluded_sprints"] = excluded_sprints
+    raw["options"].update(options)
+    (work / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    return raw
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +168,55 @@ class TestMiniPipeline:
         assert report.lagged_table[0].n == 2
         assert report.lagged_table[1].n == 4
 
+    @pytest.mark.parametrize("excluded_sprints", [[1], []], ids=["sprint-1-excluded", "all"])
+    def test_lagged_table_values(self, mini_dir, tmp_path, excluded_sprints):
+        """Both lagged cells against pairs read straight from the mini tables."""
+        raw = _mini_config(mini_dir, tmp_path, excluded_sprints, include_lagged_table=True)
+        report = run_pipeline(load_config(tmp_path / "mini" / "config.json"))
+
+        sprints = [s for s in (1, 2, 3) if s not in excluded_sprints]
+        team_of = {m: t["team_id"] for t in raw["teams"] for m in t["members"]}
+        with (mini_dir / "outcomes.csv").open(newline="") as fh:
+            outcomes = {(r["team_id"], int(r["sprint_id"])): r for r in csv.DictReader(fh)}
+        ratings: dict[tuple[str, int], list[int]] = {}
+        with (mini_dir / "feedback.csv").open(newline="") as fh:
+            for r in csv.DictReader(fh):
+                key = (team_of[r["rater"]], int(r["sprint_id"]))
+                ratings.setdefault(key, []).append(int(r["communication_rating"]))
+        teams = ["alpha", "beta"]
+        rating = {k: sum(v) / len(v) for k, v in ratings.items()}
+        pct = {
+            k: int(r["story_points_passed"]) / int(r["story_points_committed"])
+            for k, r in outcomes.items()
+        }
+        year_score = {
+            t: sum(float(outcomes[(t, s)]["team_score"]) for s in sprints) / len(sprints)
+            for t in teams
+        }
+        lagged = [
+            (rating[(t, s)], pct[(t, nxt)]) for t in teams for s, nxt in zip(sprints, sprints[1:])
+        ]
+        year = [(rating[(t, s)], year_score[t]) for t in teams for s in sprints]
+
+        for cell, pairs in zip(report.lagged_table, (lagged, year)):
+            assert cell.n == len(pairs)
+            if len(pairs) < 3:
+                assert cell.r is None and cell.p is None and cell.stars == ""
+            else:
+                xs, ys = zip(*pairs)
+                assert cell.r == pytest.approx(pearson_r_oracle(xs, ys), abs=1e-12)
+        assert [c.n for c in report.lagged_table] == (
+            [2, 4] if excluded_sprints else [4, 6]
+        )
+
+    def test_sprint_without_defined_stc_week_has_no_mean(self, mini_dir, tmp_path):
+        # with sprint 1 included, neither team has a defined STC week in it
+        _mini_config(mini_dir, tmp_path, excluded_sprints=[])
+        report = run_pipeline(load_config(tmp_path / "mini" / "config.json"))
+        assert report.stc_sprint_mean["alpha"][1] is None
+        assert report.stc_sprint_mean["beta"][1] is None
+        assert [c.n for c in report.stc_table] == [4, 4, 6]
+
     def test_missing_outcomes_is_named(self, mini_dir):
         config = load_config(mini_dir / "config.json")
         config.outcomes_path = None
@@ -246,7 +308,7 @@ class TestEmission:
         emit(mini_report, "delimited-table", tmp_path)
         emit(mini_report, "structured-data", tmp_path)
         mismatches = []
-        for ref in sorted([*golden.glob("*.csv"), golden / "report.json"]):
+        for ref in sorted([*golden.glob("*.csv"), *golden.glob("*.json")]):
             produced = tmp_path / ref.name
             if not produced.exists() or produced.read_bytes() != ref.read_bytes():
                 mismatches.append(ref.name)

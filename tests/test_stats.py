@@ -74,6 +74,23 @@ class TestPearson:
             with pytest.raises(ValueError, match="not finite"):
                 pearson([1, 2, 3], [2, bad, 1])
 
+    def test_overflowing_sums_are_undefined(self):
+        # finite samples whose mean or sum of squares overflows
+        with pytest.raises(ValueError, match="not finite"):
+            pearson([1e308, -1e308, 0.0], [1, 2, 3])
+        with pytest.raises(ValueError, match="not finite"):
+            pearson([1, 2, 3], [1e308, 1e308, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e-140, 1e-100, 1e100, 1e150])
+    def test_extreme_scales(self, scale):
+        # sxx * syy under- or overflows although r is well defined
+        x = [0.3, 1.7, 2.2, 4.8, 5.1]
+        y = [9.0, 3.5, 4.4, 1.2, 2.0]
+        base = pearson(x, y)
+        res = pearson([scale * xi for xi in x], [scale * yi for yi in y])
+        assert res.r == pytest.approx(base.r, abs=1e-12)
+        assert res.p_two_tailed == pytest.approx(base.p_two_tailed, abs=1e-9)
+
 
 def _dataset_with_r(target: float, n: int) -> tuple[list[float], list[float]]:
     """Construct (x, y) whose sample correlation is exactly the target."""
