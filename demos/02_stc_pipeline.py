@@ -2,7 +2,8 @@
 Socio-technical congruence, step by step
 ========================================
 
-Runs the weekly STC pipeline on a tiny in-memory team: task assignments
+Runs the weekly STC pipeline on a tiny team whose repo activity and chat
+export are written to a temporary directory: task assignments
 from merge-request authorship, task dependencies from file overlap,
 coordination requirements as the pairs of people whose merge requests
 depend on each other, actual coordination from the week's network of
@@ -15,16 +16,13 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from teamnets import (
-    Commit,
-    MergeRequest,
-    RepoActivity,
     Roster,
     Sprint,
     SprintCalendar,
     Week,
     coordination_requirements,
-    merge_requests_by_week,
     parse_chat_edges,
+    parse_repo_weeks,
     stc_scores,
     window_network,
 )
@@ -40,38 +38,44 @@ roster = Roster(
     identity_map={"U_ANA": "ana", "U_BEN": "ben", "U_CAL": "cal"},  # chat handle -> person
 )
 
-# ana and ben committed to MR-1; cal committed to MR-2; both MRs touch api.py
-repo = RepoActivity(
-    commits=(
-        Commit("c1", "ana", start + timedelta(hours=1)),
-        Commit("c2", "ben", start + timedelta(hours=2)),
-        Commit("c3", "cal", start + timedelta(hours=3)),
-    ),
-    merge_requests=(
-        MergeRequest("MR-1", start + timedelta(hours=4), frozenset({"c1", "c2"}),
-                     frozenset({"api.py", "ui.py"})),
-        MergeRequest("MR-2", start + timedelta(hours=5), frozenset({"c3"}),
-                     frozenset({"api.py"})),
-    ),
-)
 
-# the week's merge requests, grouped by creation week once
-mrs = merge_requests_by_week(repo, cal, cal.week_ids())[1]
-commit_author = {c.sha: c.author for c in repo.commits}
+def at(hours: int) -> str:
+    return (start + timedelta(hours=hours)).isoformat()
+
+
+# ana and ben committed to MR-1; cal committed to MR-2; both MRs touch api.py
+repo = {
+    "commits": [
+        {"sha": "c1", "author": "ana", "authored_at": at(1)},
+        {"sha": "c2", "author": "ben", "authored_at": at(2)},
+        {"sha": "c3", "author": "cal", "authored_at": at(3)},
+    ],
+    "merge_requests": [
+        {"id": "MR-1", "created_at": at(4), "commits": ["c1", "c2"], "files": ["api.py", "ui.py"]},
+        {"id": "MR-2", "created_at": at(5), "commits": ["c3"], "files": ["api.py"]},
+    ],
+}
+with tempfile.TemporaryDirectory() as tmp:
+    repo_file = Path(tmp) / "repo.json"
+    repo_file.write_text(json.dumps(repo), encoding="utf-8")
+    # each week's merge requests as (authors, files) pairs, in file order; also
+    # the number of kept commits and of merge requests
+    by_week, _, _ = parse_repo_weeks(repo_file, roster, cal)
+mrs = by_week[1]
+names = [mr["id"] for mr in repo["merge_requests"]]  # both were created in week 1
 
 print("step 1, task assignments (who authored a commit in each MR):")
-for mr in mrs:
-    authors = sorted({commit_author[sha] for sha in mr.commit_shas})
-    print(f"    {mr.mr_id}: {', '.join(authors)}")
+for name, (authors, _) in zip(names, mrs):
+    print(f"    {name}: {', '.join(sorted(authors))}")
 
 print("\nstep 2, task dependencies (MR pairs that share a changed file):")
-for i, a in enumerate(mrs):
-    for b in mrs[i + 1:]:
-        shared = a.changed_files & b.changed_files
+for i, (_, a) in enumerate(mrs):
+    for j in range(i + 1, len(mrs)):
+        shared = a & mrs[j][1]
         if shared:
-            print(f"    {a.mr_id} -- {b.mr_id} ({', '.join(sorted(shared))})")
+            print(f"    {names[i]} -- {names[j]} ({', '.join(sorted(shared))})")
 
-required = coordination_requirements(mrs, commit_author, roster)
+required = coordination_requirements(mrs)
 print("\nstep 3, coordination requirements (pairs of people who must coordinate):")
 for a, b in sorted(required):
     print(f"    {a} -- {b}")

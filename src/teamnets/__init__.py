@@ -4,12 +4,9 @@ networks, triad censuses, and socio-technical congruence scores."""
 from .config import AnomalyThresholds, PipelineConfig, TeamConfig, load_config
 from .errors import InputError, ValidationError
 from .ingestion import (
-    Commit,
     Diagnostics,
     FeedbackRecord,
-    MergeRequest,
     OutcomeRecord,
-    RepoActivity,
     Roster,
     Sprint,
     SprintCalendar,
@@ -17,7 +14,7 @@ from .ingestion import (
     parse_chat_edges,
     parse_feedback,
     parse_outcomes,
-    parse_repo_activity,
+    parse_repo_weeks,
     parse_work_logs,
 )
 from .network import (
@@ -50,7 +47,6 @@ from .stc import (
     StcScore,
     YearSummary,
     coordination_requirements,
-    merge_requests_by_week,
     stc_scores,
     weekly_team_scores,
     year_summary,

@@ -5,9 +5,10 @@ Subcommands::
     teamnets validate  --config cfg.json
     teamnets stc       --config cfg.json --out out/
     teamnets census    --config cfg.json --out out/
-    teamnets correlate --config cfg.json --out out/ [--format ...]
-    teamnets report    --config cfg.json --out out/ [--format ...]
-                       [--exclude-teams a,b] [--exclude-sprints 1]
+    teamnets correlate --config cfg.json --out out/ [--format ...] [--exclude-teams a,b]
+    teamnets report    --config cfg.json --out out/ [--format ...] [--exclude-teams a,b]
+
+Every subcommand also takes ``--exclude-sprints 1``.
 
 Exit codes: 0 success, 1 validation failure, 2 input error (also an input or
 output path the system cannot use), 3 internal error (an unexpected
@@ -28,7 +29,7 @@ from .ingestion import (
     Diagnostics,
     parse_feedback,
     parse_outcomes,
-    parse_repo_activity,
+    parse_repo_weeks,
     parse_work_logs,
 )
 from .network import write_edge_list
@@ -59,18 +60,20 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="pipeline config file")
-        cmd.add_argument("--out", help="output directory")
-        cmd.add_argument(
-            "--format",
-            choices=FORMATS,
-            default="delimited-table",
-            help="output format (default: delimited-table)",
-        )
-        cmd.add_argument(
-            "--exclude-teams",
-            default=None,
-            help="comma-separated team ids to exclude from census correlation variants",
-        )
+        if name != "validate":
+            cmd.add_argument("--out", required=True, help="output directory")
+        if name in ("correlate", "report"):
+            cmd.add_argument(
+                "--format",
+                choices=FORMATS,
+                default="delimited-table",
+                help="output format (default: delimited-table)",
+            )
+            cmd.add_argument(
+                "--exclude-teams",
+                default=None,
+                help="comma-separated team ids to exclude from census correlation variants",
+            )
         cmd.add_argument(
             "--exclude-sprints",
             default=None,
@@ -86,7 +89,7 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
         except ValueError:
             raise InputError(f"--exclude-sprints must be integers: {args.exclude_sprints!r}")
         config.calendar = config.calendar.with_excluded(extra)
-    if args.exclude_teams is not None:
+    if getattr(args, "exclude_teams", None) is not None:
         wanted = tuple(sorted(t for t in args.exclude_teams.split(",") if t))
         known = set(config.team_ids())
         unknown = [t for t in wanted if t not in known]
@@ -96,12 +99,6 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
     return config
 
 
-def _require_out(args) -> Path:
-    if not args.out:
-        raise InputError(f"--out is required for the {args.command} subcommand")
-    return Path(args.out)
-
-
 def _cmd_validate(config: PipelineConfig) -> int:
     diag = Diagnostics()
     failures = 0
@@ -109,10 +106,11 @@ def _cmd_validate(config: PipelineConfig) -> int:
         team = team_cfg.team_id
         try:
             _, kept, replies = team_events(team_cfg, config, diag)
-            repo = parse_repo_activity(team_cfg.repo_activity, team_cfg.roster, diag)
+            _, commits, mrs = parse_repo_weeks(
+                team_cfg.repo_activity, team_cfg.roster, config.calendar, diag
+            )
             print(
-                f"team {team}: {kept} messages, "
-                f"{len(repo.commits)} commits, {len(repo.merge_requests)} merge requests, "
+                f"team {team}: {kept} messages, {commits} commits, {mrs} merge requests, "
                 f"{replies} communication events"
             )
         except ValidationError as exc:
@@ -171,20 +169,22 @@ def _cmd_report(
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (exit 2, message on stderr) or --help
+        return exc.code
     try:
         config = _apply_overrides(load_config(args.config), args)
         if args.command == "validate":
             return _cmd_validate(config)
+        out = Path(args.out)
         if args.command == "stc":
-            return _cmd_stc(config, _require_out(args))
+            return _cmd_stc(config, out)
         if args.command == "census":
-            return _cmd_census(config, _require_out(args))
+            return _cmd_census(config, out)
         if args.command == "correlate":
-            return _cmd_report(
-                config, _require_out(args), args.format, lambda name: "correlations" in name
-            )
-        return _cmd_report(config, _require_out(args), args.format, None)
+            return _cmd_report(config, out, args.format, lambda name: "correlations" in name)
+        return _cmd_report(config, out, args.format, None)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

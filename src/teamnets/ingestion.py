@@ -33,9 +33,11 @@ identity map (instructors, bots) are dropped and counted in diagnostics
 rather than failing the parse.
 
 A chat export is read straight into what both measures use of it: each
-calendar week's set of reply edges (``parse_chat_edges``). The other inputs
-become immutable records. Parsing is pure per input, so per-team inputs can
-safely be parsed concurrently.
+calendar week's set of reply edges (``parse_chat_edges``). Repo activity is
+read straight into what STC uses of it: each calendar week's merge requests
+as (authors, files) pairs (``parse_repo_weeks``). The tables become
+immutable records. Parsing is pure per input, so per-team inputs can safely
+be parsed concurrently.
 """
 
 from __future__ import annotations
@@ -261,25 +263,9 @@ class Roster:
         return self.identity_map.get(handle)
 
 
-@dataclass(frozen=True)
-class Commit:
-    sha: str
-    author: str  # person_id
-    authored_at: datetime
-
-
-@dataclass(frozen=True)
-class MergeRequest:
-    mr_id: str
-    created_at: datetime
-    commit_shas: frozenset[str]
-    changed_files: frozenset[str]
-
-
-@dataclass(frozen=True)
-class RepoActivity:
-    commits: tuple[Commit, ...]
-    merge_requests: tuple[MergeRequest, ...]
+# A merge request as STC reads it: the people who authored its kept commits,
+# and the paths it changed.
+MrSets = tuple[frozenset[str], frozenset[str]]
 
 
 @dataclass(frozen=True)
@@ -487,18 +473,26 @@ def parse_chat_edges(
 # ---------------------------------------------------------------------------
 
 
-def parse_repo_activity(
+def parse_repo_weeks(
     path: Path | str,
     roster: Roster,
+    cal: SprintCalendar,
     diagnostics: Diagnostics | None = None,
-) -> RepoActivity:
-    """Parse the normalized repo-activity file, enforcing referential integrity.
+) -> tuple[dict[int, list[MrSets]], int, int]:
+    """Each calendar week's merge requests as (authors, files) pairs, in one walk.
 
-    Commits from authors outside the identity map are dropped with a
-    diagnostic, and their shas removed from merge requests. A merge request
-    referencing a sha absent from the raw commit list is an integrity error.
-    Merge requests with no changed files are kept but counted; the
-    dependency step excludes them.
+    Validates the normalized repo-activity file and its referential
+    integrity. Commits from authors outside the identity map are dropped
+    with a diagnostic; a merge request's authors are the people of its kept
+    commits, whatever their dates, and each distinct listed sha of a
+    dropped commit counts as a dropped link. A merge request referencing a
+    sha absent from the raw commit list is an integrity error. Merge
+    requests with no changed files stay in their week's list but are
+    counted; STC scoring excludes them. A merge request created outside
+    every week is in no list.
+
+    Returns the pairs by week id in file order, the number of kept commits
+    and the number of merge requests.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
@@ -511,13 +505,14 @@ def parse_repo_activity(
         if not isinstance(payload.get(key), list):
             raise InputError(f"{p}: missing or invalid top-level array {key!r}")
 
-    raw_shas: set[str] = set()
-    commits: list[Commit] = []
+    # sha -> person of every listed commit; None for a dropped commit.
+    author_of: dict[str, str | None] = {}
+    kept = 0
     for i, obj in enumerate(payload["commits"]):
         try:
             sha = obj["sha"]
             author = obj["author"]
-            authored_at = parse_utc(obj["authored_at"])
+            parse_utc(obj["authored_at"])  # validated, not kept
         except (TypeError, KeyError) as exc:
             raise InputError(f"{p}: commit entry {i} missing field {exc}") from None
         except InputError as exc:
@@ -525,17 +520,17 @@ def parse_repo_activity(
         for key, value in (("sha", sha), ("author", author)):
             if not isinstance(value, str):
                 raise InputError(f"{p}: commit entry {i} has invalid {key} {value!r}")
-        if sha in raw_shas:
+        if sha in author_of:
             raise ValidationError(f"{p}: duplicate commit sha {sha}")
-        raw_shas.add(sha)
         person = roster.resolve(author) or (author if author in roster.members else None)
+        author_of[sha] = person
         if person is None:
             diag.bump("commits_dropped_unknown_author")
-            continue
-        commits.append(Commit(sha=sha, author=person, authored_at=authored_at))
-    kept_shas = {c.sha for c in commits}
+        else:
+            kept += 1
 
-    merge_requests: list[MergeRequest] = []
+    assign_week = cal.assign_week
+    by_week: dict[int, list[MrSets]] = {}
     seen_mrs: set[str] = set()
     for i, obj in enumerate(payload["merge_requests"]):
         try:
@@ -562,32 +557,25 @@ def parse_repo_activity(
         if mr_id in seen_mrs:
             raise ValidationError(f"{p}: duplicate merge request id {mr_id}")
         seen_mrs.add(mr_id)
-        dangling = [s for s in shas if s not in raw_shas]
+        dangling = [s for s in shas if s not in author_of]
         if dangling:
             raise ValidationError(
                 f"{p}: merge request {mr_id} references unknown commit sha(s): "
                 f"{', '.join(sorted(dangling))}"
             )
-        linked = frozenset(s for s in shas if s in kept_shas)
-        dropped = len(shas) - len(linked)
+        dropped = {s for s in shas if author_of[s] is None}
         if dropped:
-            diag.bump("mr_commit_links_dropped", dropped)
+            diag.bump("mr_commit_links_dropped", len(dropped))
         if not files:
             diag.bump("mrs_with_empty_files")
             logger.warning("%s: merge request %s has no changed files", p, mr_id)
-        merge_requests.append(
-            MergeRequest(
-                mr_id=mr_id,
-                created_at=created_at,
-                commit_shas=linked,
-                changed_files=frozenset(files),
-            )
-        )
-    commits.sort(key=lambda c: (c.authored_at, c.sha))
-    merge_requests.sort(key=lambda m: (m.created_at, m.mr_id))
-    diag.bump("commits_kept", len(commits))
-    diag.bump("mrs_kept", len(merge_requests))
-    return RepoActivity(commits=tuple(commits), merge_requests=tuple(merge_requests))
+        week = assign_week(created_at)
+        if week is not None:
+            authors = frozenset(author_of[s] for s in shas if s not in dropped)
+            by_week.setdefault(week, []).append((authors, frozenset(files)))
+    diag.bump("commits_kept", kept)
+    diag.bump("mrs_kept", len(seen_mrs))
+    return by_week, kept, len(seen_mrs)
 
 
 # ---------------------------------------------------------------------------
@@ -671,15 +659,17 @@ def parse_outcomes(
     """Parse per-sprint outcomes.
 
     Required columns: team_id, sprint_id, story_points_committed,
-    story_points_passed, team_score. Optional year-level columns
-    stories_passed_total and pair_programming_hours may be blank but must be
-    consistent across a team's rows. Rows for excluded sprints are filtered.
+    story_points_passed, team_score. A team has at most one row per sprint.
+    Optional year-level columns stories_passed_total and
+    pair_programming_hours may be blank but must be consistent across a
+    team's rows. Rows for excluded sprints are filtered.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
     kept: list[tuple[str, int, float, float, float]] = []
     known_sprints = {s.sprint_id for s in cal.sprints}
     year_level: dict[str, tuple[int | None, float | None]] = {}
+    first_line: dict[tuple[str, int], int] = {}  # (team, sprint) -> its row's line
     for line, row in _read_rows(p, _OUTCOME_COLS):
         team = row["team_id"]
         try:
@@ -697,6 +687,11 @@ def parse_outcomes(
             raise ValidationError(f"{p}:line {line}: non-finite outcome value")
         if sprint_id not in known_sprints:
             raise ValidationError(f"{p}:line {line}: unknown sprint {sprint_id}")
+        if (first := first_line.setdefault((team, sprint_id), line)) != line:
+            raise ValidationError(
+                f"{p}:line {line}: second row for team {team} sprint {sprint_id} "
+                f"(first at line {first})"
+            )
         if committed < 0 or passed < 0:
             raise ValidationError(f"{p}:line {line}: negative story points")
         if passed > committed:

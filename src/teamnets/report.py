@@ -31,7 +31,7 @@ from .ingestion import (
     parse_chat_edges,
     parse_feedback,
     parse_outcomes,
-    parse_repo_activity,
+    parse_repo_weeks,
     parse_work_logs,
 )
 from .network import (
@@ -158,9 +158,9 @@ def team_stc(
     diag: Diagnostics | None = None,
 ) -> dict[int, float | None]:
     """Parse a team's repo activity and score its weekly STC."""
-    repo = parse_repo_activity(team.repo_activity, team.roster, diag)
+    mrs_by_week = parse_repo_weeks(team.repo_activity, team.roster, config.calendar, diag)[0]
     return weekly_team_scores(
-        repo, weekly, team.roster, config.calendar, weeks, config.self_dependency, diag
+        mrs_by_week, weekly, team.roster, weeks, config.self_dependency, diag
     )
 
 

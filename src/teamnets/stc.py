@@ -1,16 +1,17 @@
 """Socio-technical congruence: weekly coordination requirements as pair sets.
 
-Merge requests are grouped by the week they were created in, once per team
-(``merge_requests_by_week``). Per week, the coordination requirements are a
-set of person pairs (Cataldo et al. 2006): p and q, p != q, must coordinate
-when p authored a commit in merge request i, q authored one in merge request
-j, and i and j share a changed file or are the same merge request. Each pair
-is an ``Edge``, the form of the week's communication network, the same
-network the weekly triad census counts; a required pair is fulfilled when it
-is an edge there. A person's score is fulfilled / required over the pairs
-that name them. A person with no requirements has an undefined score; the
-team week score averages the defined member scores and is undefined when all
-are.
+A team's merge requests come grouped by the week they were created in, each
+as the set of people who authored its kept commits and the set of files it
+changed (``ingestion.parse_repo_weeks``). Per week, the coordination
+requirements are a set of person pairs (Cataldo et al. 2006): p and q,
+p != q, must coordinate when p authored a commit in merge request i, q
+authored one in merge request j, and i and j share a changed file or are the
+same merge request. Each pair is an ``Edge``, the form of the week's
+communication network, the same network the weekly triad census counts; a
+required pair is fulfilled when it is an edge there. A person's score is
+fulfilled / required over the pairs that name them. A person with no
+requirements has an undefined score; the team week score averages the
+defined member scores and is undefined when all are.
 
 Self-dependency is on by default so that co-authors of one merge request
 count as needing to coordinate (same MR implies same files); pass
@@ -27,14 +28,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .ingestion import Diagnostics, MergeRequest, RepoActivity, Roster, SprintCalendar
+from .ingestion import Diagnostics, MrSets, Roster
 from .network import CommunicationNetwork, Edge, WeeklyEdges, _edge, window_network
 from .stats import TrendLine, ols
 
 __all__ = [
     "StcScore",
     "YearSummary",
-    "merge_requests_by_week",
     "coordination_requirements",
     "stc_scores",
     "weekly_team_scores",
@@ -56,62 +56,25 @@ class YearSummary:
     trend: TrendLine | None
 
 
-def merge_requests_by_week(
-    repo: RepoActivity,
-    cal: SprintCalendar,
-    week_ids: Iterable[int],
-    diagnostics: Diagnostics | None = None,
-) -> dict[int, list[MergeRequest]]:
-    """Each week's universe: MRs created that week with changed files, by id.
-
-    MRs without changed files are left out and counted, in the given weeks only.
-    """
-    by_week: dict[int, list[MergeRequest]] = {w: [] for w in week_ids}
-    empty = 0
-    for mr in repo.merge_requests:
-        week = cal.assign_week(mr.created_at)
-        if week not in by_week:
-            continue
-        if not mr.changed_files:
-            empty += 1
-            continue
-        by_week[week].append(mr)
-    if empty and diagnostics is not None:
-        diagnostics.bump("mrs_excluded_empty_files", empty)
-    for mrs in by_week.values():
-        mrs.sort(key=lambda m: m.mr_id)
-    return by_week
-
-
 def coordination_requirements(
-    mrs: Sequence[MergeRequest],
-    commit_author: Mapping[str, str],
-    roster: Roster,
-    include_self_dependency: bool = True,
+    mrs: Sequence[MrSets], include_self_dependency: bool = True
 ) -> frozenset[Edge]:
-    """The pairs of roster members who must coordinate over ``mrs``.
-
-    ``commit_author`` maps each commit sha to its author; commits from any
-    date assign their author to the merge request.
-    """
-    members = roster.members
-    authors: list[set[str]] = []
+    """The pairs of people who must coordinate over ``mrs``, the
+    (authors, files) pairs of a week's merge requests."""
     by_file: dict[str, list[int]] = {}
-    for i, mr in enumerate(mrs):
-        authors.append({a for a in map(commit_author.get, mr.commit_shas) if a in members})
-        for path in mr.changed_files:
+    for i, (_, files) in enumerate(mrs):
+        for path in files:
             by_file.setdefault(path, []).append(i)
     required: set[Edge] = set()
-    for i, mr in enumerate(mrs):
-        mine = authors[i]
+    for i, (mine, files) in enumerate(mrs):
         if not mine:
             continue
         partners = set(mine) if include_self_dependency else set()
         # Sharing a file is symmetric, so each pair of MRs is visited once.
-        for path in mr.changed_files:
+        for path in files:
             for j in by_file[path]:
                 if j > i:
-                    partners |= authors[j]
+                    partners |= mrs[j][0]
         for p in mine:
             for q in partners:
                 if p != q:
@@ -156,27 +119,30 @@ def stc_scores(
 
 
 def weekly_team_scores(
-    repo: RepoActivity,
+    mrs_by_week: Mapping[int, Sequence[MrSets]],
     weekly: WeeklyEdges,
     roster: Roster,
-    cal: SprintCalendar,
-    week_ids: Iterable[int] | None = None,
+    week_ids: Iterable[int],
     include_self_dependency: bool = True,
     diagnostics: Diagnostics | None = None,
 ) -> dict[int, float | None]:
     """Score each week's required pairs against its network; return team week scores.
 
-    ``weekly`` holds each week's communication edges (``parse_chat_edges``).
+    ``mrs_by_week`` holds each week's merge requests (``parse_repo_weeks``)
+    and ``weekly`` its communication edges (``parse_chat_edges``). Merge
+    requests without changed files are left out and counted, in the given
+    weeks only.
     """
-    weeks = tuple(week_ids) if week_ids is not None else cal.week_ids()
-    mrs_by_week = merge_requests_by_week(repo, cal, weeks, diagnostics)
-    commit_author = {c.sha: c.author for c in repo.commits}
     out: dict[int, float | None] = {}
-    for week_id in weeks:
-        required = coordination_requirements(
-            mrs_by_week[week_id], commit_author, roster, include_self_dependency
-        )
+    empty = 0
+    for week_id in week_ids:
+        mrs = mrs_by_week.get(week_id, ())
+        with_files = [mr for mr in mrs if mr[1]]
+        empty += len(mrs) - len(with_files)
+        required = coordination_requirements(with_files, include_self_dependency)
         _, out[week_id] = stc_scores(required, window_network(weekly, roster, (week_id,)))
+    if empty and diagnostics is not None:
+        diagnostics.bump("mrs_excluded_empty_files", empty)
     return out
 
 

@@ -5,7 +5,9 @@ package code it checks: quadrature instead of the incomplete beta function,
 direct pair counting instead of rank sums, chain enumeration and the matrix
 product instead of pair sets, numpy instead of the hand-rolled moment
 formulas, a message log sorted by key and then a tuple per reply grouped
-afterwards instead of one walk from day files into weekly edge sets.
+afterwards instead of one walk from day files into weekly edge sets, and
+commit and merge-request records sorted and then grouped by a calendar scan
+instead of one walk from the repo file into weekly (authors, files) pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from teamnets.errors import InputError, ValidationError
-from teamnets.ingestion import EXCLUDED_SUBTYPES, Diagnostics
+from teamnets.ingestion import EXCLUDED_SUBTYPES, Diagnostics, parse_utc
 
 _LEGENDRE_NODES = 200
 
@@ -128,24 +130,23 @@ def stc_brute_force(
 
 
 def coordination_requirements_oracle(
-    mrs, commit_author, roster, include_self_dependency: bool = True
+    mrs, include_self_dependency: bool = True
 ) -> frozenset[tuple[str, str]]:
     """coordination_requirements by the matrix route: the binarized product
     T_A . T_D . T_A^T with its diagonal zeroed, where T_A is the people x MR
     assignment matrix and T_D the MR x MR file-overlap matrix (unit diagonal
-    with self-dependency on), read back as sorted pairs."""
-    people = sorted(roster.members)
+    with self-dependency on), read back as sorted pairs. ``mrs`` holds
+    (authors, files) pairs."""
+    people = sorted(set().union(*(authors for authors, _ in mrs)))
     index = {p: i for i, p in enumerate(people)}
     ta = np.zeros((len(people), len(mrs)), dtype=np.int64)
-    for j, mr in enumerate(mrs):
-        for sha in mr.commit_shas:
-            author = commit_author.get(sha)
-            if author in index:
-                ta[index[author], j] = 1
+    for j, (authors, _) in enumerate(mrs):
+        for author in authors:
+            ta[index[author], j] = 1
     td = np.zeros((len(mrs), len(mrs)), dtype=np.int64)
-    for i, a in enumerate(mrs):
-        for j, b in enumerate(mrs):
-            if i != j and a.changed_files & b.changed_files:
+    for i, (_, a) in enumerate(mrs):
+        for j, (_, b) in enumerate(mrs):
+            if i != j and a & b:
                 td[i, j] = 1
     if include_self_dependency:
         np.fill_diagonal(td, 1)
@@ -154,6 +155,125 @@ def coordination_requirements_oracle(
     return frozenset(
         (people[i], people[j]) for i, j in zip(*np.nonzero(product)) if i < j
     )
+
+
+@dataclass(frozen=True)
+class Commit:
+    sha: str
+    author: str  # person_id
+    authored_at: datetime
+
+
+@dataclass(frozen=True)
+class MergeRequest:
+    mr_id: str
+    created_at: datetime
+    commit_shas: frozenset[str]
+    changed_files: frozenset[str]
+
+
+def repo_weeks_oracle(path, roster, cal, diagnostics=None):
+    """parse_repo_weeks by the record route it replaced: a Commit and a
+    MergeRequest record per entry, both lists sorted by time, then each
+    merge request's week found by a scan of the calendar and its authors
+    read through a sha -> author map. Returns the (authors, files) pairs by
+    week, sorted by (created_at, mr_id) within a week, the kept-commit count
+    and the merge-request count; the error types and texts and the
+    diagnostics counters are the same."""
+    diag = diagnostics if diagnostics is not None else Diagnostics()
+    p = Path(path)
+    if not p.is_file():
+        raise InputError(f"repo activity file not found: {p}")
+    payload = _load_json_oracle(p)
+    if not isinstance(payload, dict):
+        raise InputError(f"{p}: expected a JSON object")
+    for key in ("commits", "merge_requests"):
+        if not isinstance(payload.get(key), list):
+            raise InputError(f"{p}: missing or invalid top-level array {key!r}")
+
+    raw_shas: set[str] = set()
+    commits: list[Commit] = []
+    for i, obj in enumerate(payload["commits"]):
+        try:
+            sha = obj["sha"]
+            author = obj["author"]
+            authored_at = parse_utc(obj["authored_at"])
+        except (TypeError, KeyError) as exc:
+            raise InputError(f"{p}: commit entry {i} missing field {exc}") from None
+        except InputError as exc:
+            raise InputError(f"{p}: commit entry {i}: {exc}") from None
+        for key, value in (("sha", sha), ("author", author)):
+            if not isinstance(value, str):
+                raise InputError(f"{p}: commit entry {i} has invalid {key} {value!r}")
+        if sha in raw_shas:
+            raise ValidationError(f"{p}: duplicate commit sha {sha}")
+        raw_shas.add(sha)
+        person = roster.resolve(author) or (author if author in roster.members else None)
+        if person is None:
+            diag.bump("commits_dropped_unknown_author")
+            continue
+        commits.append(Commit(sha=sha, author=person, authored_at=authored_at))
+    kept_shas = {c.sha for c in commits}
+
+    merge_requests: list[MergeRequest] = []
+    seen_mrs: set[str] = set()
+    for i, obj in enumerate(payload["merge_requests"]):
+        try:
+            mr_id = obj["id"]
+            created_at = parse_utc(obj["created_at"])
+            shas = obj["commits"]
+            files = obj["files"]
+        except (TypeError, KeyError) as exc:
+            raise InputError(f"{p}: merge request entry {i} missing field {exc}") from None
+        except InputError as exc:
+            raise InputError(f"{p}: merge request entry {i}: {exc}") from None
+        if isinstance(mr_id, bool) or not isinstance(mr_id, (str, int)):
+            raise InputError(f"{p}: merge request entry {i} has invalid id {mr_id!r}")
+        mr_id = str(mr_id)
+        for key, values in (("commits", shas), ("files", files)):
+            if not isinstance(values, list):
+                raise InputError(f"{p}: merge request entry {i} has invalid {key} {values!r}")
+            for value in values:
+                if not isinstance(value, str):
+                    raise InputError(
+                        f"{p}: merge request entry {i} has invalid {key} entry {value!r}"
+                    )
+        if mr_id in seen_mrs:
+            raise ValidationError(f"{p}: duplicate merge request id {mr_id}")
+        seen_mrs.add(mr_id)
+        dangling = [s for s in shas if s not in raw_shas]
+        if dangling:
+            raise ValidationError(
+                f"{p}: merge request {mr_id} references unknown commit sha(s): "
+                f"{', '.join(sorted(dangling))}"
+            )
+        linked = frozenset(s for s in shas if s in kept_shas)
+        dropped = len(set(shas)) - len(linked)
+        if dropped:
+            diag.bump("mr_commit_links_dropped", dropped)
+        if not files:
+            diag.bump("mrs_with_empty_files")
+        merge_requests.append(
+            MergeRequest(
+                mr_id=mr_id,
+                created_at=created_at,
+                commit_shas=linked,
+                changed_files=frozenset(files),
+            )
+        )
+    commits.sort(key=lambda c: (c.authored_at, c.sha))
+    merge_requests.sort(key=lambda m: (m.created_at, m.mr_id))
+    diag.bump("commits_kept", len(commits))
+    diag.bump("mrs_kept", len(merge_requests))
+
+    commit_author = {c.sha: c.author for c in commits}
+    by_week: dict[int, list] = {}
+    for mr in merge_requests:
+        week = assign_week_oracle(cal, mr.created_at)
+        if week is not None:
+            authors = frozenset(commit_author[s] for s in mr.commit_shas)
+            by_week.setdefault(week, []).append((authors, mr.changed_files))
+    return by_week, len(commits), len(merge_requests)
 
 
 @dataclass(frozen=True)

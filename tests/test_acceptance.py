@@ -10,15 +10,13 @@ import math
 import os
 import random
 import time
-from datetime import datetime, timedelta, timezone
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from teamnets.config import load_config
-from teamnets.ingestion import Commit, MergeRequest, RepoActivity, Roster, Sprint, \
-    SprintCalendar, Week
+from teamnets.ingestion import Roster
 from teamnets.network import CommunicationNetwork, window_network
 from teamnets.report import (
     KIND_HIGH_STC_LOW_DELIVERY,
@@ -28,7 +26,7 @@ from teamnets.report import (
     run_pipeline,
 )
 from teamnets.stats import mann_whitney_u, pearson, t_sf
-from teamnets.stc import coordination_requirements, merge_requests_by_week, stc_scores
+from teamnets.stc import coordination_requirements, stc_scores
 from teamnets.synthetic import make_season
 from teamnets.triad import census_closed_form, relative_census, triad_census
 
@@ -77,50 +75,18 @@ def test_criterion_2_census_equivalence_1000_graphs():
     print(f"criterion 2: 1000 graphs equivalent in {elapsed:.2f} s")
 
 
-def _one_week_calendar():
-    return SprintCalendar(
-        weeks=(Week(1, datetime(2023, 3, 6, tzinfo=timezone.utc),
-                    datetime(2023, 3, 13, tzinfo=timezone.utc)),),
-        sprints=(Sprint(1, (1,)),),
-    )
-
-
-def _repo_from(mr_specs):
-    start = datetime(2023, 3, 6, tzinfo=timezone.utc)
-    commits, mrs = [], []
-    seq = 0
-    for mr_id, files, authors in mr_specs:
-        shas = []
-        for author in authors:
-            seq += 1
-            commits.append(
-                Commit(sha=f"c{seq}", author=author, authored_at=start + timedelta(minutes=seq))
-            )
-            shas.append(f"c{seq}")
-        mrs.append(
-            MergeRequest(
-                mr_id=mr_id,
-                created_at=start + timedelta(hours=1),
-                commit_shas=frozenset(shas),
-                changed_files=frozenset(files),
-            )
-        )
-    return RepoActivity(commits=tuple(commits), merge_requests=tuple(mrs))
-
-
-def _week1_stc(repo, roster, cal, edges):
-    mrs = merge_requests_by_week(repo, cal, (1,))[1]
-    required = coordination_requirements(mrs, {c.sha: c.author for c in repo.commits}, roster)
+def _week1_stc(mr_specs, roster, edges):
+    """Per-person and team STC of one week's (mr_id, files, authors) specs;
+    merge requests without changed files are left out, as in the pipeline."""
+    mrs = [(frozenset(authors), frozenset(files)) for _, files, authors in mr_specs if files]
+    required = coordination_requirements(mrs)
     return stc_scores(required, window_network({1: frozenset(edges)}, roster, (1,)))
 
 
 def test_criterion_3_stc_hand_fixture_and_oracle():
-    cal = _one_week_calendar()
     roster = Roster(team_id="T", members=frozenset({"P1", "P2", "P3"}), identity_map={})
-    repo = _repo_from(
-        [("M1", ["shared.py"], ["P1", "P2"]), ("M2", ["shared.py"], ["P3"])]
-    )
-    scores, team = _week1_stc(repo, roster, cal, [("P1", "P2")])
+    mr_specs = [("M1", ["shared.py"], ["P1", "P2"]), ("M2", ["shared.py"], ["P3"])]
+    scores, team = _week1_stc(mr_specs, roster, [("P1", "P2")])
     assert {s.person_id: s.value for s in scores} == {"P1": 0.5, "P2": 0.5, "P3": 0.0}
     assert team == 1 / 3
 
@@ -136,14 +102,13 @@ def test_criterion_3_stc_hand_fixture_and_oracle():
             mr_specs.append((f"M{i}", sorted(files), sorted(authors)))
             mr_people[f"M{i}"] = authors
             mr_files[f"M{i}"] = files
-        repo = _repo_from(mr_specs)
         team_roster = Roster(team_id="T", members=frozenset(people), identity_map={})
         pairs, edges = set(), []
         for a, b in combinations(sorted(people), 2):
             if rng.random() < 0.3:
                 pairs.add(frozenset((a, b)))
                 edges.append((a, b))
-        scores, team = _week1_stc(repo, team_roster, cal, edges)
+        scores, team = _week1_stc(mr_specs, team_roster, edges)
         oracle_scores, oracle_team = stc_brute_force(sorted(people), mr_people, mr_files, pairs)
         assert {s.person_id: s.value for s in scores} == oracle_scores
         assert (team is None) == (oracle_team is None)

@@ -52,6 +52,16 @@ class TestValidate:
         assert "40 commits" in out
         assert "37 communication events" in out
 
+    def test_sha_listed_twice_is_no_dropped_link(self, mini_dir, tmp_path, capsys):
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        repo_file = work / "repo_alpha.json"
+        repo = json.loads(repo_file.read_text())
+        repo["merge_requests"][0]["commits"].append(repo["merge_requests"][0]["commits"][0])
+        repo_file.write_text(json.dumps(repo), encoding="utf-8")
+        assert main(["validate", "--config", str(work / "config.json")]) == 0
+        assert "mr_commit_links_dropped" not in capsys.readouterr().out
+
     def test_missing_config_is_input_error(self):
         assert main(["validate", "--config", "/nonexistent/config.json"]) == 2
 
@@ -405,8 +415,43 @@ class TestSubcommands:
         assert err.startswith("input error: ")
         assert "Traceback" not in err
 
-    def test_missing_out_is_input_error(self, mini_dir):
+    def test_missing_out_is_input_error(self, mini_dir, capsys):
         assert main(["stc", "--config", str(mini_dir / "config.json")]) == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("validate", "--out=out"),
+            ("validate", "--format=structured-data"),
+            ("validate", "--exclude-teams=beta"),
+            ("stc", "--format=structured-data"),
+            ("stc", "--exclude-teams=beta"),
+            ("census", "--format=structured-data"),
+            ("census", "--exclude-teams=beta"),
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_rejected(
+        self, mini_dir, tmp_path, capsys, command, flag
+    ):
+        argv = [command, "--config", str(mini_dir / "config.json"), flag]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_outcome_row_is_validation_failure(self, mini_dir, tmp_path, capsys):
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        outcomes = work / "outcomes.csv"
+        with outcomes.open("a", encoding="utf-8") as fh:
+            fh.write("alpha,2,20,5,10,30,120\n")
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{outcomes}:line 8: second row for team alpha sprint 2 (first at line 3)" in err
+        assert "Traceback" not in err
 
     def test_overflowing_team_scores_give_blank_cells(self, mini_dir, tmp_path, capsys):
         work = tmp_path / "mini"

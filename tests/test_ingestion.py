@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -19,11 +20,16 @@ from teamnets.ingestion import (
     parse_chat_edges,
     parse_feedback,
     parse_outcomes,
-    parse_repo_activity,
+    parse_repo_weeks,
     parse_work_logs,
 )
 
-from oracles import assign_week_oracle, chat_edges_oracle, parse_chat_export_oracle
+from oracles import (
+    assign_week_oracle,
+    chat_edges_oracle,
+    parse_chat_export_oracle,
+    repo_weeks_oracle,
+)
 
 
 def utc(*args):
@@ -543,14 +549,20 @@ def test_chat_parser_equals_oracle(tree, cal, spelling):
         )
 
 
+def write_repo(path: Path, commits: list, merge_requests: list) -> Path:
+    path.write_text(json.dumps({"commits": commits, "merge_requests": merge_requests}))
+    return path
+
+
 class TestRepoParser:
     def test_trivial(self, tmp_path, two_person_roster):
-        payload = {
-            "commits": [
+        path = write_repo(
+            tmp_path / "repo.json",
+            [
                 {"sha": "c1", "author": "alice", "authored_at": "2023-03-06T10:00:00Z"},
                 {"sha": "c2", "author": "bob", "authored_at": "2023-03-06T11:00:00Z"},
             ],
-            "merge_requests": [
+            [
                 {
                     "id": "M1",
                     "created_at": "2023-03-07T10:00:00Z",
@@ -558,45 +570,37 @@ class TestRepoParser:
                     "files": ["a.py"],
                 }
             ],
-        }
-        path = tmp_path / "repo.json"
-        path.write_text(json.dumps(payload))
-        repo = parse_repo_activity(path, two_person_roster)
-        assert len(repo.merge_requests) == 1
-        assert repo.merge_requests[0].commit_shas == frozenset({"c1", "c2"})
+        )
+        by_week, commits, mrs = parse_repo_weeks(path, two_person_roster, simple_calendar())
+        assert by_week == {1: [(frozenset({"alice", "bob"}), frozenset({"a.py"}))]}
+        assert (commits, mrs) == (2, 1)
 
     def test_integer_id_named_by_digits(self, tmp_path, two_person_roster):
         mr = {"id": 7, "created_at": "2023-03-07T10:00:00Z", "commits": [], "files": []}
-        path = tmp_path / "repo.json"
-        path.write_text(json.dumps({"commits": [], "merge_requests": [mr, dict(mr, id="7")]}))
+        path = write_repo(tmp_path / "repo.json", [], [mr, dict(mr, id="7")])
         with pytest.raises(ValidationError, match="duplicate merge request id 7"):
-            parse_repo_activity(path, two_person_roster)
-        path.write_text(json.dumps({"commits": [], "merge_requests": [mr]}))
-        assert parse_repo_activity(path, two_person_roster).merge_requests[0].mr_id == "7"
+            parse_repo_weeks(path, two_person_roster, simple_calendar())
+        write_repo(path, [], [dict(mr, commits=["gone"])])
+        with pytest.raises(ValidationError, match="merge request 7 references unknown"):
+            parse_repo_weeks(path, two_person_roster, simple_calendar())
 
     def test_not_utf8_is_input_error(self, tmp_path, two_person_roster):
         path = tmp_path / "repo.json"
         path.write_bytes(b"\xff\xfe" + json.dumps({"commits": [], "merge_requests": []}).encode())
         with pytest.raises(InputError) as err:
-            parse_repo_activity(path, two_person_roster)
+            parse_repo_weeks(path, two_person_roster, simple_calendar())
         assert str(err.value).startswith(f"{path}: not UTF-8: ")
 
     def test_dangling_sha_names_mr(self, tmp_path, two_person_roster):
-        payload = {
-            "commits": [],
-            "merge_requests": [
-                {
-                    "id": "M7",
-                    "created_at": "2023-03-07T10:00:00Z",
-                    "commits": ["missing"],
-                    "files": ["a.py"],
-                }
-            ],
+        mr = {
+            "id": "M7",
+            "created_at": "2023-03-07T10:00:00Z",
+            "commits": ["missing"],
+            "files": ["a.py"],
         }
-        path = tmp_path / "repo.json"
-        path.write_text(json.dumps(payload))
+        path = write_repo(tmp_path / "repo.json", [], [mr])
         with pytest.raises(ValidationError) as err:
-            parse_repo_activity(path, two_person_roster)
+            parse_repo_weeks(path, two_person_roster, simple_calendar())
         assert "M7" in str(err.value)
 
     @pytest.mark.parametrize("stamp", [1678100000, None, ["2023-03-06"], "yesterday"])
@@ -608,28 +612,178 @@ class TestRepoParser:
             commit["authored_at"] = stamp
         else:
             mr["created_at"] = stamp
-        path = tmp_path / "repo.json"
-        path.write_text(json.dumps({"commits": [commit], "merge_requests": [mr]}))
+        path = write_repo(tmp_path / "repo.json", [commit], [mr])
         with pytest.raises(InputError) as err:
-            parse_repo_activity(path, two_person_roster)
+            parse_repo_weeks(path, two_person_roster, simple_calendar())
         assert f"repo.json: {entry} entry 0: " in str(err.value)
 
     def test_fixture_totals_match_manifest(self, team7_config, team7_dir):
         manifest = json.loads((team7_dir / "manifest.json").read_text())
         team = team7_config.teams[0]
         diag = Diagnostics()
-        repo = parse_repo_activity(team.repo_activity, team.roster, diag)
-        assert len(repo.commits) == manifest["commits_kept"] == 40
-        assert len(repo.merge_requests) == manifest["merge_requests"] == 12
+        by_week, commits, mrs = parse_repo_weeks(
+            team.repo_activity, team.roster, team7_config.calendar, diag
+        )
+        assert commits == manifest["commits_kept"] == 40
+        assert mrs == manifest["merge_requests"] == 12
+        assert sum(map(len, by_week.values())) == 12  # every MR lies in a week
         assert diag.counts["commits_dropped_unknown_author"] == 1
         assert diag.counts["mr_commit_links_dropped"] == 1
         assert diag.counts["mrs_with_empty_files"] == 1
 
     def test_empty_files_mr_kept_with_diagnostic(self, team7_config):
+        # M05, created in week 2, changed no files
         team = team7_config.teams[0]
-        repo = parse_repo_activity(team.repo_activity, team.roster)
-        m05 = next(m for m in repo.merge_requests if m.mr_id == "M05")
-        assert m05.changed_files == frozenset()
+        by_week = parse_repo_weeks(team.repo_activity, team.roster, team7_config.calendar)[0]
+        assert [authors for authors, files in by_week[2] if not files] == [frozenset({"p3"})]
+
+    @pytest.mark.parametrize("listed, dropped", [
+        (["c1", "c1"], 0),  # a kept commit listed twice
+        (["c1", "cx", "cx"], 1),  # a dropped commit listed twice
+        (["cx", "cy", "cx"], 2),
+    ])
+    def test_sha_listed_twice_counts_once(self, tmp_path, two_person_roster, listed, dropped):
+        commits = [
+            {"sha": sha, "author": author, "authored_at": "2023-03-06T10:00:00Z"}
+            for sha, author in (("c1", "alice"), ("cx", "UX"), ("cy", "UY"))
+        ]
+        mr = {"id": "M1", "created_at": "2023-03-07T10:00:00Z", "commits": listed,
+              "files": ["a.py"]}
+        path = write_repo(tmp_path / "repo.json", commits, [mr])
+        diag = Diagnostics()
+        by_week = parse_repo_weeks(path, two_person_roster, simple_calendar(), diag)[0]
+        assert diag.counts["mr_commit_links_dropped"] == dropped
+        authors = frozenset({"alice"}) if "c1" in listed else frozenset()
+        assert by_week == {1: [(authors, frozenset({"a.py"}))]}
+        assert repo_weeks_oracle(path, two_person_roster, simple_calendar())[0] == by_week
+
+    def test_mr_outside_every_week_is_counted_but_in_no_week(self, tmp_path, two_person_roster):
+        commit = {"sha": "c1", "author": "UA", "authored_at": "2023-01-02T10:00:00Z"}
+        mrs = [
+            {"id": i, "created_at": created, "commits": ["c1"], "files": ["a.py"]}
+            for i, created in enumerate(("2023-03-01T00:00:00Z", "2023-03-13T00:00:00Z"))
+        ]
+        path = write_repo(tmp_path / "repo.json", [commit], mrs)
+        by_week, commits, n_mrs = parse_repo_weeks(path, two_person_roster, simple_calendar())
+        # the commit predates the calendar but still assigns alice to M1
+        assert by_week == {2: [(frozenset({"alice"}), frozenset({"a.py"}))]}
+        assert (commits, n_mrs) == (1, 2)
+
+
+REPO_HANDLES = ("UA", "UB", "alice", "UX", "carol")  # UX is off the roster
+REPO_FAULTS = (
+    "not-object", "not-array", "bad-json", "not-utf8",
+    "commit-not-object", "commit-no-sha", "commit-int-sha", "commit-bad-author",
+    "commit-bad-time", "mr-not-object", "mr-no-files", "mr-bool-id", "mr-list-id",
+    "mr-files-string", "mr-int-file", "mr-bad-time",
+)
+REPO_CALENDAR = SprintCalendar(
+    weeks=(
+        Week(1, utc(2023, 3, 6), utc(2023, 3, 13)),
+        Week(2, utc(2023, 3, 20), utc(2023, 3, 27)),  # a break week before it
+    ),
+    sprints=(Sprint(1, (1, 2)),),
+)
+
+
+@st.composite
+def repo_files(draw):
+    """The bytes of a repo-activity file: commits from roster and unknown
+    authors (some shas repeated), merge requests created before, inside,
+    between and after the calendar's weeks (some ids repeated, some shas
+    listed twice or dangling, some file lists empty), and at most one fault."""
+    sha = st.sampled_from(["c1", "c2", "c3", "c4", "c5", "c6"])
+    hours = st.integers(-48, 24 * 24)
+    commits = [
+        {"sha": draw(sha), "author": draw(st.sampled_from(REPO_HANDLES)),
+         "authored_at": (utc(2023, 3, 6) + timedelta(hours=draw(hours))).isoformat()}
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    if draw(st.integers(0, 3)):  # mostly distinct shas, so most parses get through
+        commits = list({c["sha"]: c for c in commits}.values())
+    listed = [c["sha"] for c in commits] * 8 + ["gone"]
+    merge_requests = [
+        {"id": draw(st.sampled_from(["M1", "M2", "M3", "M4", 1, 2])),
+         "created_at": (utc(2023, 3, 6) + timedelta(hours=draw(hours))).strftime(
+             draw(st.sampled_from(["%Y-%m-%dT%H:%M:%SZ", "%Y-%m-%dT%H:%M:%S"]))),
+         "commits": draw(st.lists(st.sampled_from(listed), max_size=4 if commits else 0)),
+         "files": draw(st.lists(st.sampled_from(["a.py", "b.py", "c.py"]), max_size=3))}
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    if draw(st.integers(0, 3)):
+        merge_requests = list({str(m["id"]): m for m in merge_requests}.values())
+    payload: object = {"commits": commits, "merge_requests": merge_requests}
+    fault = draw(st.sampled_from((None,) * 10 + REPO_FAULTS))
+    entries = commits if fault and fault.startswith("commit-") else merge_requests
+    if fault and fault.startswith(("commit-", "mr-")):
+        if not entries:
+            fault = None
+        else:
+            at = draw(st.integers(0, len(entries) - 1))
+            entry = entries[at]
+            if fault.endswith("not-object"):
+                entries[at] = [entry]
+            elif fault == "commit-no-sha":
+                del entry["sha"]
+            elif fault == "commit-int-sha":
+                entry["sha"] = 1
+            elif fault == "commit-bad-author":
+                entry["author"] = draw(st.sampled_from([7, None]))
+            elif fault == "commit-bad-time":
+                entry["authored_at"] = draw(st.sampled_from([None, 5, "yesterday"]))
+            elif fault == "mr-no-files":
+                del entry["files"]
+            elif fault == "mr-bool-id":
+                entry["id"] = True
+            elif fault == "mr-list-id":
+                entry["id"] = ["M1"]
+            elif fault == "mr-files-string":
+                entry["files"] = "a.py"
+            elif fault == "mr-int-file":
+                entry["files"] = entry["files"] + [3]
+            else:
+                entry["created_at"] = "2023-13-01"
+    elif fault == "not-object":
+        payload = [payload]
+    elif fault == "not-array":
+        payload["merge_requests"] = {}
+    text = json.dumps(payload, indent=1).encode()
+    if fault == "bad-json":
+        return text[:-2]
+    if fault == "not-utf8":
+        return b"\xff" + text
+    return text
+
+
+def _repo_outcome(parse, path, roster) -> tuple:
+    diag = Diagnostics()
+    try:
+        by_week, commits, mrs = parse(path, roster, REPO_CALENDAR, diag)
+        # a week's merge requests as a multiset: the oracle sorts them by time
+        result = ({w: Counter(pairs) for w, pairs in by_week.items()}, commits, mrs)
+    except (InputError, ValidationError) as exc:
+        result = (type(exc), str(exc))
+    # dict, not Counter: Counter equality ignores zero-count keys
+    return result, dict(diag.counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repo_files())
+def test_repo_parser_equals_oracle(data):
+    """parse_repo_weeks equals the record route: the week groups, commit and
+    merge-request counts and counters, or the error type, text and the
+    counters reached by then."""
+    roster = Roster(
+        team_id="T",
+        members=frozenset({"alice", "bob", "carol"}),
+        identity_map={"UA": "alice", "UB": "bob"},
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "repo.json"
+        path.write_bytes(data)
+        assert _repo_outcome(parse_repo_weeks, path, roster) == _repo_outcome(
+            repo_weeks_oracle, path, roster
+        )
 
 
 class TestTables:
@@ -698,6 +852,20 @@ class TestTables:
         )
         with pytest.raises(ValidationError):
             parse_outcomes(path, simple_calendar())
+
+    @pytest.mark.parametrize("sprint", [1, 2])  # sprint 1 is excluded
+    def test_outcomes_second_row_for_team_sprint_names_line(self, tmp_path, sprint):
+        path = tmp_path / "o.csv"
+        path.write_text(
+            "team_id,sprint_id,story_points_committed,story_points_passed,team_score\n"
+            f"X,{sprint},10,5,70\nY,{sprint},10,5,70\nX,{sprint},10,6,50\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError) as err:
+            parse_outcomes(path, simple_calendar())
+        assert str(err.value) == (
+            f"{path}:line 4: second row for team X sprint {sprint} (first at line 2)"
+        )
 
     @pytest.mark.parametrize(
         "stories,hours", [("twenty", "100"), ("20.5", "100"), ("20", "lots")]

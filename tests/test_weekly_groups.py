@@ -1,11 +1,12 @@
 """Property tests: windows built from the per-week groups equal a full rescan.
 
-Replies are grouped into per-week edge sets and merge requests into per-week
+Replies are parsed into per-week edge sets and merge requests into per-week
 lists once per team. Over random rosters, calendars (with break gaps), chat
-exports and merge requests, the weekly edge sets, kept-message and reply
-counts and counters must equal the two-step oracle, every week and sprint
-network built from the groups must equal the scan oracle, and the weekly STC
-scores must equal the brute-force chain enumeration.
+exports and repo files, the weekly edge sets, kept-message and reply counts
+and counters must equal the two-step oracle, every week and sprint network
+built from the groups must equal the scan oracle, and the weekly STC scores
+must equal the brute-force chain enumeration over each week's merge requests
+found by a scan of their creation times.
 """
 
 from __future__ import annotations
@@ -20,15 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamnets.ingestion import (
-    Commit,
     Diagnostics,
-    MergeRequest,
-    RepoActivity,
     Roster,
     Sprint,
     SprintCalendar,
     Week,
     parse_chat_edges,
+    parse_repo_weeks,
 )
 from teamnets.network import window_network
 from teamnets.stc import weekly_team_scores
@@ -99,15 +98,19 @@ def seasons(draw):
             max_size=12,
         )
     )
-    commits, mrs = [], []
-    for i, (hour, authors, files) in enumerate(mr_specs):
-        created = SEASON_START + timedelta(hours=hour)
+    # (created_at, authors, files) per merge request, and the repo file's payload
+    mrs = [(SEASON_START + timedelta(hours=h), authors, files) for h, authors, files in mr_specs]
+    commits, entries = [], []
+    for i, (created, authors, files) in enumerate(mrs):
         shas = []
         for author in sorted(authors):
             shas.append(f"c{len(commits)}")
-            commits.append(Commit(shas[-1], author, created - timedelta(minutes=5)))
-        mrs.append(MergeRequest(f"M{i:02d}", created, frozenset(shas), files))
-    repo = RepoActivity(commits=tuple(commits), merge_requests=tuple(mrs))
+            stamp = (created - timedelta(minutes=5)).isoformat()
+            commits.append({"sha": shas[-1], "author": f"U{author}", "authored_at": stamp})
+        entries.append(
+            {"id": i, "created_at": created.isoformat(), "commits": shas, "files": sorted(files)}
+        )
+    repo = (mrs, {"commits": commits, "merge_requests": entries})
 
     scored = draw(st.sets(st.sampled_from([s.sprint_id for s in sprints])))
     week_ids = tuple(w for s in sprints if s.sprint_id in scored for w in s.week_ids)
@@ -165,21 +168,24 @@ def test_windows_from_weekly_groups_equal_scan(season):
 @settings(max_examples=100, deadline=None)
 @given(seasons())
 def test_weekly_scores_equal_brute_force(season):
-    roster, cal, chat, repo, week_ids = season
+    roster, cal, chat, (mrs, payload), week_ids = season
     weekly, events = weekly_and_events(chat, roster, cal)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "repo.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        mrs_by_week = parse_repo_weeks(path, roster, cal)[0]
     diag = Diagnostics()
-    got = weekly_team_scores(repo, weekly, roster, cal, week_ids, diagnostics=diag)
+    got = weekly_team_scores(mrs_by_week, weekly, roster, week_ids, diagnostics=diag)
 
-    author = {c.sha: c.author for c in repo.commits}
     expected, empty = {}, 0
     for week in (w for w in cal.weeks if w.week_id in week_ids):
-        created = [mr for mr in repo.merge_requests if week.start <= mr.created_at < week.end]
-        empty += sum(1 for mr in created if not mr.changed_files)
+        created = {i: mr for i, mr in enumerate(mrs) if week.start <= mr[0] < week.end}
+        empty += sum(1 for _, _, files in created.values() if not files)
         pairs = {frozenset(e) for e in window_edges_oracle(events, (week.week_id,))}
         _, expected[week.week_id] = stc_brute_force(
             sorted(roster.members),
-            {mr.mr_id: {author[s] for s in mr.commit_shas} for mr in created},
-            {mr.mr_id: set(mr.changed_files) for mr in created},
+            {i: set(authors) for i, (_, authors, _) in created.items()},
+            {i: set(files) for i, (_, _, files) in created.items()},
             pairs,
         )
     assert list(got) == list(week_ids)
