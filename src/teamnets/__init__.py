@@ -5,8 +5,6 @@ from .config import AnomalyThresholds, PipelineConfig, TeamConfig, load_config
 from .errors import InputError, ValidationError
 from .ingestion import (
     Diagnostics,
-    FeedbackRecord,
-    OutcomeRecord,
     Roster,
     Sprint,
     SprintCalendar,

@@ -119,7 +119,9 @@ def _cmd_validate(config: PipelineConfig) -> int:
     if config.outcomes_path:
         parse_outcomes(config.outcomes_path, config.calendar, diag)
     if config.feedback_path:
-        parse_feedback(config.feedback_path, config.calendar, diag)
+        parse_feedback(
+            config.feedback_path, config.calendar, [t.roster for t in config.teams], diag
+        )
     if config.work_logs_path:
         parse_work_logs(config.work_logs_path, diag)
     for key in sorted(diag.counts):

@@ -121,6 +121,7 @@ def load_config(path: Path | str) -> PipelineConfig:
         raise InputError(f"{cfg_path}: 'teams' must be a non-empty array")
     teams: list[TeamConfig] = []
     seen: set[str] = set()
+    team_of: dict[str, str] = {}  # person -> the first team whose roster lists them
     for i, entry in enumerate(teams_raw):
         try:
             team_id = entry["team_id"]
@@ -149,6 +150,12 @@ def load_config(path: Path | str) -> PipelineConfig:
         if team_id in seen:
             raise ValidationError(f"{cfg_path}: duplicate team id {team_id}")
         seen.add(team_id)
+        # one team per person: a peer rating counts for its rater's team
+        for person in sorted(set(members)):
+            if (other := team_of.setdefault(person, team_id)) != team_id:
+                raise ValidationError(
+                    f"{cfg_path}: person {person} is on the rosters of teams {other} and {team_id}"
+                )
         roster = Roster(
             team_id=team_id, members=frozenset(members), identity_map=dict(identity_map)
         )

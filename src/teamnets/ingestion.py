@@ -35,9 +35,12 @@ rather than failing the parse.
 A chat export is read straight into what both measures use of it: each
 calendar week's set of reply edges (``parse_chat_edges``). Repo activity is
 read straight into what STC uses of it: each calendar week's merge requests
-as (authors, files) pairs (``parse_repo_weeks``). The tables become
-immutable records. Parsing is pure per input, so per-team inputs can safely
-be parsed concurrently.
+as (authors, files) pairs (``parse_repo_weeks``). The outcomes table is read
+straight into each team's sprint -> (committed, passed, score) series plus
+its year-level values (``parse_outcomes``), and the feedback table into each
+team's sprint -> mean communication rating series (``parse_feedback``).
+Parsing is pure per input, so per-team inputs can safely be parsed
+concurrently.
 """
 
 from __future__ import annotations
@@ -268,23 +271,10 @@ class Roster:
 MrSets = tuple[frozenset[str], frozenset[str]]
 
 
-@dataclass(frozen=True)
-class FeedbackRecord:
-    sprint_id: int
-    rater: str
-    ratee: str
-    communication_rating: int
-
-
-@dataclass(frozen=True)
-class OutcomeRecord:
-    team_id: str
-    sprint_id: int
-    story_points_committed: float
-    story_points_passed: float
-    team_score: float
-    stories_passed_total: int | None = None  # year-level
-    pair_programming_hours: float | None = None  # year-level
+# A team's sprint outcome: (story points committed, story points passed, team score).
+SprintOutcome = tuple[float, float, float]
+# A team's year-level values: (stories passed total, pair programming hours).
+YearLevel = tuple[int | None, float | None]
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +595,21 @@ def _read_rows(path: Path, required: tuple[str, ...]):
 def parse_feedback(
     path: Path | str,
     cal: SprintCalendar,
+    rosters: Iterable[Roster],
     diagnostics: Diagnostics | None = None,
-) -> list[FeedbackRecord]:
-    """Parse peer-feedback rows: sprint_id, rater, ratee, communication_rating.
+) -> dict[str, dict[int, float]]:
+    """Each team's mean communication rating per sprint, in one walk.
 
-    Ratings are Likert 1..5; rows for excluded sprints are filtered out.
+    Columns: sprint_id, rater, ratee, communication_rating (Likert 1..5).
+    A rating counts for the team whose roster lists its rater; a kept row
+    whose rater is on no roster counts for no team. Rows for excluded sprints
+    are filtered out.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
-    records: list[FeedbackRecord] = []
+    team_of = {person: roster.team_id for roster in rosters for person in roster.members}
+    ratings: dict[str, dict[int, list[int]]] = {}
+    kept = 0
     known_sprints = {s.sprint_id for s in cal.sprints}
     for line, row in _read_rows(p, ("sprint_id", "rater", "ratee", "communication_rating")):
         try:
@@ -633,13 +629,14 @@ def parse_feedback(
         if sprint_id in cal.excluded_sprints:
             diag.bump("feedback_rows_excluded_sprint")
             continue
-        records.append(
-            FeedbackRecord(
-                sprint_id=sprint_id, rater=rater, ratee=ratee, communication_rating=rating
-            )
-        )
-    diag.bump("feedback_rows_kept", len(records))
-    return records
+        kept += 1
+        if (team := team_of.get(rater)) is not None:
+            ratings.setdefault(team, {}).setdefault(sprint_id, []).append(rating)
+    diag.bump("feedback_rows_kept", kept)
+    return {
+        team: {sprint: sum(r) / len(r) for sprint, r in by_sprint.items()}
+        for team, by_sprint in ratings.items()
+    }
 
 
 _OUTCOME_COLS = (
@@ -655,20 +652,25 @@ def parse_outcomes(
     path: Path | str,
     cal: SprintCalendar,
     diagnostics: Diagnostics | None = None,
-) -> list[OutcomeRecord]:
-    """Parse per-sprint outcomes.
+) -> tuple[dict[str, dict[int, SprintOutcome]], dict[str, YearLevel]]:
+    """Each team's sprint outcomes and year-level values, in one walk.
 
     Required columns: team_id, sprint_id, story_points_committed,
     story_points_passed, team_score. A team has at most one row per sprint.
     Optional year-level columns stories_passed_total and
     pair_programming_hours may be blank but must be consistent across a
     team's rows. Rows for excluded sprints are filtered.
+
+    Returns each team's sprint -> (committed, passed, team_score) of its
+    kept rows, and the year-level (stories_passed_total,
+    pair_programming_hours) of each team with a kept row, taken from all of
+    its rows; a value blank on every row is None.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
-    kept: list[tuple[str, int, float, float, float]] = []
+    by_team: dict[str, dict[int, SprintOutcome]] = {}
     known_sprints = {s.sprint_id for s in cal.sprints}
-    year_level: dict[str, tuple[int | None, float | None]] = {}
+    year_level: dict[str, YearLevel] = {}
     first_line: dict[tuple[str, int], int] = {}  # (team, sprint) -> its row's line
     for line, row in _read_rows(p, _OUTCOME_COLS):
         team = row["team_id"]
@@ -701,6 +703,15 @@ def parse_outcomes(
             )
         if hours is not None and hours < 0:
             raise ValidationError(f"{p}:line {line}: negative pair programming hours")
+        if stories is not None:
+            if stories < 0:
+                raise ValidationError(f"{p}:line {line}: negative stories passed total")
+            try:
+                float(stories)  # the U test and the anomaly ranks compare floats
+            except OverflowError:
+                raise ValidationError(
+                    f"{p}:line {line}: stories passed total too large"
+                ) from None
         # Year-level values may be blank on some of a team's rows, not differ.
         prev = year_level.get(team, (None, None))
         if any(v is not None and old is not None and v != old
@@ -713,11 +724,9 @@ def parse_outcomes(
         if sprint_id in cal.excluded_sprints:
             diag.bump("outcome_rows_excluded_sprint")
             continue
-        kept.append((team, sprint_id, committed, passed, score))
-    # Every kept row of a team gets the team's year-level values.
-    filled = [OutcomeRecord(*row, *year_level[row[0]]) for row in kept]
-    diag.bump("outcome_rows_kept", len(filled))
-    return filled
+        by_team.setdefault(team, {})[sprint_id] = (committed, passed, score)
+    diag.bump("outcome_rows_kept", sum(map(len, by_team.values())))
+    return by_team, {team: year_level[team] for team in by_team}
 
 
 def parse_work_logs(

@@ -25,7 +25,6 @@ from .config import AnomalyThresholds, PipelineConfig, TeamConfig
 from .errors import InputError, ValidationError
 from .ingestion import (
     Diagnostics,
-    FeedbackRecord,
     Roster,
     SprintCalendar,
     parse_chat_edges,
@@ -247,14 +246,15 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         raise InputError("missing input: no outcomes table configured")
     if config.feedback_path is None:
         raise InputError("missing input: no peer-feedback table configured")
-    outcomes = parse_outcomes(config.outcomes_path, cal, diag)
-    feedback = parse_feedback(config.feedback_path, cal, diag)
+    outcomes, year_level = parse_outcomes(config.outcomes_path, cal, diag)
+    comm_rating = parse_feedback(
+        config.feedback_path, cal, [t.roster for t in config.teams], diag
+    )
     work_hours = (
         parse_work_logs(config.work_logs_path, diag) if config.work_logs_path else {}
     )
 
     teams = config.team_ids()
-    person_team: dict[str, str] = {}
     stc_weekly: dict[str, dict[int, float | None]] = {}
     sprint_censuses: dict[str, dict[int, Census | None]] = {}
     mean_weekly_census: dict[str, dict[int, Census | None]] = {}
@@ -262,8 +262,6 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     for team_cfg in config.teams:
         roster = team_cfg.roster
         team = roster.team_id
-        for person in roster.members:
-            person_team[person] = team
         weekly = team_events(team_cfg, config, diag)[0]
         stc_weekly[team] = team_stc(team_cfg, config, weekly, weeks, diag)
         sprint_censuses[team] = {}
@@ -288,21 +286,15 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         for team in teams
     }
 
-    outcome_by = {(o.team_id, o.sprint_id): o for o in outcomes}
     pct_passed: dict[str, dict[int, float]] = {team: {} for team in teams}
     score_of: dict[str, dict[int, float]] = {team: {} for team in teams}
     for team in teams:
-        for sprint in sprints:
-            rec = outcome_by.get((team, sprint))
-            if rec is None:
-                continue
-            score_of[team][sprint] = rec.team_score
-            if rec.story_points_committed == 0:
+        for sprint, (committed, passed, score) in outcomes.get(team, {}).items():
+            score_of[team][sprint] = score
+            if committed == 0:
                 diag.bump("sprints_zero_committed_points")
             else:
-                pct_passed[team][sprint] = rec.story_points_passed / rec.story_points_committed
-
-    comm_rating = _mean_comm_ratings(feedback, person_team)
+                pct_passed[team][sprint] = passed / committed
 
     cell = functools.partial(_cell, teams=teams, sprints=sprints)
     stc_table = (
@@ -318,8 +310,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     summaries = []
     for team in teams:
         summary = year_summary(stc_weekly[team])
-        rec = next((o for o in outcomes if o.team_id == team), None)
-        pair_from_outcomes = rec.pair_programming_hours if rec else None
+        stories, pair_from_outcomes = year_level.get(team, (None, None))
         pair_from_logs = work_hours.get(team)
         if (
             pair_from_outcomes is not None
@@ -337,7 +328,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                 team_id=team,
                 pair_programming_hours=pair_hours,
                 mean_stc=summary.mean_stc,
-                stories_passed_total=rec.stories_passed_total if rec else None,
+                stories_passed_total=stories,
                 mean_team_score=_mean(score_of[team].values()),
                 trend_slope=summary.trend.slope if summary.trend else None,
             )
@@ -400,22 +391,6 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         diagnostics=dict(sorted(diag.counts.items())),
         notes=tuple(notes + diag.notes),
     )
-
-
-def _mean_comm_ratings(
-    feedback: Iterable[FeedbackRecord], person_team: Mapping[str, str]
-) -> dict[str, dict[int, float | None]]:
-    """Each team's mean communication rating per sprint, by its raters' team."""
-    ratings: dict[str, dict[int, list[int]]] = {}
-    for rec in feedback:
-        team = person_team.get(rec.rater)
-        if team is not None:
-            by_sprint = ratings.setdefault(team, {})
-            by_sprint.setdefault(rec.sprint_id, []).append(rec.communication_rating)
-    return {
-        team: {sprint: _mean(r) for sprint, r in by_sprint.items()}
-        for team, by_sprint in ratings.items()
-    }
 
 
 def _trend_utest(summaries: Sequence[TeamSummary], notes: list[str]) -> UTestSummary:

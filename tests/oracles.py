@@ -7,7 +7,9 @@ product instead of pair sets, numpy instead of the hand-rolled moment
 formulas, a message log sorted by key and then a tuple per reply grouped
 afterwards instead of one walk from day files into weekly edge sets, and
 commit and merge-request records sorted and then grouped by a calendar scan
-instead of one walk from the repo file into weekly (authors, files) pairs.
+instead of one walk from the repo file into weekly (authors, files) pairs,
+and a record per table row regrouped afterwards instead of one walk from the
+outcomes and feedback tables into per-team series.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from teamnets.errors import InputError, ValidationError
-from teamnets.ingestion import EXCLUDED_SUBTYPES, Diagnostics, parse_utc
+from teamnets.ingestion import EXCLUDED_SUBTYPES, Diagnostics, _read_rows, parse_utc
 
 _LEGENDRE_NODES = 200
 
@@ -440,3 +442,154 @@ def parse_chat_export_oracle(export_root, roster, excluded_handles=(), diagnosti
             )
     diag.bump("messages_kept", len(messages))
     return MessageLog(messages=tuple(messages))
+
+
+@dataclass(frozen=True)
+class FeedbackRecord:
+    sprint_id: int
+    rater: str
+    ratee: str
+    communication_rating: int
+
+
+@dataclass(frozen=True)
+class OutcomeRecord:
+    team_id: str
+    sprint_id: int
+    story_points_committed: float
+    story_points_passed: float
+    team_score: float
+    stories_passed_total: int | None = None  # year-level
+    pair_programming_hours: float | None = None  # year-level
+
+
+def feedback_oracle(path, cal, rosters, diagnostics=None):
+    """parse_feedback by the record route it replaced: a FeedbackRecord per
+    kept row, then a person -> team map built from the rosters (a person on
+    two rosters counts for the later one), then the records regrouped by
+    their rater's team and sprint and each group averaged with fsum. The rows
+    are read by the package's own row reader; the error types and texts and
+    the diagnostics counters are the same."""
+    diag = diagnostics if diagnostics is not None else Diagnostics()
+    p = Path(path)
+    records: list[FeedbackRecord] = []
+    known_sprints = {s.sprint_id for s in cal.sprints}
+    for line, row in _read_rows(p, ("sprint_id", "rater", "ratee", "communication_rating")):
+        try:
+            sprint_id = int(row["sprint_id"])
+            rating = int(row["communication_rating"])
+        except (TypeError, ValueError):
+            raise ValidationError(f"{p}:line {line}: non-integer sprint or rating") from None
+        if sprint_id not in known_sprints:
+            raise ValidationError(f"{p}:line {line}: unknown sprint {sprint_id}")
+        if not 1 <= rating <= 5:
+            raise ValidationError(
+                f"{p}:line {line}: communication rating {rating} out of range [1, 5]"
+            )
+        rater, ratee = row["rater"], row["ratee"]
+        if rater == ratee:
+            raise ValidationError(f"{p}:line {line}: rater equals ratee ({rater})")
+        if sprint_id in cal.excluded_sprints:
+            diag.bump("feedback_rows_excluded_sprint")
+            continue
+        records.append(FeedbackRecord(sprint_id, rater, ratee, rating))
+    diag.bump("feedback_rows_kept", len(records))
+
+    person_team: dict[str, str] = {}
+    for roster in rosters:
+        for person in roster.members:
+            person_team[person] = roster.team_id
+    ratings: dict[str, dict[int, list[int]]] = {}
+    for rec in records:
+        team = person_team.get(rec.rater)
+        if team is not None:
+            by_sprint = ratings.setdefault(team, {})
+            by_sprint.setdefault(rec.sprint_id, []).append(rec.communication_rating)
+    return {
+        team: {sprint: math.fsum(r) / len(r) for sprint, r in by_sprint.items()}
+        for team, by_sprint in ratings.items()
+    }
+
+
+def outcomes_oracle(path, cal, diagnostics=None):
+    """parse_outcomes by the record route it replaced: an OutcomeRecord per
+    kept row, each filled with its team's year-level values, then the records
+    regrouped into each team's sprint -> (committed, passed, score) and each
+    team's year-level values read from its first record by a linear search.
+    The rows are read by the package's own row reader; the error types and
+    texts and the diagnostics counters are the same."""
+    diag = diagnostics if diagnostics is not None else Diagnostics()
+    p = Path(path)
+    kept: list[tuple[str, int, float, float, float]] = []
+    known_sprints = {s.sprint_id for s in cal.sprints}
+    year_level: dict[str, tuple[int | None, float | None]] = {}
+    first_line: dict[tuple[str, int], int] = {}
+    for line, row in _read_rows(
+        p, ("team_id", "sprint_id", "story_points_committed", "story_points_passed", "team_score")
+    ):
+        team = row["team_id"]
+        try:
+            sprint_id = int(row["sprint_id"])
+            committed = float(row["story_points_committed"])
+            passed = float(row["story_points_passed"])
+            score = float(row["team_score"])
+            stories_raw = (row.get("stories_passed_total") or "").strip()
+            hours_raw = (row.get("pair_programming_hours") or "").strip()
+            stories = int(stories_raw) if stories_raw else None
+            hours = float(hours_raw) if hours_raw else None
+        except (TypeError, ValueError):
+            raise ValidationError(f"{p}:line {line}: non-numeric outcome value") from None
+        if not all(map(math.isfinite, (committed, passed, score, hours or 0.0))):
+            raise ValidationError(f"{p}:line {line}: non-finite outcome value")
+        if sprint_id not in known_sprints:
+            raise ValidationError(f"{p}:line {line}: unknown sprint {sprint_id}")
+        if (team, sprint_id) in first_line:
+            raise ValidationError(
+                f"{p}:line {line}: second row for team {team} sprint {sprint_id} "
+                f"(first at line {first_line[team, sprint_id]})"
+            )
+        first_line[team, sprint_id] = line
+        if committed < 0 or passed < 0:
+            raise ValidationError(f"{p}:line {line}: negative story points")
+        if passed > committed:
+            raise ValidationError(
+                f"{p}:line {line}: story points passed ({passed:g}) exceeds "
+                f"committed ({committed:g})"
+            )
+        if hours is not None and hours < 0:
+            raise ValidationError(f"{p}:line {line}: negative pair programming hours")
+        if stories is not None and stories < 0:
+            raise ValidationError(f"{p}:line {line}: negative stories passed total")
+        if stories is not None and stories >= 2**1024 - 2**970:  # rounds past the largest float
+            raise ValidationError(f"{p}:line {line}: stories passed total too large")
+        prev = year_level.get(team, (None, None))
+        for v, old in zip((stories, hours), prev):
+            if v is not None and old is not None and v != old:
+                raise ValidationError(
+                    f"{p}:line {line}: year-level values for team {team} disagree "
+                    f"with earlier rows"
+                )
+        year_level[team] = (
+            prev[0] if stories is None else stories,
+            prev[1] if hours is None else hours,
+        )
+        if sprint_id in cal.excluded_sprints:
+            diag.bump("outcome_rows_excluded_sprint")
+            continue
+        kept.append((team, sprint_id, committed, passed, score))
+    records = [OutcomeRecord(*row, *year_level[row[0]]) for row in kept]
+    diag.bump("outcome_rows_kept", len(records))
+
+    by_team: dict[str, dict[int, tuple[float, float, float]]] = {}
+    for o in records:
+        by_team.setdefault(o.team_id, {})[o.sprint_id] = (
+            o.story_points_committed, o.story_points_passed, o.team_score
+        )
+    year = {
+        team: next(
+            (o.stories_passed_total, o.pair_programming_hours)
+            for o in records if o.team_id == team
+        )
+        for team in by_team
+    }
+    return by_team, year

@@ -453,6 +453,37 @@ class TestSubcommands:
         assert f"{outcomes}:line 8: second row for team alpha sprint 2 (first at line 3)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "stories,text",
+        [("-30", "negative stories passed total"), ("9" * 401, "stories passed total too large")],
+        ids=["negative", "401-digits"],
+    )
+    def test_bad_stories_total_is_validation_failure(
+        self, mini_dir, tmp_path, capsys, stories, text
+    ):
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        outcomes = work / "outcomes.csv"
+        outcomes.write_text(outcomes.read_text().replace(",30,", f",{stories},"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"validation failure: {outcomes}:line 2: {text}\n"
+
+    def test_person_on_two_rosters_is_validation_failure(self, mini_dir, tmp_path, capsys):
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        config = json.loads((work / "config.json").read_text())
+        beta = next(t for t in config["teams"] if t["team_id"] == "beta")
+        beta["members"].append("a1")  # a1 is on alpha's roster too
+        (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        for command in (["validate"], ["report", "--out", str(tmp_path / "out")]):
+            assert main([*command, "--config", str(work / "config.json")]) == 1
+            assert capsys.readouterr().err == (
+                f"validation failure: {work / 'config.json'}: person a1 is on the rosters "
+                f"of teams alpha and beta\n"
+            )
+
     def test_overflowing_team_scores_give_blank_cells(self, mini_dir, tmp_path, capsys):
         work = tmp_path / "mini"
         shutil.copytree(mini_dir, work)

@@ -27,6 +27,8 @@ from teamnets.ingestion import (
 from oracles import (
     assign_week_oracle,
     chat_edges_oracle,
+    feedback_oracle,
+    outcomes_oracle,
     parse_chat_export_oracle,
     repo_weeks_oracle,
 )
@@ -786,15 +788,21 @@ def test_repo_parser_equals_oracle(data):
         )
 
 
+# Feedback raters A and C are on team X, B is on team Y, and Q is on no roster.
+TABLE_ROSTERS = (
+    Roster(team_id="X", members=frozenset({"A", "C"}), identity_map={}),
+    Roster(team_id="Y", members=frozenset({"B"}), identity_map={}),
+)
+
+
 class TestTables:
     def test_feedback_roundtrip_row(self, tmp_path):
         path = tmp_path / "fb.csv"
         path.write_text(
             "sprint_id,rater,ratee,communication_rating\n2,A,B,4\n", encoding="utf-8"
         )
-        records = parse_feedback(path, simple_calendar())
-        assert len(records) == 1
-        assert records[0].rater == "A" and records[0].communication_rating == 4
+        # the rating counts for its rater's team
+        assert parse_feedback(path, simple_calendar(), TABLE_ROSTERS) == {"X": {2: 4.0}}
 
     def test_rating_out_of_bounds_names_row(self, tmp_path):
         path = tmp_path / "fb.csv"
@@ -802,7 +810,7 @@ class TestTables:
             "sprint_id,rater,ratee,communication_rating\n2,A,B,4\n2,B,A,6\n", encoding="utf-8"
         )
         with pytest.raises(ValidationError) as err:
-            parse_feedback(path, simple_calendar())
+            parse_feedback(path, simple_calendar(), TABLE_ROSTERS)
         assert "line 3" in str(err.value)
 
     def test_self_rating_rejected(self, tmp_path):
@@ -811,19 +819,25 @@ class TestTables:
             "sprint_id,rater,ratee,communication_rating\n2,A,A,4\n", encoding="utf-8"
         )
         with pytest.raises(ValidationError):
-            parse_feedback(path, simple_calendar())
+            parse_feedback(path, simple_calendar(), TABLE_ROSTERS)
 
     def test_excluded_sprints_filtered(self, team7_config, team7_dir):
         diag = Diagnostics()
-        records = parse_feedback(team7_dir / "feedback.csv", team7_config.calendar, diag)
-        assert {r.sprint_id for r in records} == {2, 3}
-        assert len(records) == 4
+        rosters = [t.roster for t in team7_config.teams]
+        series = parse_feedback(team7_dir / "feedback.csv", team7_config.calendar, rosters, diag)
+        assert series == {"X": {2: 4.0, 3: 4.0}}
+        assert diag.counts["feedback_rows_kept"] == 4
         assert diag.counts["feedback_rows_excluded_sprint"] == 1
 
     def test_outcomes_fixture(self, team7_config, team7_dir):
-        records = parse_outcomes(team7_dir / "outcomes.csv", team7_config.calendar)
-        assert [r.sprint_id for r in records] == [2, 3]  # sprint 1 excluded
-        assert all(r.stories_passed_total == 25 for r in records)
+        diag = Diagnostics()
+        by_team, year_level = parse_outcomes(
+            team7_dir / "outcomes.csv", team7_config.calendar, diag
+        )
+        assert by_team == {"X": {2: (20.0, 15.0, 80.0), 3: (22.0, 20.0, 85.0)}}  # 1 excluded
+        assert year_level == {"X": (25, 100.0)}
+        assert diag.counts["outcome_rows_kept"] == 2
+        assert diag.counts["outcome_rows_excluded_sprint"] == 1
 
     def test_outcomes_passed_exceeds_committed(self, tmp_path):
         path = tmp_path / "o.csv"
@@ -837,10 +851,8 @@ class TestTables:
         assert "line 2" in str(err.value)
 
     def test_outcomes_table3_team_g(self, team7_config, team7_dir):
-        records = parse_outcomes(team7_dir / "outcomes_table3.csv", team7_config.calendar)
-        team_g = next(r for r in records if r.team_id == "G")
-        assert team_g.pair_programming_hours == 434
-        assert team_g.stories_passed_total == 23
+        year_level = parse_outcomes(team7_dir / "outcomes_table3.csv", team7_config.calendar)[1]
+        assert year_level["G"] == (23, 434)
 
     def test_outcomes_inconsistent_year_level(self, tmp_path):
         path = tmp_path / "o.csv"
@@ -868,9 +880,17 @@ class TestTables:
         )
 
     @pytest.mark.parametrize(
-        "stories,hours", [("twenty", "100"), ("20.5", "100"), ("20", "lots")]
+        "stories,hours,text",
+        [
+            pytest.param("twenty", "100", "non-numeric outcome value", id="twenty-100"),
+            pytest.param("20.5", "100", "non-numeric outcome value", id="20.5-100"),
+            pytest.param("20", "lots", "non-numeric outcome value", id="20-lots"),
+            # the U test and the anomaly ranks compare these totals as floats
+            pytest.param("-30", "100", "negative stories passed total", id="-30-100"),
+            pytest.param("9" * 401, "100", "stories passed total too large", id="huge-100"),
+        ],
     )
-    def test_outcomes_bad_year_level_names_line(self, tmp_path, stories, hours):
+    def test_outcomes_bad_year_level_names_line(self, tmp_path, stories, hours, text):
         path = tmp_path / "o.csv"
         path.write_text(
             "team_id,sprint_id,story_points_committed,story_points_passed,team_score,"
@@ -881,7 +901,7 @@ class TestTables:
         )
         with pytest.raises(ValidationError) as err:
             parse_outcomes(path, simple_calendar())
-        assert f"{path}:line 3: non-numeric outcome value" in str(err.value)
+        assert str(err.value) == f"{path}:line 3: {text}"
 
     @pytest.mark.parametrize(
         "table,parse",
@@ -892,7 +912,7 @@ class TestTables:
             ),
             (
                 "sprint_id,rater,ratee,communication_rating\n1,A",
-                lambda path: parse_feedback(path, simple_calendar()),
+                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
             ),
             ("team_id,person_id,hours\nX,p1", parse_work_logs),
         ],
@@ -947,7 +967,7 @@ class TestTables:
             ),
             (
                 "sprint_id,rater,ratee,communication_rating",
-                lambda path: parse_feedback(path, simple_calendar()),
+                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
             ),
             ("team_id,hours", parse_work_logs),
         ],
@@ -992,6 +1012,151 @@ class TestTables:
         path = tmp_path / "fb.csv"
         path.write_text("sprint_id,rater\n1,A\n", encoding="utf-8")
         with pytest.raises(InputError) as err:
-            parse_feedback(path, simple_calendar())
+            parse_feedback(path, simple_calendar(), TABLE_ROSTERS)
         assert "communication_rating" in str(err.value)
 
+
+
+# Sprint 1 is excluded; a table may also name sprints 0 and 4, which are unknown.
+TABLE_CALENDAR = SprintCalendar(
+    weeks=tuple(Week(i, utc(2023, 3, 7 * i), utc(2023, 3, 7 * i + 7)) for i in (1, 2, 3)),
+    sprints=(Sprint(1, (1,)), Sprint(2, (2,)), Sprint(3, (3,))),
+    excluded_sprints=frozenset({1}),
+)
+OUTCOME_FAULTS = (
+    "blank-cell", "bad-number", "nan", "inf", "unknown-sprint", "short-row",
+    "negative-points", "passed-exceeds", "negative-hours", "negative-stories",
+    "huge-stories", "float-stories", "year-disagree",
+)
+FEEDBACK_FAULTS = (
+    "blank-cell", "bad-number", "float-rating", "rating-range", "unknown-sprint",
+    "short-row", "self-rating",
+)
+
+
+def _csv_text(draw, header: list[str], rows: list[list[str]]) -> str:
+    """The table's text, with a blank line drawn in at some row boundaries."""
+    lines = [",".join(header)]
+    for row in rows:
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def outcome_tables(draw):
+    """An outcomes table: rows of teams X, Y and Z for sprints 1-3 (sprint 1
+    excluded), optional year-level columns, each filled consistently per team
+    or blank, some (team, sprint) rows repeated, and at most one fault."""
+    year_cols = ["stories_passed_total", "pair_programming_hours"][
+        : draw(st.sampled_from([0, 1, 2, 2]))
+    ]
+    header = ["team_id", "sprint_id", "story_points_committed", "story_points_passed",
+              "team_score", *year_cols]
+    year = {team: (draw(st.sampled_from(["0", "25", "30"])), draw(st.sampled_from(["0", "12.5"])))
+            for team in "XYZ"}
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        team = draw(st.sampled_from("XYZ"))
+        committed = draw(st.sampled_from(["0", "10", "20.5"]))
+        passed = draw(st.sampled_from(["0", committed, " 5"])) if committed != "0" else "0"
+        row = [team, draw(st.sampled_from(["1", "2", "3", " 2"])), committed, passed,
+               draw(st.sampled_from(["70", "85.5", "-3"]))]
+        row += [v if draw(st.integers(0, 3)) else "" for v in year[team][: len(year_cols)]]
+        rows.append(row)
+    if draw(st.integers(0, 3)):  # mostly one row per team and sprint
+        rows = list({(r[0], r[1].strip()): r for r in rows}.values())
+    fault = draw(st.sampled_from((None,) * 4 + OUTCOME_FAULTS))
+    if fault is not None and rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault in ("blank-cell", "bad-number"):
+            row[draw(st.integers(1, 4))] = "" if fault == "blank-cell" else "x7"
+        elif fault in ("nan", "inf"):
+            row[draw(st.integers(2, len(row) - 1))] = fault
+        elif fault == "unknown-sprint":
+            row[1] = draw(st.sampled_from(["0", "4"]))
+        elif fault == "short-row":
+            del row[draw(st.integers(1, len(row) - 1)):]
+        elif fault == "negative-points":
+            row[draw(st.integers(2, 3))] = "-1"
+        elif fault == "passed-exceeds":
+            row[2], row[3] = "5", "6"
+        elif fault == "year-disagree" and year_cols:
+            # a later row of the team, for a sprint it has no row for
+            used = {r[1].strip() for r in rows if r[0] == row[0]}
+            if free := [sprint for sprint in "123" if sprint not in used]:
+                row[5:] = year[row[0]][: len(year_cols)]
+                rows.append([row[0], free[0], "10", "5", "70", *["31"] * len(year_cols)])
+        elif year_cols:
+            at = 5 if fault.endswith("stories") else len(row) - 1
+            row[at] = {"negative-hours": "-2", "negative-stories": "-30",
+                       "huge-stories": "9" * 401, "float-stories": "2.5"}[fault]
+    return _csv_text(draw, header, rows)
+
+
+@st.composite
+def feedback_tables(draw):
+    """A feedback table: ratings by the people of TABLE_ROSTERS and by Q, who
+    is on no roster, for sprints 1-3 (sprint 1 excluded), rows repeated
+    freely, and at most one fault."""
+    people = ["A", "B", "C", "Q"]
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        rater = draw(st.sampled_from(people))
+        ratee = draw(st.sampled_from([p for p in people if p != rater]))
+        rows.append([draw(st.sampled_from(["1", "2", "3", "3 "])), rater, ratee,
+                     draw(st.sampled_from(["1", "2", "3", "4", "5"]))])
+    fault = draw(st.sampled_from((None,) * 4 + FEEDBACK_FAULTS))
+    if fault is not None and rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault == "blank-cell":
+            row[draw(st.sampled_from([0, 3]))] = ""
+        elif fault == "bad-number":
+            row[draw(st.sampled_from([0, 3]))] = "four"
+        elif fault == "float-rating":
+            row[3] = "4.0"
+        elif fault == "rating-range":
+            row[3] = draw(st.sampled_from(["0", "6", "-1"]))
+        elif fault == "unknown-sprint":
+            row[0] = draw(st.sampled_from(["0", "4"]))
+        elif fault == "short-row":
+            del row[draw(st.integers(1, 3)):]
+        else:
+            row[2] = row[1]
+    return _csv_text(draw, ["sprint_id", "rater", "ratee", "communication_rating"], rows)
+
+
+def _table_outcome(parse, path, *args) -> tuple:
+    diag = Diagnostics()
+    try:
+        result = parse(path, TABLE_CALENDAR, *args, diag)
+    except (InputError, ValidationError) as exc:
+        result = (type(exc), str(exc))
+    return result, dict(diag.counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(outcome_tables())
+def test_outcomes_parser_equals_oracle(text):
+    """parse_outcomes equals the record route: each team's sprint outcomes and
+    year-level values and the counters, or the error type, text and the
+    counters reached by then."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "outcomes.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _table_outcome(parse_outcomes, path) == _table_outcome(outcomes_oracle, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(feedback_tables())
+def test_feedback_parser_equals_oracle(text):
+    """parse_feedback equals the record route: each team's mean rating per
+    sprint and the counters, or the error type, text and the counters reached
+    by then."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "feedback.csv"
+        path.write_text(text, encoding="utf-8")
+        assert _table_outcome(parse_feedback, path, TABLE_ROSTERS) == _table_outcome(
+            feedback_oracle, path, TABLE_ROSTERS
+        )
