@@ -30,9 +30,9 @@ for trio in combinations(net.roster, 3):
 
 census = triad_census(net)
 print()
-print("census (c0, c1, c2, c3):", census.counts)
-print("closed form agrees:     ", census_closed_form(net).counts)
-print("relative census:        ", relative_census(census).freqs)
+print("census (c0, c1, c2, c3):", census)
+print("closed form agrees:     ", census_closed_form(net))
+print("relative census:        ", relative_census(census))
 
 # The same counts on the empty and complete 4-node graphs bracket the range.
 empty = CommunicationNetwork(roster=net.roster, edges=frozenset())
@@ -41,5 +41,5 @@ full = CommunicationNetwork(
     edges=frozenset(tuple(sorted(e)) for e in combinations(net.roster, 2)),
 )
 print()
-print("empty graph census:   ", triad_census(empty).counts)
-print("complete graph census:", triad_census(full).counts)
+print("empty graph census:   ", triad_census(empty))
+print("complete graph census:", triad_census(full))

@@ -50,8 +50,6 @@ from .stc import (
     year_summary,
 )
 from .triad import (
-    RelativeTriadCensus,
-    TriadCensus,
     census_closed_form,
     mean_weekly_relative_census,
     relative_census,

@@ -36,7 +36,6 @@ from .network import write_edge_list
 from .report import (
     FORMATS,
     emit,
-    included_weeks,
     run_pipeline,
     sprint_census,
     team_events,
@@ -117,7 +116,7 @@ def _cmd_validate(config: PipelineConfig) -> int:
             failures += 1
             print(f"team {team}: VALIDATION FAILURE: {exc}", file=sys.stderr)
     if config.outcomes_path:
-        parse_outcomes(config.outcomes_path, config.calendar, diag)
+        parse_outcomes(config.outcomes_path, config.calendar, diag, config.team_ids())
     if config.feedback_path:
         parse_feedback(
             config.feedback_path, config.calendar, [t.roster for t in config.teams], diag
@@ -133,7 +132,7 @@ def _cmd_validate(config: PipelineConfig) -> int:
 
 def _cmd_stc(config: PipelineConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    weeks = included_weeks(config.calendar)
+    weeks = config.calendar.included_weeks()
     rows = []
     for team_cfg in config.teams:
         scores = team_stc(team_cfg, config, team_events(team_cfg, config)[0], weeks)

@@ -55,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import InputError, ValidationError
 
@@ -169,12 +169,6 @@ class SprintCalendar:
     def week_ids(self) -> tuple[int, ...]:
         return tuple(w.week_id for w in self.weeks)
 
-    def sprint_of_week(self, week_id: int) -> int | None:
-        for sprint in self.sprints:
-            if week_id in sprint.week_ids:
-                return sprint.sprint_id
-        return None
-
     def sprint_weeks(self, sprint_id: int) -> tuple[int, ...]:
         for sprint in self.sprints:
             if sprint.sprint_id == sprint_id:
@@ -185,6 +179,11 @@ class SprintCalendar:
         return tuple(
             s.sprint_id for s in self.sprints if s.sprint_id not in self.excluded_sprints
         )
+
+    def included_weeks(self) -> tuple[int, ...]:
+        """Weeks of the included sprints, in calendar order."""
+        included = {w for s in self.included_sprints() for w in self.sprint_weeks(s)}
+        return tuple(w for w in self.week_ids() if w in included)
 
     def with_excluded(self, extra: Iterable[int]) -> "SprintCalendar":
         return SprintCalendar(
@@ -583,8 +582,9 @@ def _read_rows(path: Path, required: tuple[str, ...]):
             missing = [c for c in required if c not in header]
             if missing:
                 raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-            # Row numbers are 1-based counting the header as line 1.
-            yield from ((i, row) for i, row in enumerate(reader, start=2))
+            # A row is named by the 1-based file line it ends on: the reader
+            # skips blank lines, and a quoted field may span lines.
+            yield from ((reader.line_num, row) for row in reader)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8: {exc}") from None
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
@@ -652,6 +652,7 @@ def parse_outcomes(
     path: Path | str,
     cal: SprintCalendar,
     diagnostics: Diagnostics | None = None,
+    teams: Collection[str] | None = None,
 ) -> tuple[dict[str, dict[int, SprintOutcome]], dict[str, YearLevel]]:
     """Each team's sprint outcomes and year-level values, in one walk.
 
@@ -659,7 +660,9 @@ def parse_outcomes(
     story_points_passed, team_score. A team has at most one row per sprint.
     Optional year-level columns stories_passed_total and
     pair_programming_hours may be blank but must be consistent across a
-    team's rows. Rows for excluded sprints are filtered.
+    team's rows. Rows for excluded sprints are filtered. Given the
+    configured ``teams``, each other team in the table gets a note naming
+    its row count, since no analysis reads its rows.
 
     Returns each team's sprint -> (committed, passed, team_score) of its
     kept rows, and the year-level (stories_passed_total,
@@ -726,6 +729,12 @@ def parse_outcomes(
             continue
         by_team.setdefault(team, {})[sprint_id] = (committed, passed, score)
     diag.bump("outcome_rows_kept", sum(map(len, by_team.values())))
+    if teams is not None:
+        rows_of = Counter(team for team, _ in first_line)
+        for team in sorted(rows_of.keys() - set(teams)):
+            diag.note(
+                f"team {team}: {rows_of[team]} outcome row(s) of a team not configured; ignored"
+            )
     return by_team, {team: year_level[team] for team in by_team}
 
 

@@ -40,7 +40,12 @@ from .network import (
 )
 from .stats import mann_whitney_u, p_stars, pearson
 from .stc import weekly_team_scores, year_summary
-from .triad import census_closed_form, mean_weekly_relative_census, relative_census
+from .triad import (
+    RelativeCensus,
+    census_closed_form,
+    mean_weekly_relative_census,
+    relative_census,
+)
 
 __all__ = [
     "CorrelationCell",
@@ -48,7 +53,6 @@ __all__ = [
     "AnomalyFlag",
     "UTestSummary",
     "AnalysisReport",
-    "included_weeks",
     "team_events",
     "team_stc",
     "sprint_census",
@@ -62,7 +66,6 @@ __all__ = [
 KIND_HIGH_STC_LOW_DELIVERY = "high-stc-low-delivery"
 KIND_LOW_STC_HIGH_PAIRING = "low-stc-high-pairing"
 
-Census = tuple[float, float, float, float]
 # A sample series, team -> sprint -> value; an undefined value is None or absent.
 Series = Mapping[str, Mapping[int, float | None]]
 
@@ -113,8 +116,8 @@ class AnalysisReport:
     sprints: tuple[int, ...]
     stc_weekly: dict[str, dict[int, float | None]]
     stc_sprint_mean: dict[str, dict[int, float | None]]
-    sprint_census: dict[str, dict[int, Census | None]]
-    mean_weekly_census: dict[str, dict[int, Census | None]]
+    sprint_census: dict[str, dict[int, RelativeCensus | None]]
+    mean_weekly_census: dict[str, dict[int, RelativeCensus | None]]
     stc_table: tuple[CorrelationCell, ...]
     census_sprint_table: tuple[CorrelationCell, ...]
     census_mean_weekly_table: tuple[CorrelationCell, ...]
@@ -132,12 +135,6 @@ class AnalysisReport:
 # ---------------------------------------------------------------------------
 # Per-team steps, shared by the pipeline and the single-stage subcommands
 # ---------------------------------------------------------------------------
-
-
-def included_weeks(cal: SprintCalendar) -> tuple[int, ...]:
-    """Weeks of the season's included sprints, ascending."""
-    included = set(cal.included_sprints())
-    return tuple(w for w in cal.week_ids() if cal.sprint_of_week(w) in included)
 
 
 def team_events(
@@ -169,14 +166,14 @@ def sprint_census(
     cal: SprintCalendar,
     sprint: int,
     diag: Diagnostics | None = None,
-) -> tuple[CommunicationNetwork, Census | None]:
+) -> tuple[CommunicationNetwork, RelativeCensus | None]:
     """A sprint's network and relative census; None for rosters under 3 members."""
     net = window_network(weekly, roster, cal.sprint_weeks(sprint))
     if net.n < 3:
         if diag is not None:
             diag.bump("censuses_skipped_small_roster")
         return net, None
-    return net, relative_census(census_closed_form(net)).freqs
+    return net, relative_census(census_closed_form(net))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +215,7 @@ def _cell(
 
 
 def _census_table(
-    census: Mapping[str, Mapping[int, Census | None]],
+    census: Mapping[str, Mapping[int, RelativeCensus | None]],
     outcomes: Mapping[str, Series],
     teams: Sequence[str],
     sprints: Sequence[int],
@@ -235,18 +232,50 @@ def _census_table(
     )
 
 
+def _team_series(
+    team_cfg: TeamConfig, config: PipelineConfig, weeks: Sequence[int], diag: Diagnostics
+) -> tuple[
+    dict[int, float | None],
+    dict[int, float | None],
+    dict[int, RelativeCensus | None],
+    dict[int, RelativeCensus | None],
+]:
+    """A team's weekly STC, then its sprint-mean STC, sprint censuses and mean
+    weekly censuses over the included sprints."""
+    cal = config.calendar
+    roster = team_cfg.roster
+    weekly = team_events(team_cfg, config, diag)[0]
+    stc = team_stc(team_cfg, config, weekly, weeks, diag)
+    stc_mean: dict[int, float | None] = {}
+    census: dict[int, RelativeCensus | None] = {}
+    mean_weekly: dict[int, RelativeCensus | None] = {}
+    for sprint in cal.included_sprints():
+        sprint_weeks = cal.sprint_weeks(sprint)
+        stc_mean[sprint] = _mean([v for w in sprint_weeks if (v := stc.get(w)) is not None])
+        census[sprint] = sprint_census(weekly, roster, cal, sprint, diag)[1]
+        if census[sprint] is None:  # a roster too small for triads
+            mean_weekly[sprint] = None
+            continue
+        mean_weekly[sprint] = mean_weekly_relative_census([
+            relative_census(census_closed_form(window_network(weekly, roster, (w,))))
+            for w in sprint_weeks
+        ])
+    return stc, stc_mean, census, mean_weekly
+
+
 def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     """Execute the full analysis for every configured team."""
     diag = Diagnostics()
     cal = config.calendar
+    teams = config.team_ids()
     sprints = cal.included_sprints()
-    weeks = included_weeks(cal)
+    weeks = cal.included_weeks()
 
     if config.outcomes_path is None:
         raise InputError("missing input: no outcomes table configured")
     if config.feedback_path is None:
         raise InputError("missing input: no peer-feedback table configured")
-    outcomes, year_level = parse_outcomes(config.outcomes_path, cal, diag)
+    outcomes, year_level = parse_outcomes(config.outcomes_path, cal, diag, teams)
     comm_rating = parse_feedback(
         config.feedback_path, cal, [t.roster for t in config.teams], diag
     )
@@ -254,37 +283,10 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         parse_work_logs(config.work_logs_path, diag) if config.work_logs_path else {}
     )
 
-    teams = config.team_ids()
-    stc_weekly: dict[str, dict[int, float | None]] = {}
-    sprint_censuses: dict[str, dict[int, Census | None]] = {}
-    mean_weekly_census: dict[str, dict[int, Census | None]] = {}
-
-    for team_cfg in config.teams:
-        roster = team_cfg.roster
-        team = roster.team_id
-        weekly = team_events(team_cfg, config, diag)[0]
-        stc_weekly[team] = team_stc(team_cfg, config, weekly, weeks, diag)
-        sprint_censuses[team] = {}
-        mean_weekly_census[team] = {}
-        for sprint in sprints:
-            _, census = sprint_census(weekly, roster, cal, sprint, diag)
-            sprint_censuses[team][sprint] = census
-            if census is None:
-                mean_weekly_census[team][sprint] = None
-                continue
-            weekly_rel = [
-                relative_census(census_closed_form(window_network(weekly, roster, (w,))))
-                for w in cal.sprint_weeks(sprint)
-            ]
-            mean_weekly_census[team][sprint] = mean_weekly_relative_census(weekly_rel).freqs
-
-    stc_sprint_mean = {
-        team: {
-            s: _mean([v for w in cal.sprint_weeks(s) if (v := stc_weekly[team].get(w)) is not None])
-            for s in sprints
-        }
-        for team in teams
-    }
+    by_team = {t.team_id: _team_series(t, config, weeks, diag) for t in config.teams}
+    stc_weekly, stc_sprint_mean, sprint_censuses, mean_weekly_census = (
+        {team: series[k] for team, series in by_team.items()} for k in range(4)
+    )
 
     pct_passed: dict[str, dict[int, float]] = {team: {} for team in teams}
     score_of: dict[str, dict[int, float]] = {team: {} for team in teams}
@@ -400,6 +402,9 @@ def _trend_utest(summaries: Sequence[TeamSummary], notes: list[str]) -> UTestSum
     for s in summaries:
         if s.trend_slope is None:
             notes.append(f"team {s.team_id}: no STC trend (fewer than 2 defined weeks)")
+            continue
+        if s.trend_slope == 0:  # -0.0 too: a flat trend is neither direction
+            notes.append(f"team {s.team_id}: flat STC trend; excluded from U test")
             continue
         if s.stories_passed_total is None:
             notes.append(f"team {s.team_id}: no stories-passed total; excluded from U test")

@@ -33,11 +33,13 @@ def _mini_with_two_member_beta(mini_dir, tmp_path):
     return work / "config.json"
 
 
-def test_cli_import_leaves_numpy_out():
-    """numpy is a test dependency only: the command line must not load it."""
+# numpy is a test dependency only, and the census needs no rational
+# arithmetic: the command line must load neither.
+@pytest.mark.parametrize("module", ["numpy", "fractions"])
+def test_cli_import_leaves_module_out(module):
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, teamnets.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, teamnets.cli; print({module!r} in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -51,6 +53,23 @@ class TestValidate:
         assert "120 messages" in out
         assert "40 commits" in out
         assert "37 communication events" in out
+
+    def test_unconfigured_outcome_team_is_noted(self, mini_dir, tmp_path, capsys):
+        """validate and report both name a team the config does not list."""
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        with (work / "outcomes.csv").open("a", encoding="utf-8") as fh:
+            fh.write("gamma,2,10,5,50,3,4\ngamma,3,10,5,50,3,4\n")
+        note = "team gamma: 2 outcome row(s) of a team not configured; ignored"
+        config = str(work / "config.json")
+        assert main(["validate", "--config", config]) == 0
+        out = capsys.readouterr().out
+        assert "  outcome_rows_kept: 6\n" in out
+        assert f"  note: {note}\n" in out
+        out_dir = tmp_path / "out"
+        args = ["--config", config, "--out", str(out_dir), "--format", "structured-data"]
+        assert main(["report", *args]) == 0
+        assert note in load_report(out_dir / "report.json").notes
 
     def test_sha_listed_twice_is_no_dropped_link(self, mini_dir, tmp_path, capsys):
         work = tmp_path / "mini"
@@ -251,7 +270,26 @@ class TestValidate:
         assert f"input error: {repo_path}: {text}" in err
         assert "Traceback" not in err
 
+
 class TestSubcommands:
+    def test_mini_outputs_match_golden_files(self, mini_dir, tmp_path, capsys):
+        """validate's stdout and every file stc and census write, byte for byte."""
+        golden = mini_dir.parent / "mini_golden" / "subcommands"
+        config = str(mini_dir / "config.json")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["validate", "--config", config]) == 0
+        (out / "validate_stdout.txt").write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(["stc", "--config", config, "--out", str(out)]) == 0
+        assert main(["census", "--config", config, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+        mismatches = [
+            ref.name
+            for ref in golden.iterdir()
+            if (out / ref.name).read_bytes() != ref.read_bytes()
+        ]
+        assert mismatches == []
+
     def test_stc_writes_weekly_table(self, team7_dir, tmp_path):
         out = tmp_path / "out"
         assert main(["stc", "--config", str(team7_dir / "config.json"), "--out", str(out)]) == 0

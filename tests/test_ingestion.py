@@ -903,27 +903,42 @@ class TestTables:
             parse_outcomes(path, simple_calendar())
         assert str(err.value) == f"{path}:line 3: {text}"
 
+    # A row is named by the file line it ends on: a blank line is skipped but
+    # counted, and a quoted field may span lines.
     @pytest.mark.parametrize(
-        "table,parse",
+        "table,parse,line",
         [
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score\nX,1",
                 lambda path: parse_outcomes(path, simple_calendar()),
+                2,
             ),
             (
                 "sprint_id,rater,ratee,communication_rating\n1,A",
                 lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
+                2,
             ),
-            ("team_id,person_id,hours\nX,p1", parse_work_logs),
+            ("team_id,person_id,hours\nX,p1", parse_work_logs, 2),
+            (
+                "sprint_id,rater,ratee,communication_rating\n2,A,C,4\n\n1,A",
+                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
+                4,
+            ),
+            (
+                "team_id,sprint_id,story_points_committed,story_points_passed,team_score\n"
+                '"X\nY",2,10,5,70\nX,1',
+                lambda path: parse_outcomes(path, simple_calendar()),
+                4,
+            ),
         ],
-        ids=["outcomes", "feedback", "work_logs"],
+        ids=["outcomes", "feedback", "work_logs", "feedback-blank-line", "outcomes-quoted-newline"],
     )
-    def test_short_table_row_names_line(self, tmp_path, table, parse):
+    def test_short_table_row_names_line(self, tmp_path, table, parse, line):
         path = tmp_path / "t.csv"
         path.write_text(table + "\n", encoding="utf-8")
         with pytest.raises(ValidationError) as err:
             parse(path)
-        assert f"{path}:line 2" in str(err.value)
+        assert f"{path}:line {line}:" in str(err.value)
 
     @pytest.mark.parametrize(
         "table,parse,text",
@@ -948,15 +963,26 @@ class TestTables:
             ),
             ("team_id,hours\nX,-inf", parse_work_logs, "non-finite hours"),
             ("team_id,hours\nX,nan", parse_work_logs, "non-finite hours"),
+            ("team_id,hours\n\nX,nan", parse_work_logs, "non-finite hours"),
+            ('team_id,hours\n"X\nY",1\nX,nan', parse_work_logs, "non-finite hours"),
         ],
-        ids=["committed-nan", "score-inf", "pair-hours-nan", "work-log-minus-inf", "work-log-nan"],
+        ids=[
+            "committed-nan",
+            "score-inf",
+            "pair-hours-nan",
+            "work-log-minus-inf",
+            "work-log-nan",
+            "work-log-nan-after-blank-line",
+            "work-log-nan-after-quoted-newline",
+        ],
     )
     def test_non_finite_value_names_line(self, tmp_path, table, parse, text):
         path = tmp_path / "t.csv"
         path.write_text(table + "\n", encoding="utf-8")
+        line = table.count("\n") + 1  # the faulty row is the table's last line
         with pytest.raises(ValidationError) as err:
             parse(path)
-        assert str(err.value) == f"{path}:line 2: {text}"
+        assert str(err.value) == f"{path}:line {line}: {text}"
 
     @pytest.mark.parametrize(
         "header,parse",

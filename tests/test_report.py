@@ -14,12 +14,14 @@ from teamnets.report import (
     KIND_HIGH_STC_LOW_DELIVERY,
     KIND_LOW_STC_HIGH_PAIRING,
     TeamSummary,
+    _trend_utest,
     detect_anomalies,
     emit,
     load_report,
     run_pipeline,
 )
 from teamnets.stats import p_stars
+from teamnets.stc import year_summary
 
 from oracles import pearson_r_oracle, t_sf_quadrature
 
@@ -140,6 +142,22 @@ class TestMiniPipeline:
         assert (alpha.pair_programming_hours, beta.pair_programming_hours) == (120.0, 300.0)
         assert (alpha.stories_passed_total, beta.stories_passed_total) == (30, 22)
         assert (alpha.mean_team_score, beta.mean_team_score) == (85.0, 65.0)
+
+    def test_flat_trend_is_left_out_of_the_u_test(self):
+        flat = year_summary({1: 0.5, 2: 0.5, 3: 0.5}).trend.slope
+        assert flat == 0.0
+        slopes = {"a": 0.25, "b": -0.25, "c": flat, "d": -0.0, "e": 0.5, "f": -0.5}
+        summaries = [
+            TeamSummary(team, None, None, 10 + i, None, slope)
+            for i, (team, slope) in enumerate(slopes.items())
+        ]
+        notes: list[str] = []
+        utest = _trend_utest(summaries, notes)
+        assert (utest.increasing_teams, utest.decreasing_teams) == (("a", "e"), ("b", "f"))
+        assert notes == [
+            "team c: flat STC trend; excluded from U test",
+            "team d: flat STC trend; excluded from U test",
+        ]
 
     def test_too_few_teams_for_anomalies(self, mini_report):
         assert mini_report.anomalies == ()
@@ -303,8 +321,7 @@ class TestEmission:
 
     def test_matches_golden_files(self, mini_report, tmp_path, mini_dir):
         golden = mini_dir.parent / "mini_golden"
-        if not golden.is_dir():
-            pytest.skip("golden files not generated")
+        assert golden.is_dir(), "the checked-in golden files are missing"
         emit(mini_report, "delimited-table", tmp_path)
         emit(mini_report, "structured-data", tmp_path)
         mismatches = []

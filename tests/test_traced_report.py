@@ -31,7 +31,7 @@ def traced_run(argv: list[str]) -> Tracer:
     with tracer.installed():
         assert main(argv) == 0
     for net, census, reference in tracer.censuses:
-        assert census.counts == getattr(teamnets.triad, reference)(net).counts
+        assert census == getattr(teamnets.triad, reference)(net)
     return tracer
 
 
