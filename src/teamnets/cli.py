@@ -116,7 +116,7 @@ def _cmd_validate(config: PipelineConfig) -> int:
             failures += 1
             print(f"team {team}: VALIDATION FAILURE: {exc}", file=sys.stderr)
     if config.outcomes_path:
-        parse_outcomes(config.outcomes_path, config.calendar, diag, config.team_ids())
+        parse_outcomes(config.outcomes_path, config.calendar, config.team_ids(), diag)
     if config.feedback_path:
         parse_feedback(
             config.feedback_path, config.calendar, [t.roster for t in config.teams], diag

@@ -651,8 +651,8 @@ _OUTCOME_COLS = (
 def parse_outcomes(
     path: Path | str,
     cal: SprintCalendar,
+    teams: Collection[str],
     diagnostics: Diagnostics | None = None,
-    teams: Collection[str] | None = None,
 ) -> tuple[dict[str, dict[int, SprintOutcome]], dict[str, YearLevel]]:
     """Each team's sprint outcomes and year-level values, in one walk.
 
@@ -660,9 +660,9 @@ def parse_outcomes(
     story_points_passed, team_score. A team has at most one row per sprint.
     Optional year-level columns stories_passed_total and
     pair_programming_hours may be blank but must be consistent across a
-    team's rows. Rows for excluded sprints are filtered. Given the
-    configured ``teams``, each other team in the table gets a note naming
-    its row count, since no analysis reads its rows.
+    team's rows. Rows for excluded sprints are filtered. Each team in the
+    table but not in the configured ``teams`` gets a note naming its row
+    count, since no analysis reads its rows.
 
     Returns each team's sprint -> (committed, passed, team_score) of its
     kept rows, and the year-level (stories_passed_total,
@@ -729,12 +729,9 @@ def parse_outcomes(
             continue
         by_team.setdefault(team, {})[sprint_id] = (committed, passed, score)
     diag.bump("outcome_rows_kept", sum(map(len, by_team.values())))
-    if teams is not None:
-        rows_of = Counter(team for team, _ in first_line)
-        for team in sorted(rows_of.keys() - set(teams)):
-            diag.note(
-                f"team {team}: {rows_of[team]} outcome row(s) of a team not configured; ignored"
-            )
+    rows_of = Counter(team for team, _ in first_line)
+    for team in sorted(rows_of.keys() - set(teams)):
+        diag.note(f"team {team}: {rows_of[team]} outcome row(s) of a team not configured; ignored")
     return by_team, {team: year_level[team] for team in by_team}
 
 

@@ -275,7 +275,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         raise InputError("missing input: no outcomes table configured")
     if config.feedback_path is None:
         raise InputError("missing input: no peer-feedback table configured")
-    outcomes, year_level = parse_outcomes(config.outcomes_path, cal, diag, teams)
+    outcomes, year_level = parse_outcomes(config.outcomes_path, cal, teams, diag)
     comm_rating = parse_feedback(
         config.feedback_path, cal, [t.roster for t in config.teams], diag
     )

@@ -268,6 +268,8 @@ def ols(x: Sequence[float], y: Sequence[float]) -> TrendLine:
     sxx = math.fsum((xi - mean_x) ** 2 for xi in x)
     if sxx == 0.0:
         raise ValueError("ols undefined: x is constant")
+    if min(y) == max(y):  # flat whatever the x gaps; the rounded means need not say so
+        return TrendLine(slope=0.0, intercept=y[0], n_points=n)
     sxy = math.fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
     slope = sxy / sxx
     return TrendLine(slope=slope, intercept=mean_y - slope * mean_x, n_points=n)

@@ -511,13 +511,14 @@ def feedback_oracle(path, cal, rosters, diagnostics=None):
     }
 
 
-def outcomes_oracle(path, cal, diagnostics=None):
+def outcomes_oracle(path, cal, teams, diagnostics=None):
     """parse_outcomes by the record route it replaced: an OutcomeRecord per
     kept row, each filled with its team's year-level values, then the records
     regrouped into each team's sprint -> (committed, passed, score) and each
     team's year-level values read from its first record by a linear search.
     The rows are read by the package's own row reader; the error types and
-    texts and the diagnostics counters are the same."""
+    texts, the diagnostics counters and the note on each team not in
+    ``teams`` are the same."""
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
     kept: list[tuple[str, int, float, float, float]] = []
@@ -579,6 +580,9 @@ def outcomes_oracle(path, cal, diagnostics=None):
         kept.append((team, sprint_id, committed, passed, score))
     records = [OutcomeRecord(*row, *year_level[row[0]]) for row in kept]
     diag.bump("outcome_rows_kept", len(records))
+    for team in sorted({t for t, _ in first_line} - set(teams)):
+        n = sum(1 for t, _ in first_line if t == team)
+        diag.note(f"team {team}: {n} outcome row(s) of a team not configured; ignored")
 
     by_team: dict[str, dict[int, tuple[float, float, float]]] = {}
     for o in records:

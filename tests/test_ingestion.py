@@ -793,6 +793,7 @@ TABLE_ROSTERS = (
     Roster(team_id="X", members=frozenset({"A", "C"}), identity_map={}),
     Roster(team_id="Y", members=frozenset({"B"}), identity_map={}),
 )
+TABLE_TEAMS = tuple(roster.team_id for roster in TABLE_ROSTERS)
 
 
 class TestTables:
@@ -832,7 +833,7 @@ class TestTables:
     def test_outcomes_fixture(self, team7_config, team7_dir):
         diag = Diagnostics()
         by_team, year_level = parse_outcomes(
-            team7_dir / "outcomes.csv", team7_config.calendar, diag
+            team7_dir / "outcomes.csv", team7_config.calendar, team7_config.team_ids(), diag
         )
         assert by_team == {"X": {2: (20.0, 15.0, 80.0), 3: (22.0, 20.0, 85.0)}}  # 1 excluded
         assert year_level == {"X": (25, 100.0)}
@@ -847,11 +848,13 @@ class TestTables:
             encoding="utf-8",
         )
         with pytest.raises(ValidationError) as err:
-            parse_outcomes(path, simple_calendar())
+            parse_outcomes(path, simple_calendar(), TABLE_TEAMS)
         assert "line 2" in str(err.value)
 
     def test_outcomes_table3_team_g(self, team7_config, team7_dir):
-        year_level = parse_outcomes(team7_dir / "outcomes_table3.csv", team7_config.calendar)[1]
+        year_level = parse_outcomes(
+            team7_dir / "outcomes_table3.csv", team7_config.calendar, team7_config.team_ids()
+        )[1]
         assert year_level["G"] == (23, 434)
 
     def test_outcomes_inconsistent_year_level(self, tmp_path):
@@ -863,7 +866,7 @@ class TestTables:
             encoding="utf-8",
         )
         with pytest.raises(ValidationError):
-            parse_outcomes(path, simple_calendar())
+            parse_outcomes(path, simple_calendar(), TABLE_TEAMS)
 
     @pytest.mark.parametrize("sprint", [1, 2])  # sprint 1 is excluded
     def test_outcomes_second_row_for_team_sprint_names_line(self, tmp_path, sprint):
@@ -874,7 +877,7 @@ class TestTables:
             encoding="utf-8",
         )
         with pytest.raises(ValidationError) as err:
-            parse_outcomes(path, simple_calendar())
+            parse_outcomes(path, simple_calendar(), TABLE_TEAMS)
         assert str(err.value) == (
             f"{path}:line 4: second row for team X sprint {sprint} (first at line 2)"
         )
@@ -900,7 +903,7 @@ class TestTables:
             encoding="utf-8",
         )
         with pytest.raises(ValidationError) as err:
-            parse_outcomes(path, simple_calendar())
+            parse_outcomes(path, simple_calendar(), TABLE_TEAMS)
         assert str(err.value) == f"{path}:line 3: {text}"
 
     # A row is named by the file line it ends on: a blank line is skipped but
@@ -910,7 +913,7 @@ class TestTables:
         [
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score\nX,1",
-                lambda path: parse_outcomes(path, simple_calendar()),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
                 2,
             ),
             (
@@ -927,7 +930,7 @@ class TestTables:
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score\n"
                 '"X\nY",2,10,5,70\nX,1',
-                lambda path: parse_outcomes(path, simple_calendar()),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
                 4,
             ),
         ],
@@ -946,19 +949,19 @@ class TestTables:
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score\n"
                 "X,2,nan,15,80",
-                lambda path: parse_outcomes(path, simple_calendar()),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
                 "non-finite outcome value",
             ),
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score\n"
                 "X,2,20,15,inf",
-                lambda path: parse_outcomes(path, simple_calendar()),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
                 "non-finite outcome value",
             ),
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score,"
                 "pair_programming_hours\nX,2,20,15,80,NaN",
-                lambda path: parse_outcomes(path, simple_calendar()),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
                 "non-finite outcome value",
             ),
             ("team_id,hours\nX,-inf", parse_work_logs, "non-finite hours"),
@@ -989,7 +992,7 @@ class TestTables:
         [
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score",
-                lambda path: parse_outcomes(path, simple_calendar()),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
             ),
             (
                 "sprint_id,rater,ratee,communication_rating",
@@ -1159,19 +1162,22 @@ def _table_outcome(parse, path, *args) -> tuple:
         result = parse(path, TABLE_CALENDAR, *args, diag)
     except (InputError, ValidationError) as exc:
         result = (type(exc), str(exc))
-    return result, dict(diag.counts)
+    return result, dict(diag.counts), diag.notes
 
 
 @settings(max_examples=300, deadline=None)
 @given(outcome_tables())
 def test_outcomes_parser_equals_oracle(text):
     """parse_outcomes equals the record route: each team's sprint outcomes and
-    year-level values and the counters, or the error type, text and the
-    counters reached by then."""
+    year-level values, the counters and the notes, or the error type, text
+    and the counters reached by then."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "outcomes.csv"
         path.write_text(text, encoding="utf-8")
-        assert _table_outcome(parse_outcomes, path) == _table_outcome(outcomes_oracle, path)
+        # Z is in the table but not configured, so its rows get a note.
+        assert _table_outcome(parse_outcomes, path, TABLE_TEAMS) == _table_outcome(
+            outcomes_oracle, path, TABLE_TEAMS
+        )
 
 
 @settings(max_examples=300, deadline=None)

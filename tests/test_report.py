@@ -146,6 +146,8 @@ class TestMiniPipeline:
     def test_flat_trend_is_left_out_of_the_u_test(self):
         flat = year_summary({1: 0.5, 2: 0.5, 3: 0.5}).trend.slope
         assert flat == 0.0
+        # Rounded means would leave a slope of about -2.6e-33 across this gap.
+        assert year_summary({3: 0.1, 4: 0.1, 5: None, 6: 0.1}).trend.slope == 0.0
         slopes = {"a": 0.25, "b": -0.25, "c": flat, "d": -0.0, "e": 0.5, "f": -0.5}
         summaries = [
             TeamSummary(team, None, None, 10 + i, None, slope)
