@@ -27,7 +27,10 @@ Repo activity (one JSON file per team):
 Feedback / outcomes / work logs are delimited tables with header rows; see
 ``parse_feedback``, ``parse_outcomes`` and ``parse_work_logs`` for columns.
 
-All timestamps are stored timezone-aware in UTC. Week assignment uses
+Calendar bounds and repo timestamps are timezone-aware UTC datetimes. A
+chat message's time is the float of its ``ts``, compared with the week
+bounds through exact thresholds: the least float whose
+``datetime.fromtimestamp`` in UTC reaches each bound. Week assignment uses
 half-open intervals [start, end). Messages from handles outside a team's
 identity map (instructors, bots) are dropped and counted in diagnostics
 rather than failing the parse.
@@ -54,6 +57,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Collection, Iterable, Mapping
 
@@ -166,6 +170,24 @@ class SprintCalendar:
             return None
         return self.weeks[i].week_id
 
+    @cached_property
+    def _thresholds(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Each week's start, and each week's end, as the least float whose
+        UTC datetime reaches it (built on first use, not with the calendar)."""
+        return (
+            tuple(_least_time_at_or_after(w.start) for w in self.weeks),
+            tuple(_least_time_at_or_after(w.end) for w in self.weeks),
+        )
+
+    def week_of_timestamp(self, ts: float) -> int | None:
+        """assign_week of datetime.fromtimestamp(ts, timezone.utc), for any ts
+        that fromtimestamp accepts, without building the datetime."""
+        starts, ends = self._thresholds
+        i = bisect.bisect_right(starts, ts) - 1
+        if i < 0 or ts >= ends[i]:
+            return None
+        return self.weeks[i].week_id
+
     def week_ids(self) -> tuple[int, ...]:
         return tuple(w.week_id for w in self.weeks)
 
@@ -191,6 +213,41 @@ class SprintCalendar:
             sprints=self.sprints,
             excluded_sprints=self.excluded_sprints | frozenset(extra),
         )
+
+
+def _least_time_at_or_after(bound: datetime) -> float:
+    """The least float x with datetime.fromtimestamp(x, timezone.utc) >= bound.
+
+    fromtimestamp rounds half-even to microseconds and never decreases as x
+    grows, so fromtimestamp(x, timezone.utc) >= bound holds exactly when x is
+    at least the result. A float below the datetime range reads as before
+    every bound, one above it as after every bound.
+    """
+
+    def reaches(x: float) -> bool:
+        try:
+            return datetime.fromtimestamp(x, timezone.utc) >= bound
+        except (OverflowError, ValueError, OSError):
+            return x > 0
+
+    # Bracket the result, lo < result <= hi, then bisect the floats between.
+    lo = hi = bound.timestamp()
+    step = 1e-6
+    while reaches(lo):
+        lo = min(lo - step, math.nextafter(lo, -math.inf))
+        step *= 2
+    while not reaches(hi):
+        hi = max(hi + step, math.nextafter(hi, math.inf))
+        step *= 2
+    while lo < (mid := lo + (hi - lo) / 2) < hi:
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    # Midpoints stop short only where they round onto an end; step the rest.
+    while reaches(below := math.nextafter(hi, -math.inf)):
+        hi = below
+    return hi
 
 
 def _as_int(value, name: str) -> int:
@@ -315,6 +372,11 @@ def _listdir(path: str) -> list[str]:
         raise InputError(f"{path}: cannot read: {exc}") from None
 
 
+# datetime.fromtimestamp accepts every float in [0, 2**34] (1970 to 2514), so
+# a chat ts in that window is valid without building its datetime.
+_TS_ALWAYS_VALID = 2.0**34
+
+
 def parse_chat_edges(
     export_root: Path | str,
     roster: Roster,
@@ -325,17 +387,22 @@ def parse_chat_edges(
     """Each week's reply edges of a chat workspace export tree, in one walk.
 
     Walks every channel directory and day file, maps raw handles through the
-    roster's identity map, and resolves thread roots across the whole
-    channel. Bot/app messages, excluded subtypes, and unknown handles are
-    dropped with diagnostics. A reply joins its author and its thread root's
-    author, as a pair sorted by name, in the calendar week it was sent.
+    roster's identity map, and resolves a channel's thread roots once all of
+    its day files are read. Bot/app messages, excluded subtypes, and unknown
+    handles are dropped with diagnostics. A reply joins its author and its
+    thread root's author, as a pair sorted by name, in the calendar week it
+    was sent. A message's time is the float of its ``ts``; its week is found
+    through the calendar's exact thresholds (``week_of_timestamp``), so it is
+    the week of the UTC datetime that ``datetime.fromtimestamp`` gives.
     Replies to a dropped root, self-replies and replies outside every week
-    make no edge; each rule is counted. A reply that predates its root is a
-    validation error naming the least (timestamp, message_id) such reply.
+    make no edge; each rule is counted. A reply whose datetime predates its
+    root's is a validation error naming the least (timestamp, message_id)
+    such reply.
 
     Returns the edge sets by week id, the number of kept messages and the
     number of replies that made an edge. The counters of the walk are
-    updated also when the parse raises, with the counts reached by then.
+    updated also when the parse raises, with the counts reached by then;
+    replies to a dropped root are counted once every channel is read.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     root = Path(export_root)
@@ -343,19 +410,23 @@ def parse_chat_edges(
         raise InputError(f"chat export directory not found: {root}")
     excluded = frozenset(excluded_handles)
     person_of = roster.identity_map.get
-    fromtimestamp = datetime.fromtimestamp
+    week_of = cal.week_of_timestamp
     utc = timezone.utc
-    # message_id -> (timestamp, author) of every kept message: the
-    # duplicate-ts check, the dropped-root rule, the thread-order check and
-    # each reply's week and edge all read it.
-    kept: dict[str, tuple[datetime, str]] = {}
-    threaded: list[tuple[str, str]] = []  # (reply id, thread root id)
+    by_week: dict[int, set[tuple[str, str]]] = {}
+    late: tuple[datetime, str, str] | None = None
     seen = dropped_subtype = dropped_excluded = dropped_unknown = dropped_root = 0
+    n_kept = orphans = replies = self_reply = out_of_calendar = 0
     try:
         for channel in _listdir(str(root)):
             channel_dir = str(root / channel)
             if not os.path.isdir(channel_dir):
                 continue
+            # ts text -> (time, author) of every kept message of this channel,
+            # since a thread_ts names a root in its own channel only: the
+            # duplicate-ts check, the dropped-root rule, the thread-order
+            # check and each reply's week and edge all read it.
+            kept: dict[str, tuple[float, str]] = {}
+            threaded: list[tuple[str, str]] = []  # (reply ts text, root ts text)
             for name in _listdir(channel_dir):
                 if not name.endswith(".json"):
                     continue
@@ -389,13 +460,16 @@ def parse_chat_edges(
                         continue
                     ts_raw = obj["ts"]
                     try:
-                        ts = fromtimestamp(float(ts_raw), utc)
+                        ts = float(ts_raw)
+                        # NaN fails the comparison too, and so is converted.
+                        if not 0.0 <= ts <= _TS_ALWAYS_VALID:
+                            datetime.fromtimestamp(ts, utc)  # validated, not kept
                     except (TypeError, ValueError, OverflowError, OSError):
                         raise InputError(
                             f"{day_file}: entry {i} has invalid ts {ts_raw!r}"
                         ) from None
-                    mid = f"{channel}/{ts_raw}"
-                    if mid in kept:
+                    key = f"{ts_raw}"
+                    if key in kept:
                         raise ValidationError(
                             f"{day_file}: entry {i} has duplicate ts {ts_raw!r}"
                         )
@@ -404,47 +478,50 @@ def parse_chat_edges(
                         raise InputError(
                             f"{day_file}: entry {i} has invalid thread_ts {thread_ts!r}"
                         )
-                    kept[mid] = (ts, person)
+                    kept[key] = (ts, person)
                     if thread_ts:
                         # Messages are named by text, so a root may spell its
                         # own thread_ts as a number where its ts is a string.
-                        thread_ref = f"{channel}/{thread_ts}"
-                        if thread_ref != mid:
-                            threaded.append((mid, thread_ref))
+                        thread_key = f"{thread_ts}"
+                        if thread_key != key:
+                            threaded.append((key, thread_key))
 
-        assign_week = cal.assign_week
-        by_week: dict[int, set[tuple[str, str]]] = {}
-        late: tuple[datetime, str, str] | None = None
-        replies = self_reply = out_of_calendar = 0
-        for mid, thread_ref in threaded:
-            root_msg = kept.get(thread_ref)
-            if root_msg is None:
-                dropped_root += 1
-                continue
-            ts, author = kept[mid]
-            root_ts, root_author = root_msg
-            if ts < root_ts:
-                # message_id is unique, so the tuples never compare past it.
-                if late is None or (ts, mid, thread_ref) < late:
-                    late = (ts, mid, thread_ref)
-            elif root_author == author:
-                self_reply += 1
-            elif (week := assign_week(ts)) is None:
-                out_of_calendar += 1
-            else:
-                replies += 1
-                pair = (author, root_author) if author < root_author else (root_author, author)
-                by_week.setdefault(week, set()).add(pair)
+            n_kept += len(kept)
+            for key, thread_key in threaded:
+                root_msg = kept.get(thread_key)
+                if root_msg is None:
+                    orphans += 1
+                    continue
+                ts, author = kept[key]
+                root_ts, root_author = root_msg
+                # Floats that differ may still round to one microsecond.
+                if ts < root_ts and (
+                    (at := datetime.fromtimestamp(ts, utc)) < datetime.fromtimestamp(root_ts, utc)
+                ):
+                    # message_id is unique, so the tuples never compare past it.
+                    reply = (at, f"{channel}/{key}", f"{channel}/{thread_key}")
+                    if late is None or reply < late:
+                        late = reply
+                elif root_author == author:
+                    self_reply += 1
+                elif (week := week_of(ts)) is None:
+                    out_of_calendar += 1
+                else:
+                    replies += 1
+                    pair = (author, root_author) if author < root_author else (root_author, author)
+                    by_week.setdefault(week, set()).add(pair)
+        # An input error in a later channel leaves this counter at 0.
+        dropped_root = orphans
         if late is not None:
             raise ValidationError(f"message {late[1]} predates its thread root {late[2]}")
-        diag.bump("messages_kept", len(kept))
+        diag.bump("messages_kept", n_kept)
         for key, n in (
             ("events_skipped_self_reply", self_reply),
             ("events_dropped_out_of_calendar", out_of_calendar),
         ):
             if n:
                 diag.bump(key, n)
-        return {week: frozenset(edges) for week, edges in by_week.items()}, len(kept), replies
+        return {week: frozenset(edges) for week, edges in by_week.items()}, n_kept, replies
     finally:
         for key, n in (
             ("messages_seen", seen),
@@ -601,9 +678,9 @@ def parse_feedback(
     """Each team's mean communication rating per sprint, in one walk.
 
     Columns: sprint_id, rater, ratee, communication_rating (Likert 1..5).
-    A rating counts for the team whose roster lists its rater; a kept row
-    whose rater is on no roster counts for no team. Rows for excluded sprints
-    are filtered out.
+    A rating counts for the team whose roster lists its rater, and its ratee
+    must be on that roster too; a kept row whose rater is on no roster counts
+    for no team. Rows for excluded sprints are filtered out.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
@@ -626,11 +703,14 @@ def parse_feedback(
         rater, ratee = row["rater"], row["ratee"]
         if rater == ratee:
             raise ValidationError(f"{p}:line {line}: rater equals ratee ({rater})")
+        team = team_of.get(rater)
+        if team is not None and team_of.get(ratee) != team:
+            raise ValidationError(f"{p}:line {line}: ratee {ratee} is not on team {team}")
         if sprint_id in cal.excluded_sprints:
             diag.bump("feedback_rows_excluded_sprint")
             continue
         kept += 1
-        if (team := team_of.get(rater)) is not None:
+        if team is not None:
             ratings.setdefault(team, {}).setdefault(sprint_id, []).append(rating)
     diag.bump("feedback_rows_kept", kept)
     return {

@@ -465,13 +465,15 @@ class OutcomeRecord:
 
 def feedback_oracle(path, cal, rosters, diagnostics=None):
     """parse_feedback by the record route it replaced: a FeedbackRecord per
-    kept row, then a person -> team map built from the rosters (a person on
+    kept row, its ratee checked against the rater's roster found by a linear
+    search, then a person -> team map built from the rosters (a person on
     two rosters counts for the later one), then the records regrouped by
     their rater's team and sprint and each group averaged with fsum. The rows
     are read by the package's own row reader; the error types and texts and
     the diagnostics counters are the same."""
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
+    rosters = list(rosters)
     records: list[FeedbackRecord] = []
     known_sprints = {s.sprint_id for s in cal.sprints}
     for line, row in _read_rows(p, ("sprint_id", "rater", "ratee", "communication_rating")):
@@ -489,6 +491,11 @@ def feedback_oracle(path, cal, rosters, diagnostics=None):
         rater, ratee = row["rater"], row["ratee"]
         if rater == ratee:
             raise ValidationError(f"{p}:line {line}: rater equals ratee ({rater})")
+        rater_rosters = [roster for roster in rosters if rater in roster.members]
+        if rater_rosters and ratee not in rater_rosters[-1].members:
+            raise ValidationError(
+                f"{p}:line {line}: ratee {ratee} is not on team {rater_rosters[-1].team_id}"
+            )
         if sprint_id in cal.excluded_sprints:
             diag.bump("feedback_rows_excluded_sprint")
             continue

@@ -71,6 +71,25 @@ class TestValidate:
         assert main(["report", *args]) == 0
         assert note in load_report(out_dir / "report.json").notes
 
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_rating_of_an_outsider_is_validation_failure(
+        self, mini_dir, tmp_path, capsys, command
+    ):
+        """A rating of someone off the rater's roster would count toward the
+        rater's team mean; it names the line, the ratee and the team."""
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        table = work / "feedback.csv"
+        line = len(table.read_text(encoding="utf-8").splitlines()) + 1
+        with table.open("a", encoding="utf-8") as fh:
+            fh.write("3,a1,zz,2\n")
+        args = ["--config", str(work / "config.json")]
+        if command == "report":
+            args += ["--out", str(tmp_path / "out")]
+        assert main([command, *args]) == 1
+        err = capsys.readouterr().err
+        assert f"feedback.csv:line {line}: ratee zz is not on team alpha\n" in err
+
     def test_sha_listed_twice_is_no_dropped_link(self, mini_dir, tmp_path, capsys):
         work = tmp_path / "mini"
         shutil.copytree(mini_dir, work)

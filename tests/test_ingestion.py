@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from teamnets import ingestion
 from teamnets.errors import InputError, ValidationError
 from teamnets.ingestion import (
     Diagnostics,
@@ -123,6 +125,71 @@ def test_assign_week_equals_scan(season):
     cal, times = season
     for ts in times:
         assert cal.assign_week(ts) == assign_week_oracle(cal, ts)
+
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# Bounds at the edges of the float -> datetime mapping: the first and last
+# instants a datetime holds, the epoch and the instants around it (negative
+# epochs), and instants beyond 2**34 s, where a float is coarser than 1 us.
+EDGE_BOUNDS = (
+    datetime.min.replace(tzinfo=timezone.utc),
+    datetime.min.replace(tzinfo=timezone.utc) + timedelta(microseconds=1),
+    EPOCH - timedelta(seconds=1, microseconds=1),
+    EPOCH - timedelta(microseconds=1),
+    EPOCH,
+    EPOCH + timedelta(microseconds=1),
+    EPOCH + timedelta(seconds=2**34, microseconds=1),
+    datetime(9999, 12, 31, tzinfo=timezone.utc),
+    datetime.max.replace(tzinfo=timezone.utc),
+)
+
+
+@st.composite
+def calendars_and_timestamps(draw):
+    """A calendar whose bounds are drawn from the whole datetime range and
+    from EDGE_BOUNDS, with optional gaps, and floats on, next to and half a
+    microsecond either side of every bound, plus random floats."""
+    bounds = sorted(
+        draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(EDGE_BOUNDS),
+                    st.datetimes(timezones=st.just(timezone.utc)),
+                ),
+                min_size=2,
+                max_size=10,
+                unique=True,
+            )
+        )
+    )
+    weeks, i = [], 0
+    while i + 1 < len(bounds):
+        weeks.append(Week(len(weeks) + 1, bounds[i], bounds[i + 1]))
+        i += draw(st.sampled_from([1, 2]))  # the next week is contiguous, or after a gap
+    cal = SprintCalendar(
+        weeks=tuple(weeks), sprints=(Sprint(1, tuple(w.week_id for w in weeks)),)
+    )
+    times = []
+    for bound in bounds:
+        t = bound.timestamp()
+        for x in (t - 5e-7, t, t + 5e-7):
+            times += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    times += draw(st.lists(st.floats(allow_nan=False), max_size=10))
+    return cal, times
+
+
+@settings(max_examples=200, deadline=None)
+@given(calendars_and_timestamps())
+def test_week_of_timestamp_equals_assign_week(season):
+    """The float lookup's thresholds are exact: every float that
+    datetime.fromtimestamp accepts lands in the week of its datetime."""
+    cal, times = season
+    for x in times:
+        try:
+            at = datetime.fromtimestamp(x, timezone.utc)
+        except (OverflowError, ValueError, OSError):
+            continue  # an invalid chat ts, rejected before any week lookup
+        assert cal.week_of_timestamp(x) == cal.assign_week(at), x
 
 
 class TestRoster:
@@ -273,6 +340,34 @@ class TestChatParser:
         )
         assert dict(diag.counts) == {"messages_seen": 4, "replies_to_dropped_root": 1}
 
+    def test_reply_in_its_roots_microsecond_is_not_late(self, tmp_path, two_person_roster):
+        """Two times are compared as datetimes: a reply whose float ts is
+        below its root's but rounds to the same microsecond is a reply."""
+        reply_ts, root_ts = "1678100000.0000001", "1678100000.0000002"
+        assert float(reply_ts) < float(root_ts)
+        write_channel(
+            tmp_path,
+            "general",
+            "2023-03-06",
+            [
+                {"user": "UB", "ts": root_ts},
+                {"user": "UA", "ts": reply_ts, "thread_ts": root_ts},
+            ],
+        )
+        assert parse(tmp_path, two_person_roster) == ({1: {("alice", "bob")}}, 2, 1)
+
+    def test_input_error_in_a_later_channel_counts_no_dropped_root(
+        self, tmp_path, two_person_roster
+    ):
+        """Replies to a dropped root are counted once every channel is read."""
+        stray = {"user": "UA", "ts": "1678100100.0", "thread_ts": "1678100000.0"}
+        write_channel(tmp_path, "a", "2023-03-06", [stray])
+        write_channel(tmp_path, "b", "2023-03-06", [{"user": "UA", "ts": "nan"}])
+        diag = Diagnostics()
+        with pytest.raises(InputError, match="entry 0 has invalid ts 'nan'"):
+            parse(tmp_path, two_person_roster, (), diag)
+        assert dict(diag.counts) == {"messages_seen": 2}
+
     def test_reply_to_dropped_root_becomes_plain(self, tmp_path, two_person_roster):
         write_channel(
             tmp_path,
@@ -378,8 +473,11 @@ class TestChatParser:
 
 # Message timestamps as an export writes them: strings and numbers, two
 # strings that round to one microsecond, two spellings of one instant, and a
-# number that names the same message as a string. STRAY is the ts of no
-# message, so a reply to it has a dropped root.
+# number that names the same message as a string. The last five take the
+# parser's slow path, where a ts is converted to a datetime to be validated
+# or compared: a negative ts, one beyond 2**34 s, two that are not valid, and
+# one that rounds up onto a week end. STRAY is the ts of no message, so a
+# reply to it has a dropped root.
 TS_POOL = (
     "1678100000.0000001",
     "1678100000.0000002",
@@ -393,6 +491,11 @@ TS_POOL = (
     "1678099000.25",
     1678100300,
     "1678100400.75",
+    "-1.5",
+    "17179869200.5",
+    "nan",
+    "-inf",
+    "1678100200.0000008",
 )
 STRAY = "1678100050.0"
 CHAT_ROSTER = Roster(
@@ -501,9 +604,11 @@ def _at(ts: float) -> datetime:
 
 
 # Calendars over TS_POOL: two weeks with a gap, whose bounds fall on pool
-# times (a start includes its time, an end excludes it, and
-# "1678100200.0000012" rounds onto an end), so some times lie before, between
-# and after the weeks; one week holding every time; one week holding none.
+# times (a start includes its time, an end excludes it, "1678100200.0000012"
+# rounds down onto an end and "1678100200.0000008" rounds up onto it), so
+# some times lie before, between and after the weeks; one week holding every
+# time from 1678099000.25 to 1678100400.75; one week holding none; two weeks
+# that hold the negative ts and the one beyond 2**34 s.
 CHAT_CALENDARS = (
     SprintCalendar(
         weeks=(
@@ -514,6 +619,13 @@ CHAT_CALENDARS = (
     ),
     SprintCalendar(weeks=(Week(5, _at(1678099000), _at(1678101000)),), sprints=(Sprint(1, (5,)),)),
     SprintCalendar(weeks=(Week(1, _at(1678200000), _at(1678300000)),), sprints=(Sprint(1, (1,)),)),
+    SprintCalendar(
+        weeks=(
+            Week(1, _at(-2), _at(1678100000.5)),
+            Week(2, _at(1678100400.75), _at(17179869300)),
+        ),
+        sprints=(Sprint(1, (1,)), Sprint(2, (2,))),
+    ),
 )
 
 
@@ -549,6 +661,36 @@ def test_chat_parser_equals_oracle(tree, cal, spelling):
         assert _parse_outcome(parse_chat_edges, given_root, cal) == _parse_outcome(
             chat_edges_oracle, given_root, cal
         )
+
+
+class _CountingDatetime(datetime):
+    """datetime whose fromtimestamp calls are recorded."""
+
+    calls: list = []
+
+    @classmethod
+    def fromtimestamp(cls, *args, **kwargs):
+        cls.calls.append(args)
+        return datetime.fromtimestamp(*args, **kwargs)
+
+
+def test_chat_parse_makes_no_datetime_per_message(mini_config, tmp_path, monkeypatch):
+    """A message's time stays the float of its ts: once the calendar's week
+    thresholds are built, parsing mini converts no ts to a datetime. A ts
+    outside the window that needs no check is still converted, which shows
+    that the count sees the parser's calls."""
+    cal = mini_config.calendar
+    cal.week_of_timestamp(0.0)  # builds the thresholds, once per calendar
+    monkeypatch.setattr(ingestion, "datetime", _CountingDatetime)
+    monkeypatch.setattr(_CountingDatetime, "calls", [])
+    for team in mini_config.teams:
+        parse_chat_edges(team.chat_export, team.roster, cal, mini_config.excluded_handles)
+    assert _CountingDatetime.calls == []
+    team = mini_config.teams[0]
+    handle = next(iter(team.roster.identity_map))
+    write_channel(tmp_path, "general", "1969-12-31", [{"user": handle, "ts": "-1.5"}])
+    assert parse_chat_edges(tmp_path, team.roster, cal) == ({}, 1, 0)
+    assert len(_CountingDatetime.calls) == 1
 
 
 def write_repo(path: Path, commits: list, merge_requests: list) -> Path:
@@ -800,15 +942,28 @@ class TestTables:
     def test_feedback_roundtrip_row(self, tmp_path):
         path = tmp_path / "fb.csv"
         path.write_text(
-            "sprint_id,rater,ratee,communication_rating\n2,A,B,4\n", encoding="utf-8"
+            "sprint_id,rater,ratee,communication_rating\n2,A,C,4\n", encoding="utf-8"
         )
         # the rating counts for its rater's team
         assert parse_feedback(path, simple_calendar(), TABLE_ROSTERS) == {"X": {2: 4.0}}
 
+    @pytest.mark.parametrize("ratee,team", [("B", "X"), ("Q", "X"), ("A", "Y")])
+    def test_ratee_off_the_raters_roster_names_line(self, tmp_path, ratee, team):
+        rater = "B" if team == "Y" else "A"
+        path = tmp_path / "fb.csv"
+        path.write_text(
+            f"sprint_id,rater,ratee,communication_rating\n2,A,C,4\n1,{rater},{ratee},4\n",
+            encoding="utf-8",
+        )
+        # an excluded sprint's row is checked too
+        with pytest.raises(ValidationError) as err:
+            parse_feedback(path, simple_calendar(), TABLE_ROSTERS)
+        assert str(err.value) == f"{path}:line 3: ratee {ratee} is not on team {team}"
+
     def test_rating_out_of_bounds_names_row(self, tmp_path):
         path = tmp_path / "fb.csv"
         path.write_text(
-            "sprint_id,rater,ratee,communication_rating\n2,A,B,4\n2,B,A,6\n", encoding="utf-8"
+            "sprint_id,rater,ratee,communication_rating\n2,A,C,4\n2,C,A,6\n", encoding="utf-8"
         )
         with pytest.raises(ValidationError) as err:
             parse_feedback(path, simple_calendar(), TABLE_ROSTERS)
@@ -1059,7 +1214,7 @@ OUTCOME_FAULTS = (
 )
 FEEDBACK_FAULTS = (
     "blank-cell", "bad-number", "float-rating", "rating-range", "unknown-sprint",
-    "short-row", "self-rating",
+    "short-row", "self-rating", "outsider-ratee",
 )
 
 
@@ -1126,14 +1281,14 @@ def outcome_tables(draw):
 
 @st.composite
 def feedback_tables(draw):
-    """A feedback table: ratings by the people of TABLE_ROSTERS and by Q, who
-    is on no roster, for sprints 1-3 (sprint 1 excluded), rows repeated
-    freely, and at most one fault."""
-    people = ["A", "B", "C", "Q"]
+    """A feedback table: ratings by the people of TABLE_ROSTERS of a teammate
+    and by Q, who is on no roster, of anyone, for sprints 1-3 (sprint 1
+    excluded), rows repeated freely, and at most one fault."""
+    ratees = {"A": ["C"], "C": ["A"], "Q": ["A", "B", "C"]}
     rows = []
     for _ in range(draw(st.integers(0, 10))):
-        rater = draw(st.sampled_from(people))
-        ratee = draw(st.sampled_from([p for p in people if p != rater]))
+        rater = draw(st.sampled_from(sorted(ratees)))
+        ratee = draw(st.sampled_from(ratees[rater]))
         rows.append([draw(st.sampled_from(["1", "2", "3", "3 "])), rater, ratee,
                      draw(st.sampled_from(["1", "2", "3", "4", "5"]))])
     fault = draw(st.sampled_from((None,) * 4 + FEEDBACK_FAULTS))
@@ -1151,6 +1306,8 @@ def feedback_tables(draw):
             row[0] = draw(st.sampled_from(["0", "4"]))
         elif fault == "short-row":
             del row[draw(st.integers(1, 3)):]
+        elif fault == "outsider-ratee":
+            row[1:3] = draw(st.sampled_from([["A", "B"], ["C", "Q"], ["B", "A"]]))
         else:
             row[2] = row[1]
     return _csv_text(draw, ["sprint_id", "rater", "ratee", "communication_rating"], rows)
