@@ -122,6 +122,7 @@ class SprintCalendar:
     sprints: tuple[Sprint, ...]
     excluded_sprints: frozenset[int] = frozenset()
     _starts: tuple[datetime, ...] = field(init=False, repr=False, compare=False)
+    _ends: tuple[datetime, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.weeks:
@@ -162,13 +163,18 @@ class SprintCalendar:
                 raise ValidationError(f"excluded sprint {sid} is not in the calendar")
         # Weeks are ordered and disjoint, so their starts ascend strictly.
         object.__setattr__(self, "_starts", tuple(w.start for w in self.weeks))
+        object.__setattr__(self, "_ends", tuple(w.end for w in self.weeks))
+
+    def _week_at(self, starts: tuple, ends: tuple, x: datetime | float) -> int | None:
+        """Week i with starts[i] <= x < ends[i], or None; starts ascend."""
+        i = bisect.bisect_right(starts, x) - 1
+        if i < 0 or x >= ends[i]:
+            return None
+        return self.weeks[i].week_id
 
     def assign_week(self, ts: datetime) -> int | None:
         """Week containing ts under [start, end), or None (e.g. break gaps)."""
-        i = bisect.bisect_right(self._starts, ts) - 1
-        if i < 0 or ts >= self.weeks[i].end:
-            return None
-        return self.weeks[i].week_id
+        return self._week_at(self._starts, self._ends, ts)
 
     @cached_property
     def _thresholds(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -182,11 +188,7 @@ class SprintCalendar:
     def week_of_timestamp(self, ts: float) -> int | None:
         """assign_week of datetime.fromtimestamp(ts, timezone.utc), for any ts
         that fromtimestamp accepts, without building the datetime."""
-        starts, ends = self._thresholds
-        i = bisect.bisect_right(starts, ts) - 1
-        if i < 0 or ts >= ends[i]:
-            return None
-        return self.weeks[i].week_id
+        return self._week_at(*self._thresholds, ts)
 
     def week_ids(self) -> tuple[int, ...]:
         return tuple(w.week_id for w in self.weeks)

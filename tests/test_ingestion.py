@@ -473,10 +473,10 @@ class TestChatParser:
 
 # Message timestamps as an export writes them: strings and numbers, two
 # strings that round to one microsecond, two spellings of one instant, and a
-# number that names the same message as a string. The last five take the
+# number that names the same message as a string. The last three take the
 # parser's slow path, where a ts is converted to a datetime to be validated
-# or compared: a negative ts, one beyond 2**34 s, two that are not valid, and
-# one that rounds up onto a week end. STRAY is the ts of no message, so a
+# or compared: a negative ts, one beyond 2**34 s, and one that rounds up onto
+# a week end; the bad-ts fault adds a ts that is not valid. STRAY is the ts of no message, so a
 # reply to it has a dropped root.
 TS_POOL = (
     "1678100000.0000001",
@@ -493,8 +493,6 @@ TS_POOL = (
     "1678100400.75",
     "-1.5",
     "17179869200.5",
-    "nan",
-    "-inf",
     "1678100200.0000008",
 )
 STRAY = "1678100050.0"
@@ -510,7 +508,7 @@ ENTRY_FAULTS = (
 FILE_FAULTS = ("bom", "utf-16", "latin-1", "crlf-truncated", "not-array", "dir")
 
 
-def _break_entry(entries: list, at: int, fault: str) -> None:
+def _break_entry(draw, entries: list, at: int, fault: str) -> None:
     entry = entries[at]
     if fault == "duplicate-ts":
         entries.append({**entry, "ts": entries[0]["ts"]})
@@ -519,7 +517,7 @@ def _break_entry(entries: list, at: int, fault: str) -> None:
     elif fault == "no-ts":
         del entry["ts"]
     elif fault == "bad-ts":
-        entry["ts"] = "inf"
+        entry["ts"] = draw(st.sampled_from(["inf", "nan", "-inf"]))
     elif fault == "user-list":
         entry["user"] = ["UA"]
     elif fault == "user-int":
@@ -587,7 +585,7 @@ def export_trees(draw):
             days.setdefault(day, []).append(entry)
         if fault in ENTRY_FAULTS and days:
             entries = days[draw(st.sampled_from(sorted(days)))]
-            _break_entry(entries, draw(st.integers(0, len(entries) - 1)), fault)
+            _break_entry(draw, entries, draw(st.integers(0, len(entries) - 1)), fault)
             fault = None
         files = {"notes.txt": b"not a day file"}
         broken = draw(st.sampled_from(sorted(days))) if fault in FILE_FAULTS and days else None
@@ -930,10 +928,10 @@ def test_repo_parser_equals_oracle(data):
         )
 
 
-# Feedback raters A and C are on team X, B is on team Y, and Q is on no roster.
+# Feedback raters A and C are on team X, B and D on team Y, and Q is on no roster.
 TABLE_ROSTERS = (
     Roster(team_id="X", members=frozenset({"A", "C"}), identity_map={}),
-    Roster(team_id="Y", members=frozenset({"B"}), identity_map={}),
+    Roster(team_id="Y", members=frozenset({"B", "D"}), identity_map={}),
 )
 TABLE_TEAMS = tuple(roster.team_id for roster in TABLE_ROSTERS)
 
@@ -1284,7 +1282,7 @@ def feedback_tables(draw):
     """A feedback table: ratings by the people of TABLE_ROSTERS of a teammate
     and by Q, who is on no roster, of anyone, for sprints 1-3 (sprint 1
     excluded), rows repeated freely, and at most one fault."""
-    ratees = {"A": ["C"], "C": ["A"], "Q": ["A", "B", "C"]}
+    ratees = {"A": ["C"], "C": ["A"], "B": ["D"], "D": ["B"], "Q": ["A", "B", "C", "D"]}
     rows = []
     for _ in range(draw(st.integers(0, 10))):
         rater = draw(st.sampled_from(sorted(ratees)))
@@ -1307,7 +1305,7 @@ def feedback_tables(draw):
         elif fault == "short-row":
             del row[draw(st.integers(1, 3)):]
         elif fault == "outsider-ratee":
-            row[1:3] = draw(st.sampled_from([["A", "B"], ["C", "Q"], ["B", "A"]]))
+            row[1:3] = draw(st.sampled_from([["A", "B"], ["C", "Q"], ["D", "A"], ["B", "Q"]]))
         else:
             row[2] = row[1]
     return _csv_text(draw, ["sprint_id", "rater", "ratee", "communication_rating"], rows)
