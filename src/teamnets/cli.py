@@ -21,7 +21,6 @@ import argparse
 import sys
 import traceback
 from pathlib import Path
-from typing import Callable
 
 from .config import PipelineConfig, load_config
 from .errors import InputError, ValidationError
@@ -40,7 +39,7 @@ from .report import (
     sprint_census,
     team_events,
     team_stc,
-    write_table,
+    write_tables,
 )
 
 
@@ -122,7 +121,7 @@ def _cmd_validate(config: PipelineConfig) -> int:
             config.feedback_path, config.calendar, [t.roster for t in config.teams], diag
         )
     if config.work_logs_path:
-        parse_work_logs(config.work_logs_path, diag)
+        parse_work_logs(config.work_logs_path, config.team_ids(), diag)
     for key in sorted(diag.counts):
         print(f"  {key}: {diag.counts[key]}")
     for note in diag.notes:
@@ -130,43 +129,32 @@ def _cmd_validate(config: PipelineConfig) -> int:
     return 1 if failures else 0
 
 
-def _cmd_stc(config: PipelineConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_stc(config: PipelineConfig, out: Path) -> list[Path]:
     weeks = config.calendar.included_weeks()
     rows = []
     for team_cfg in config.teams:
         scores = team_stc(team_cfg, config, team_events(team_cfg, config)[0], weeks)
-        rows.extend((team_cfg.team_id, week, score) for week, score in sorted(scores.items()))
-    path = out / "stc_weekly.csv"
-    write_table(path, ("team", "week", "stc_score"), rows)
-    print(f"wrote {path}")
-    return 0
+        rows.extend((team_cfg.team_id, week, scores[week]) for week in weeks)
+    return write_tables(out, {"stc_weekly": (("team", "week", "stc_score"), rows)}, "delimited-table")
 
 
-def _cmd_census(config: PipelineConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_census(config: PipelineConfig, out: Path) -> list[Path]:
     cal = config.calendar
     rows = []
+    edge_lists = {}
     for team_cfg in config.teams:
         team = team_cfg.team_id
         weekly = team_events(team_cfg, config)[0]
         for sprint in cal.included_sprints():
             net, census = sprint_census(weekly, team_cfg.roster, cal, sprint)
-            write_edge_list(net, out / f"edges_{team}_sprint{sprint}.tsv")
+            edge_lists[f"edges_{team}_sprint{sprint}.tsv"] = net
             # a roster too small for triads keeps its row with blank cells
             rows.append((team, sprint, *(census or (None,) * 4)))
-    path = out / "census_sprint.csv"
-    write_table(path, ("team", "sprint", *(f"rel_{k}_edges" for k in range(4))), rows)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_report(
-    config: PipelineConfig, out: Path, fmt: str, select: Callable[[str], bool] | None
-) -> int:
-    for p in emit(run_pipeline(config), fmt, out, select):
-        print(f"wrote {p}")
-    return 0
+    table = (("team", "sprint", *(f"rel_{k}_edges" for k in range(4))), rows)
+    written = write_tables(out, {"census_sprint": table}, "delimited-table")
+    for name, net in edge_lists.items():  # into the directory write_tables made
+        write_edge_list(net, out / name)
+    return written
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -180,12 +168,15 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_validate(config)
         out = Path(args.out)
         if args.command == "stc":
-            return _cmd_stc(config, out)
-        if args.command == "census":
-            return _cmd_census(config, out)
-        if args.command == "correlate":
-            return _cmd_report(config, out, args.format, lambda name: "correlations" in name)
-        return _cmd_report(config, out, args.format, None)
+            written = _cmd_stc(config, out)
+        elif args.command == "census":
+            written = _cmd_census(config, out)
+        else:
+            select = (lambda name: "correlations" in name) if args.command == "correlate" else None
+            written = emit(run_pipeline(config), args.format, out, select)
+        for path in written:
+            print(f"wrote {path}")
+        return 0
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -31,12 +31,11 @@ Schema (paths are resolved relative to the config file's directory)::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InputError, ValidationError
-from .ingestion import Roster, SprintCalendar, calendar_from_dict
+from .ingestion import Roster, SprintCalendar, calendar_from_dict, load_json
 
 __all__ = ["TeamConfig", "AnomalyThresholds", "PipelineConfig", "load_config"]
 
@@ -94,14 +93,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     cfg_path = Path(path)
     if not cfg_path.is_file():
         raise InputError(f"config file not found: {cfg_path}")
-    try:
-        data = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{cfg_path}: malformed JSON at line {exc.lineno} column {exc.colno}"
-        ) from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{cfg_path}: not UTF-8: {exc}") from None
+    data = load_json(cfg_path)
     if not isinstance(data, dict):
         raise InputError(f"{cfg_path}: config must be a JSON object")
     if "calendar" not in data:

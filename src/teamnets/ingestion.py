@@ -1,4 +1,4 @@
-"""Parsing of raw team artifacts into the validated domain model.
+"""Parsing of raw team artifacts into the series the analyses read.
 
 Input formats
 -------------
@@ -80,6 +80,34 @@ def parse_utc(value: str) -> datetime:
     if ts.tzinfo is None:
         return ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
+
+
+def load_json(path: Path | str):
+    """The JSON value of a UTF-8 file, for every JSON input (config, chat day
+    files, repo activity, report.json); each failure is an InputError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from None
+    try:
+        # Decoded explicitly: json.loads(bytes) would also accept UTF-16/32
+        # and a UTF-8 byte order mark.
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8: {exc}") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        if "\r" in text:
+            # Positions count newlines as text-mode reading translates them.
+            try:
+                json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+            except json.JSONDecodeError as translated:
+                exc = translated
+        raise InputError(
+            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno} (char {exc.pos})"
+        ) from None
 
 
 @dataclass
@@ -340,33 +368,6 @@ YearLevel = tuple[int | None, float | None]
 # ---------------------------------------------------------------------------
 
 
-def _load_json(path: Path | str):
-    """The JSON value of a UTF-8 file; every failure is an InputError naming it."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise InputError(f"{path}: cannot read: {exc}") from None
-    try:
-        # Decoded explicitly: json.loads(bytes) would also accept UTF-16/32
-        # and a UTF-8 byte order mark.
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8: {exc}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        if "\r" in text:
-            # Positions count newlines as text-mode reading translates them.
-            try:
-                json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
-            except json.JSONDecodeError as translated:
-                exc = translated
-        raise InputError(
-            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno} (char {exc.pos})"
-        ) from None
-
-
 def _listdir(path: str) -> list[str]:
     try:
         return sorted(os.listdir(path))
@@ -433,7 +434,7 @@ def parse_chat_edges(
                 if not name.endswith(".json"):
                     continue
                 day_file = f"{channel_dir}/{name}"
-                payload = _load_json(day_file)
+                payload = load_json(day_file)
                 if not isinstance(payload, list):
                     raise InputError(f"{day_file}: expected a JSON array of messages")
                 for i, obj in enumerate(payload):
@@ -550,14 +551,14 @@ def parse_repo_weeks(
     """Each calendar week's merge requests as (authors, files) pairs, in one walk.
 
     Validates the normalized repo-activity file and its referential
-    integrity. Commits from authors outside the identity map are dropped
-    with a diagnostic; a merge request's authors are the people of its kept
-    commits, whatever their dates, and each distinct listed sha of a
-    dropped commit counts as a dropped link. A merge request referencing a
-    sha absent from the raw commit list is an integrity error. Merge
-    requests with no changed files stay in their week's list but are
-    counted; STC scoring excludes them. A merge request created outside
-    every week is in no list.
+    integrity. A commit's author is a handle of the identity map or a
+    member id; commits by any other author are dropped with a diagnostic. A
+    merge request's authors are the people of its kept commits, whatever
+    their dates, and each distinct listed sha of a dropped commit counts as
+    a dropped link. A merge request referencing a sha absent from the raw
+    commit list is an integrity error. Merge requests with no changed files
+    stay in their week's list but are counted; STC scoring excludes them. A
+    merge request created outside every week is in no list.
 
     Returns the pairs by week id in file order, the number of kept commits
     and the number of merge requests.
@@ -566,7 +567,7 @@ def parse_repo_weeks(
     p = Path(path)
     if not p.is_file():
         raise InputError(f"repo activity file not found: {p}")
-    payload = _load_json(p)
+    payload = load_json(p)
     if not isinstance(payload, dict):
         raise InputError(f"{p}: expected a JSON object")
     for key in ("commits", "merge_requests"):
@@ -819,16 +820,19 @@ def parse_outcomes(
 
 def parse_work_logs(
     path: Path | str,
+    teams: Collection[str],
     diagnostics: Diagnostics | None = None,
 ) -> dict[str, float]:
     """Sum pair-programming hours per team from a granular work log.
 
     Required columns: team_id, hours. Any extra columns (person_id, week_id,
-    activity) are ignored for the totals.
+    activity) are ignored for the totals. A team not in ``teams`` gets a note
+    naming its row count, as in ``parse_outcomes``.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
     totals: dict[str, float] = {}
+    rows_of: Counter = Counter()
     for line, row in _read_rows(p, ("team_id", "hours")):
         try:
             hours = float(row["hours"])
@@ -843,5 +847,8 @@ def parse_work_logs(
         if not math.isfinite(total):
             raise ValidationError(f"{p}:line {line}: hours total of team {team} overflows")
         totals[team] = total
+        rows_of[team] += 1
         diag.bump("work_log_rows")
+    for team in sorted(rows_of.keys() - set(teams)):
+        diag.note(f"team {team}: {rows_of[team]} work log row(s) of a team not configured; ignored")
     return totals

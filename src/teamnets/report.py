@@ -4,8 +4,9 @@ The pipeline parses all configured inputs, groups each team's replies into
 weekly communication edges, computes weekly STC scores and sprint censuses
 per team, correlates them with delivery outcomes, compares increasing-
 against decreasing-trend teams, flags anomalous teams, and can write
-everything as delimited tables or structured JSON. Output ordering is bit-stable: teams alphabetical, sprints
-and weeks ascending, fixed float formatting.
+everything as delimited tables or structured JSON. Output ordering is
+bit-stable: teams alphabetical, sprints and weeks in calendar order, fixed
+float formatting.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .ingestion import (
     Diagnostics,
     Roster,
     SprintCalendar,
+    load_json,
     parse_chat_edges,
     parse_feedback,
     parse_outcomes,
@@ -59,7 +61,7 @@ __all__ = [
     "run_pipeline",
     "detect_anomalies",
     "emit",
-    "write_table",
+    "write_tables",
     "load_report",
 ]
 
@@ -280,7 +282,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         config.feedback_path, cal, [t.roster for t in config.teams], diag
     )
     work_hours = (
-        parse_work_logs(config.work_logs_path, diag) if config.work_logs_path else {}
+        parse_work_logs(config.work_logs_path, teams, diag) if config.work_logs_path else {}
     )
 
     by_team = {t.team_id: _team_series(t, config, weeks, diag) for t in config.teams}
@@ -309,9 +311,11 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     census_sprint_table = _census_table(sprint_censuses, census_outcomes, teams, sprints)
     census_mw_table = _census_table(mean_weekly_census, census_outcomes, teams, sprints)
 
+    # the trend runs over calendar positions, since week ids need not follow time
+    position = {week: i for i, week in enumerate(cal.week_ids(), 1)}
     summaries = []
     for team in teams:
-        summary = year_summary(stc_weekly[team])
+        summary = year_summary({position[w]: v for w, v in stc_weekly[team].items()})
         stories, pair_from_outcomes = year_level.get(team, (None, None))
         pair_from_logs = work_hours.get(team)
         if (
@@ -511,16 +515,41 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_table(path: Path | str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A delimited table: the header, then one line per row, each float with
-    six decimals and each None blank."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_fmt(value) for value in row] for row in rows)
+def _write_json(path: Path, value) -> None:
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-Table = tuple[list[str], list[tuple]]
+# A result table: its column names and its rows.
+Table = tuple[Sequence[str], Sequence[Sequence]]
+
+
+def write_tables(out_dir: Path | str, tables: Mapping[str, Table], format: str) -> list[Path]:
+    """Write each table into ``out_dir``, creating it; returns the paths in name
+    order. A delimited table, ``<name>.csv``, is the header, then one line per
+    row, each float with six decimals and each None blank; a structured one,
+    ``<name>.json``, is a list of objects keyed by the column names."""
+    if format not in FORMATS:
+        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"output directory not writable: {out}: {exc}") from None
+    written: list[Path] = []
+    for name in sorted(tables):
+        columns, rows = tables[name]
+        if format == "delimited-table":
+            path = out / f"{name}.csv"
+            with path.open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(columns)
+                writer.writerows([_fmt(value) for value in row] for row in rows)
+        else:
+            path = out / f"{name}.json"
+            _write_json(path, [dict(zip(columns, row)) for row in rows])
+        written.append(path)
+    return written
+
 
 _CELL_COLUMNS = "pair r n p stars"
 
@@ -597,42 +626,16 @@ def emit(
 ) -> list[Path]:
     """Write tables and per-team series files; returns the paths written.
 
-    ``select`` picks the table and series names to write (default: all).
-    The structured-data format always adds ``report.json``.
+    ``select`` picks the names of the files to write (default: all): the
+    tables, the series and, in the structured-data format, ``report``, the
+    whole report as ``report.json`` after the tables.
     """
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise InputError(f"output directory not writable: {out}: {exc}") from None
-
+    selected = select or (lambda name: True)
     files = {**_tables(report), **_series(report)}
-    written: list[Path] = []
-    for name in sorted(files):
-        if select is not None and not select(name):
-            continue
-        columns, rows = files[name]
-        if format == "delimited-table":
-            path = out / f"{name}.csv"
-            write_table(path, columns, rows)
-        else:
-            path = out / f"{name}.json"
-            objects = [dict(zip(columns, row)) for row in rows]
-            path.write_text(
-                json.dumps(objects, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-        written.append(path)
-    if format == "structured-data":
-        path = out / "report.json"
-        path.write_text(
-            json.dumps(_to_json(report), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+    written = write_tables(out_dir, {n: t for n, t in files.items() if selected(n)}, format)
+    if format == "structured-data" and selected("report"):
+        path = Path(out_dir) / "report.json"
+        _write_json(path, _to_json(report))
         written.append(path)
     return written
 
@@ -681,11 +684,7 @@ def _from_json(tp, data):
 def load_report(path: Path | str) -> AnalysisReport:
     """Re-parse a structured report.json written by emit()."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load report from {path}: {exc}") from None
-    try:
-        return _from_json(AnalysisReport, data)
+        return _from_json(AnalysisReport, load_json(path))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise InputError(
             f"cannot load report from {path}: not a report: {type(exc).__name__}: {exc}"

@@ -144,6 +144,17 @@ def t_sf(t: float, df: int) -> float:
     return 0.5 * _betainc_reg(0.5 * df, 0.5, x)
 
 
+def _spread(values: Sequence[float], n: int) -> tuple[Sequence[float], float, float]:
+    """The sample, its mean and its sum of squared deviations. A sample whose
+    squares sum below the least normal float, though it is not constant, is
+    first scaled by an exact power of two, which leaves r unchanged."""
+    mean = math.fsum(values) / n
+    squares = math.fsum((v - mean) ** 2 for v in values)
+    if squares < sys.float_info.min and (largest := max(abs(v - mean) for v in values)):
+        return _spread([math.ldexp(v, -math.frexp(largest)[1]) for v in values], n)
+    return values, mean, squares
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Product-moment correlation with two-tailed significance.
 
@@ -157,10 +168,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     if n < 3:
         raise ValueError(f"pearson requires at least 3 paired samples, got {n}")
     try:
-        mean_x = math.fsum(x) / n
-        mean_y = math.fsum(y) / n
-        sxx = math.fsum((xi - mean_x) ** 2 for xi in x)
-        syy = math.fsum((yi - mean_y) ** 2 for yi in y)
+        x, mean_x, sxx = _spread(x, n)
+        y, mean_y, syy = _spread(y, n)
     except OverflowError:  # finite samples whose mean or sum of squares overflows
         raise ValueError("correlation undefined: a mean or sum is not finite") from None
     if not (math.isfinite(sxx) and math.isfinite(syy)):  # a nan or infinity in a sample

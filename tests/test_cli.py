@@ -71,6 +71,20 @@ class TestValidate:
         assert main(["report", *args]) == 0
         assert note in load_report(out_dir / "report.json").notes
 
+    def test_unconfigured_work_log_team_is_noted(self, mini_dir, tmp_path, capsys):
+        """A mistyped team id in the work log is named, as in the outcomes table."""
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        (work / "work_logs.csv").write_text("team_id,hours\nalfa,40\nbeta,10\n", encoding="utf-8")
+        config = json.loads((work / "config.json").read_text())
+        config["work_logs"] = "work_logs.csv"
+        (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["validate", "--config", str(work / "config.json")]) == 0
+        out = capsys.readouterr().out
+        assert "  work_log_rows: 2\n" in out
+        assert "  note: team alfa: 1 work log row(s) of a team not configured; ignored\n" in out
+        assert "team beta:" not in out.split("note:", 1)[1]
+
     @pytest.mark.parametrize("command", ["validate", "report"])
     def test_rating_of_an_outsider_is_validation_failure(
         self, mini_dir, tmp_path, capsys, command
@@ -102,6 +116,14 @@ class TestValidate:
 
     def test_missing_config_is_input_error(self):
         assert main(["validate", "--config", "/nonexistent/config.json"]) == 2
+
+    def test_malformed_config_names_line_column_and_char(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{\n  "calendar": oops\n}\n', encoding="utf-8")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {cfg}: malformed JSON at line 2 column 15 (char 16)\n"
+        )
 
     def test_malformed_chat_file_is_input_error(self, team7_dir, tmp_path, capsys):
         work = tmp_path / "team7"
@@ -383,11 +405,23 @@ class TestSubcommands:
         assert report.teams == ("alpha", "beta")
 
     def test_correlate_writes_only_correlation_tables(self, mini_dir, tmp_path):
-        out = tmp_path / "corr"
-        assert main(["correlate", "--config", str(mini_dir / "config.json"), "--out", str(out)]) == 0
-        names = {p.name for p in out.iterdir()}
-        assert all("correlations" in n for n in names)
-        assert "stc_correlations.csv" in names
+        """In either format, correlate writes the correlation tables of
+        mini_golden, byte for byte, and no other file."""
+        golden = mini_dir.parent / "mini_golden"
+        config = str(mini_dir / "config.json")
+        for fmt, suffix in (("delimited-table", ".csv"), ("structured-data", ".json")):
+            out = tmp_path / fmt
+            assert main(["correlate", "--config", config, "--format", fmt, "--out", str(out)]) == 0
+            names = sorted(p.name for p in out.iterdir())
+            assert names == sorted(p.name for p in golden.glob(f"*correlations*{suffix}"))
+            assert [n for n in names if (out / n).read_bytes() != (golden / n).read_bytes()] == []
+
+    def test_report_leaves_other_files_in_out(self, mini_dir, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".write_probe").write_text("a file of the user's", encoding="utf-8")
+        assert main(["report", "--config", str(mini_dir / "config.json"), "--out", str(out)]) == 0
+        assert (out / ".write_probe").read_text(encoding="utf-8") == "a file of the user's"
 
     def test_correlate_leaves_other_report_files(self, mini_dir, tmp_path):
         config = str(mini_dir / "config.json")
@@ -469,7 +503,10 @@ class TestSubcommands:
             (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
         assert main([command, "--config", str(work / "config.json"), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("input error: ")
+        if fault == "out-is-file":
+            assert err.startswith(f"input error: output directory not writable: {out}: ")
+        else:
+            assert err.startswith("input error: ")
         assert "Traceback" not in err
 
     def test_missing_out_is_input_error(self, mini_dir, capsys):
@@ -727,3 +764,37 @@ def test_relabelling_roster_members_leaves_every_table_unchanged(mini_dir, tmp_p
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
     assert tables(work) == tables(mini_dir)
+
+
+def test_reversing_week_ids_changes_only_the_week_labels(mini_dir, tmp_path):
+    """The STC trend follows the calendar, not the week ids: numbering the weeks
+    backwards, each keeping its dates, leaves every stc, census and report
+    table as it was but for the week labels (ISO week numbers restart in
+    January, so a season over two semesters has ids out of time order)."""
+    work = tmp_path / "mini"
+    shutil.copytree(mini_dir, work)
+    config = json.loads((work / "config.json").read_text())
+    calendar = config["calendar"]
+    relabel = {w["week_id"]: len(calendar["weeks"]) + 1 - w["week_id"] for w in calendar["weeks"]}
+    for week in calendar["weeks"]:
+        week["week_id"] = relabel[week["week_id"]]
+    for sprint in calendar["sprints"]:
+        sprint["weeks"] = [relabel[w] for w in sprint["weeks"]]
+    (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+
+    def tables(root, out, label):
+        for command in ("report", "stc", "census"):
+            assert main([command, "--config", str(root / "config.json"), "--out", str(out)]) == 0
+        files = {}
+        for path in out.iterdir():
+            rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+            if rows and "week" in rows[0]:
+                column = rows[0].index("week")
+                for row in rows[1:]:
+                    row[column] = str(label(int(row[column])))
+            files[path.name] = rows
+        return files
+
+    relabelled = tables(work, tmp_path / "out_reversed", relabel.get)
+    assert relabelled == tables(mini_dir, tmp_path / "out", lambda week: week)
+    assert any(name.startswith("series_stc_") for name in relabelled)

@@ -2,7 +2,8 @@
 
 Each module's ``__all__`` is checked with ``getattr``, and each name that
 ``teamnets/__init__.py`` imports is read from its source with ``ast`` and
-looked up in the module it names.
+looked up in the module it names. The package's sources are also read with
+``ast`` to check that one function decodes every JSON input.
 """
 
 from __future__ import annotations
@@ -39,3 +40,30 @@ def test_package_imports_resolve():
         module = importlib.import_module("." * node.level + (node.module or ""), "teamnets")
         missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
     assert missing == []
+
+
+def test_one_function_decodes_json():
+    """json.loads is called in one function of the package, so every JSON
+    input has the same error rules."""
+    callers = []
+    for path in sorted(Path(teamnets.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        calls = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "loads"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+        ]
+        for call in calls:
+            # the innermost function whose lines hold the call
+            owner = max(
+                (f for f in functions if f.lineno <= call.lineno <= f.end_lineno),
+                key=lambda f: f.lineno,
+                default=None,
+            )
+            callers.append(f"{path.stem}.{owner.name if owner else '<module>'}")
+    assert sorted(set(callers)) == ["ingestion.load_json"]

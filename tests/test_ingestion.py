@@ -936,6 +936,10 @@ TABLE_ROSTERS = (
 TABLE_TEAMS = tuple(roster.team_id for roster in TABLE_ROSTERS)
 
 
+def _work_logs(path):
+    return parse_work_logs(path, TABLE_TEAMS)
+
+
 class TestTables:
     def test_feedback_roundtrip_row(self, tmp_path):
         path = tmp_path / "fb.csv"
@@ -1074,7 +1078,7 @@ class TestTables:
                 lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
                 2,
             ),
-            ("team_id,person_id,hours\nX,p1", parse_work_logs, 2),
+            ("team_id,person_id,hours\nX,p1", _work_logs, 2),
             (
                 "sprint_id,rater,ratee,communication_rating\n2,A,C,4\n\n1,A",
                 lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
@@ -1117,10 +1121,10 @@ class TestTables:
                 lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
                 "non-finite outcome value",
             ),
-            ("team_id,hours\nX,-inf", parse_work_logs, "non-finite hours"),
-            ("team_id,hours\nX,nan", parse_work_logs, "non-finite hours"),
-            ("team_id,hours\n\nX,nan", parse_work_logs, "non-finite hours"),
-            ('team_id,hours\n"X\nY",1\nX,nan', parse_work_logs, "non-finite hours"),
+            ("team_id,hours\nX,-inf", _work_logs, "non-finite hours"),
+            ("team_id,hours\nX,nan", _work_logs, "non-finite hours"),
+            ("team_id,hours\n\nX,nan", _work_logs, "non-finite hours"),
+            ('team_id,hours\n"X\nY",1\nX,nan', _work_logs, "non-finite hours"),
         ],
         ids=[
             "committed-nan",
@@ -1151,7 +1155,7 @@ class TestTables:
                 "sprint_id,rater,ratee,communication_rating",
                 lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
             ),
-            ("team_id,hours", parse_work_logs),
+            ("team_id,hours", _work_logs),
         ],
         ids=["outcomes", "feedback", "work_logs"],
     )
@@ -1166,7 +1170,7 @@ class TestTables:
         path = tmp_path / "wl.csv"
         path.write_bytes("team_id,hours\nÄ,1\n".encode("latin-1"))
         with pytest.raises(InputError) as err:
-            parse_work_logs(path)
+            parse_work_logs(path, TABLE_TEAMS)
         assert str(err.value).startswith(f"{path}: not UTF-8: ")
 
     def test_work_logs_sum_per_team(self, tmp_path):
@@ -1175,20 +1179,28 @@ class TestTables:
             "team_id,person_id,week_id,hours\nX,p1,1,2.5\nX,p2,1,1.5\nY,q1,2,3\n",
             encoding="utf-8",
         )
-        assert parse_work_logs(path) == {"X": 4.0, "Y": 3.0}
+        assert parse_work_logs(path, TABLE_TEAMS) == {"X": 4.0, "Y": 3.0}
+
+    def test_work_logs_unconfigured_team_is_noted(self, tmp_path):
+        path = tmp_path / "wl.csv"
+        path.write_text("team_id,hours\nX,40\nZ,10\nZ,5\n", encoding="utf-8")
+        diag = Diagnostics()
+        assert parse_work_logs(path, TABLE_TEAMS, diag) == {"X": 40.0, "Z": 15.0}
+        assert diag.counts["work_log_rows"] == 3
+        assert diag.notes == ["team Z: 2 work log row(s) of a team not configured; ignored"]
 
     def test_work_logs_overflowing_total_names_line(self, tmp_path):
         path = tmp_path / "wl.csv"
         path.write_text("team_id,hours\nX,1e308\nY,1e308\nX,1e308\n", encoding="utf-8")
         with pytest.raises(ValidationError) as err:
-            parse_work_logs(path)
+            parse_work_logs(path, TABLE_TEAMS)
         assert str(err.value) == f"{path}:line 4: hours total of team X overflows"
 
     def test_work_logs_negative_hours(self, tmp_path):
         path = tmp_path / "wl.csv"
         path.write_text("team_id,hours\nX,-1\n", encoding="utf-8")
         with pytest.raises(ValidationError):
-            parse_work_logs(path)
+            parse_work_logs(path, TABLE_TEAMS)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "fb.csv"

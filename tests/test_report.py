@@ -343,7 +343,7 @@ class TestEmission:
         path.write_bytes(b"\xff\xfe" + path.read_bytes())
         with pytest.raises(InputError) as err:
             load_report(path)
-        assert f"cannot load report from {path}: 'utf-8' codec can't decode" in str(err.value)
+        assert str(err.value).startswith(f"{path}: not UTF-8: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize(
         "text,error",

@@ -81,7 +81,7 @@ class TestPearson:
         with pytest.raises(ValueError, match="not finite"):
             pearson([1, 2, 3], [1e308, 1e308, 0.0])
 
-    @pytest.mark.parametrize("scale", [1e-140, 1e-100, 1e100, 1e150])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-140, 1e-100, 1e100, 1e150])
     def test_extreme_scales(self, scale):
         # sxx * syy under- or overflows although r is well defined
         x = [0.3, 1.7, 2.2, 4.8, 5.1]
