@@ -22,7 +22,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, excluded_team_ids, load_config
 from .errors import InputError, ValidationError
 from .ingestion import (
     Diagnostics,
@@ -88,12 +88,8 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
             raise InputError(f"--exclude-sprints must be integers: {args.exclude_sprints!r}")
         config.calendar = config.calendar.with_excluded(extra)
     if getattr(args, "exclude_teams", None) is not None:
-        wanted = tuple(sorted(t for t in args.exclude_teams.split(",") if t))
-        known = set(config.team_ids())
-        unknown = [t for t in wanted if t not in known]
-        if unknown:
-            raise ValidationError(f"--exclude-teams references unknown team(s): {unknown}")
-        config.exclude_teams = wanted
+        wanted = [t for t in args.exclude_teams.split(",") if t]
+        config.exclude_teams = excluded_team_ids(wanted, config.team_ids(), "--exclude-teams")
     return config
 
 

@@ -6,20 +6,20 @@ Schema (paths are resolved relative to the config file's directory)::
       "calendar": {
         "weeks":  [{"week_id": 1, "start": "...Z", "end": "...Z"}, ...],
         "sprints": [{"sprint_id": 1, "weeks": [1, 2]}, ...],
-        "excluded_sprints": [1]
+        "excluded_sprints": [1]            // optional
       },
-      "teams": [
+      "teams": [                           // non-empty
         {"team_id": "A",
          "members": ["p1", ...],
-         "identity_map": {"U01": "p1", ...},
+         "identity_map": {"U01": "p1", ...},   // optional
          "chat_export": "chat/A",
          "repo_activity": "repo_A.json"}, ...
       ],
       "feedback": "feedback.csv",          // optional
       "outcomes": "outcomes.csv",          // optional
       "work_logs": "work_logs.csv",        // optional
-      "excluded_handles": ["UBOT"],        // bots / app accounts
-      "options": {
+      "excluded_handles": ["UBOT"],        // optional: bots / app accounts
+      "options": {                         // optional, as is each option
         "anomaly_top_fraction": 0.2,
         "anomaly_bottom_fraction": 0.3,
         "exclude_teams": [],               // census-table exclusion override
@@ -27,17 +27,29 @@ Schema (paths are resolved relative to the config file's directory)::
         "self_dependency": true
       }
     }
+
+Every value is read by one reader and must be of its kind, or it is an
+InputError naming its path (``calendar.weeks[0].week_id``, ``teams[1].members``,
+``options.self_dependency``). Ids are integers (``1.0`` reads as 1; a string
+or a boolean is no integer); ``start`` and ``end`` are ISO-8601 strings;
+members, handles and identity-map values are strings. ``chat_export`` and
+``repo_activity`` are non-empty strings; for the optional paths ``""`` and
+``null`` mean absent. Fractions are numbers, flags true or false.
+``exclude_teams`` is deduplicated and sorted, and names configured teams.
+Each error, a ValidationError of the calendar, a roster or the anomaly
+thresholds included, starts with the config file's path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Collection, Iterable
 
 from .errors import InputError, ValidationError
-from .ingestion import Roster, SprintCalendar, calendar_from_dict, load_json
+from .ingestion import Roster, Sprint, SprintCalendar, Week, load_json, parse_utc
 
-__all__ = ["TeamConfig", "AnomalyThresholds", "PipelineConfig", "load_config"]
+__all__ = ["TeamConfig", "AnomalyThresholds", "PipelineConfig", "excluded_team_ids", "load_config"]
 
 
 @dataclass(frozen=True)
@@ -79,8 +91,83 @@ class PipelineConfig:
         return tuple(sorted(t.team_id for t in self.teams))
 
 
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+def excluded_team_ids(wanted: Iterable[str], known: Collection[str], where: str) -> tuple[str, ...]:
+    """The teams of ``wanted`` once each, sorted; ``where`` names the list,
+    and a team not in ``known`` is a ValidationError."""
+    teams = tuple(sorted(set(wanted)))
+    unknown = [t for t in teams if t not in known]
+    if unknown:
+        raise ValidationError(f"{where} references unknown team(s) {unknown}")
+    return teams
+
+
+def _is_timestamp(value) -> bool:
+    try:
+        parse_utc(value)
+    except InputError:
+        return False
+    return True
+
+
+_TIMESTAMP = "an ISO-8601 timestamp"
+_FLAG = "true or false"
+_TEAM_ID = "a file name without '/', '\\', ',' (not empty, '.' or '..')"
+
+# Each kind of config value, as errors name it, and its test. JSON values
+# have exact Python types, so a boolean is neither an integer nor a number.
+_KINDS = {
+    "an object": lambda v: type(v) is dict,
+    "an array": lambda v: type(v) is list,
+    "a string": lambda v: type(v) is str,
+    "a non-empty string": lambda v: type(v) is str and v != "",
+    "a string or null": lambda v: v is None or type(v) is str,
+    "an integer": lambda v: type(v) is int or type(v) is float and v.is_integer(),
+    "a number": lambda v: type(v) in (int, float),
+    _FLAG: lambda v: type(v) is bool,
+    _TIMESTAMP: _is_timestamp,
+    # a team id names output files, and team lists are joined and split on commas
+    _TEAM_ID: lambda v: type(v) is str and v not in ("", ".", "..") and set(v).isdisjoint("/\\,"),
+}
+
+
+def _get(node, key, where: str, kind: str, default):
+    """node[key] when it is of ``kind``, or ``default`` when the object node
+    has no ``key``; ``where`` is node's path. Another value, or a missing one
+    whose default is ``...``, is an InputError naming its path."""
+    path = f"{where}[{key}]" if type(key) is int else f"{where}.{key}" if where else key
+    if type(node) is dict and key not in node:
+        if default is ...:
+            raise InputError(f"{path} is missing")
+        return default
+    value = node[key]
+    if not _KINDS[kind](value):
+        raise InputError(f"{path} must be {kind}, got {value!r}")
+    return value
+
+
+def _items(node, key: str, where: str, kind: str, default) -> list:
+    """The entries of the array node[key], each of ``kind``, or ``default``."""
+    array = _get(node, key, where, "an array", default)
+    path = f"{where}.{key}" if where else key
+    return [_get(array, i, path, kind, ...) for i in range(len(array))]
+
+
+def _read_calendar(data: dict) -> SprintCalendar:
+    cal = _get(data, "calendar", "", "an object", ...)
+    weeks = []
+    for i, w in enumerate(_items(cal, "weeks", "calendar", "an object", ...)):
+        where = f"calendar.weeks[{i}]"
+        week_id = int(_get(w, "week_id", where, "an integer", ...))
+        start, end = (parse_utc(_get(w, k, where, _TIMESTAMP, ...)) for k in ("start", "end"))
+        weeks.append(Week(week_id, start, end))
+    sprints = []
+    for i, s in enumerate(_items(cal, "sprints", "calendar", "an object", ...)):
+        where = f"calendar.sprints[{i}]"
+        sprint_id = int(_get(s, "sprint_id", where, "an integer", ...))
+        week_ids = tuple(map(int, _items(s, "weeks", where, "an integer", ...)))
+        sprints.append(Sprint(sprint_id, week_ids))
+    excluded = frozenset(map(int, _items(cal, "excluded_sprints", "calendar", "an integer", [])))
+    return SprintCalendar(weeks=tuple(weeks), sprints=tuple(sprints), excluded_sprints=excluded)
 
 
 def _resolve(base: Path, value: str) -> Path:
@@ -88,113 +175,50 @@ def _resolve(base: Path, value: str) -> Path:
     return p if p.is_absolute() else base / p
 
 
-def load_config(path: Path | str) -> PipelineConfig:
-    """Load and validate a pipeline config file."""
-    cfg_path = Path(path)
-    if not cfg_path.is_file():
-        raise InputError(f"config file not found: {cfg_path}")
-    data = load_json(cfg_path)
-    if not isinstance(data, dict):
-        raise InputError(f"{cfg_path}: config must be a JSON object")
-    if "calendar" not in data:
-        raise InputError(f"{cfg_path}: missing 'calendar' section")
-    try:
-        calendar = calendar_from_dict(data["calendar"])
-    except InputError as exc:
-        raise InputError(f"{cfg_path}: {exc}") from None
-
-    def expect(ok: bool, field: str, kind: str) -> None:
-        if not ok:
-            raise InputError(f"{cfg_path}: {field} must be {kind}")
-
-    base = cfg_path.parent
-    teams_raw = data.get("teams")
-    if not isinstance(teams_raw, list) or not teams_raw:
-        raise InputError(f"{cfg_path}: 'teams' must be a non-empty array")
+def _read_teams(data: dict, base: Path) -> list[TeamConfig]:
     teams: list[TeamConfig] = []
-    seen: set[str] = set()
     team_of: dict[str, str] = {}  # person -> the first team whose roster lists them
-    for i, entry in enumerate(teams_raw):
-        try:
-            team_id = entry["team_id"]
-            members = entry["members"]
-            identity_map = entry.get("identity_map", {})
-            chat_export = entry["chat_export"]
-            repo_activity = entry["repo_activity"]
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"{cfg_path}: team entry {i} missing field {exc}") from None
-        where = f"team entry {i}"
-        expect(isinstance(team_id, str), f"{where} 'team_id'", "a string")
-        # the id names output files, and team lists are joined and split on commas
-        expect(
-            team_id not in ("", ".", "..") and not any(c in team_id for c in "/\\,"),
-            f"{where} 'team_id'",
-            "a file name without '/', '\\', ',' (not empty, '.' or '..')",
-        )
-        expect(_is_strings(members), f"{where} 'members'", "an array of strings")
-        expect(
-            isinstance(identity_map, dict) and _is_strings(list(identity_map.values())),
-            f"{where} 'identity_map'",
-            "an object mapping handles to member ids",
-        )
-        expect(isinstance(chat_export, str), f"{where} 'chat_export'", "a path string")
-        expect(isinstance(repo_activity, str), f"{where} 'repo_activity'", "a path string")
-        if team_id in seen:
-            raise ValidationError(f"{cfg_path}: duplicate team id {team_id}")
-        seen.add(team_id)
+    for i, entry in enumerate(_items(data, "teams", "", "an object", ...)):
+        where = f"teams[{i}]"
+        team_id = _get(entry, "team_id", where, _TEAM_ID, ...)
+        members = _items(entry, "members", where, "a string", ...)
+        handles = _get(entry, "identity_map", where, "an object", {})
+        where_map = f"{where}.identity_map"
+        identity_map = {h: _get(handles, h, where_map, "a string", ...) for h in handles}
+        chat_export = _get(entry, "chat_export", where, "a non-empty string", ...)
+        repo_activity = _get(entry, "repo_activity", where, "a non-empty string", ...)
+        if any(t.team_id == team_id for t in teams):
+            raise ValidationError(f"duplicate team id {team_id}")
         # one team per person: a peer rating counts for its rater's team
         for person in sorted(set(members)):
             if (other := team_of.setdefault(person, team_id)) != team_id:
                 raise ValidationError(
-                    f"{cfg_path}: person {person} is on the rosters of teams {other} and {team_id}"
+                    f"person {person} is on the rosters of teams {other} and {team_id}"
                 )
-        roster = Roster(
-            team_id=team_id, members=frozenset(members), identity_map=dict(identity_map)
-        )
-        teams.append(
-            TeamConfig(
-                roster=roster,
-                chat_export=_resolve(base, chat_export),
-                repo_activity=_resolve(base, repo_activity),
-            )
-        )
+        roster = Roster(team_id=team_id, members=frozenset(members), identity_map=identity_map)
+        teams.append(TeamConfig(roster, _resolve(base, chat_export), _resolve(base, repo_activity)))
+    if not teams:
+        raise InputError("teams must be a non-empty array")
     teams.sort(key=lambda t: t.team_id)
+    return teams
 
-    options = data.get("options", {})
-    if not isinstance(options, dict):
-        raise InputError(f"{cfg_path}: 'options' must be an object")
 
-    def fraction(key: str, default: float) -> float:
-        value = options.get(key, default)
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise InputError(f"{cfg_path}: options.{key} must be a number, got {value!r}") from None
-
-    def flag(key: str, default: bool) -> bool:
-        value = options.get(key, default)
-        if not isinstance(value, bool):
-            raise InputError(f"{cfg_path}: options.{key} must be true or false, got {value!r}")
-        return value
-
+def _read_config(data, base: Path) -> PipelineConfig:
+    if type(data) is not dict:
+        raise InputError("config must be a JSON object")
+    calendar = _read_calendar(data)
+    teams = _read_teams(data, base)
+    options = _get(data, "options", "", "an object", {})
     anomaly = AnomalyThresholds(
-        top_fraction=fraction("anomaly_top_fraction", 0.2),
-        bottom_fraction=fraction("anomaly_bottom_fraction", 0.3),
+        top_fraction=_get(options, "anomaly_top_fraction", "options", "a number", 0.2),
+        bottom_fraction=_get(options, "anomaly_bottom_fraction", "options", "a number", 0.3),
     )
-    exclude_teams = options.get("exclude_teams", [])
-    expect(_is_strings(exclude_teams), "options.exclude_teams", "an array of team ids")
-    exclude_teams = tuple(sorted(exclude_teams))
-    unknown = [t for t in exclude_teams if t not in seen]
-    if unknown:
-        raise ValidationError(f"{cfg_path}: exclude_teams references unknown team(s) {unknown}")
+    exclude = _items(options, "exclude_teams", "options", "a string", [])
+    exclude_teams = excluded_team_ids(exclude, {t.team_id for t in teams}, "options.exclude_teams")
 
     def optional_path(key: str) -> Path | None:
-        value = data.get(key)
-        expect(value is None or isinstance(value, str), f"'{key}'", "a path string")
+        value = _get(data, key, "", "a string or null", None)
         return _resolve(base, value) if value else None
-
-    excluded_handles = data.get("excluded_handles", [])
-    expect(_is_strings(excluded_handles), "'excluded_handles'", "an array of strings")
 
     return PipelineConfig(
         calendar=calendar,
@@ -202,9 +226,21 @@ def load_config(path: Path | str) -> PipelineConfig:
         feedback_path=optional_path("feedback"),
         outcomes_path=optional_path("outcomes"),
         work_logs_path=optional_path("work_logs"),
-        excluded_handles=tuple(excluded_handles),
+        excluded_handles=tuple(_items(data, "excluded_handles", "", "a string", [])),
         anomaly=anomaly,
         exclude_teams=exclude_teams,
-        include_lagged_table=flag("include_lagged_table", False),
-        self_dependency=flag("self_dependency", True),
+        include_lagged_table=_get(options, "include_lagged_table", "options", _FLAG, False),
+        self_dependency=_get(options, "self_dependency", "options", _FLAG, True),
     )
+
+
+def load_config(path: Path | str) -> PipelineConfig:
+    """Load and validate a pipeline config file; each of its errors names the file."""
+    cfg_path = Path(path)
+    if not cfg_path.is_file():
+        raise InputError(f"config file not found: {cfg_path}")
+    data = load_json(cfg_path)  # its errors name the file already
+    try:
+        return _read_config(data, cfg_path.parent)
+    except (InputError, ValidationError) as exc:
+        raise type(exc)(f"{cfg_path}: {exc}") from None

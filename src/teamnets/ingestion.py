@@ -280,52 +280,6 @@ def _least_time_at_or_after(bound: datetime) -> float:
     return hi
 
 
-def _as_int(value, name: str) -> int:
-    """An integer input value; ``name`` is the field it came from."""
-    try:
-        result = int(value)
-    except (TypeError, ValueError, OverflowError):
-        result = None
-    if result is None or (isinstance(value, float) and result != value):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return result
-
-
-def _as_time(value, name: str) -> datetime:
-    """A timestamp input value; ``name`` is the field it came from."""
-    try:
-        return parse_utc(value)
-    except InputError as exc:
-        raise InputError(f"{name}: {exc}") from None
-
-
-def calendar_from_dict(data: dict) -> SprintCalendar:
-    try:
-        weeks = tuple(
-            Week(
-                week_id=_as_int(w["week_id"], f"calendar.weeks[{i}].week_id"),
-                start=_as_time(w["start"], f"calendar.weeks[{i}].start"),
-                end=_as_time(w["end"], f"calendar.weeks[{i}].end"),
-            )
-            for i, w in enumerate(data["weeks"])
-        )
-        sprints = tuple(
-            Sprint(
-                sprint_id=_as_int(s["sprint_id"], f"calendar.sprints[{i}].sprint_id"),
-                week_ids=tuple(_as_int(w, f"calendar.sprints[{i}].weeks") for w in s["weeks"]),
-            )
-            for i, s in enumerate(data["sprints"])
-        )
-        excluded = frozenset(
-            _as_int(s, "calendar.excluded_sprints") for s in data.get("excluded_sprints", [])
-        )
-    except KeyError as exc:
-        raise InputError(f"calendar section missing field {exc}") from None
-    except (TypeError, AttributeError) as exc:
-        raise InputError(f"calendar section is malformed: {exc}") from None
-    return SprintCalendar(weeks=weeks, sprints=sprints, excluded_sprints=excluded)
-
-
 # ---------------------------------------------------------------------------
 # Domain records
 # ---------------------------------------------------------------------------
@@ -683,13 +637,15 @@ def parse_feedback(
     Columns: sprint_id, rater, ratee, communication_rating (Likert 1..5).
     A rating counts for the team whose roster lists its rater, and its ratee
     must be on that roster too; a kept row whose rater is on no roster counts
-    for no team. Rows for excluded sprints are filtered out.
+    for no team, and each such rater gets a note naming its row count, as in
+    ``parse_outcomes``. Rows for excluded sprints are filtered out.
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
     team_of = {person: roster.team_id for roster in rosters for person in roster.members}
     ratings: dict[str, dict[int, list[int]]] = {}
     kept = 0
+    unrostered: Counter = Counter()  # rater on no roster -> row count
     known_sprints = {s.sprint_id for s in cal.sprints}
     for line, row in _read_rows(p, ("sprint_id", "rater", "ratee", "communication_rating")):
         try:
@@ -707,7 +663,9 @@ def parse_feedback(
         if rater == ratee:
             raise ValidationError(f"{p}:line {line}: rater equals ratee ({rater})")
         team = team_of.get(rater)
-        if team is not None and team_of.get(ratee) != team:
+        if team is None:
+            unrostered[rater] += 1
+        elif team_of.get(ratee) != team:
             raise ValidationError(f"{p}:line {line}: ratee {ratee} is not on team {team}")
         if sprint_id in cal.excluded_sprints:
             diag.bump("feedback_rows_excluded_sprint")
@@ -716,6 +674,10 @@ def parse_feedback(
         if team is not None:
             ratings.setdefault(team, {}).setdefault(sprint_id, []).append(rating)
     diag.bump("feedback_rows_kept", kept)
+    for rater in sorted(unrostered):
+        diag.note(
+            f"rater {rater}: {unrostered[rater]} feedback row(s) of a rater on no roster; ignored"
+        )
     return {
         team: {sprint: sum(r) / len(r) for sprint, r in by_sprint.items()}
         for team, by_sprint in ratings.items()

@@ -469,12 +469,14 @@ def feedback_oracle(path, cal, rosters, diagnostics=None):
     search, then a person -> team map built from the rosters (a person on
     two rosters counts for the later one), then the records regrouped by
     their rater's team and sprint and each group averaged with fsum. The rows
-    are read by the package's own row reader; the error types and texts and
-    the diagnostics counters are the same."""
+    are read by the package's own row reader; the error types and texts, the
+    diagnostics counters and the note on each rater on no roster are the
+    same."""
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
     rosters = list(rosters)
     records: list[FeedbackRecord] = []
+    outsiders: list[str] = []  # the rater of each row whose rater is on no roster
     known_sprints = {s.sprint_id for s in cal.sprints}
     for line, row in _read_rows(p, ("sprint_id", "rater", "ratee", "communication_rating")):
         try:
@@ -496,11 +498,16 @@ def feedback_oracle(path, cal, rosters, diagnostics=None):
             raise ValidationError(
                 f"{p}:line {line}: ratee {ratee} is not on team {rater_rosters[-1].team_id}"
             )
+        if not rater_rosters:
+            outsiders.append(rater)
         if sprint_id in cal.excluded_sprints:
             diag.bump("feedback_rows_excluded_sprint")
             continue
         records.append(FeedbackRecord(sprint_id, rater, ratee, rating))
     diag.bump("feedback_rows_kept", len(records))
+    for rater in sorted(set(outsiders)):
+        n = outsiders.count(rater)
+        diag.note(f"rater {rater}: {n} feedback row(s) of a rater on no roster; ignored")
 
     person_team: dict[str, str] = {}
     for roster in rosters:

@@ -33,6 +33,20 @@ def _mini_with_two_member_beta(mini_dir, tmp_path):
     return work / "config.json"
 
 
+def _mini_config_with(mini_dir, tmp_path, path, value):
+    """mini's config with the value at ``path`` replaced, written to
+    ``tmp_path``, where its input paths name no file."""
+    config = json.loads((mini_dir / "config.json").read_text())
+    *parents, last = path
+    node = config
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    return cfg
+
+
 # numpy is a test dependency only, and the census needs no rational
 # arithmetic: the command line must load neither.
 @pytest.mark.parametrize("module", ["numpy", "fractions"])
@@ -84,6 +98,24 @@ class TestValidate:
         assert "  work_log_rows: 2\n" in out
         assert "  note: team alfa: 1 work log row(s) of a team not configured; ignored\n" in out
         assert "team beta:" not in out.split("note:", 1)[1]
+
+    def test_rater_on_no_roster_is_noted(self, mini_dir, tmp_path, capsys):
+        """validate and report both name a rater the rosters do not list; the
+        rows stay counted as kept."""
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        with (work / "feedback.csv").open("a", encoding="utf-8") as fh:
+            fh.write("2,zz,a1,4\n3,zz,b2,5\n")
+        note = "rater zz: 2 feedback row(s) of a rater on no roster; ignored"
+        config = str(work / "config.json")
+        assert main(["validate", "--config", config]) == 0
+        out = capsys.readouterr().out
+        assert "  feedback_rows_kept: 18\n" in out
+        assert f"  note: {note}\n" in out
+        out_dir = tmp_path / "out"
+        args = ["--config", config, "--out", str(out_dir), "--format", "structured-data"]
+        assert main(["report", *args]) == 0
+        assert note in load_report(out_dir / "report.json").notes
 
     @pytest.mark.parametrize("command", ["validate", "report"])
     def test_rating_of_an_outsider_is_validation_failure(
@@ -197,22 +229,24 @@ class TestValidate:
             (("calendar", "excluded_sprints"), ["first"], "calendar.excluded_sprints"),
             (("options", "anomaly_top_fraction"), "high", "options.anomaly_top_fraction"),
             (("options", "anomaly_bottom_fraction"), [0.3], "options.anomaly_bottom_fraction"),
-            (("teams", 0, "identity_map"), ["HA1", "a1"], "team entry 0 'identity_map'"),
-            (("teams", 0, "identity_map"), [["HA1", "a1"]], "team entry 0 'identity_map'"),
+            (("teams", 0, "identity_map"), ["HA1", "a1"], "teams[0].identity_map"),
+            (("teams", 0, "identity_map"), [["HA1", "a1"]], "teams[0].identity_map"),
             (("options", "exclude_teams"), "alpha", "options.exclude_teams"),
             (("options", "exclude_teams"), 7, "options.exclude_teams"),
-            (("teams", 1, "members"), "b1b2b3b4", "team entry 1 'members'"),
-            (("teams", 1, "team_id"), ["beta"], "team entry 1 'team_id'"),
-            (("teams", 1, "team_id"), "", "team entry 1 'team_id'"),
-            (("teams", 1, "team_id"), ".", "team entry 1 'team_id'"),
-            (("teams", 1, "team_id"), "..", "team entry 1 'team_id'"),
-            (("teams", 1, "team_id"), "be/ta", "team entry 1 'team_id'"),
-            (("teams", 1, "team_id"), "../x", "team entry 1 'team_id'"),
-            (("teams", 1, "team_id"), "be\\ta", "team entry 1 'team_id'"),
-            (("teams", 1, "team_id"), "be,ta", "team entry 1 'team_id'"),
-            (("teams", 0, "chat_export"), 3, "team entry 0 'chat_export'"),
-            (("excluded_handles",), "UBOT", "'excluded_handles'"),
-            (("feedback",), ["feedback.csv"], "'feedback'"),
+            (("teams", 1, "members"), "b1b2b3b4", "teams[1].members"),
+            (("teams", 1, "team_id"), ["beta"], "teams[1].team_id"),
+            (("teams", 1, "team_id"), "", "teams[1].team_id"),
+            (("teams", 1, "team_id"), ".", "teams[1].team_id"),
+            (("teams", 1, "team_id"), "..", "teams[1].team_id"),
+            (("teams", 1, "team_id"), "be/ta", "teams[1].team_id"),
+            (("teams", 1, "team_id"), "../x", "teams[1].team_id"),
+            (("teams", 1, "team_id"), "be\\ta", "teams[1].team_id"),
+            (("teams", 1, "team_id"), "be,ta", "teams[1].team_id"),
+            (("teams", 0, "chat_export"), 3, "teams[0].chat_export"),
+            (("teams", 0, "chat_export"), "", "teams[0].chat_export"),
+            (("teams", 1, "repo_activity"), "", "teams[1].repo_activity"),
+            (("excluded_handles",), "UBOT", "excluded_handles"),
+            (("feedback",), ["feedback.csv"], "feedback"),
             (("options", "include_lagged_table"), "false", "options.include_lagged_table"),
             (("options", "self_dependency"), 0, "options.self_dependency"),
             (("calendar", "weeks", 0, "start"), 5, "calendar.weeks[0].start"),
@@ -239,6 +273,8 @@ class TestValidate:
             "team_id-backslash",
             "team_id-comma",
             "chat_export-int",
+            "chat_export-empty",
+            "repo_activity-empty",
             "excluded_handles-str",
             "feedback-list",
             "lagged_table-str",
@@ -250,19 +286,32 @@ class TestValidate:
     def test_bad_config_value_is_named_input_error(
         self, mini_dir, tmp_path, capsys, path, value, field
     ):
-        config = json.loads((mini_dir / "config.json").read_text())
-        *parents, last = path
-        node = config
-        for key in parents:
-            node = node[key]
-        node[last] = value
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config), encoding="utf-8")
+        cfg = _mini_config_with(mini_dir, tmp_path, path, value)
         assert main(["validate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"input error: {cfg}: " in err
         assert field in err
 
+
+    @pytest.mark.parametrize(
+        "path,value,text",
+        [
+            (("calendar", "weeks"), [], "calendar has no weeks"),
+            (("teams", 1, "members"), [], "team beta has an empty roster"),
+            (
+                ("options", "anomaly_top_fraction"),
+                1.5,
+                "anomaly top fraction must be in (0, 1), got 1.5",
+            ),
+        ],
+        ids=["no-weeks", "empty-roster", "top_fraction-range"],
+    )
+    def test_config_validation_failure_names_config(
+        self, mini_dir, tmp_path, capsys, path, value, text
+    ):
+        cfg = _mini_config_with(mini_dir, tmp_path, path, value)
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"validation failure: {cfg}: {text}\n"
 
     @pytest.mark.parametrize(
         "kind,key,value,text",
@@ -447,6 +496,26 @@ class TestSubcommands:
         assert code == 0
         table = (out / "census_sprint_correlations_excluding.csv").read_text()
         assert "beta" in table.splitlines()[1]  # excluded_teams column filled
+
+    @pytest.mark.parametrize("source", ["options", "flag"])
+    def test_team_excluded_twice_is_listed_once(self, mini_dir, tmp_path, source):
+        """options.exclude_teams and --exclude-teams share one rule: each
+        team once, sorted."""
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        args = ["report", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
+        if source == "options":
+            config = json.loads((work / "config.json").read_text())
+            config["options"]["exclude_teams"] = ["alpha", "alpha"]
+            (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        else:
+            args += ["--exclude-teams", "alpha,alpha"]
+        assert main(args) == 0
+        for table in ("census_sprint", "census_mean_weekly"):
+            rows = (tmp_path / "out" / f"{table}_correlations_excluding.csv").read_text()
+            lines = rows.splitlines()
+            assert lines[0].endswith(",excluded_teams")
+            assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"alpha"}
 
     def test_exclude_unknown_team_fails_validation(self, mini_dir, tmp_path):
         code = main(

@@ -6,11 +6,17 @@ delimited-table cell with a hostile value (not-a-number, an infinity, a
 ``validate`` and ``report`` on the copy. Each run must succeed (exit 0), fail
 validation (1) or report an input error (2); an internal error (3) or a
 Python traceback is a fault in teamnets.
+
+A second, exhaustive test walks every value of ``mini``'s config, its
+containers and the config itself included, with each option at its default:
+a value of another JSON type is an input error (exit 2) naming the value's
+path, and a number out of range is a validation failure (exit 1).
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -18,6 +24,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,3 +88,85 @@ def test_one_hostile_value_never_crashes_the_cli(mutation):
                 code = main([*command, "--config", str(work / "config.json")])
             assert code in (0, 1, 2), err.getvalue()[-2000:]
             assert "Traceback" not in err.getvalue()
+
+
+# One value of each JSON type; an integral float such as 1.0 would be read as
+# an integer, so a number stands for both.
+JSON_TYPES = {
+    "null": None, "boolean": True, "number": 7, "string": "abc", "array": [], "object": {},
+}
+# Where null means absent, as "" does.
+NULL_MEANS_ABSENT = {("feedback",), ("outcomes",)}
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {type(None): "null", str: "string", list: "array", dict: "object"}[type(value)]
+
+
+def _path_name(path) -> str:
+    """The path as errors name it: calendar.weeks[0].week_id; the root is "config"."""
+    name = ""
+    for key in path:
+        name += f"[{key}]" if isinstance(key, int) else f".{key}" if name else key
+    return name or "config"
+
+
+def _mini_config() -> dict:
+    config = json.loads((MINI / "config.json").read_text(encoding="utf-8"))
+    config["options"] = {
+        "anomaly_top_fraction": 0.2,
+        "anomaly_bottom_fraction": 0.3,
+        "exclude_teams": [],
+        "include_lagged_table": False,
+        "self_dependency": True,
+    }
+    return config
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _run_validate(work: Path, config) -> tuple[int, str]:
+    cfg = work / "config.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["validate", "--config", str(cfg)])
+    return code, err.getvalue()
+
+
+CONFIG_PATHS = list(_json_paths(_mini_config()))
+
+
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=[_path_name(p) for p in CONFIG_PATHS])
+def test_config_value_of_another_type_names_its_path(path, tmp_path):
+    work = tmp_path / "mini"
+    shutil.copytree(MINI, work)
+    config = _mini_config()
+    node = config
+    for key in path:
+        node = node[key]
+    own = _json_type(node)
+    cfg = work / "config.json"
+    for kind, value in JSON_TYPES.items():
+        if kind == own or (kind == "null" and path in NULL_MEANS_ABSENT):
+            continue
+        code, err = _run_validate(work, _replaced(config, path, value))
+        assert code == 2, (kind, err)
+        assert err.startswith(f"input error: {cfg}: {_path_name(path)} must be "), (kind, err)
+    if own == "number":  # below every id and every fraction
+        code, err = _run_validate(work, _replaced(config, path, -1))
+        assert code == 1, err
+        assert err.startswith("validation failure: "), err

@@ -949,6 +949,21 @@ class TestTables:
         # the rating counts for its rater's team
         assert parse_feedback(path, simple_calendar(), TABLE_ROSTERS) == {"X": {2: 4.0}}
 
+    def test_rater_on_no_roster_is_noted(self, tmp_path):
+        path = tmp_path / "fb.csv"
+        path.write_text(
+            "sprint_id,rater,ratee,communication_rating\n2,A,C,4\n2,Q,A,2\n1,Q,B,5\n2,R,A,1\n",
+            encoding="utf-8",
+        )
+        diag = Diagnostics()
+        # the rows count as kept, for no team; an excluded sprint's row is named too
+        assert parse_feedback(path, simple_calendar(), TABLE_ROSTERS, diag) == {"X": {2: 4.0}}
+        assert diag.counts["feedback_rows_kept"] == 3
+        assert diag.notes == [
+            "rater Q: 2 feedback row(s) of a rater on no roster; ignored",
+            "rater R: 1 feedback row(s) of a rater on no roster; ignored",
+        ]
+
     @pytest.mark.parametrize("ratee,team", [("B", "X"), ("Q", "X"), ("A", "Y")])
     def test_ratee_off_the_raters_roster_names_line(self, tmp_path, ratee, team):
         rater = "B" if team == "Y" else "A"
