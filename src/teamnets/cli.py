@@ -86,6 +86,8 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
             extra = [int(s) for s in args.exclude_sprints.split(",") if s]
         except ValueError:
             raise InputError(f"--exclude-sprints must be integers: {args.exclude_sprints!r}")
+        if unknown := sorted(set(extra) - {s.sprint_id for s in config.calendar.sprints}):
+            raise ValidationError(f"--exclude-sprints references unknown sprint(s) {unknown}")
         config.calendar = config.calendar.with_excluded(extra)
     if getattr(args, "exclude_teams", None) is not None:
         wanted = [t for t in args.exclude_teams.split(",") if t]

@@ -47,7 +47,8 @@ from pathlib import Path
 from typing import Collection, Iterable
 
 from .errors import InputError, ValidationError
-from .ingestion import Roster, Sprint, SprintCalendar, Week, load_json, parse_utc
+from .ingestion import FLAG, TEAM_ID, TIMESTAMP, Roster, Sprint, SprintCalendar, Week
+from .ingestion import load_json, parse_utc, read_items, read_value
 
 __all__ = ["TeamConfig", "AnomalyThresholds", "PipelineConfig", "excluded_team_ids", "load_config"]
 
@@ -101,73 +102,22 @@ def excluded_team_ids(wanted: Iterable[str], known: Collection[str], where: str)
     return teams
 
 
-def _is_timestamp(value) -> bool:
-    try:
-        parse_utc(value)
-    except InputError:
-        return False
-    return True
-
-
-_TIMESTAMP = "an ISO-8601 timestamp"
-_FLAG = "true or false"
-_TEAM_ID = "a file name without '/', '\\', ',' (not empty, '.' or '..')"
-
-# Each kind of config value, as errors name it, and its test. JSON values
-# have exact Python types, so a boolean is neither an integer nor a number.
-_KINDS = {
-    "an object": lambda v: type(v) is dict,
-    "an array": lambda v: type(v) is list,
-    "a string": lambda v: type(v) is str,
-    "a non-empty string": lambda v: type(v) is str and v != "",
-    "a string or null": lambda v: v is None or type(v) is str,
-    "an integer": lambda v: type(v) is int or type(v) is float and v.is_integer(),
-    "a number": lambda v: type(v) in (int, float),
-    _FLAG: lambda v: type(v) is bool,
-    _TIMESTAMP: _is_timestamp,
-    # a team id names output files, and team lists are joined and split on commas
-    _TEAM_ID: lambda v: type(v) is str and v not in ("", ".", "..") and set(v).isdisjoint("/\\,"),
-}
-
-
-def _get(node, key, where: str, kind: str, default):
-    """node[key] when it is of ``kind``, or ``default`` when the object node
-    has no ``key``; ``where`` is node's path. Another value, or a missing one
-    whose default is ``...``, is an InputError naming its path."""
-    path = f"{where}[{key}]" if type(key) is int else f"{where}.{key}" if where else key
-    if type(node) is dict and key not in node:
-        if default is ...:
-            raise InputError(f"{path} is missing")
-        return default
-    value = node[key]
-    if not _KINDS[kind](value):
-        raise InputError(f"{path} must be {kind}, got {value!r}")
-    return value
-
-
-def _items(node, key: str, where: str, kind: str, default) -> list:
-    """The entries of the array node[key], each of ``kind``, or ``default``."""
-    array = _get(node, key, where, "an array", default)
-    path = f"{where}.{key}" if where else key
-    return [_get(array, i, path, kind, ...) for i in range(len(array))]
-
-
 def _read_calendar(data: dict) -> SprintCalendar:
-    cal = _get(data, "calendar", "", "an object", ...)
+    cal = read_value(data, "calendar", "", "an object", ...)
     weeks = []
-    for i, w in enumerate(_items(cal, "weeks", "calendar", "an object", ...)):
+    for i, w in enumerate(read_items(cal, "weeks", "calendar", "an object", ...)):
         where = f"calendar.weeks[{i}]"
-        week_id = int(_get(w, "week_id", where, "an integer", ...))
-        start, end = (parse_utc(_get(w, k, where, _TIMESTAMP, ...)) for k in ("start", "end"))
+        week_id = int(read_value(w, "week_id", where, "an integer", ...))
+        start, end = (parse_utc(read_value(w, k, where, TIMESTAMP, ...)) for k in ("start", "end"))
         weeks.append(Week(week_id, start, end))
     sprints = []
-    for i, s in enumerate(_items(cal, "sprints", "calendar", "an object", ...)):
+    for i, s in enumerate(read_items(cal, "sprints", "calendar", "an object", ...)):
         where = f"calendar.sprints[{i}]"
-        sprint_id = int(_get(s, "sprint_id", where, "an integer", ...))
-        week_ids = tuple(map(int, _items(s, "weeks", where, "an integer", ...)))
+        sprint_id = int(read_value(s, "sprint_id", where, "an integer", ...))
+        week_ids = tuple(map(int, read_items(s, "weeks", where, "an integer", ...)))
         sprints.append(Sprint(sprint_id, week_ids))
-    excluded = frozenset(map(int, _items(cal, "excluded_sprints", "calendar", "an integer", [])))
-    return SprintCalendar(weeks=tuple(weeks), sprints=tuple(sprints), excluded_sprints=excluded)
+    excluded = read_items(cal, "excluded_sprints", "calendar", "an integer", [])
+    return SprintCalendar(tuple(weeks), tuple(sprints), frozenset(map(int, excluded)))
 
 
 def _resolve(base: Path, value: str) -> Path:
@@ -178,15 +128,15 @@ def _resolve(base: Path, value: str) -> Path:
 def _read_teams(data: dict, base: Path) -> list[TeamConfig]:
     teams: list[TeamConfig] = []
     team_of: dict[str, str] = {}  # person -> the first team whose roster lists them
-    for i, entry in enumerate(_items(data, "teams", "", "an object", ...)):
+    for i, entry in enumerate(read_items(data, "teams", "", "an object", ...)):
         where = f"teams[{i}]"
-        team_id = _get(entry, "team_id", where, _TEAM_ID, ...)
-        members = _items(entry, "members", where, "a string", ...)
-        handles = _get(entry, "identity_map", where, "an object", {})
+        team_id = read_value(entry, "team_id", where, TEAM_ID, ...)
+        members = read_items(entry, "members", where, "a string", ...)
+        handles = read_value(entry, "identity_map", where, "an object", {})
         where_map = f"{where}.identity_map"
-        identity_map = {h: _get(handles, h, where_map, "a string", ...) for h in handles}
-        chat_export = _get(entry, "chat_export", where, "a non-empty string", ...)
-        repo_activity = _get(entry, "repo_activity", where, "a non-empty string", ...)
+        identity_map = {h: read_value(handles, h, where_map, "a string", ...) for h in handles}
+        chat_export = read_value(entry, "chat_export", where, "a non-empty string", ...)
+        repo_activity = read_value(entry, "repo_activity", where, "a non-empty string", ...)
         if any(t.team_id == team_id for t in teams):
             raise ValidationError(f"duplicate team id {team_id}")
         # one team per person: a peer rating counts for its rater's team
@@ -208,16 +158,16 @@ def _read_config(data, base: Path) -> PipelineConfig:
         raise InputError("config must be a JSON object")
     calendar = _read_calendar(data)
     teams = _read_teams(data, base)
-    options = _get(data, "options", "", "an object", {})
+    options = read_value(data, "options", "", "an object", {})
     anomaly = AnomalyThresholds(
-        top_fraction=_get(options, "anomaly_top_fraction", "options", "a number", 0.2),
-        bottom_fraction=_get(options, "anomaly_bottom_fraction", "options", "a number", 0.3),
+        top_fraction=read_value(options, "anomaly_top_fraction", "options", "a number", 0.2),
+        bottom_fraction=read_value(options, "anomaly_bottom_fraction", "options", "a number", 0.3),
     )
-    exclude = _items(options, "exclude_teams", "options", "a string", [])
+    exclude = read_items(options, "exclude_teams", "options", "a string", [])
     exclude_teams = excluded_team_ids(exclude, {t.team_id for t in teams}, "options.exclude_teams")
 
     def optional_path(key: str) -> Path | None:
-        value = _get(data, key, "", "a string or null", None)
+        value = read_value(data, key, "", "a string or null", None)
         return _resolve(base, value) if value else None
 
     return PipelineConfig(
@@ -226,11 +176,11 @@ def _read_config(data, base: Path) -> PipelineConfig:
         feedback_path=optional_path("feedback"),
         outcomes_path=optional_path("outcomes"),
         work_logs_path=optional_path("work_logs"),
-        excluded_handles=tuple(_items(data, "excluded_handles", "", "a string", [])),
+        excluded_handles=tuple(read_items(data, "excluded_handles", "", "a string", [])),
         anomaly=anomaly,
         exclude_teams=exclude_teams,
-        include_lagged_table=_get(options, "include_lagged_table", "options", _FLAG, False),
-        self_dependency=_get(options, "self_dependency", "options", _FLAG, True),
+        include_lagged_table=read_value(options, "include_lagged_table", "options", FLAG, False),
+        self_dependency=read_value(options, "self_dependency", "options", FLAG, True),
     )
 
 

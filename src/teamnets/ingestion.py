@@ -9,8 +9,9 @@ Chat export (one directory per team workspace):
     string or number, unique per channel; two kept messages with one ``ts``
     are a validation error), optional ``thread_ts`` (the ``ts`` of the
     thread root, a string or number) and optional ``subtype`` (a string).
-    ``null`` counts as absent; a ``user``, ``subtype`` or ``thread_ts`` of
-    another type is an input error naming the file and entry.
+    ``null`` counts as absent; a ``user``, ``subtype``, ``ts`` or
+    ``thread_ts`` of another type, a boolean ``ts`` included, is an input
+    error naming the file and entry.
     A message is named ``<channel>/<ts>`` by the text of its ``ts`` (a
     number as Python writes it), and ``thread_ts`` names its root by the
     same text; a message whose ``thread_ts`` names itself is a thread root.
@@ -21,11 +22,12 @@ Repo activity (one JSON file per team):
                          "files": [path]}, ...]}
     with ISO-8601 UTC timestamps. ``sha``, ``author`` and the entries of
     the ``commits`` and ``files`` arrays are strings, and ``id`` is a string
-    or an integer (not a boolean); another type is an input error naming
-    the file and entry.
+    or an integer (not a boolean). Another type or a missing key is an input
+    error naming the file and the value's path (``commits[3].sha``).
 
 Feedback / outcomes / work logs are delimited tables with header rows; see
 ``parse_feedback``, ``parse_outcomes`` and ``parse_work_logs`` for columns.
+Every row has the header's cell count, and no column is named twice.
 
 Calendar bounds and repo timestamps are timezone-aware UTC datetimes. A
 chat message's time is the float of its ``ts``, compared with the week
@@ -70,13 +72,9 @@ EXCLUDED_SUBTYPES = frozenset({"channel_join", "channel_leave", "bot_message"})
 
 
 def parse_utc(value: str) -> datetime:
-    """Parse an ISO-8601 timestamp; naive values and 'Z' suffixes mean UTC."""
-    if not isinstance(value, str):
-        raise InputError(f"timestamp {value!r} is not a string")
-    try:
-        ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise InputError(f"bad ISO-8601 timestamp {value!r}: {exc}") from None
+    """Parse an ISO-8601 timestamp; naive values and 'Z' suffixes mean UTC.
+    Inputs are read as ``TIMESTAMP`` values first (see ``is_timestamp``)."""
+    ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         return ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
@@ -108,6 +106,63 @@ def load_json(path: Path | str):
         raise InputError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno} (char {exc.pos})"
         ) from None
+
+
+def is_timestamp(value) -> bool:
+    try:
+        return type(value) is str and parse_utc(value) is not None
+    except (ValueError, OverflowError):  # OverflowError: out of range once in UTC
+        return False
+
+
+TIMESTAMP = "an ISO-8601 timestamp"
+FLAG = "true or false"
+TEAM_ID = "a file name without '/', '\\', ',' (not empty, '.' or '..')"
+
+# Each kind of JSON value, as errors name it, and its test. JSON values have
+# exact Python types, so a boolean is neither an integer nor a number.
+KINDS = {
+    "an object": lambda v: type(v) is dict,
+    "an array": lambda v: type(v) is list,
+    "a string": lambda v: type(v) is str,
+    "a non-empty string": lambda v: type(v) is str and v != "",
+    "a string or null": lambda v: v is None or type(v) is str,
+    "a string or an integer": lambda v: type(v) is str or type(v) is int,
+    "an integer": lambda v: type(v) is int or type(v) is float and v.is_integer(),
+    "a number": lambda v: type(v) in (int, float),
+    FLAG: lambda v: type(v) is bool,
+    TIMESTAMP: is_timestamp,
+    # a team id names output files, and team lists are joined and split on commas
+    TEAM_ID: lambda v: type(v) is str and v not in ("", ".", "..") and set(v).isdisjoint("/\\,"),
+}
+
+
+def _path(where: str, key) -> str:
+    return f"{where}[{key}]" if type(key) is int else f"{where}.{key}" if where else key
+
+
+def read_value(node, key, where: str, kind: str, default):
+    """node[key] if it is of ``kind``, or ``default`` if the object node has no
+    ``key``. Another value, or a missing one whose default is ``...``, is an
+    InputError naming its path (``where`` is node's), built only then."""
+    try:
+        value = node[key]
+    except KeyError:
+        if default is ...:
+            raise InputError(f"{_path(where, key)} is missing") from None
+        return default
+    if not KINDS[kind](value):
+        raise InputError(f"{_path(where, key)} must be {kind}, got {value!r}")
+    return value
+
+
+def read_items(node, key, where: str, kind: str, default) -> list:
+    """The entries of the array node[key], each of ``kind``, or ``default``."""
+    array = read_value(node, key, where, "an array", default)
+    if not all(map(KINDS[kind], array)):  # name the first entry of another kind
+        for i in range(len(array)):
+            read_value(array, i, _path(where, key), kind, ...)
+    return array
 
 
 @dataclass
@@ -417,6 +472,8 @@ def parse_chat_edges(
                         continue
                     ts_raw = obj["ts"]
                     try:
+                        if type(ts_raw) is bool:  # float(True) is 1.0
+                            raise TypeError
                         ts = float(ts_raw)
                         # NaN fails the comparison too, and so is converted.
                         if not 0.0 <= ts <= _TS_ALWAYS_VALID:
@@ -521,81 +578,60 @@ def parse_repo_weeks(
     p = Path(path)
     if not p.is_file():
         raise InputError(f"repo activity file not found: {p}")
-    payload = load_json(p)
-    if not isinstance(payload, dict):
-        raise InputError(f"{p}: expected a JSON object")
-    for key in ("commits", "merge_requests"):
-        if not isinstance(payload.get(key), list):
-            raise InputError(f"{p}: missing or invalid top-level array {key!r}")
+    payload = load_json(p)  # its errors name the file already
+    try:
+        if type(payload) is not dict:
+            raise InputError("repo activity must be a JSON object")
+        commits = read_items(payload, "commits", "", "an object", ...)
+        merge_requests = read_items(payload, "merge_requests", "", "an object", ...)
 
-    # sha -> person of every listed commit; None for a dropped commit.
-    author_of: dict[str, str | None] = {}
-    kept = 0
-    for i, obj in enumerate(payload["commits"]):
-        try:
-            sha = obj["sha"]
-            author = obj["author"]
-            parse_utc(obj["authored_at"])  # validated, not kept
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"{p}: commit entry {i} missing field {exc}") from None
-        except InputError as exc:
-            raise InputError(f"{p}: commit entry {i}: {exc}") from None
-        for key, value in (("sha", sha), ("author", author)):
-            if not isinstance(value, str):
-                raise InputError(f"{p}: commit entry {i} has invalid {key} {value!r}")
-        if sha in author_of:
-            raise ValidationError(f"{p}: duplicate commit sha {sha}")
-        person = roster.resolve(author) or (author if author in roster.members else None)
-        author_of[sha] = person
-        if person is None:
-            diag.bump("commits_dropped_unknown_author")
-        else:
-            kept += 1
+        # sha -> person of every listed commit; None for a dropped commit.
+        author_of: dict[str, str | None] = {}
+        kept = 0
+        for i, obj in enumerate(commits):
+            where = f"commits[{i}]"
+            sha = read_value(obj, "sha", where, "a string", ...)
+            author = read_value(obj, "author", where, "a string", ...)
+            read_value(obj, "authored_at", where, TIMESTAMP, ...)  # validated, not kept
+            if sha in author_of:
+                raise ValidationError(f"duplicate commit sha {sha}")
+            person = roster.resolve(author) or (author if author in roster.members else None)
+            author_of[sha] = person
+            if person is None:
+                diag.bump("commits_dropped_unknown_author")
+            else:
+                kept += 1
 
-    assign_week = cal.assign_week
-    by_week: dict[int, list[MrSets]] = {}
-    seen_mrs: set[str] = set()
-    for i, obj in enumerate(payload["merge_requests"]):
-        try:
-            mr_id = obj["id"]
-            created_at = parse_utc(obj["created_at"])
-            shas = obj["commits"]
-            files = obj["files"]
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"{p}: merge request entry {i} missing field {exc}") from None
-        except InputError as exc:
-            raise InputError(f"{p}: merge request entry {i}: {exc}") from None
-        # bool is an int subclass, so it is ruled out by name
-        if isinstance(mr_id, bool) or not isinstance(mr_id, (str, int)):
-            raise InputError(f"{p}: merge request entry {i} has invalid id {mr_id!r}")
-        mr_id = str(mr_id)
-        for key, values in (("commits", shas), ("files", files)):
-            if not isinstance(values, list):
-                raise InputError(f"{p}: merge request entry {i} has invalid {key} {values!r}")
-            for value in values:
-                if not isinstance(value, str):
-                    raise InputError(
-                        f"{p}: merge request entry {i} has invalid {key} entry {value!r}"
-                    )
-        if mr_id in seen_mrs:
-            raise ValidationError(f"{p}: duplicate merge request id {mr_id}")
-        seen_mrs.add(mr_id)
-        dangling = [s for s in shas if s not in author_of]
-        if dangling:
-            raise ValidationError(
-                f"{p}: merge request {mr_id} references unknown commit sha(s): "
-                f"{', '.join(sorted(dangling))}"
-            )
-        dropped = {s for s in shas if author_of[s] is None}
-        if dropped:
-            diag.bump("mr_commit_links_dropped", len(dropped))
-        if not files:
-            diag.bump("mrs_with_empty_files")
-            logger.warning("%s: merge request %s has no changed files", p, mr_id)
-        week = assign_week(created_at)
-        if week is not None:
-            authors = frozenset(author_of[s] for s in shas if s not in dropped)
-            by_week.setdefault(week, []).append((authors, frozenset(files)))
+        assign_week = cal.assign_week
+        by_week: dict[int, list[MrSets]] = {}
+        seen_mrs: set[str] = set()
+        for i, obj in enumerate(merge_requests):
+            where = f"merge_requests[{i}]"
+            mr_id = str(read_value(obj, "id", where, "a string or an integer", ...))
+            created_at = parse_utc(read_value(obj, "created_at", where, TIMESTAMP, ...))
+            shas = read_items(obj, "commits", where, "a string", ...)
+            files = read_items(obj, "files", where, "a string", ...)
+            if mr_id in seen_mrs:
+                raise ValidationError(f"duplicate merge request id {mr_id}")
+            seen_mrs.add(mr_id)
+            dangling = [s for s in shas if s not in author_of]
+            if dangling:
+                raise ValidationError(
+                    f"merge request {mr_id} references unknown commit sha(s): "
+                    f"{', '.join(sorted(dangling))}"
+                )
+            dropped = {s for s in shas if author_of[s] is None}
+            if dropped:
+                diag.bump("mr_commit_links_dropped", len(dropped))
+            if not files:
+                diag.bump("mrs_with_empty_files")
+                logger.warning("%s: merge request %s has no changed files", p, mr_id)
+            week = assign_week(created_at)
+            if week is not None:
+                authors = frozenset(author_of[s] for s in shas if s not in dropped)
+                by_week.setdefault(week, []).append((authors, frozenset(files)))
+    except (InputError, ValidationError) as exc:
+        raise type(exc)(f"{p}: {exc}") from None
     diag.bump("commits_kept", kept)
     diag.bump("mrs_kept", len(seen_mrs))
     return by_week, kept, len(seen_mrs)
@@ -609,21 +645,32 @@ def parse_repo_weeks(
 def _read_rows(path: Path, required: tuple[str, ...]):
     if not path.is_file():
         raise InputError(f"table not found: {path}")
+    line = 0  # the last line of the records read whole
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            reader = csv.reader(fh)
+            header = next(reader, [])
             missing = [c for c in required if c not in header]
             if missing:
                 raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-            # A row is named by the 1-based file line it ends on: the reader
-            # skips blank lines, and a quoted field may span lines.
-            yield from ((reader.line_num, row) for row in reader)
+            if twice := [c for c, n in Counter(header).items() if n > 1]:
+                raise InputError(f"{path}: column {twice[0]} is named twice")
+            line = reader.line_num
+            for cells in reader:
+                # A row is named by the 1-based file line it ends on: blank
+                # lines are skipped, and a quoted field may span lines.
+                line = reader.line_num
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    raise ValidationError(
+                        f"{path}:line {line}: {len(cells)} cells, the header has {len(header)}"
+                    )
+                yield line, dict(zip(header, cells))
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8: {exc}") from None
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        # line_num counts the lines of the records read whole before this one
-        raise InputError(f"{path}:line {reader.line_num + 1}: {exc}") from None
+        raise InputError(f"{path}:line {line + 1}: {exc}") from None
 
 
 def parse_feedback(
@@ -651,7 +698,7 @@ def parse_feedback(
         try:
             sprint_id = int(row["sprint_id"])
             rating = int(row["communication_rating"])
-        except (TypeError, ValueError):
+        except ValueError:
             raise ValidationError(f"{p}:line {line}: non-integer sprint or rating") from None
         if sprint_id not in known_sprints:
             raise ValidationError(f"{p}:line {line}: unknown sprint {sprint_id}")
@@ -731,7 +778,7 @@ def parse_outcomes(
             hours_raw = (row.get("pair_programming_hours") or "").strip()
             stories = int(stories_raw) if stories_raw else None
             hours = float(hours_raw) if hours_raw else None
-        except (TypeError, ValueError):  # TypeError: a short row leaves cells None
+        except ValueError:
             raise ValidationError(f"{p}:line {line}: non-numeric outcome value") from None
         if not all(map(math.isfinite, (committed, passed, score, hours or 0.0))):
             raise ValidationError(f"{p}:line {line}: non-finite outcome value")
@@ -798,7 +845,7 @@ def parse_work_logs(
     for line, row in _read_rows(p, ("team_id", "hours")):
         try:
             hours = float(row["hours"])
-        except (TypeError, ValueError):
+        except ValueError:
             raise ValidationError(f"{p}:line {line}: non-numeric hours") from None
         if not math.isfinite(hours):
             raise ValidationError(f"{p}:line {line}: non-finite hours")

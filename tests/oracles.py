@@ -24,7 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from teamnets.errors import InputError, ValidationError
-from teamnets.ingestion import EXCLUDED_SUBTYPES, Diagnostics, _read_rows, parse_utc
+from teamnets.ingestion import (
+    EXCLUDED_SUBTYPES,
+    TIMESTAMP,
+    Diagnostics,
+    _read_rows,
+    parse_utc,
+    read_items,
+    read_value,
+)
 
 _LEGENDRE_NODES = 200
 
@@ -180,89 +188,70 @@ def repo_weeks_oracle(path, roster, cal, diagnostics=None):
     merge request's week found by a scan of the calendar and its authors
     read through a sha -> author map. Returns the (authors, files) pairs by
     week, sorted by (created_at, mr_id) within a week, the kept-commit count
-    and the merge-request count; the error types and texts and the
-    diagnostics counters are the same."""
+    and the merge-request count. Entries are read through the package's JSON
+    value reader, so the error types and texts and the diagnostics counters
+    are the same."""
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
     if not p.is_file():
         raise InputError(f"repo activity file not found: {p}")
     payload = _load_json_oracle(p)
-    if not isinstance(payload, dict):
-        raise InputError(f"{p}: expected a JSON object")
-    for key in ("commits", "merge_requests"):
-        if not isinstance(payload.get(key), list):
-            raise InputError(f"{p}: missing or invalid top-level array {key!r}")
+    try:
+        if not isinstance(payload, dict):
+            raise InputError("repo activity must be a JSON object")
+        raw_commits = read_items(payload, "commits", "", "an object", ...)
+        raw_mrs = read_items(payload, "merge_requests", "", "an object", ...)
 
-    raw_shas: set[str] = set()
-    commits: list[Commit] = []
-    for i, obj in enumerate(payload["commits"]):
-        try:
-            sha = obj["sha"]
-            author = obj["author"]
-            authored_at = parse_utc(obj["authored_at"])
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"{p}: commit entry {i} missing field {exc}") from None
-        except InputError as exc:
-            raise InputError(f"{p}: commit entry {i}: {exc}") from None
-        for key, value in (("sha", sha), ("author", author)):
-            if not isinstance(value, str):
-                raise InputError(f"{p}: commit entry {i} has invalid {key} {value!r}")
-        if sha in raw_shas:
-            raise ValidationError(f"{p}: duplicate commit sha {sha}")
-        raw_shas.add(sha)
-        person = roster.resolve(author) or (author if author in roster.members else None)
-        if person is None:
-            diag.bump("commits_dropped_unknown_author")
-            continue
-        commits.append(Commit(sha=sha, author=person, authored_at=authored_at))
-    kept_shas = {c.sha for c in commits}
+        raw_shas: set[str] = set()
+        commits: list[Commit] = []
+        for i, obj in enumerate(raw_commits):
+            where = f"commits[{i}]"
+            sha = read_value(obj, "sha", where, "a string", ...)
+            author = read_value(obj, "author", where, "a string", ...)
+            authored_at = parse_utc(read_value(obj, "authored_at", where, TIMESTAMP, ...))
+            if sha in raw_shas:
+                raise ValidationError(f"duplicate commit sha {sha}")
+            raw_shas.add(sha)
+            person = roster.resolve(author) or (author if author in roster.members else None)
+            if person is None:
+                diag.bump("commits_dropped_unknown_author")
+                continue
+            commits.append(Commit(sha=sha, author=person, authored_at=authored_at))
+        kept_shas = {c.sha for c in commits}
 
-    merge_requests: list[MergeRequest] = []
-    seen_mrs: set[str] = set()
-    for i, obj in enumerate(payload["merge_requests"]):
-        try:
-            mr_id = obj["id"]
-            created_at = parse_utc(obj["created_at"])
-            shas = obj["commits"]
-            files = obj["files"]
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"{p}: merge request entry {i} missing field {exc}") from None
-        except InputError as exc:
-            raise InputError(f"{p}: merge request entry {i}: {exc}") from None
-        if isinstance(mr_id, bool) or not isinstance(mr_id, (str, int)):
-            raise InputError(f"{p}: merge request entry {i} has invalid id {mr_id!r}")
-        mr_id = str(mr_id)
-        for key, values in (("commits", shas), ("files", files)):
-            if not isinstance(values, list):
-                raise InputError(f"{p}: merge request entry {i} has invalid {key} {values!r}")
-            for value in values:
-                if not isinstance(value, str):
-                    raise InputError(
-                        f"{p}: merge request entry {i} has invalid {key} entry {value!r}"
-                    )
-        if mr_id in seen_mrs:
-            raise ValidationError(f"{p}: duplicate merge request id {mr_id}")
-        seen_mrs.add(mr_id)
-        dangling = [s for s in shas if s not in raw_shas]
-        if dangling:
-            raise ValidationError(
-                f"{p}: merge request {mr_id} references unknown commit sha(s): "
-                f"{', '.join(sorted(dangling))}"
+        merge_requests: list[MergeRequest] = []
+        seen_mrs: set[str] = set()
+        for i, obj in enumerate(raw_mrs):
+            where = f"merge_requests[{i}]"
+            mr_id = str(read_value(obj, "id", where, "a string or an integer", ...))
+            created_at = parse_utc(read_value(obj, "created_at", where, TIMESTAMP, ...))
+            shas = read_items(obj, "commits", where, "a string", ...)
+            files = read_items(obj, "files", where, "a string", ...)
+            if mr_id in seen_mrs:
+                raise ValidationError(f"duplicate merge request id {mr_id}")
+            seen_mrs.add(mr_id)
+            dangling = [s for s in shas if s not in raw_shas]
+            if dangling:
+                raise ValidationError(
+                    f"merge request {mr_id} references unknown commit sha(s): "
+                    f"{', '.join(sorted(dangling))}"
+                )
+            linked = frozenset(s for s in shas if s in kept_shas)
+            dropped = len(set(shas)) - len(linked)
+            if dropped:
+                diag.bump("mr_commit_links_dropped", dropped)
+            if not files:
+                diag.bump("mrs_with_empty_files")
+            merge_requests.append(
+                MergeRequest(
+                    mr_id=mr_id,
+                    created_at=created_at,
+                    commit_shas=linked,
+                    changed_files=frozenset(files),
+                )
             )
-        linked = frozenset(s for s in shas if s in kept_shas)
-        dropped = len(set(shas)) - len(linked)
-        if dropped:
-            diag.bump("mr_commit_links_dropped", dropped)
-        if not files:
-            diag.bump("mrs_with_empty_files")
-        merge_requests.append(
-            MergeRequest(
-                mr_id=mr_id,
-                created_at=created_at,
-                commit_shas=linked,
-                changed_files=frozenset(files),
-            )
-        )
+    except (InputError, ValidationError) as exc:
+        raise type(exc)(f"{p}: {exc}") from None
     commits.sort(key=lambda c: (c.authored_at, c.sha))
     merge_requests.sort(key=lambda m: (m.created_at, m.mr_id))
     diag.bump("commits_kept", len(commits))
@@ -400,6 +389,8 @@ def parse_chat_export_oracle(export_root, roster, excluded_handles=(), diagnosti
                     continue
                 ts_raw = obj["ts"]
                 try:
+                    if isinstance(ts_raw, bool):
+                        raise TypeError("a boolean is no time")
                     ts = datetime.fromtimestamp(float(ts_raw), tz=timezone.utc)
                 except (TypeError, ValueError, OverflowError, OSError):
                     raise InputError(f"{day_file}: entry {i} has invalid ts {ts_raw!r}") from None

@@ -316,24 +316,44 @@ class TestValidate:
     @pytest.mark.parametrize(
         "kind,key,value,text",
         [
-            ("commits", "sha", ["alpha001"], "commit entry 0 has invalid sha ['alpha001']"),
-            ("commits", "author", ["a1"], "commit entry 0 has invalid author ['a1']"),
+            ("commits", "sha", ["alpha001"], "commits[0].sha must be a string, got ['alpha001']"),
+            ("commits", "author", ["a1"], "commits[0].author must be a string, got ['a1']"),
             (
                 "merge_requests",
                 "commits",
                 [["alpha001"], "alpha002"],
-                "merge request entry 0 has invalid commits entry ['alpha001']",
+                "merge_requests[0].commits[0] must be a string, got ['alpha001']",
             ),
             (
                 "merge_requests",
                 "files",
                 [["x.py"], "y.py"],
-                "merge request entry 0 has invalid files entry ['x.py']",
+                "merge_requests[0].files[0] must be a string, got ['x.py']",
             ),
-            ("merge_requests", "files", "x.py", "merge request entry 0 has invalid files 'x.py'"),
-            ("merge_requests", "id", ["M1"], "merge request entry 0 has invalid id ['M1']"),
-            ("merge_requests", "id", {"id": "M1"}, "merge request entry 0 has invalid id {'id': 'M1'}"),
-            ("merge_requests", "id", True, "merge request entry 0 has invalid id True"),
+            (
+                "merge_requests",
+                "files",
+                "x.py",
+                "merge_requests[0].files must be an array, got 'x.py'",
+            ),
+            (
+                "merge_requests",
+                "id",
+                ["M1"],
+                "merge_requests[0].id must be a string or an integer, got ['M1']",
+            ),
+            (
+                "merge_requests",
+                "id",
+                {"id": "M1"},
+                "merge_requests[0].id must be a string or an integer, got {'id': 'M1'}",
+            ),
+            (
+                "merge_requests",
+                "id",
+                True,
+                "merge_requests[0].id must be a string or an integer, got True",
+            ),
         ],
         ids=[
             "commit_sha-list",
@@ -359,6 +379,20 @@ class TestValidate:
         err = capsys.readouterr().err
         assert f"input error: {repo_path}: {text}" in err
         assert "Traceback" not in err
+
+    def test_table_row_of_another_cell_count_fails_validation(self, mini_dir, tmp_path, capsys):
+        """A short row's missing rater once reached the sort of raters as None."""
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        feedback = work / "feedback.csv"
+        feedback.write_text(
+            "communication_rating,sprint_id,ratee,rater\n4,2,a2\n4,2,a2,zz\n", encoding="utf-8"
+        )
+        args = ["report", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"validation failure: {feedback}:line 2: 3 cells, the header has 4\n"
+        )
 
 
 class TestSubcommands:
@@ -530,6 +564,13 @@ class TestSubcommands:
             ]
         )
         assert code == 1
+
+    def test_exclude_unknown_sprint_names_the_flag(self, mini_dir, capsys):
+        config = str(mini_dir / "config.json")
+        assert main(["validate", "--config", config, "--exclude-sprints", "9,2,9"]) == 1
+        assert capsys.readouterr().err == (
+            "validation failure: --exclude-sprints references unknown sprint(s) [9]\n"
+        )
 
     def test_exclude_sprints_flag(self, mini_dir, tmp_path):
         out = tmp_path / "sprints"

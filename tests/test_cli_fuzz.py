@@ -10,7 +10,9 @@ Python traceback is a fault in teamnets.
 A second, exhaustive test walks every value of ``mini``'s config, its
 containers and the config itself included, with each option at its default:
 a value of another JSON type is an input error (exit 2) naming the value's
-path, and a number out of range is a validation failure (exit 1).
+path, and a number out of range is a validation failure (exit 1). A third
+walks every value of ``mini``'s ``repo_alpha.json`` the same way, through
+``parse_repo_weeks`` itself.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamnets.cli import main
+from teamnets.config import load_config
+from teamnets.errors import InputError
+from teamnets.ingestion import parse_repo_weeks
 
 MINI = Path(__file__).parent / "data" / "mini"
 FILES = sorted(p.relative_to(MINI).as_posix() for p in MINI.rglob("*") if p.is_file())
@@ -107,12 +112,13 @@ def _json_type(value) -> str:
     return {type(None): "null", str: "string", list: "array", dict: "object"}[type(value)]
 
 
-def _path_name(path) -> str:
-    """The path as errors name it: calendar.weeks[0].week_id; the root is "config"."""
+def _path_name(path, root: str) -> str:
+    """The path as errors name it, such as calendar.weeks[0].week_id; the
+    document itself is named ``root``."""
     name = ""
     for key in path:
         name += f"[{key}]" if isinstance(key, int) else f".{key}" if name else key
-    return name or "config"
+    return name or root
 
 
 def _mini_config() -> dict:
@@ -150,7 +156,9 @@ def _run_validate(work: Path, config) -> tuple[int, str]:
 CONFIG_PATHS = list(_json_paths(_mini_config()))
 
 
-@pytest.mark.parametrize("path", CONFIG_PATHS, ids=[_path_name(p) for p in CONFIG_PATHS])
+@pytest.mark.parametrize(
+    "path", CONFIG_PATHS, ids=[_path_name(p, "config") for p in CONFIG_PATHS]
+)
 def test_config_value_of_another_type_names_its_path(path, tmp_path):
     work = tmp_path / "mini"
     shutil.copytree(MINI, work)
@@ -165,8 +173,34 @@ def test_config_value_of_another_type_names_its_path(path, tmp_path):
             continue
         code, err = _run_validate(work, _replaced(config, path, value))
         assert code == 2, (kind, err)
-        assert err.startswith(f"input error: {cfg}: {_path_name(path)} must be "), (kind, err)
+        name = _path_name(path, "config")
+        assert err.startswith(f"input error: {cfg}: {name} must be "), (kind, err)
     if own == "number":  # below every id and every fraction
         code, err = _run_validate(work, _replaced(config, path, -1))
         assert code == 1, err
         assert err.startswith("validation failure: "), err
+
+
+REPO_DOC = json.loads((MINI / "repo_alpha.json").read_text(encoding="utf-8"))
+REPO_PATHS = list(_json_paths(REPO_DOC))
+
+
+@pytest.mark.parametrize(
+    "path", REPO_PATHS, ids=[_path_name(p, "repo activity") for p in REPO_PATHS]
+)
+def test_repo_value_of_another_type_names_its_path(path, tmp_path):
+    config = load_config(MINI / "config.json")
+    roster = next(t.roster for t in config.teams if t.team_id == "alpha")
+    node = REPO_DOC
+    for key in path:
+        node = node[key]
+    own = _json_type(node)
+    repo = tmp_path / "repo_alpha.json"
+    for kind, value in JSON_TYPES.items():
+        if kind == own or (kind == "number" and path[-1:] == ("id",)):  # an integer id is valid
+            continue
+        repo.write_text(json.dumps(_replaced(REPO_DOC, path, value)), encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            parse_repo_weeks(repo, roster, config.calendar)
+        name = _path_name(path, "repo activity")
+        assert str(err.value).startswith(f"{repo}: {name} must be "), (kind, str(err.value))

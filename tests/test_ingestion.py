@@ -424,6 +424,8 @@ class TestChatParser:
             ("thread_ts", ["1678100000.0"]),
             ("thread_ts", {"ts": "1678100000.0"}),
             ("thread_ts", True),
+            ("ts", True),
+            ("ts", False),
         ],
     )
     def test_field_of_wrong_type_names_file_and_entry(
@@ -745,7 +747,10 @@ class TestRepoParser:
             parse_repo_weeks(path, two_person_roster, simple_calendar())
         assert "M7" in str(err.value)
 
-    @pytest.mark.parametrize("stamp", [1678100000, None, ["2023-03-06"], "yesterday"])
+    # the last one is ISO-8601 but leaves the datetime range once moved to UTC
+    @pytest.mark.parametrize(
+        "stamp", [1678100000, None, ["2023-03-06"], "yesterday", "0001-01-01T00:00:00+01:00"]
+    )
     @pytest.mark.parametrize("entry", ["commit", "merge request"])
     def test_bad_timestamp_names_file_and_entry(self, tmp_path, two_person_roster, entry, stamp):
         commit = {"sha": "c1", "author": "alice", "authored_at": "2023-03-06T10:00:00Z"}
@@ -757,7 +762,10 @@ class TestRepoParser:
         path = write_repo(tmp_path / "repo.json", [commit], [mr])
         with pytest.raises(InputError) as err:
             parse_repo_weeks(path, two_person_roster, simple_calendar())
-        assert f"repo.json: {entry} entry 0: " in str(err.value)
+        field = "commits[0].authored_at" if entry == "commit" else "merge_requests[0].created_at"
+        assert str(err.value) == (
+            f"{path}: {field} must be an ISO-8601 timestamp, got {stamp!r}"
+        )
 
     def test_fixture_totals_match_manifest(self, team7_config, team7_dir):
         manifest = json.loads((team7_dir / "manifest.json").read_text())
@@ -1114,6 +1122,76 @@ class TestTables:
         with pytest.raises(ValidationError) as err:
             parse(path)
         assert f"{path}:line {line}:" in str(err.value)
+
+    # A short row would read its missing cells as None, a long row would lose
+    # its extra cells; a repeated column would keep its last cell only.
+    @pytest.mark.parametrize(
+        "header,row,parse",
+        [
+            (
+                "sprint_id,story_points_committed,story_points_passed,team_score,team_id",
+                "2,10,5,70",
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
+            ),
+            (
+                "team_id,sprint_id,story_points_committed,story_points_passed,team_score",
+                "X,2,10,5,70,9",
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
+            ),
+            (
+                "communication_rating,sprint_id,ratee,rater",
+                "4,2,C",
+                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
+            ),
+            (
+                "sprint_id,rater,ratee,communication_rating",
+                "2,A,C,4,9",
+                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
+            ),
+            ("hours,team_id", "3", _work_logs),
+            ("team_id,hours", "X,3,9", _work_logs),
+        ],
+        ids=[
+            "outcomes-text-cell-missing",
+            "outcomes-extra-cell",
+            "feedback-text-cell-missing",
+            "feedback-extra-cell",
+            "work_logs-text-cell-missing",
+            "work_logs-extra-cell",
+        ],
+    )
+    def test_row_of_another_cell_count_names_line(self, tmp_path, header, row, parse):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            parse(path)
+        cells, columns = row.count(",") + 1, header.count(",") + 1
+        assert str(err.value) == f"{path}:line 2: {cells} cells, the header has {columns}"
+
+    @pytest.mark.parametrize(
+        "table,parse,column",
+        [
+            (
+                "team_id,sprint_id,story_points_committed,story_points_passed,team_score,"
+                "team_score\nX,2,10,5,70,80",
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
+                "team_score",
+            ),
+            (
+                "sprint_id,rater,ratee,rater,communication_rating\n2,A,C,Q,4",
+                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
+                "rater",
+            ),
+            ("team_id,hours,hours\nX,3,9", _work_logs, "hours"),
+        ],
+        ids=["outcomes", "feedback", "work_logs"],
+    )
+    def test_column_named_twice_is_input_error(self, tmp_path, table, parse, column):
+        path = tmp_path / "t.csv"
+        path.write_text(table + "\n", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            parse(path)
+        assert str(err.value) == f"{path}: column {column} is named twice"
 
     @pytest.mark.parametrize(
         "table,parse,text",
