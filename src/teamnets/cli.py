@@ -10,6 +10,11 @@ Subcommands::
 
 Every subcommand also takes ``--exclude-sprints 1``.
 
+Every subcommand parses the teams' chat exports in one stage,
+``report.season_events``: in forked worker processes, one per CPU the
+process may use and at most one per team, or in-process. The worker count
+is worked out, not set, and no output, message or exit code depends on it.
+
 Exit codes: 0 success, 1 validation failure, 2 input error (also an input or
 output path the system cannot use), 3 internal error (an unexpected
 exception; its traceback goes to stderr).
@@ -36,8 +41,9 @@ from .report import (
     FORMATS,
     emit,
     run_pipeline,
+    season_events,
     sprint_census,
-    team_events,
+    team_chat,
     team_stc,
     write_tables,
 )
@@ -98,10 +104,10 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
 def _cmd_validate(config: PipelineConfig) -> int:
     diag = Diagnostics()
     failures = 0
-    for team_cfg in config.teams:
+    for team_cfg, chat in zip(config.teams, season_events(config)):
         team = team_cfg.team_id
         try:
-            _, kept, replies = team_events(team_cfg, config, diag)
+            _, kept, replies = team_chat(chat, diag)
             _, commits, mrs = parse_repo_weeks(
                 team_cfg.repo_activity, team_cfg.roster, config.calendar, diag
             )
@@ -130,8 +136,8 @@ def _cmd_validate(config: PipelineConfig) -> int:
 def _cmd_stc(config: PipelineConfig, out: Path) -> list[Path]:
     weeks = config.calendar.included_weeks()
     rows = []
-    for team_cfg in config.teams:
-        scores = team_stc(team_cfg, config, team_events(team_cfg, config)[0], weeks)
+    for team_cfg, chat in zip(config.teams, season_events(config)):
+        scores = team_stc(team_cfg, config, team_chat(chat)[0], weeks)
         rows.extend((team_cfg.team_id, week, scores[week]) for week in weeks)
     return write_tables(out, {"stc_weekly": (("team", "week", "stc_score"), rows)}, "delimited-table")
 
@@ -140,9 +146,9 @@ def _cmd_census(config: PipelineConfig, out: Path) -> list[Path]:
     cal = config.calendar
     rows = []
     edge_lists = {}
-    for team_cfg in config.teams:
+    for team_cfg, chat in zip(config.teams, season_events(config)):
         team = team_cfg.team_id
-        weekly = team_events(team_cfg, config)[0]
+        weekly = team_chat(chat)[0]
         for sprint in cal.included_sprints():
             net, census = sprint_census(weekly, team_cfg.roster, cal, sprint)
             edge_lists[f"edges_{team}_sprint{sprint}.tsv"] = net

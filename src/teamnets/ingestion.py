@@ -137,7 +137,8 @@ KINDS = {
 }
 
 
-def _path(where: str, key) -> str:
+def value_path(where: str, key) -> str:
+    """The path of node[key] in a JSON value, where ``where`` is node's."""
     return f"{where}[{key}]" if type(key) is int else f"{where}.{key}" if where else key
 
 
@@ -149,10 +150,10 @@ def read_value(node, key, where: str, kind: str, default):
         value = node[key]
     except KeyError:
         if default is ...:
-            raise InputError(f"{_path(where, key)} is missing") from None
+            raise InputError(f"{value_path(where, key)} is missing") from None
         return default
     if not KINDS[kind](value):
-        raise InputError(f"{_path(where, key)} must be {kind}, got {value!r}")
+        raise InputError(f"{value_path(where, key)} must be {kind}, got {value!r}")
     return value
 
 
@@ -161,7 +162,7 @@ def read_items(node, key, where: str, kind: str, default) -> list:
     array = read_value(node, key, where, "an array", default)
     if not all(map(KINDS[kind], array)):  # name the first entry of another kind
         for i in range(len(array)):
-            read_value(array, i, _path(where, key), kind, ...)
+            read_value(array, i, value_path(where, key), kind, ...)
     return array
 
 

@@ -7,6 +7,15 @@ against decreasing-trend teams, flags anomalous teams, and can write
 everything as delimited tables or structured JSON. Output ordering is
 bit-stable: teams alphabetical, sprints and weeks in calendar order, fixed
 float formatting.
+
+Chat parsing, the costliest step, is one season-level stage for every
+command (``season_events``): each team's export is parsed in a forked worker
+process, one per CPU this process may use and at most one per team, or
+in-process where there is one CPU or team, no ``os.fork``, or another thread
+running. Repo parsing, STC, censuses and tables stay in the calling process.
+A team's chat diagnostics and error are taken (``team_chat``) where a serial
+run reaches that team, so no output, message or exit code depends on the
+worker count.
 """
 
 from __future__ import annotations
@@ -14,13 +23,17 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import io
 import json
+import marshal
 import math
+import os
+import threading
 import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .config import AnomalyThresholds, PipelineConfig, TeamConfig
 from .errors import InputError, ValidationError
@@ -34,6 +47,8 @@ from .ingestion import (
     parse_outcomes,
     parse_repo_weeks,
     parse_work_logs,
+    read_value,
+    value_path,
 )
 from .network import (
     CommunicationNetwork,
@@ -55,7 +70,8 @@ __all__ = [
     "AnomalyFlag",
     "UTestSummary",
     "AnalysisReport",
-    "team_events",
+    "season_events",
+    "team_chat",
     "team_stc",
     "sprint_census",
     "run_pipeline",
@@ -135,17 +151,150 @@ class AnalysisReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-team steps, shared by the pipeline and the single-stage subcommands
+# Season chat stage: every team's chat parse, in forked workers
 # ---------------------------------------------------------------------------
 
+# A team's chat parse in plain values, as a worker sends it: the weekly edges,
+# kept-message and reply counts, diagnostic counts and notes, and the
+# (class name, message) of the error the parse raised, or None.
+TeamChat = tuple[
+    WeeklyEdges | None, int, int, dict[str, int], list[str], tuple[str, str] | None
+]
 
-def team_events(
-    team: TeamConfig, config: PipelineConfig, diag: Diagnostics | None = None
-) -> tuple[WeeklyEdges, int, int]:
-    """A team's weekly edges, kept-message count and reply count from its chat."""
-    return parse_chat_edges(
-        team.chat_export, team.roster, config.calendar, config.excluded_handles, diag
-    )
+_CHAT_ERRORS = (InputError, ValidationError, OSError)
+
+
+def _parse_team_chat(team: TeamConfig, config: PipelineConfig) -> TeamChat:
+    diag = Diagnostics()
+    weekly, kept, replies, error = None, 0, 0, None
+    try:
+        weekly, kept, replies = parse_chat_edges(
+            team.chat_export, team.roster, config.calendar, config.excluded_handles, diag
+        )
+    except _CHAT_ERRORS as exc:
+        error = (next(c.__name__ for c in _CHAT_ERRORS if isinstance(exc, c)), str(exc))
+    return weekly, kept, replies, dict(diag.counts), diag.notes, error
+
+
+def team_chat(chat: TeamChat, diag: Diagnostics | None = None) -> tuple[WeeklyEdges, int, int]:
+    """A team's weekly edges, kept-message count and reply count from its chat
+    parse. Its diagnostics go into ``diag`` first, and its error is raised here,
+    so each team's counters and error come where a serial parse would give them."""
+    weekly, kept, replies, counts, notes, error = chat
+    if diag is not None:
+        for key, n in counts.items():
+            diag.bump(key, n)
+        diag.notes.extend(notes)
+    if error is not None:
+        name, message = error
+        raise {c.__name__: c for c in _CHAT_ERRORS}.get(name, RuntimeError)(message)
+    return weekly, kept, replies
+
+
+def _chat_workers(n_teams: int) -> int:
+    """The chat stage's process count: the CPUs this process may use, at most
+    one per team; 1, in-process, where there is no fork or another thread runs
+    (a forked thread's locks could be held forever)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(cpus, n_teams)
+
+
+def season_events(config: PipelineConfig) -> Iterator[TeamChat]:
+    """Every team's chat parse, in team order; ``team_chat`` reads each one.
+
+    With one worker the teams are parsed in-process, each when it is asked
+    for. Otherwise the first request forks n workers, worker w parsing teams
+    w, w + n, ... one at a time, and every worker has ended and been reaped
+    before the first result is given.
+    """
+    jobs = _chat_workers(len(config.teams))
+    if jobs <= 1:
+        for team in config.teams:
+            yield _parse_team_chat(team, config)
+    else:
+        yield from _parse_in_workers(config, jobs)
+
+
+def _chat_worker(config: PipelineConfig, indices: range, fd: int) -> NoReturn:
+    """Parse each team of ``indices`` and send (index, TeamChat) down the pipe
+    ``fd`` as it is done; then end the process, without returning."""
+    code = 1
+    try:
+        with open(fd, "wb") as out:
+            for i in indices:
+                team = config.teams[i]
+                try:
+                    chat = _parse_team_chat(team, config)
+                except Exception as exc:  # a fault in teamnets: the parent raises it
+                    failure = f"chat worker of team {team.team_id}: {type(exc).__name__}: {exc}"
+                    chat = (None, 0, 0, {}, [], ("RuntimeError", failure))
+                marshal.dump((i, chat), out)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _parse_in_workers(config: PipelineConfig, jobs: int) -> list[TeamChat]:
+    """Each team's chat parse from ``jobs`` forked workers, one pipe each. A
+    team whose worker ended without sending it gets a RuntimeError naming it."""
+    import select
+    import signal
+
+    teams = config.teams
+    config.calendar._thresholds  # built once here, inherited by every worker
+    received: dict[int, bytearray] = {}  # read end of each worker's pipe -> its bytes
+    pids: list[int] = []
+    try:
+        for w in range(jobs):
+            read_fd, write_fd = os.pipe()
+            received[read_fd] = bytearray()
+            try:
+                if (pid := os.fork()) == 0:
+                    _chat_worker(config, range(w, len(teams), jobs), write_fd)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+        sending = set(received)
+        while sending:
+            for fd in select.select(list(sending), [], [])[0]:
+                if chunk := os.read(fd, 1 << 20):
+                    received[fd] += chunk
+                else:
+                    sending.discard(fd)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in received:
+            os.close(fd)
+        codes = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids}
+    chats: list[TeamChat | None] = [None] * len(teams)
+    for data in received.values():
+        stream = io.BytesIO(data)
+        while stream.tell() < len(data):
+            try:
+                i, chat = marshal.load(stream)
+            except (EOFError, ValueError):  # a record cut short when its worker died
+                break
+            chats[i] = chat
+    for i, chat in enumerate(chats):
+        if chat is None:
+            failure = (
+                f"chat worker of team {teams[i].team_id} ended with exit code "
+                f"{codes[pids[i % jobs]]} before sending its result"
+            )
+            chats[i] = (None, 0, 0, {}, [], ("RuntimeError", failure))
+    return chats
+
+
+# ---------------------------------------------------------------------------
+# Per-team steps, shared by the pipeline and the single-stage subcommands
+# ---------------------------------------------------------------------------
 
 
 def team_stc(
@@ -235,7 +384,11 @@ def _census_table(
 
 
 def _team_series(
-    team_cfg: TeamConfig, config: PipelineConfig, weeks: Sequence[int], diag: Diagnostics
+    team_cfg: TeamConfig,
+    config: PipelineConfig,
+    chat: TeamChat,
+    weeks: Sequence[int],
+    diag: Diagnostics,
 ) -> tuple[
     dict[int, float | None],
     dict[int, float | None],
@@ -246,7 +399,7 @@ def _team_series(
     weekly censuses over the included sprints."""
     cal = config.calendar
     roster = team_cfg.roster
-    weekly = team_events(team_cfg, config, diag)[0]
+    weekly = team_chat(chat, diag)[0]
     stc = team_stc(team_cfg, config, weekly, weeks, diag)
     stc_mean: dict[int, float | None] = {}
     census: dict[int, RelativeCensus | None] = {}
@@ -285,7 +438,10 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         parse_work_logs(config.work_logs_path, teams, diag) if config.work_logs_path else {}
     )
 
-    by_team = {t.team_id: _team_series(t, config, weeks, diag) for t in config.teams}
+    by_team = {
+        t.team_id: _team_series(t, config, chat, weeks, diag)
+        for t, chat in zip(config.teams, season_events(config))
+    }
     stc_weekly, stc_sprint_mean, sprint_censuses, mean_weekly_census = (
         {team: series[k] for team, series in by_team.items()} for k in range(4)
     )
@@ -659,33 +815,72 @@ def _to_json(value):
 
 _type_hints = functools.cache(typing.get_type_hints)
 
+# The kind, as ingestion.KINDS names and tests it, of each leaf type in a report.
+_LEAF_KINDS = {str: "a string", int: "an integer", float: "a number"}
 
-def _from_json(tp, data):
-    """Rebuild a value of annotated type ``tp`` from its ``_to_json`` form."""
-    if data is None:
+
+@functools.cache
+def _shape(tp) -> tuple[bool, type, str, type | None, tuple]:
+    """Of annotated type ``tp``: whether it is optional (X | None), then of X
+    its kind, its origin and its arguments."""
+    optional = typing.get_origin(tp) in (typing.Union, types.UnionType)
+    if optional:
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    origin = typing.get_origin(tp)
+    if dataclasses.is_dataclass(tp) or origin is dict:
+        kind = "an object"
+    else:
+        kind = "an array" if origin is tuple else _LEAF_KINDS[tp]
+    return optional, tp, kind, origin, typing.get_args(tp)
+
+
+def _dict_key(tp, key: str, where: str):
+    """A JSON object key as the dict key type ``tp``; an int key is its decimal text."""
+    if tp is str:
+        return key
+    try:
+        if str(number := int(key)) == key:
+            return number
+    except ValueError:
+        pass
+    raise InputError(f"{where} keys must be integers, got {key!r}")
+
+
+def _from_json(tp, node, key, where: str):
+    """node[key] rebuilt as annotated type ``tp`` from its ``_to_json`` form.
+    A value of another kind, a missing one or None where ``tp`` is not
+    optional included, is an InputError naming its path (``where`` is node's)."""
+    optional, tp, kind, origin, args = _shape(tp)
+    if optional and (node.get(key, ...) if type(node) is dict else node[key]) is None:
         return None
+    value = read_value(node, key, where, kind, ...)
+    path = value_path(where, key)
     if dataclasses.is_dataclass(tp):
-        hints = _type_hints(tp)
-        fields = dataclasses.fields(tp)
-        return tp(**{f.name: _from_json(hints[f.name], data[f.name]) for f in fields})
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
+        return _dataclass_from_json(tp, value, path)
     if origin is tuple:
         if args[-1] is Ellipsis:
-            return tuple(_from_json(args[0], v) for v in data)
-        return tuple(_from_json(a, v) for a, v in zip(args, data))
+            return tuple(_from_json(args[0], value, i, path) for i in range(len(value)))
+        if len(value) != len(args):
+            raise InputError(f"{path} must be an array of {len(args)} values, got {value!r}")
+        return tuple(_from_json(a, value, i, path) for i, a in enumerate(args))
     if origin is dict:
-        return {_from_json(args[0], k): _from_json(args[1], v) for k, v in data.items()}
-    if origin in (typing.Union, types.UnionType):  # X | None; None is handled above
-        (inner,) = [a for a in args if a is not type(None)]
-        return _from_json(inner, data)
-    return int(data) if tp is int else data
+        return {_dict_key(args[0], k, path): _from_json(args[1], value, k, path) for k in value}
+    return int(value) if tp is int else value
+
+
+def _dataclass_from_json(tp, obj: dict, where: str):
+    hints = _type_hints(tp)
+    fields = dataclasses.fields(tp)
+    return tp(**{f.name: _from_json(hints[f.name], obj, f.name, where) for f in fields})
 
 
 def load_report(path: Path | str) -> AnalysisReport:
-    """Re-parse a structured report.json written by emit()."""
+    """Re-parse a structured report.json written by emit(); a value of another
+    kind than the report holds there is an InputError naming the file and path."""
+    data = load_json(path)  # its errors name the file already
     try:
-        return _from_json(AnalysisReport, load_json(path))
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise InputError(
-            f"cannot load report from {path}: not a report: {type(exc).__name__}: {exc}"
-        ) from None
+        if type(data) is not dict:
+            raise InputError("report must be a JSON object")
+        return _dataclass_from_json(AnalysisReport, data, "")
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None

@@ -3,7 +3,8 @@
 Each module's ``__all__`` is checked with ``getattr``, and each name that
 ``teamnets/__init__.py`` imports is read from its source with ``ast`` and
 looked up in the module it names. The package's sources are also read with
-``ast`` to check that one function decodes every JSON input.
+``ast`` to check that one function decodes every JSON input, that one
+function forks and that ``multiprocessing`` is imported nowhere.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ def test_package_imports_resolve():
     assert missing == []
 
 
-def test_one_function_decodes_json():
-    """json.loads is called in one function of the package, so every JSON
-    input has the same error rules."""
+def _callers(module: str, function: str) -> list[str]:
+    """Each call of ``module.function`` in the package's sources, named by the
+    innermost function whose lines hold it."""
     callers = []
     for path in sorted(Path(teamnets.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -54,16 +55,35 @@ def test_one_function_decodes_json():
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "loads"
+            and node.func.attr == function
             and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "json"
+            and node.func.value.id == module
         ]
         for call in calls:
-            # the innermost function whose lines hold the call
             owner = max(
                 (f for f in functions if f.lineno <= call.lineno <= f.end_lineno),
                 key=lambda f: f.lineno,
                 default=None,
             )
             callers.append(f"{path.stem}.{owner.name if owner else '<module>'}")
-    assert sorted(set(callers)) == ["ingestion.load_json"]
+    return callers
+
+
+def test_one_function_decodes_json():
+    """json.loads is called in one function of the package, so every JSON
+    input has the same error rules."""
+    assert sorted(set(_callers("json", "loads"))) == ["ingestion.load_json"]
+
+
+def test_one_function_forks():
+    """os.fork is called in one function of the package, and multiprocessing
+    is imported nowhere: the season chat stage is the only process pool."""
+    assert _callers("os", "fork") == ["report._parse_in_workers"]
+    imported = []
+    for path in sorted(Path(teamnets.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported.append(node.module or "")
+    assert [m for m in imported if m.split(".")[0] == "multiprocessing"] == []

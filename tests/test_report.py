@@ -346,25 +346,48 @@ class TestEmission:
         assert str(err.value).startswith(f"{path}: not UTF-8: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize(
-        "text,error",
+        "source,error",
         [
-            ("{}", "KeyError: 'teams'"),
-            ("[]", "TypeError: list indices must be integers or slices, not str"),
-            (None, "ValueError: invalid literal for int() with base 10: 'week-1'"),
+            ("{}", "teams is missing"),
+            ("[]", "report must be a JSON object"),
+            (lambda r: r["stc_weekly"]["alpha"].update({"week-1": None}),
+             "stc_weekly.alpha keys must be integers, got 'week-1'"),
+            (lambda r: r.update(teams=None), "teams must be an array, got None"),
+            (lambda r: r.update(stc_weekly=[]), "stc_weekly must be an object, got []"),
+            (lambda r: r.update(weeks="abc"), "weeks must be an array, got 'abc'"),
+            (lambda r: r.pop("teams"), "teams is missing"),
+            (lambda r: r["weeks"].append(True), "weeks[4] must be an integer, got True"),
+            (lambda r: r["stc_table"][0].update(n=None),
+             "stc_table[0].n must be an integer, got None"),
+            (lambda r: r["sprint_census"]["alpha"].update({"1": [0.5, 0.5]}),
+             "sprint_census.alpha.1 must be an array of 4 values, got [0.5, 0.5]"),
         ],
-        ids=["object", "array", "week-key"],
+        ids=[
+            "object", "array", "week-key", "teams-null", "stc-weekly-array", "weeks-text",
+            "teams-missing", "week-true", "cell-n-null", "census-short",
+        ],
     )
-    def test_load_report_wrong_shape_is_input_error(self, mini_report, tmp_path, text, error):
+    def test_load_report_wrong_shape_is_input_error(self, mini_report, tmp_path, source, error):
+        """The JSON text, or an edit of mini's report.json, and the path it names."""
         path = tmp_path / "report.json"
-        if text is None:
+        if isinstance(source, str):
+            path.write_text(source, encoding="utf-8")
+        else:
             emit(mini_report, "structured-data", tmp_path)
             data = json.loads(path.read_text())
-            data["stc_weekly"]["alpha"]["week-1"] = None
-            text = json.dumps(data)
-        path.write_text(text, encoding="utf-8")
+            source(data)
+            path.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(InputError) as err:
             load_report(path)
-        assert str(err.value) == f"cannot load report from {path}: not a report: {error}"
+        assert str(err.value) == f"{path}: {error}"
+
+    def test_load_report_takes_none_where_optional(self, mini_report, tmp_path):
+        emit(mini_report, "structured-data", tmp_path)
+        path = tmp_path / "report.json"
+        data = json.loads(path.read_text())
+        data["stc_table"][0]["r"] = None
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert load_report(path).stc_table[0].r is None
 
     def test_unknown_format(self, mini_report, tmp_path):
         with pytest.raises(ValueError):
