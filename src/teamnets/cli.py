@@ -10,10 +10,12 @@ Subcommands::
 
 Every subcommand also takes ``--exclude-sprints 1``.
 
-Every subcommand parses the teams' chat exports in one stage,
-``report.season_events``: in forked worker processes, one per CPU the
-process may use and at most one per team, or in-process. The worker count
-is worked out, not set, and no output, message or exit code depends on it.
+Every subcommand runs its per-team step in one stage, ``report.season_stage``:
+the chat parse, then for validate the repo parse, and for stc, correlate and
+report the repo parse and STC. The stage runs in forked worker processes,
+one per CPU the process may use and at most one per team, or in-process. The
+worker count is worked out, not set, and no output, message or exit code
+depends on it.
 
 Exit codes: 0 success, 1 validation failure, 2 input error (also an input or
 output path the system cannot use), 3 internal error (an unexpected
@@ -27,7 +29,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .config import PipelineConfig, excluded_team_ids, load_config
+from .config import PipelineConfig, TeamConfig, excluded_team_ids, load_config
 from .errors import InputError, ValidationError
 from .ingestion import (
     Diagnostics,
@@ -41,9 +43,10 @@ from .report import (
     FORMATS,
     emit,
     run_pipeline,
-    season_events,
+    season_stage,
     sprint_census,
     team_chat,
+    team_result,
     team_stc,
     write_tables,
 )
@@ -101,23 +104,29 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
     return config
 
 
+def _validate_step(team_cfg: TeamConfig, config: PipelineConfig, diag: Diagnostics):
+    _, kept, replies = team_chat(team_cfg, config, diag)
+    _, commits, mrs = parse_repo_weeks(
+        team_cfg.repo_activity, team_cfg.roster, config.calendar, diag
+    )
+    return kept, replies, commits, mrs
+
+
 def _cmd_validate(config: PipelineConfig) -> int:
     diag = Diagnostics()
     failures = 0
-    for team_cfg, chat in zip(config.teams, season_events(config)):
-        team = team_cfg.team_id
-        try:
-            _, kept, replies = team_chat(chat, diag)
-            _, commits, mrs = parse_repo_weeks(
-                team_cfg.repo_activity, team_cfg.roster, config.calendar, diag
-            )
-            print(
-                f"team {team}: {kept} messages, {commits} commits, {mrs} merge requests, "
-                f"{replies} communication events"
-            )
-        except ValidationError as exc:
-            failures += 1
-            print(f"team {team}: VALIDATION FAILURE: {exc}", file=sys.stderr)
+    with season_stage(config, _validate_step) as results:
+        for team_cfg, result in zip(config.teams, results):
+            team = team_cfg.team_id
+            try:
+                kept, replies, commits, mrs = team_result(result, diag)
+                print(
+                    f"team {team}: {kept} messages, {commits} commits, {mrs} merge requests, "
+                    f"{replies} communication events"
+                )
+            except ValidationError as exc:
+                failures += 1
+                print(f"team {team}: VALIDATION FAILURE: {exc}", file=sys.stderr)
     if config.outcomes_path:
         parse_outcomes(config.outcomes_path, config.calendar, config.team_ids(), diag)
     if config.feedback_path:
@@ -133,27 +142,37 @@ def _cmd_validate(config: PipelineConfig) -> int:
     return 1 if failures else 0
 
 
+def _stc_step(team_cfg: TeamConfig, config: PipelineConfig, diag: Diagnostics):
+    return team_stc(team_cfg, config, team_chat(team_cfg, config, diag)[0], diag)
+
+
 def _cmd_stc(config: PipelineConfig, out: Path) -> list[Path]:
     weeks = config.calendar.included_weeks()
     rows = []
-    for team_cfg, chat in zip(config.teams, season_events(config)):
-        scores = team_stc(team_cfg, config, team_chat(chat)[0], weeks)
-        rows.extend((team_cfg.team_id, week, scores[week]) for week in weeks)
+    with season_stage(config, _stc_step) as results:
+        for team_cfg, result in zip(config.teams, results):
+            scores = team_result(result)
+            rows.extend((team_cfg.team_id, week, scores[week]) for week in weeks)
     return write_tables(out, {"stc_weekly": (("team", "week", "stc_score"), rows)}, "delimited-table")
+
+
+def _census_step(team_cfg: TeamConfig, config: PipelineConfig, diag: Diagnostics):
+    return team_chat(team_cfg, config, diag)[0]
 
 
 def _cmd_census(config: PipelineConfig, out: Path) -> list[Path]:
     cal = config.calendar
     rows = []
     edge_lists = {}
-    for team_cfg, chat in zip(config.teams, season_events(config)):
-        team = team_cfg.team_id
-        weekly = team_chat(chat)[0]
-        for sprint in cal.included_sprints():
-            net, census = sprint_census(weekly, team_cfg.roster, cal, sprint)
-            edge_lists[f"edges_{team}_sprint{sprint}.tsv"] = net
-            # a roster too small for triads keeps its row with blank cells
-            rows.append((team, sprint, *(census or (None,) * 4)))
+    with season_stage(config, _census_step) as results:
+        for team_cfg, result in zip(config.teams, results):
+            team = team_cfg.team_id
+            weekly = team_result(result)
+            for sprint in cal.included_sprints():
+                net, census = sprint_census(weekly, team_cfg.roster, cal, sprint)
+                edge_lists[f"edges_{team}_sprint{sprint}.tsv"] = net
+                # a roster too small for triads keeps its row with blank cells
+                rows.append((team, sprint, *(census or (None,) * 4)))
     table = (("team", "sprint", *(f"rel_{k}_edges" for k in range(4))), rows)
     written = write_tables(out, {"census_sprint": table}, "delimited-table")
     for name, net in edge_lists.items():  # into the directory write_tables made

@@ -47,8 +47,8 @@ from pathlib import Path
 from typing import Collection, Iterable
 
 from .errors import InputError, ValidationError
-from .ingestion import FLAG, TEAM_ID, TIMESTAMP, Roster, Sprint, SprintCalendar, Week
-from .ingestion import load_json, parse_utc, read_items, read_value
+from .ingestion import FLAG, TEAM_ID, Roster, Sprint, SprintCalendar, Week
+from .ingestion import load_json, read_items, read_utc, read_value
 
 __all__ = ["TeamConfig", "AnomalyThresholds", "PipelineConfig", "excluded_team_ids", "load_config"]
 
@@ -108,8 +108,7 @@ def _read_calendar(data: dict) -> SprintCalendar:
     for i, w in enumerate(read_items(cal, "weeks", "calendar", "an object", ...)):
         where = f"calendar.weeks[{i}]"
         week_id = int(read_value(w, "week_id", where, "an integer", ...))
-        start, end = (parse_utc(read_value(w, k, where, TIMESTAMP, ...)) for k in ("start", "end"))
-        weeks.append(Week(week_id, start, end))
+        weeks.append(Week(week_id, read_utc(w, "start", where), read_utc(w, "end", where)))
     sprints = []
     for i, s in enumerate(read_items(cal, "sprints", "calendar", "an object", ...)):
         where = f"calendar.sprints[{i}]"

@@ -55,6 +55,7 @@ import csv
 import json
 import logging
 import math
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -73,7 +74,7 @@ EXCLUDED_SUBTYPES = frozenset({"channel_join", "channel_leave", "bot_message"})
 
 def parse_utc(value: str) -> datetime:
     """Parse an ISO-8601 timestamp; naive values and 'Z' suffixes mean UTC.
-    Inputs are read as ``TIMESTAMP`` values first (see ``is_timestamp``)."""
+    Inputs are read as ``TIMESTAMP`` values (see ``read_utc``)."""
     ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         return ts.replace(tzinfo=timezone.utc)
@@ -108,11 +109,12 @@ def load_json(path: Path | str):
         ) from None
 
 
-def is_timestamp(value) -> bool:
+def _utc_or_none(value) -> datetime | None:
+    """The UTC datetime of a ``TIMESTAMP`` value, or None for any other value."""
     try:
-        return type(value) is str and parse_utc(value) is not None
+        return parse_utc(value) if type(value) is str else None
     except (ValueError, OverflowError):  # OverflowError: out of range once in UTC
-        return False
+        return None
 
 
 TIMESTAMP = "an ISO-8601 timestamp"
@@ -131,7 +133,7 @@ KINDS = {
     "an integer": lambda v: type(v) is int or type(v) is float and v.is_integer(),
     "a number": lambda v: type(v) in (int, float),
     FLAG: lambda v: type(v) is bool,
-    TIMESTAMP: is_timestamp,
+    TIMESTAMP: lambda v: _utc_or_none(v) is not None,
     # a team id names output files, and team lists are joined and split on commas
     TEAM_ID: lambda v: type(v) is str and v not in ("", ".", "..") and set(v).isdisjoint("/\\,"),
 }
@@ -155,6 +157,15 @@ def read_value(node, key, where: str, kind: str, default):
     if not KINDS[kind](value):
         raise InputError(f"{value_path(where, key)} must be {kind}, got {value!r}")
     return value
+
+
+def read_utc(node, key, where: str) -> datetime:
+    """The UTC datetime of the ``TIMESTAMP`` value node[key] of the object
+    node, parsed once; a missing value or another one is read_value's error."""
+    ts = _utc_or_none(node.get(key))
+    if ts is None:
+        read_value(node, key, where, TIMESTAMP, ...)  # raises the error naming it
+    return ts
 
 
 def read_items(node, key, where: str, kind: str, default) -> list:
@@ -593,7 +604,7 @@ def parse_repo_weeks(
             where = f"commits[{i}]"
             sha = read_value(obj, "sha", where, "a string", ...)
             author = read_value(obj, "author", where, "a string", ...)
-            read_value(obj, "authored_at", where, TIMESTAMP, ...)  # validated, not kept
+            read_utc(obj, "authored_at", where)  # validated, not kept
             if sha in author_of:
                 raise ValidationError(f"duplicate commit sha {sha}")
             person = roster.resolve(author) or (author if author in roster.members else None)
@@ -609,7 +620,7 @@ def parse_repo_weeks(
         for i, obj in enumerate(merge_requests):
             where = f"merge_requests[{i}]"
             mr_id = str(read_value(obj, "id", where, "a string or an integer", ...))
-            created_at = parse_utc(read_value(obj, "created_at", where, TIMESTAMP, ...))
+            created_at = read_utc(obj, "created_at", where)
             shas = read_items(obj, "commits", where, "a string", ...)
             files = read_items(obj, "files", where, "a string", ...)
             if mr_id in seen_mrs:
@@ -643,7 +654,10 @@ def parse_repo_weeks(
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: Path, required: tuple[str, ...]):
+def _read_rows(path: Path, columns: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """(line, cells) of each row of a delimited table: the cells of ``columns``
+    and then of ``optional``, in that order, picked by position; an optional
+    column the header lacks reads as "" in every row."""
     if not path.is_file():
         raise InputError(f"table not found: {path}")
     line = 0  # the last line of the records read whole
@@ -651,11 +665,15 @@ def _read_rows(path: Path, required: tuple[str, ...]):
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            missing = [c for c in required if c not in header]
+            missing = [c for c in columns if c not in header]
             if missing:
                 raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
             if twice := [c for c, n in Counter(header).items() if n > 1]:
                 raise InputError(f"{path}: column {twice[0]} is named twice")
+            # an absent optional column reads the "" appended to each row
+            index = {name: i for i, name in enumerate(header)}
+            pad = any(c not in index for c in optional)
+            pick = operator.itemgetter(*(index.get(c, -1) for c in columns + optional))
             line = reader.line_num
             for cells in reader:
                 # A row is named by the 1-based file line it ends on: blank
@@ -667,7 +685,9 @@ def _read_rows(path: Path, required: tuple[str, ...]):
                     raise ValidationError(
                         f"{path}:line {line}: {len(cells)} cells, the header has {len(header)}"
                     )
-                yield line, dict(zip(header, cells))
+                if pad:
+                    cells.append("")
+                yield line, pick(cells)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8: {exc}") from None
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
@@ -695,10 +715,11 @@ def parse_feedback(
     kept = 0
     unrostered: Counter = Counter()  # rater on no roster -> row count
     known_sprints = {s.sprint_id for s in cal.sprints}
-    for line, row in _read_rows(p, ("sprint_id", "rater", "ratee", "communication_rating")):
+    rows = _read_rows(p, ("sprint_id", "rater", "ratee", "communication_rating"))
+    for line, (sprint_cell, rater, ratee, rating_cell) in rows:
         try:
-            sprint_id = int(row["sprint_id"])
-            rating = int(row["communication_rating"])
+            sprint_id = int(sprint_cell)
+            rating = int(rating_cell)
         except ValueError:
             raise ValidationError(f"{p}:line {line}: non-integer sprint or rating") from None
         if sprint_id not in known_sprints:
@@ -707,7 +728,6 @@ def parse_feedback(
             raise ValidationError(
                 f"{p}:line {line}: communication rating {rating} out of range [1, 5]"
             )
-        rater, ratee = row["rater"], row["ratee"]
         if rater == ratee:
             raise ValidationError(f"{p}:line {line}: rater equals ratee ({rater})")
         team = team_of.get(rater)
@@ -768,15 +788,13 @@ def parse_outcomes(
     known_sprints = {s.sprint_id for s in cal.sprints}
     year_level: dict[str, YearLevel] = {}
     first_line: dict[tuple[str, int], int] = {}  # (team, sprint) -> its row's line
-    for line, row in _read_rows(p, _OUTCOME_COLS):
-        team = row["team_id"]
+    rows = _read_rows(p, _OUTCOME_COLS, ("stories_passed_total", "pair_programming_hours"))
+    for line, (team, sprint_cell, *point_cells, stories_raw, hours_raw) in rows:
         try:
-            sprint_id = int(row["sprint_id"])
-            committed = float(row["story_points_committed"])
-            passed = float(row["story_points_passed"])
-            score = float(row["team_score"])
-            stories_raw = (row.get("stories_passed_total") or "").strip()
-            hours_raw = (row.get("pair_programming_hours") or "").strip()
+            sprint_id = int(sprint_cell)
+            committed, passed, score = map(float, point_cells)
+            stories_raw = stories_raw.strip()
+            hours_raw = hours_raw.strip()
             stories = int(stories_raw) if stories_raw else None
             hours = float(hours_raw) if hours_raw else None
         except ValueError:
@@ -843,16 +861,15 @@ def parse_work_logs(
     p = Path(path)
     totals: dict[str, float] = {}
     rows_of: Counter = Counter()
-    for line, row in _read_rows(p, ("team_id", "hours")):
+    for line, (team, hours_cell) in _read_rows(p, ("team_id", "hours")):
         try:
-            hours = float(row["hours"])
+            hours = float(hours_cell)
         except ValueError:
             raise ValidationError(f"{p}:line {line}: non-numeric hours") from None
         if not math.isfinite(hours):
             raise ValidationError(f"{p}:line {line}: non-finite hours")
         if hours < 0:
             raise ValidationError(f"{p}:line {line}: negative hours")
-        team = row["team_id"]
         total = totals.get(team, 0.0) + hours
         if not math.isfinite(total):
             raise ValidationError(f"{p}:line {line}: hours total of team {team} overflows")

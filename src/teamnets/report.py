@@ -8,23 +8,25 @@ everything as delimited tables or structured JSON. Output ordering is
 bit-stable: teams alphabetical, sprints and weeks in calendar order, fixed
 float formatting.
 
-Chat parsing, the costliest step, is one season-level stage for every
-command (``season_events``): each team's export is parsed in a forked worker
-process, one per CPU this process may use and at most one per team, or
-in-process where there is one CPU or team, no ``os.fork``, or another thread
-running. Repo parsing, STC, censuses and tables stay in the calling process.
-A team's chat diagnostics and error are taken (``team_chat``) where a serial
+Each command's per-team step, a team's chat parse and for most commands its
+repo parse and STC, runs in one season-level stage (``season_stage``): in
+forked worker processes, one per CPU this process may use and at most one
+per team, or in-process where there is one CPU or team, no ``os.fork``, or
+another thread running. Censuses and tables stay in the calling process,
+which parses the tables while the workers run. Each team's result, with its
+diagnostics, log records and error, is taken (``team_result``) where a serial
 run reaches that team, so no output, message or exit code depends on the
 worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
-import io
 import json
+import logging
 import marshal
 import math
 import os
@@ -70,7 +72,8 @@ __all__ = [
     "AnomalyFlag",
     "UTestSummary",
     "AnalysisReport",
-    "season_events",
+    "season_stage",
+    "team_result",
     "team_chat",
     "team_stc",
     "sprint_census",
@@ -151,50 +154,61 @@ class AnalysisReport:
 
 
 # ---------------------------------------------------------------------------
-# Season chat stage: every team's chat parse, in forked workers
+# Season stage: each team's step of a command, in forked workers
 # ---------------------------------------------------------------------------
 
-# A team's chat parse in plain values, as a worker sends it: the weekly edges,
-# kept-message and reply counts, diagnostic counts and notes, and the
-# (class name, message) of the error the parse raised, or None.
-TeamChat = tuple[
-    WeeklyEdges | None, int, int, dict[str, int], list[str], tuple[str, str] | None
-]
+# A command's per-team step: it reads the team's inputs, counts into the
+# diagnostics it is given and returns plain values (of marshal's types).
+TeamStep = Callable[[TeamConfig, PipelineConfig, Diagnostics], object]
 
-_CHAT_ERRORS = (InputError, ValidationError, OSError)
+# A team's step result in plain values, as a worker sends it: the step's
+# value, the diagnostic counts and notes, the log records made meanwhile, and
+# the (class name, message) of the error the step raised, or None.
+TeamResult = tuple[object, dict[str, int], list[str], list[dict], tuple[str, str] | None]
+
+_TEAM_ERRORS = (InputError, ValidationError, OSError)
+
+# What a log record says and where and when it was made; the process that
+# replays it fills in its own process and thread.
+_RECORD_FIELDS = (
+    "name", "levelno", "levelname", "pathname", "filename", "module", "lineno",
+    "funcName", "created", "msecs", "relativeCreated",
+)
 
 
-def _parse_team_chat(team: TeamConfig, config: PipelineConfig) -> TeamChat:
+def _run_step(
+    step: TeamStep, team: TeamConfig, config: PipelineConfig, records: list[dict]
+) -> TeamResult:
     diag = Diagnostics()
-    weekly, kept, replies, error = None, 0, 0, None
+    value, error = None, None
     try:
-        weekly, kept, replies = parse_chat_edges(
-            team.chat_export, team.roster, config.calendar, config.excluded_handles, diag
-        )
-    except _CHAT_ERRORS as exc:
-        error = (next(c.__name__ for c in _CHAT_ERRORS if isinstance(exc, c)), str(exc))
-    return weekly, kept, replies, dict(diag.counts), diag.notes, error
+        value = step(team, config, diag)
+    except _TEAM_ERRORS as exc:
+        error = (next(c.__name__ for c in _TEAM_ERRORS if isinstance(exc, c)), str(exc))
+    return value, dict(diag.counts), diag.notes, records, error
 
 
-def team_chat(chat: TeamChat, diag: Diagnostics | None = None) -> tuple[WeeklyEdges, int, int]:
-    """A team's weekly edges, kept-message count and reply count from its chat
-    parse. Its diagnostics go into ``diag`` first, and its error is raised here,
-    so each team's counters and error come where a serial parse would give them."""
-    weekly, kept, replies, counts, notes, error = chat
+def team_result(result: TeamResult, diag: Diagnostics | None = None):
+    """The value of a team's step. Its diagnostics go into ``diag`` first, its
+    log records are replayed, and its error is raised here, so each team's
+    counters, log lines and error come where a serial run would give them."""
+    value, counts, notes, records, error = result
     if diag is not None:
         for key, n in counts.items():
             diag.bump(key, n)
         diag.notes.extend(notes)
+    for fields in records:
+        logging.getLogger(fields["name"]).handle(logging.makeLogRecord(fields))
     if error is not None:
         name, message = error
-        raise {c.__name__: c for c in _CHAT_ERRORS}.get(name, RuntimeError)(message)
-    return weekly, kept, replies
+        raise {c.__name__: c for c in _TEAM_ERRORS}.get(name, RuntimeError)(message)
+    return value
 
 
-def _chat_workers(n_teams: int) -> int:
-    """The chat stage's process count: the CPUs this process may use, at most
-    one per team; 1, in-process, where there is no fork or another thread runs
-    (a forked thread's locks could be held forever)."""
+def _season_workers(n_teams: int) -> int:
+    """The season stage's process count: the CPUs this process may use, at
+    most one per team; 1, in-process, where there is no fork or another thread
+    runs (a forked thread's locks could be held forever)."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
@@ -202,94 +216,116 @@ def _chat_workers(n_teams: int) -> int:
     return min(cpus, n_teams)
 
 
-def season_events(config: PipelineConfig) -> Iterator[TeamChat]:
-    """Every team's chat parse, in team order; ``team_chat`` reads each one.
+@contextlib.contextmanager
+def season_stage(config: PipelineConfig, step: TeamStep) -> Iterator[Iterator[TeamResult]]:
+    """Run ``step`` for every team; the block reads each team's result, in
+    team order, through ``team_result``.
 
-    With one worker the teams are parsed in-process, each when it is asked
-    for. Otherwise the first request forks n workers, worker w parsing teams
-    w, w + n, ... one at a time, and every worker has ended and been reaped
-    before the first result is given.
+    With one worker each team's step runs in-process when its result is asked
+    for. Otherwise entering forks n workers, worker w running teams w, w + n,
+    ... one at a time and sending each result as it is done, and each result
+    is given as soon as it has arrived, while later teams still run. Leaving
+    the block kills every worker still running and reaps every worker.
     """
-    jobs = _chat_workers(len(config.teams))
+    teams = config.teams
+    jobs = _season_workers(len(teams))
     if jobs <= 1:
-        for team in config.teams:
-            yield _parse_team_chat(team, config)
-    else:
-        yield from _parse_in_workers(config, jobs)
+        yield (_run_step(step, team, config, []) for team in teams)
+        return
+    import signal
+
+    config.calendar._thresholds  # built once here, inherited by every worker
+    fds: list[int] = []  # read end of each worker's pipe
+    pids: dict[int, int] = {}  # worker -> pid, while it is not reaped
+    try:
+        for w in range(jobs):
+            read_fd, write_fd = os.pipe()
+            fds.append(read_fd)
+            try:
+                if (pid := os.fork()) == 0:
+                    _season_worker(config, step, range(w, len(teams), jobs), write_fd)
+                pids[w] = pid
+            finally:
+                os.close(write_fd)
+        yield _stream(teams, fds, pids)
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+        for fd in fds:
+            os.close(fd)
+        for pid in pids.values():
+            os.waitpid(pid, 0)
 
 
-def _chat_worker(config: PipelineConfig, indices: range, fd: int) -> NoReturn:
-    """Parse each team of ``indices`` and send (index, TeamChat) down the pipe
-    ``fd`` as it is done; then end the process, without returning."""
+def _season_worker(
+    config: PipelineConfig, step: TeamStep, indices: range, fd: int
+) -> NoReturn:
+    """Run ``step`` for each team of ``indices`` and send its TeamResult down
+    the pipe ``fd`` as it is done, as an 8-byte length and marshal's bytes;
+    then end the process, without returning."""
     code = 1
     try:
+        records: list[dict] = []
+        # No handler runs here: the parent replays each record at its team's turn.
+        logging.Logger.handle = lambda logger, record: records.append(
+            {**{k: getattr(record, k) for k in _RECORD_FIELDS}, "msg": record.getMessage()}
+        )
         with open(fd, "wb") as out:
             for i in indices:
                 team = config.teams[i]
                 try:
-                    chat = _parse_team_chat(team, config)
+                    result = _run_step(step, team, config, records)
                 except Exception as exc:  # a fault in teamnets: the parent raises it
-                    failure = f"chat worker of team {team.team_id}: {type(exc).__name__}: {exc}"
-                    chat = (None, 0, 0, {}, [], ("RuntimeError", failure))
-                marshal.dump((i, chat), out)
+                    failure = f"season worker of team {team.team_id}: {type(exc).__name__}: {exc}"
+                    result = (None, {}, [], records, ("RuntimeError", failure))
+                data = marshal.dumps(result)
+                out.write(len(data).to_bytes(8, "little"))
+                out.write(data)
                 out.flush()
+                records.clear()
         code = 0
     finally:
         os._exit(code)
 
 
-def _parse_in_workers(config: PipelineConfig, jobs: int) -> list[TeamChat]:
-    """Each team's chat parse from ``jobs`` forked workers, one pipe each. A
-    team whose worker ended without sending it gets a RuntimeError naming it."""
+def _stream(
+    teams: Sequence[TeamConfig], fds: list[int], pids: dict[int, int]
+) -> Iterator[TeamResult]:
+    """Each team's result from the workers' pipes ``fds``, in team order, as
+    soon as it has arrived. A team whose worker ended without sending it gets
+    a RuntimeError naming it, which ends the command; that worker is reaped
+    then, and leaves ``pids``."""
     import select
-    import signal
 
-    teams = config.teams
-    config.calendar._thresholds  # built once here, inherited by every worker
-    received: dict[int, bytearray] = {}  # read end of each worker's pipe -> its bytes
-    pids: list[int] = []
-    try:
-        for w in range(jobs):
-            read_fd, write_fd = os.pipe()
-            received[read_fd] = bytearray()
-            try:
-                if (pid := os.fork()) == 0:
-                    _chat_worker(config, range(w, len(teams), jobs), write_fd)
-                pids.append(pid)
-            finally:
-                os.close(write_fd)
-        sending = set(received)
-        while sending:
+    jobs = len(fds)
+    received = [bytearray() for _ in fds]
+    sending = {fd: w for w, fd in enumerate(fds)}  # pipes not yet at end of file
+
+    def take(w: int) -> TeamResult | None:
+        """The next whole result worker w sent, or None."""
+        data = received[w]
+        if len(data) < 8 or len(data) < 8 + (size := int.from_bytes(data[:8], "little")):
+            return None
+        result = marshal.loads(data[8 : 8 + size])
+        del data[: 8 + size]
+        return result
+
+    for i, team in enumerate(teams):
+        w = i % jobs
+        while (result := take(w)) is None and fds[w] in sending:
             for fd in select.select(list(sending), [], [])[0]:
                 if chunk := os.read(fd, 1 << 20):
-                    received[fd] += chunk
+                    received[sending[fd]] += chunk
                 else:
-                    sending.discard(fd)
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for fd in received:
-            os.close(fd)
-        codes = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids}
-    chats: list[TeamChat | None] = [None] * len(teams)
-    for data in received.values():
-        stream = io.BytesIO(data)
-        while stream.tell() < len(data):
-            try:
-                i, chat = marshal.load(stream)
-            except (EOFError, ValueError):  # a record cut short when its worker died
-                break
-            chats[i] = chat
-    for i, chat in enumerate(chats):
-        if chat is None:
+                    del sending[fd]
+        if result is None:
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
             failure = (
-                f"chat worker of team {teams[i].team_id} ended with exit code "
-                f"{codes[pids[i % jobs]]} before sending its result"
+                f"season worker of team {team.team_id} ended with exit code {code} "
+                "before sending its result"
             )
-            chats[i] = (None, 0, 0, {}, [], ("RuntimeError", failure))
-    return chats
+            result = (None, {}, [], [], ("RuntimeError", failure))
+        yield result
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +333,35 @@ def _parse_in_workers(config: PipelineConfig, jobs: int) -> list[TeamChat]:
 # ---------------------------------------------------------------------------
 
 
+def team_chat(
+    team: TeamConfig, config: PipelineConfig, diag: Diagnostics | None = None
+) -> tuple[WeeklyEdges, int, int]:
+    """A team's weekly reply edges, kept-message count and reply count."""
+    return parse_chat_edges(
+        team.chat_export, team.roster, config.calendar, config.excluded_handles, diag
+    )
+
+
 def team_stc(
     team: TeamConfig,
     config: PipelineConfig,
     weekly: WeeklyEdges,
-    weeks: Sequence[int],
     diag: Diagnostics | None = None,
 ) -> dict[int, float | None]:
-    """Parse a team's repo activity and score its weekly STC."""
+    """Parse a team's repo activity and score the STC of each included week."""
     mrs_by_week = parse_repo_weeks(team.repo_activity, team.roster, config.calendar, diag)[0]
+    weeks = config.calendar.included_weeks()
     return weekly_team_scores(
         mrs_by_week, weekly, team.roster, weeks, config.self_dependency, diag
     )
+
+
+def _chat_and_stc(
+    team: TeamConfig, config: PipelineConfig, diag: Diagnostics
+) -> tuple[WeeklyEdges, dict[int, float | None]]:
+    """A team's weekly reply edges and weekly STC: the step of ``run_pipeline``."""
+    weekly = team_chat(team, config, diag)[0]
+    return weekly, team_stc(team, config, weekly, diag)
 
 
 def sprint_census(
@@ -386,8 +439,7 @@ def _census_table(
 def _team_series(
     team_cfg: TeamConfig,
     config: PipelineConfig,
-    chat: TeamChat,
-    weeks: Sequence[int],
+    result: TeamResult,
     diag: Diagnostics,
 ) -> tuple[
     dict[int, float | None],
@@ -396,11 +448,10 @@ def _team_series(
     dict[int, RelativeCensus | None],
 ]:
     """A team's weekly STC, then its sprint-mean STC, sprint censuses and mean
-    weekly censuses over the included sprints."""
+    weekly censuses over the included sprints, from its ``_chat_and_stc`` result."""
     cal = config.calendar
     roster = team_cfg.roster
-    weekly = team_chat(chat, diag)[0]
-    stc = team_stc(team_cfg, config, weekly, weeks, diag)
+    weekly, stc = team_result(result, diag)
     stc_mean: dict[int, float | None] = {}
     census: dict[int, RelativeCensus | None] = {}
     mean_weekly: dict[int, RelativeCensus | None] = {}
@@ -430,18 +481,19 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         raise InputError("missing input: no outcomes table configured")
     if config.feedback_path is None:
         raise InputError("missing input: no peer-feedback table configured")
-    outcomes, year_level = parse_outcomes(config.outcomes_path, cal, teams, diag)
-    comm_rating = parse_feedback(
-        config.feedback_path, cal, [t.roster for t in config.teams], diag
-    )
-    work_hours = (
-        parse_work_logs(config.work_logs_path, teams, diag) if config.work_logs_path else {}
-    )
-
-    by_team = {
-        t.team_id: _team_series(t, config, chat, weeks, diag)
-        for t, chat in zip(config.teams, season_events(config))
-    }
+    # The tables are parsed while the workers run the teams' steps.
+    with season_stage(config, _chat_and_stc) as results:
+        outcomes, year_level = parse_outcomes(config.outcomes_path, cal, teams, diag)
+        comm_rating = parse_feedback(
+            config.feedback_path, cal, [t.roster for t in config.teams], diag
+        )
+        work_hours = (
+            parse_work_logs(config.work_logs_path, teams, diag) if config.work_logs_path else {}
+        )
+        by_team = {
+            t.team_id: _team_series(t, config, result, diag)
+            for t, result in zip(config.teams, results)
+        }
     stc_weekly, stc_sprint_mean, sprint_censuses, mean_weekly_census = (
         {team: series[k] for team, series in by_team.items()} for k in range(4)
     )

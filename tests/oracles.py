@@ -469,7 +469,9 @@ def feedback_oracle(path, cal, rosters, diagnostics=None):
     records: list[FeedbackRecord] = []
     outsiders: list[str] = []  # the rater of each row whose rater is on no roster
     known_sprints = {s.sprint_id for s in cal.sprints}
-    for line, row in _read_rows(p, ("sprint_id", "rater", "ratee", "communication_rating")):
+    columns = ("sprint_id", "rater", "ratee", "communication_rating")
+    for line, cells in _read_rows(p, columns):
+        row = dict(zip(columns, cells))
         try:
             sprint_id = int(row["sprint_id"])
             rating = int(row["communication_rating"])
@@ -530,9 +532,10 @@ def outcomes_oracle(path, cal, teams, diagnostics=None):
     known_sprints = {s.sprint_id for s in cal.sprints}
     year_level: dict[str, tuple[int | None, float | None]] = {}
     first_line: dict[tuple[str, int], int] = {}
-    for line, row in _read_rows(
-        p, ("team_id", "sprint_id", "story_points_committed", "story_points_passed", "team_score")
-    ):
+    columns = ("team_id", "sprint_id", "story_points_committed", "story_points_passed", "team_score")
+    optional = ("stories_passed_total", "pair_programming_hours")
+    for line, cells in _read_rows(p, columns, optional):
+        row = dict(zip(columns + optional, cells))
         team = row["team_id"]
         try:
             sprint_id = int(row["sprint_id"])

@@ -1,24 +1,30 @@
-"""The season chat stage: forked workers give exactly the serial result.
+"""The season stage: forked workers give exactly the serial result.
 
 The worker count is the CPU count this process may use, capped at the number
 of teams; these tests force it by patching ``os.sched_getaffinity``, which
 the count reads, and count the workers through a patched ``os.fork``. Each
 command's exit code, stdout, stderr and output tree with 2 and 3 workers
-must equal the in-process run with 1, also under faults in several teams,
-and no worker may outlive a command.
+must equal the in-process run with 1, also under faults in several teams
+and with log lines made in the workers, and no worker may outlive a
+command, whatever ends it.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
+import teamnets
 import teamnets.report
 from teamnets.cli import main
 from teamnets.synthetic import make_season
@@ -108,10 +114,14 @@ def copy_season(source: Path, tmp_path: Path) -> Path:
     return work
 
 
-def team_chat_root(season: Path, index: int) -> Path:
+def team_entry(season: Path, index: int) -> dict:
+    """The config entry of the season's team ``index``, in team order."""
     config = json.loads((season / "config.json").read_text(encoding="utf-8"))
-    team = sorted(config["teams"], key=lambda t: t["team_id"])[index]
-    return season / team["chat_export"]
+    return sorted(config["teams"], key=lambda t: t["team_id"])[index]
+
+
+def team_chat_root(season: Path, index: int) -> Path:
+    return season / team_entry(season, index)["chat_export"]
 
 
 def first_day_file(chat_root: Path) -> Path:
@@ -199,7 +209,7 @@ def test_worker_killed_mid_parse_is_internal_error(
     assert len(forks) == 2
     assert code == 3
     assert stderr.startswith(
-        "internal error: RuntimeError: chat worker of team beta ended with exit code 9"
+        "internal error: RuntimeError: season worker of team beta ended with exit code 9"
         " before sending its result\n"
     )
 
@@ -215,7 +225,7 @@ def test_error_raised_in_a_worker_is_internal_error(
     assert len(forks) == 2
     assert code == 3
     assert stderr.startswith(
-        "internal error: RuntimeError: chat worker of team alpha: KeyError: 'boom'\n"
+        "internal error: RuntimeError: season worker of team alpha: KeyError: 'boom'\n"
     )
 
 
@@ -252,3 +262,115 @@ def test_count_falls_back_to_cpu_count(mini_dir, tmp_path, monkeypatch, capsys, 
     assert main(["stc", "--config", str(mini_dir / "config.json"), "--out", str(tmp_path)]) == 0
     assert len(forks) == 2  # one per team of mini
     assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "command", [["stc"], ["validate"], ["report"]], ids=["stc", "validate", "report"]
+)
+def test_worker_log_lines_are_replayed_in_team_order(
+    command, five_teams, tmp_path, monkeypatch, capsys, forks
+):
+    """A merge request without changed files in teams B and D logs a warning
+    in the worker that parses that repo; the parent replays it at the team's
+    turn, so stderr is the serial run's for any worker count."""
+    # pytest's own handler on the root logger would take the records; without
+    # it they reach stderr through logging's last-resort handler, as in the CLI
+    monkeypatch.setattr(logging.root, "handlers", [])
+    work = copy_season(five_teams, tmp_path)
+    repos = []
+    for index in (1, 3):
+        repo = work / team_entry(work, index)["repo_activity"]
+        activity = json.loads(repo.read_text(encoding="utf-8"))
+        activity["merge_requests"][2]["files"] = []
+        repo.write_text(json.dumps(activity), encoding="utf-8")
+        repos.append((repo, activity["merge_requests"][2]["id"]))
+    config_path = work / "config.json"
+    serial = run(monkeypatch, capsys, tmp_path, config_path, command, 1)
+    assert serial[0] == 0
+    assert serial[2] == "".join(
+        f"{repo}: merge request {mr_id} has no changed files\n" for repo, mr_id in repos
+    )
+    for workers in (2, 3):
+        forks.clear()
+        assert run(monkeypatch, capsys, tmp_path, config_path, command, workers) == serial
+        assert len(forks) == workers
+
+
+def stall_in_workers(monkeypatch, *team_ids: str) -> None:
+    """Make the chat parse of the named teams hang in a forked worker; the
+    in-process run parses them at once."""
+    parent = os.getpid()
+    real_parse = teamnets.report.parse_chat_edges
+
+    def parse(export_root, roster, *args):
+        if os.getpid() != parent and roster.team_id in team_ids:
+            time.sleep(30)
+        return real_parse(export_root, roster, *args)
+
+    monkeypatch.setattr(teamnets.report, "parse_chat_edges", parse)
+
+
+@pytest.mark.parametrize("command", [["correlate"], ["report"]], ids=["correlate", "report"])
+def test_table_error_while_workers_run_kills_them(
+    command, five_teams, tmp_path, monkeypatch, capsys, forks
+):
+    """A malformed feedback.csv, parsed while every worker is still busy,
+    gives the serial run's result at once, and no worker is left."""
+    work = copy_season(five_teams, tmp_path)
+    feedback = work / "feedback.csv"
+    lines = feedback.read_text(encoding="utf-8").splitlines()
+    feedback.write_text("\n".join([*lines[:3], lines[3] + ",extra", *lines[4:]]) + "\n",
+                        encoding="utf-8")
+    stall_in_workers(monkeypatch, "A", "B", "C", "D", "E")
+    config_path = work / "config.json"
+    serial = run(monkeypatch, capsys, tmp_path, config_path, command, 1)
+    assert serial[0] == 1
+    assert serial[2] == f"validation failure: {feedback}:line 4: 5 cells, the header has 4\n"
+    for workers in (2, 3):
+        forks.clear()
+        started = time.monotonic()
+        assert run(monkeypatch, capsys, tmp_path, config_path, command, workers) == serial
+        assert time.monotonic() - started < 10
+        assert len(forks) == workers
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
+def test_error_in_first_team_while_later_teams_run(
+    command, five_teams, tmp_path, monkeypatch, capsys, forks
+):
+    """Team A's result is taken as soon as it arrives, while the workers'
+    later teams still hang: its error gives the serial run's result at once,
+    and no worker is left."""
+    work = copy_season(five_teams, tmp_path)
+    if command == ["census"]:  # census reads no repo file
+        broken = first_day_file(team_chat_root(work, 0))
+    else:
+        broken = work / team_entry(work, 0)["repo_activity"]
+    broken.write_text("[{", encoding="utf-8")
+    stall_in_workers(monkeypatch, "C", "D", "E")
+    config_path = work / "config.json"
+    serial = run(monkeypatch, capsys, tmp_path, config_path, command, 1)
+    assert serial[0] == 2
+    assert serial[2].startswith(f"input error: {broken}: malformed JSON")
+    for workers in (2, 3):
+        forks.clear()
+        started = time.monotonic()
+        assert run(monkeypatch, capsys, tmp_path, config_path, command, workers) == serial
+        assert time.monotonic() - started < 10
+        assert len(forks) == workers
+
+
+def test_command_line_leaves_no_file_open(five_teams, tmp_path):
+    """``report`` in a fresh interpreter, in development mode with resource
+    warnings as errors and the real CPU count (forking where there are two
+    or more CPUs), exits 0 without a ResourceWarning."""
+    src = str(Path(teamnets.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "teamnets", "report",
+         "--config", str(five_teams / "config.json"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr

@@ -77,8 +77,8 @@ def test_one_function_decodes_json():
 
 def test_one_function_forks():
     """os.fork is called in one function of the package, and multiprocessing
-    is imported nowhere: the season chat stage is the only process pool."""
-    assert _callers("os", "fork") == ["report._parse_in_workers"]
+    is imported nowhere: the season stage is the only process pool."""
+    assert _callers("os", "fork") == ["report.season_stage"]
     imported = []
     for path in sorted(Path(teamnets.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
