@@ -97,6 +97,8 @@ def load_json(path: Path | str):
         raise InputError(f"{path}: not UTF-8: {exc}") from None
     try:
         return json.loads(text)
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     except json.JSONDecodeError as exc:
         if "\r" in text:
             # Positions count newlines as text-mode reading translates them.
@@ -107,6 +109,13 @@ def load_json(path: Path | str):
         raise InputError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno} (char {exc.pos})"
         ) from None
+
+
+def require_file(path: Path, missing: str) -> None:
+    """An InputError unless ``path`` is a regular file: ``<missing>: <path>``
+    where nothing is there, ``<path>: not a file`` where something else is."""
+    if not path.is_file():
+        raise InputError(f"{path}: not a file" if path.exists() else f"{missing}: {path}")
 
 
 def _utc_or_none(value) -> datetime | None:
@@ -588,8 +597,7 @@ def parse_repo_weeks(
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
-    if not p.is_file():
-        raise InputError(f"repo activity file not found: {p}")
+    require_file(p, "repo activity file not found")
     payload = load_json(p)  # its errors name the file already
     try:
         if type(payload) is not dict:
@@ -658,8 +666,7 @@ def _read_rows(path: Path, columns: tuple[str, ...], optional: tuple[str, ...] =
     """(line, cells) of each row of a delimited table: the cells of ``columns``
     and then of ``optional``, in that order, picked by position; an optional
     column the header lacks reads as "" in every row."""
-    if not path.is_file():
-        raise InputError(f"table not found: {path}")
+    require_file(path, "table not found")
     line = 0  # the last line of the records read whole
     try:
         with path.open(newline="", encoding="utf-8") as fh:

@@ -1,12 +1,17 @@
 """Season-level orchestration: run every analysis and emit result tables.
 
 The pipeline parses all configured inputs, groups each team's replies into
-weekly communication edges, computes weekly STC scores and sprint censuses
-per team, correlates them with delivery outcomes, compares increasing-
-against decreasing-trend teams, flags anomalous teams, and can write
-everything as delimited tables or structured JSON. Output ordering is
-bit-stable: teams alphabetical, sprints and weeks in calendar order, fixed
-float formatting.
+weekly communication edges and computes weekly STC scores and sprint
+censuses per team. It holds them with the delivery outcomes in one frame,
+internal and never written: a row per (team, included sprint), in
+team-then-sprint order, and a column per predictor and outcome, None where
+undefined. A correlation cell is a label, an x and a y column and a team
+subset; ``_cell``, the one place that pairs points, takes the rows of those
+teams where both columns are defined. The report's sprint series are read
+from the same rows. The pipeline also compares increasing- against
+decreasing-trend teams, flags anomalous teams, and can write everything as
+delimited tables or structured JSON. Output ordering is bit-stable: teams
+alphabetical, sprints and weeks in calendar order, fixed float formatting.
 
 Each command's per-team step, a team's chat parse and for most commands its
 repo parse and STC, runs in one season-level stage (``season_stage``): in
@@ -87,8 +92,11 @@ __all__ = [
 KIND_HIGH_STC_LOW_DELIVERY = "high-stc-low-delivery"
 KIND_LOW_STC_HIGH_PAIRING = "low-stc-high-pairing"
 
-# A sample series, team -> sprint -> value; an undefined value is None or absent.
-Series = Mapping[str, Mapping[int, float | None]]
+# The frame's census columns: a sprint census's shares, then the mean weekly
+# census's; a roster too small for triads leaves them None.
+_CENSUS = tuple(f"rel_{k}_edges" for k in range(4))
+_MEAN_WEEKLY = tuple(f"mean_weekly_{c}" for c in _CENSUS)
+_BLANK = (None,) * 4
 
 
 @dataclass(frozen=True)
@@ -394,23 +402,18 @@ def _mean(values: Collection[float]) -> float | None:
 
 
 def _cell(
-    label: str,
-    x_of: Series,
-    y_of: Series,
-    teams: Sequence[str],
-    sprints: Sequence[int],
+    label: str, x: str, y: str, frame: Sequence[dict], teams: Collection[str]
 ) -> CorrelationCell:
-    """Pearson r of x against y over the (team, sprint) points where both are
-    defined, in team-then-sprint order; r and p are None where it is undefined."""
+    """Pearson r of column x against column y over the frame rows of ``teams``
+    where both are defined, in frame order; r and p are None where it is
+    undefined."""
     pairs = [
-        (x, y)
-        for team in teams
-        for sprint in sprints
-        if (x := x_of.get(team, {}).get(sprint)) is not None
-        and (y := y_of.get(team, {}).get(sprint)) is not None
+        (row[x], row[y])
+        for row in frame
+        if row["team"] in teams and row[x] is not None and row[y] is not None
     ]
     try:
-        res = pearson([x for x, _ in pairs], [y for _, y in pairs])
+        res = pearson([a for a, _ in pairs], [b for _, b in pairs])
     except ValueError:
         return CorrelationCell(label=label, r=None, n=len(pairs), p=None, stars="")
     return CorrelationCell(
@@ -419,54 +422,71 @@ def _cell(
 
 
 def _census_table(
-    census: Mapping[str, Mapping[int, RelativeCensus | None]],
-    outcomes: Mapping[str, Series],
-    teams: Sequence[str],
-    sprints: Sequence[int],
+    frame: Sequence[dict], columns: Sequence[str], teams: Collection[str]
 ) -> tuple[CorrelationCell, ...]:
-    """Each outcome against each census component, over the teams' sprints."""
-    components = [
-        {t: {s: c[k] for s, c in census[t].items() if c is not None} for t in teams}
-        for k in range(4)
-    ]
+    """Each outcome against each census share of ``columns``, over the teams'
+    rows; a cell is labelled with its sprint census column."""
     return tuple(
-        _cell(f"rel_{k}_edges~{label}", components[k], series, teams, sprints)
-        for label, series in outcomes.items()
-        for k in range(4)
+        _cell(f"{name}~{outcome}", x, outcome, frame, teams)
+        for outcome in ("pct_story_points_passed", "team_score")
+        for name, x in zip(_CENSUS, columns)
     )
 
 
-def _team_series(
+def _team_rows(
     team_cfg: TeamConfig,
     config: PipelineConfig,
     result: TeamResult,
+    outcomes: Mapping[str, Mapping[int, tuple[float, float, float]]],
+    comm_rating: Mapping[str, Mapping[int, float]],
     diag: Diagnostics,
-) -> tuple[
-    dict[int, float | None],
-    dict[int, float | None],
-    dict[int, RelativeCensus | None],
-    dict[int, RelativeCensus | None],
-]:
-    """A team's weekly STC, then its sprint-mean STC, sprint censuses and mean
-    weekly censuses over the included sprints, from its ``_chat_and_stc`` result."""
+) -> tuple[dict[int, float | None], list[dict]]:
+    """A team's weekly STC, from its ``_chat_and_stc`` result, and its frame
+    rows: one per included sprint, in calendar order."""
     cal = config.calendar
     roster = team_cfg.roster
     weekly, stc = team_result(result, diag)
-    stc_mean: dict[int, float | None] = {}
-    census: dict[int, RelativeCensus | None] = {}
-    mean_weekly: dict[int, RelativeCensus | None] = {}
+    outcome_of = outcomes.get(team_cfg.team_id, {})
+    rows = []
     for sprint in cal.included_sprints():
         sprint_weeks = cal.sprint_weeks(sprint)
-        stc_mean[sprint] = _mean([v for w in sprint_weeks if (v := stc.get(w)) is not None])
-        census[sprint] = sprint_census(weekly, roster, cal, sprint, diag)[1]
-        if census[sprint] is None:  # a roster too small for triads
-            mean_weekly[sprint] = None
-            continue
-        mean_weekly[sprint] = mean_weekly_relative_census([
-            relative_census(census_closed_form(window_network(weekly, roster, (w,))))
-            for w in sprint_weeks
-        ])
-    return stc, stc_mean, census, mean_weekly
+        census = sprint_census(weekly, roster, cal, sprint, diag)[1]
+        mean_weekly = None  # a roster too small for triads
+        if census is not None:
+            mean_weekly = mean_weekly_relative_census([
+                relative_census(census_closed_form(window_network(weekly, roster, (w,))))
+                for w in sprint_weeks
+            ])
+        committed, passed, score = outcome_of.get(sprint, (None, None, None))
+        if committed == 0:
+            diag.bump("sprints_zero_committed_points")
+        rows.append({
+            "team": team_cfg.team_id,
+            "sprint": sprint,
+            "mean_sprint_stc": _mean([v for w in sprint_weeks if (v := stc.get(w)) is not None]),
+            "pct_story_points_passed": passed / committed if committed else None,
+            "team_score": score,
+            "mean_peer_comm_rating": comm_rating.get(team_cfg.team_id, {}).get(sprint),
+            **dict(zip(_CENSUS, census or _BLANK)),
+            **dict(zip(_MEAN_WEEKLY, mean_weekly or _BLANK)),
+        })
+    mean_score = _mean([row["team_score"] for row in rows if row["team_score"] is not None])
+    for row, following in zip(rows, rows[1:] + [{}]):
+        row["next_sprint_pct_passed"] = following.get("pct_story_points_passed")
+        row["mean_team_score_year"] = mean_score
+    return stc, rows
+
+
+def _by_team(
+    frame: Sequence[dict], teams: Sequence[str], value: Callable[[dict], object]
+) -> dict[str, dict]:
+    """team -> sprint -> ``value`` of each of the team's frame rows."""
+    return {t: {row["sprint"]: value(row) for row in frame if row["team"] == t} for t in teams}
+
+
+def _census_at(row: dict, columns: Sequence[str]) -> RelativeCensus | None:
+    """The census in ``columns`` of a frame row; None where it is undefined."""
+    return None if row[columns[0]] is None else tuple(row[c] for c in columns)
 
 
 def run_pipeline(config: PipelineConfig) -> AnalysisReport:
@@ -474,8 +494,6 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     diag = Diagnostics()
     cal = config.calendar
     teams = config.team_ids()
-    sprints = cal.included_sprints()
-    weeks = cal.included_weeks()
 
     if config.outcomes_path is None:
         raise InputError("missing input: no outcomes table configured")
@@ -490,34 +508,23 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         work_hours = (
             parse_work_logs(config.work_logs_path, teams, diag) if config.work_logs_path else {}
         )
-        by_team = {
-            t.team_id: _team_series(t, config, result, diag)
-            for t, result in zip(config.teams, results)
-        }
-    stc_weekly, stc_sprint_mean, sprint_censuses, mean_weekly_census = (
-        {team: series[k] for team, series in by_team.items()} for k in range(4)
+        stc_weekly: dict[str, dict[int, float | None]] = {}
+        frame: list[dict] = []
+        for t, result in zip(config.teams, results):
+            stc_weekly[t.team_id], rows = _team_rows(t, config, result, outcomes, comm_rating, diag)
+            frame += rows
+
+    def cells(*labels: str) -> tuple[CorrelationCell, ...]:
+        """Each label's cell over every team; a label names its two columns."""
+        return tuple(_cell(label, *label.split("~"), frame, teams) for label in labels)
+
+    stc_table = cells(
+        "pct_story_points_passed~mean_sprint_stc",
+        "mean_peer_comm_rating~mean_sprint_stc",
+        "mean_peer_comm_rating~pct_story_points_passed",
     )
-
-    pct_passed: dict[str, dict[int, float]] = {team: {} for team in teams}
-    score_of: dict[str, dict[int, float]] = {team: {} for team in teams}
-    for team in teams:
-        for sprint, (committed, passed, score) in outcomes.get(team, {}).items():
-            score_of[team][sprint] = score
-            if committed == 0:
-                diag.bump("sprints_zero_committed_points")
-            else:
-                pct_passed[team][sprint] = passed / committed
-
-    cell = functools.partial(_cell, teams=teams, sprints=sprints)
-    stc_table = (
-        cell("pct_story_points_passed~mean_sprint_stc", stc_sprint_mean, pct_passed),
-        cell("mean_peer_comm_rating~mean_sprint_stc", stc_sprint_mean, comm_rating),
-        cell("mean_peer_comm_rating~pct_story_points_passed", pct_passed, comm_rating),
-    )
-
-    census_outcomes = {"pct_story_points_passed": pct_passed, "team_score": score_of}
-    census_sprint_table = _census_table(sprint_censuses, census_outcomes, teams, sprints)
-    census_mw_table = _census_table(mean_weekly_census, census_outcomes, teams, sprints)
+    census_sprint_table = _census_table(frame, _CENSUS, teams)
+    census_mw_table = _census_table(frame, _MEAN_WEEKLY, teams)
 
     # the trend runs over calendar positions, since week ids need not follow time
     position = {week: i for i, week in enumerate(cal.week_ids(), 1)}
@@ -543,7 +550,9 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                 pair_programming_hours=pair_hours,
                 mean_stc=summary.mean_stc,
                 stories_passed_total=stories,
-                mean_team_score=_mean(score_of[team].values()),
+                mean_team_score=next(
+                    (row["mean_team_score_year"] for row in frame if row["team"] == team), None
+                ),
                 trend_slope=summary.trend.slope if summary.trend else None,
             )
         )
@@ -567,31 +576,27 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
 
     excluded = config.exclude_teams or tuple(sorted(f.team_id for f in anomalies))
     remaining = tuple(t for t in teams if t not in excluded)
-    census_sprint_excl = _census_table(sprint_censuses, census_outcomes, remaining, sprints)
-    census_mw_excl = _census_table(mean_weekly_census, census_outcomes, remaining, sprints)
-
-    lagged_table: tuple[CorrelationCell, ...] = ()
-    if config.include_lagged_table:
-        next_pct = {
-            team: {s: pct_passed[team].get(nxt) for s, nxt in zip(sprints, sprints[1:])}
-            for team in teams
-        }
-        year_score = {s.team_id: dict.fromkeys(sprints, s.mean_team_score) for s in team_summaries}
-        lagged_table = (
-            cell("next_sprint_pct_passed~mean_peer_comm_rating", comm_rating, next_pct),
-            cell("mean_team_score_year~mean_peer_comm_rating", comm_rating, year_score),
+    census_sprint_excl = _census_table(frame, _CENSUS, remaining)
+    census_mw_excl = _census_table(frame, _MEAN_WEEKLY, remaining)
+    lagged_table = (
+        cells(
+            "next_sprint_pct_passed~mean_peer_comm_rating",
+            "mean_team_score_year~mean_peer_comm_rating",
         )
+        if config.include_lagged_table
+        else ()
+    )
 
     utest = _trend_utest(team_summaries, notes)
 
     return AnalysisReport(
         teams=teams,
-        weeks=weeks,
-        sprints=sprints,
+        weeks=cal.included_weeks(),
+        sprints=cal.included_sprints(),
         stc_weekly=stc_weekly,
-        stc_sprint_mean=stc_sprint_mean,
-        sprint_census=sprint_censuses,
-        mean_weekly_census=mean_weekly_census,
+        stc_sprint_mean=_by_team(frame, teams, lambda row: row["mean_sprint_stc"]),
+        sprint_census=_by_team(frame, teams, lambda row: _census_at(row, _CENSUS)),
+        mean_weekly_census=_by_team(frame, teams, lambda row: _census_at(row, _MEAN_WEEKLY)),
         stc_table=stc_table,
         census_sprint_table=census_sprint_table,
         census_mean_weekly_table=census_mw_table,
@@ -623,23 +628,19 @@ def _trend_utest(summaries: Sequence[TeamSummary], notes: list[str]) -> UTestSum
             continue
         stories[s.team_id] = s.stories_passed_total
         (increasing if s.trend_slope > 0 else decreasing).append(s.team_id)
-    if not increasing or not decreasing:
-        return UTestSummary(
-            increasing_teams=tuple(increasing),
-            decreasing_teams=tuple(decreasing),
-            u=None,
-            p=None,
-            method="undefined",
+    u = p = None
+    method = "undefined"
+    if increasing and decreasing:
+        res = mann_whitney_u(
+            [float(stories[t]) for t in increasing], [float(stories[t]) for t in decreasing]
         )
-    res = mann_whitney_u(
-        [float(stories[t]) for t in increasing], [float(stories[t]) for t in decreasing]
-    )
+        u, p, method = res.u, res.p_two_tailed, res.method
     return UTestSummary(
         increasing_teams=tuple(increasing),
         decreasing_teams=tuple(decreasing),
-        u=res.u,
-        p=res.p_two_tailed,
-        method=res.method,
+        u=u,
+        p=p,
+        method=method,
     )
 
 
@@ -802,10 +803,6 @@ def _tables(report: AnalysisReport) -> dict[str, Table]:
 
 
 def _series(report: AnalysisReport) -> dict[str, Table]:
-    census_cols = ["sprint"] + [f"rel_{k}_edges" for k in range(4)] + [
-        f"mean_weekly_rel_{k}_edges" for k in range(4)
-    ]
-    blank = (None,) * 4
     series: dict[str, Table] = {}
     for team in report.teams:
         series[f"series_stc_{team}"] = (
@@ -813,12 +810,12 @@ def _series(report: AnalysisReport) -> dict[str, Table]:
             [(w, report.stc_weekly[team].get(w)) for w in report.weeks],
         )
         series[f"series_census_{team}"] = (
-            census_cols,
+            ["sprint", *_CENSUS, *_MEAN_WEEKLY],
             [
                 (
                     sprint,
-                    *(report.sprint_census[team].get(sprint) or blank),
-                    *(report.mean_weekly_census[team].get(sprint) or blank),
+                    *(report.sprint_census[team].get(sprint) or _BLANK),
+                    *(report.mean_weekly_census[team].get(sprint) or _BLANK),
                 )
                 for sprint in report.sprints
             ],

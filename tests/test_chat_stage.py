@@ -168,6 +168,27 @@ def test_first_error_in_serial_order_wins(five_teams, tmp_path, monkeypatch, cap
     assert forks
 
 
+@pytest.mark.parametrize("target", ["config", "repo", "day"])
+def test_json_nested_too_deeply_is_an_input_error(
+    mini_dir, tmp_path, monkeypatch, capsys, target
+):
+    """JSON nested past the recursion limit, as the config, a repo file or a
+    chat day file, is an input error naming the file, for 1 and 2 workers."""
+    work = copy_season(mini_dir, tmp_path)
+    named = {
+        "config": work / "config.json",
+        "repo": work / team_entry(work, 0)["repo_activity"],
+        "day": first_day_file(team_chat_root(work, 1)),
+    }[target]
+    named.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for workers in (1, 2):
+        code, _, stderr, _ = run(
+            monkeypatch, capsys, tmp_path, work / "config.json", ["report"], workers
+        )
+        assert code == 2
+        assert f"input error: {named}: JSON nested too deeply\n" in stderr
+
+
 def test_validation_failure_in_a_worker_keeps_later_teams(
     five_teams, tmp_path, monkeypatch, capsys, forks
 ):

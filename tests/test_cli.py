@@ -149,6 +149,32 @@ class TestValidate:
     def test_missing_config_is_input_error(self):
         assert main(["validate", "--config", "/nonexistent/config.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "name,missing",
+        [
+            ("config.json", "config file not found"),
+            ("feedback.csv", "table not found"),
+            ("outcomes.csv", "table not found"),
+            ("repo_alpha.json", "repo activity file not found"),
+        ],
+    )
+    def test_directory_in_place_of_an_input_is_not_a_file(
+        self, mini_dir, tmp_path, capsys, name, missing
+    ):
+        """A directory where an input file belongs is named as not a file;
+        a path with nothing there keeps its "not found" text."""
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        path = work / name
+        argv = ["report", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
+        path.unlink()
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {missing}: {path}\n"
+        path.mkdir()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {path}: not a file\n"
+
     def test_malformed_config_names_line_column_and_char(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text('{\n  "calendar": oops\n}\n', encoding="utf-8")

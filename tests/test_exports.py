@@ -4,7 +4,8 @@ Each module's ``__all__`` is checked with ``getattr``, and each name that
 ``teamnets/__init__.py`` imports is read from its source with ``ast`` and
 looked up in the module it names. The package's sources are also read with
 ``ast`` to check that one function decodes every JSON input, that one
-function forks and that ``multiprocessing`` is imported nowhere.
+function pairs the points of every correlation cell, that one function
+forks and that ``multiprocessing`` is imported nowhere.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ def test_package_imports_resolve():
     assert missing == []
 
 
-def _callers(module: str, function: str) -> list[str]:
-    """Each call of ``module.function`` in the package's sources, named by the
-    innermost function whose lines hold it."""
+def _callers(name: str) -> list[str]:
+    """Each call of ``name`` (``module.function`` or a bare function name) in
+    the package's sources, named by the innermost function whose lines hold it."""
     callers = []
     for path in sorted(Path(teamnets.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -53,11 +54,7 @@ def _callers(module: str, function: str) -> list[str]:
         calls = [
             node
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == function
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == module
+            if isinstance(node, ast.Call) and _dotted(node.func) == name
         ]
         for call in calls:
             owner = max(
@@ -69,16 +66,31 @@ def _callers(module: str, function: str) -> list[str]:
     return callers
 
 
+def _dotted(func: ast.expr) -> str | None:
+    """A called name as written: ``f`` or ``module.f``; None for any other callee."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return None
+
+
 def test_one_function_decodes_json():
     """json.loads is called in one function of the package, so every JSON
     input has the same error rules."""
-    assert sorted(set(_callers("json", "loads"))) == ["ingestion.load_json"]
+    assert sorted(set(_callers("json.loads"))) == ["ingestion.load_json"]
+
+
+def test_one_function_pairs_correlation_points():
+    """pearson is called in one function of the package, the report's _cell,
+    so every correlation cell pairs its (team, sprint) points the same way."""
+    assert _callers("pearson") == ["report._cell"]
 
 
 def test_one_function_forks():
     """os.fork is called in one function of the package, and multiprocessing
     is imported nowhere: the season stage is the only process pool."""
-    assert _callers("os", "fork") == ["report.season_stage"]
+    assert _callers("os.fork") == ["report.season_stage"]
     imported = []
     for path in sorted(Path(teamnets.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

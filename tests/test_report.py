@@ -22,8 +22,9 @@ from teamnets.report import (
 )
 from teamnets.stats import p_stars
 from teamnets.stc import year_summary
+from teamnets.synthetic import make_season
 
-from oracles import pearson_r_oracle, t_sf_quadrature
+from oracles import feedback_oracle, outcomes_oracle, pearson_r_oracle, t_sf_quadrature
 
 # Year-level metrics for the ten-team reference cohort: pair programming
 # hours, mean STC score, stories passed.
@@ -245,6 +246,118 @@ class TestMiniPipeline:
         assert "outcomes" in str(err.value)
 
 
+def _cut_season(root):
+    """A season of 4 teams of 4 members with every kind of gap a cell must
+    skip: team C cut to a roster of 2 (no census), team B's sprint 4 with no
+    committed points (no pass share), team D's sprint-5 ratings removed, sprint
+    3 excluded besides sprint 1, team A excluded from the census tables, and
+    the lagged table on. Returns the config path."""
+    config_path = make_season(root, seed=11, n_teams=4, members_per_team=4, n_weeks=30,
+                              messages_per_team=400, mrs_per_team=40)
+    raw = json.loads(config_path.read_text())
+    team_c = raw["teams"][2]
+    team_c["members"] = ["c1", "c2"]
+    team_c["identity_map"] = {h: m for h, m in team_c["identity_map"].items() if m in ("c1", "c2")}
+    raw["calendar"]["excluded_sprints"] = [1, 3]
+    raw["options"] = {"include_lagged_table": True, "exclude_teams": ["A"]}
+    config_path.write_text(json.dumps(raw), encoding="utf-8")
+    with (root / "feedback.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows = [rows[0]] + [
+        r for r in rows[1:]
+        if not {r[1], r[2]} & {"c3", "c4"} and not (r[0] == "5" and r[1].startswith("d"))
+    ]
+    with (root / "feedback.csv").open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    with (root / "outcomes.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    for r in rows:
+        if r[:2] == ["B", "4"]:
+            r[2:4] = ["0", "0"]
+    with (root / "outcomes.csv").open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return config_path
+
+
+def test_every_cell_pairs_the_defined_team_sprint_points(tmp_path):
+    """Each cell of the STC, census and lagged tables, rebuilt from the
+    report's series and the oracle table parsers: n is the number of (team,
+    included sprint) points where both values are defined, and r is their
+    correlation."""
+    config = load_config(_cut_season(tmp_path))
+    report = run_pipeline(config)
+    cal = config.calendar
+    outcomes = outcomes_oracle(config.outcomes_path, cal, report.teams)[0]
+    ratings = feedback_oracle(config.feedback_path, cal, [t.roster for t in config.teams])
+    sprints = report.sprints
+    assert sprints == (2, 4, 5, 6, 7) and report.excluded_teams == ("A",)
+
+    point = {}  # (team, sprint) -> column -> value or None
+    for team in report.teams:
+        rows = outcomes.get(team, {})
+        scores = [score for _, _, score in rows.values()]
+        pct = {s: passed / committed for s, (committed, passed, _) in rows.items() if committed}
+        for sprint, nxt in zip(sprints, sprints[1:] + (None,)):
+            values = {
+                "mean_sprint_stc": report.stc_sprint_mean[team][sprint],
+                "pct_story_points_passed": pct.get(sprint),
+                "team_score": rows[sprint][2] if sprint in rows else None,
+                "mean_peer_comm_rating": ratings.get(team, {}).get(sprint),
+                "next_sprint_pct_passed": pct.get(nxt),
+                "mean_team_score_year": math.fsum(scores) / len(scores) if scores else None,
+            }
+            censuses = (("", report.sprint_census), ("mean_weekly_", report.mean_weekly_census))
+            for prefix, census in censuses:
+                c = census[team][sprint]
+                for k in range(4):
+                    values[f"{prefix}rel_{k}_edges"] = None if c is None else c[k]
+            point[team, sprint] = values
+    assert point["C", 2]["rel_0_edges"] is None
+    assert point["B", 4]["pct_story_points_passed"] is None
+    assert point["D", 5]["mean_peer_comm_rating"] is None
+
+    everyone = report.teams
+    remaining = [t for t in everyone if t != "A"]
+    expected = [  # (cell, x column, y column, teams)
+        (report.stc_table[0], "mean_sprint_stc", "pct_story_points_passed", everyone),
+        (report.stc_table[1], "mean_sprint_stc", "mean_peer_comm_rating", everyone),
+        (report.stc_table[2], "pct_story_points_passed", "mean_peer_comm_rating", everyone),
+        (report.lagged_table[0], "mean_peer_comm_rating", "next_sprint_pct_passed", everyone),
+        (report.lagged_table[1], "mean_peer_comm_rating", "mean_team_score_year", everyone),
+    ]
+    census_tables = (
+        (report.census_sprint_table, "", everyone),
+        (report.census_mean_weekly_table, "mean_weekly_", everyone),
+        (report.census_sprint_table_excluding, "", remaining),
+        (report.census_mean_weekly_table_excluding, "mean_weekly_", remaining),
+    )
+    for table, prefix, teams in census_tables:
+        assert len(table) == 8
+        for i, outcome in enumerate(("pct_story_points_passed", "team_score")):
+            for k in range(4):
+                cell = table[4 * i + k]
+                assert cell.label == f"rel_{k}_edges~{outcome}"
+                expected.append((cell, f"{prefix}rel_{k}_edges", outcome, teams))
+    assert [cell.label for cell, *_ in expected[:5]] == [
+        "pct_story_points_passed~mean_sprint_stc",
+        "mean_peer_comm_rating~mean_sprint_stc",
+        "mean_peer_comm_rating~pct_story_points_passed",
+        "next_sprint_pct_passed~mean_peer_comm_rating",
+        "mean_team_score_year~mean_peer_comm_rating",
+    ]
+
+    for cell, x, y, teams in expected:  # every cell of this season is defined
+        pairs = []
+        for team in teams:
+            for sprint in sprints:
+                a, b = point[team, sprint][x], point[team, sprint][y]
+                if a is not None and b is not None:
+                    pairs.append((a, b))
+        assert cell.n == len(pairs), cell.label
+        xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
+        assert cell.r == pytest.approx(pearson_r_oracle(xs, ys), abs=1e-9), cell.label
+
+
 class TestAnomalies:
     def test_cohort_flags_g_and_j(self):
         flags = detect_anomalies(cohort_summaries())
@@ -344,6 +457,13 @@ class TestEmission:
         with pytest.raises(InputError) as err:
             load_report(path)
         assert str(err.value).startswith(f"{path}: not UTF-8: 'utf-8' codec can't decode")
+
+    def test_load_report_nested_too_deeply_is_input_error(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"teams": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            load_report(path)
+        assert str(err.value) == f"{path}: JSON nested too deeply"
 
     @pytest.mark.parametrize(
         "source,error",
