@@ -18,13 +18,14 @@ worker count is worked out, not set, and no output, message or exit code
 depends on it.
 
 Exit codes: 0 success, 1 validation failure, 2 input error (also an input or
-output path the system cannot use), 3 internal error (an unexpected
-exception; its traceback goes to stderr).
+output path the system cannot use, or a closed standard output), 3 internal
+error (an unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -188,18 +189,29 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)
         if args.command == "validate":
-            return _cmd_validate(config)
-        out = Path(args.out)
-        if args.command == "stc":
-            written = _cmd_stc(config, out)
-        elif args.command == "census":
-            written = _cmd_census(config, out)
+            code = _cmd_validate(config)
         else:
-            select = (lambda name: "correlations" in name) if args.command == "correlate" else None
-            written = emit(run_pipeline(config), args.format, out, select)
-        for path in written:
-            print(f"wrote {path}")
-        return 0
+            out = Path(args.out)
+            if args.command == "stc":
+                written = _cmd_stc(config, out)
+            elif args.command == "census":
+                written = _cmd_census(config, out)
+            else:
+                correlate = args.command == "correlate"
+                select = (lambda name: "correlations" in name) if correlate else None
+                written = emit(run_pipeline(config), args.format, out, select)
+            for path in written:
+                print(f"wrote {path}")
+            code = 0
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # no process reads stdout any more
+        # what stdout still buffers goes nowhere at exit, without a second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("output error: standard output closed", file=sys.stderr)
+        return 2
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

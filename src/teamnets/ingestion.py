@@ -440,7 +440,10 @@ def parse_chat_edges(
     diag = diagnostics if diagnostics is not None else Diagnostics()
     root = Path(export_root)
     if not root.is_dir():
-        raise InputError(f"chat export directory not found: {root}")
+        missing = not root.exists()
+        raise InputError(
+            f"chat export directory not found: {root}" if missing else f"{root}: not a directory"
+        )
     excluded = frozenset(excluded_handles)
     person_of = roster.identity_map.get
     week_of = cal.week_of_timestamp

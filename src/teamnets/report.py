@@ -18,10 +18,13 @@ repo parse and STC, runs in one season-level stage (``season_stage``): in
 forked worker processes, one per CPU this process may use and at most one
 per team, or in-process where there is one CPU or team, no ``os.fork``, or
 another thread running. Censuses and tables stay in the calling process,
-which parses the tables while the workers run. Each team's result, with its
-diagnostics, log records and error, is taken (``team_result``) where a serial
-run reaches that team, so no output, message or exit code depends on the
-worker count.
+which parses the tables while the workers run. Each worker sends its teams'
+results in team order down its own pipe, so team i's result is the next on
+worker i mod n's pipe, read there with blocking reads when it is asked for
+(``season_stage`` says why no worker can stall the command). Each team's
+result, with its diagnostics, log records and error, is taken
+(``team_result``) where a serial run reaches that team, so no output,
+message or exit code depends on the worker count.
 """
 
 from __future__ import annotations
@@ -231,9 +234,13 @@ def season_stage(config: PipelineConfig, step: TeamStep) -> Iterator[Iterator[Te
 
     With one worker each team's step runs in-process when its result is asked
     for. Otherwise entering forks n workers, worker w running teams w, w + n,
-    ... one at a time and sending each result as it is done, and each result
-    is given as soon as it has arrived, while later teams still run. Leaving
-    the block kills every worker still running and reaps every worker.
+    ... one at a time and sending each result down its own pipe as it is
+    done. Team i's result is read from worker i mod n's pipe when the block
+    asks for it, while later teams still run. No worker can stall the
+    command: a worker waits only for room in its own pipe, and the block
+    reads that pipe as soon as every earlier team is taken, by when every
+    earlier result of that worker has been read. Leaving the block kills every
+    worker still running and reaps every worker.
     """
     teams = config.teams
     jobs = _season_workers(len(teams))
@@ -255,7 +262,7 @@ def season_stage(config: PipelineConfig, step: TeamStep) -> Iterator[Iterator[Te
                 pids[w] = pid
             finally:
                 os.close(write_fd)
-        yield _stream(teams, fds, pids)
+        yield (_receive(team, i % jobs, fds, pids) for i, team in enumerate(teams))
     finally:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
@@ -287,8 +294,7 @@ def _season_worker(
                     failure = f"season worker of team {team.team_id}: {type(exc).__name__}: {exc}"
                     result = (None, {}, [], records, ("RuntimeError", failure))
                 data = marshal.dumps(result)
-                out.write(len(data).to_bytes(8, "little"))
-                out.write(data)
+                out.write(len(data).to_bytes(8, "little") + data)
                 out.flush()
                 records.clear()
         code = 0
@@ -296,44 +302,30 @@ def _season_worker(
         os._exit(code)
 
 
-def _stream(
-    teams: Sequence[TeamConfig], fds: list[int], pids: dict[int, int]
-) -> Iterator[TeamResult]:
-    """Each team's result from the workers' pipes ``fds``, in team order, as
-    soon as it has arrived. A team whose worker ended without sending it gets
-    a RuntimeError naming it, which ends the command; that worker is reaped
-    then, and leaves ``pids``."""
-    import select
+def _receive(team: TeamConfig, w: int, fds: list[int], pids: dict[int, int]) -> TeamResult:
+    """Team ``team``'s result: the next on worker ``w``'s pipe, which sends its
+    teams in team order, read with blocking reads. A worker that ended without
+    sending it is reaped, leaves ``pids`` and gives the team a RuntimeError
+    naming it, which ends the command."""
+    head = _read(fds[w], 8)
+    size = int.from_bytes(head, "little")
+    if len(head) == 8 and len(data := _read(fds[w], size)) == size:
+        return marshal.loads(data)
+    code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
+    failure = (
+        f"season worker of team {team.team_id} ended with exit code {code} "
+        "before sending its result"
+    )
+    return None, {}, [], [], ("RuntimeError", failure)
 
-    jobs = len(fds)
-    received = [bytearray() for _ in fds]
-    sending = {fd: w for w, fd in enumerate(fds)}  # pipes not yet at end of file
 
-    def take(w: int) -> TeamResult | None:
-        """The next whole result worker w sent, or None."""
-        data = received[w]
-        if len(data) < 8 or len(data) < 8 + (size := int.from_bytes(data[:8], "little")):
-            return None
-        result = marshal.loads(data[8 : 8 + size])
-        del data[: 8 + size]
-        return result
-
-    for i, team in enumerate(teams):
-        w = i % jobs
-        while (result := take(w)) is None and fds[w] in sending:
-            for fd in select.select(list(sending), [], [])[0]:
-                if chunk := os.read(fd, 1 << 20):
-                    received[sending[fd]] += chunk
-                else:
-                    del sending[fd]
-        if result is None:
-            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
-            failure = (
-                f"season worker of team {team.team_id} ended with exit code {code} "
-                "before sending its result"
-            )
-            result = (None, {}, [], [], ("RuntimeError", failure))
-        yield result
+def _read(fd: int, size: int) -> bytes:
+    """``size`` bytes from the pipe ``fd``, or fewer where it ends first."""
+    chunks = []
+    while size and (chunk := os.read(fd, size)):
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
 
 
 # ---------------------------------------------------------------------------

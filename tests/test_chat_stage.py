@@ -317,15 +317,15 @@ def test_worker_log_lines_are_replayed_in_team_order(
         assert len(forks) == workers
 
 
-def stall_in_workers(monkeypatch, *team_ids: str) -> None:
-    """Make the chat parse of the named teams hang in a forked worker; the
-    in-process run parses them at once."""
+def stall_in_workers(monkeypatch, *team_ids: str, seconds: float = 30) -> None:
+    """Make the chat parse of the named teams hang for ``seconds`` in a forked
+    worker; the in-process run parses them at once."""
     parent = os.getpid()
     real_parse = teamnets.report.parse_chat_edges
 
     def parse(export_root, roster, *args):
         if os.getpid() != parent and roster.team_id in team_ids:
-            time.sleep(30)
+            time.sleep(seconds)
         return real_parse(export_root, roster, *args)
 
     monkeypatch.setattr(teamnets.report, "parse_chat_edges", parse)
@@ -378,6 +378,31 @@ def test_error_in_first_team_while_later_teams_run(
         started = time.monotonic()
         assert run(monkeypatch, capsys, tmp_path, config_path, command, workers) == serial
         assert time.monotonic() - started < 10
+        assert len(forks) == workers
+
+
+@pytest.mark.parametrize("command", [["census"], ["report"]], ids=["census", "report"])
+def test_result_larger_than_a_pipe_after_a_running_team(
+    command, five_teams, tmp_path, monkeypatch, capsys, forks
+):
+    """Every team's result outgrows a pipe's 64 KiB buffer, through a week id
+    that no window reads, and team B's worker sends it while team A's worker
+    still runs: the serial run's result, with no worker left."""
+    real_parse = teamnets.report.parse_chat_edges
+    unread = frozenset((f"m{i:05}", f"n{i:05}") for i in range(10_000))
+
+    def parse(export_root, roster, *args):
+        weekly, kept, replies = real_parse(export_root, roster, *args)
+        return {**weekly, -1: unread}, kept, replies
+
+    monkeypatch.setattr(teamnets.report, "parse_chat_edges", parse)
+    stall_in_workers(monkeypatch, "A", seconds=1)
+    config_path = five_teams / "config.json"
+    serial = run(monkeypatch, capsys, tmp_path, config_path, command, 1)
+    assert serial[0] == 0, serial[2]
+    for workers in (2, 3):
+        forks.clear()
+        assert run(monkeypatch, capsys, tmp_path, config_path, command, workers) == serial
         assert len(forks) == workers
 
 

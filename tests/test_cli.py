@@ -60,6 +60,33 @@ def test_cli_import_leaves_module_out(module):
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_closed_stdout_is_an_output_error(command, buffered, mini_dir, team7_dir, tmp_path):
+    """validate's lines and report's "wrote" lines sent to a pipe that no
+    process reads: exit 2 with one output error line, and no error at exit,
+    whether stdout is written at each line or only at its final flush."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    config = (team7_dir if command == "validate" else mini_dir) / "config.json"
+    argv = [sys.executable, "-m", "teamnets", command, "--config", str(config)]
+    if command == "report":
+        argv += ["--out", str(tmp_path / "out")]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines()[-1:] == ["output error: standard output closed"]
+    assert "input error" not in proc.stderr and "Broken pipe" not in proc.stderr
+
+
 class TestValidate:
     def test_clean_fixture_exits_zero(self, team7_dir, capsys):
         assert main(["validate", "--config", str(team7_dir / "config.json")]) == 0
@@ -174,6 +201,26 @@ class TestValidate:
         path.mkdir()
         assert main(argv) == 2
         assert capsys.readouterr().err == f"input error: {path}: not a file\n"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_file_in_place_of_a_chat_export_is_not_a_directory(
+        self, mini_dir, tmp_path, capsys, monkeypatch, workers
+    ):
+        """A regular file where a team's chat export belongs is named as not a
+        directory, also when a worker parses it; a path with nothing there
+        keeps its "not found" text."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        path = work / "chat" / "alpha"
+        argv = ["report", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
+        shutil.rmtree(path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"input error: chat export directory not found: {path}\n"
+        path.write_text("[]", encoding="utf-8")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {path}: not a directory\n"
 
     def test_malformed_config_names_line_column_and_char(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

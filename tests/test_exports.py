@@ -5,7 +5,7 @@ Each module's ``__all__`` is checked with ``getattr``, and each name that
 looked up in the module it names. The package's sources are also read with
 ``ast`` to check that one function decodes every JSON input, that one
 function pairs the points of every correlation cell, that one function
-forks and that ``multiprocessing`` is imported nowhere.
+forks and that neither ``multiprocessing`` nor ``select`` is imported.
 """
 
 from __future__ import annotations
@@ -88,8 +88,10 @@ def test_one_function_pairs_correlation_points():
 
 
 def test_one_function_forks():
-    """os.fork is called in one function of the package, and multiprocessing
-    is imported nowhere: the season stage is the only process pool."""
+    """os.fork is called in one function of the package, and neither
+    multiprocessing nor select is imported anywhere: the season stage is the
+    only process pool, and it reads each team's result from its worker's pipe
+    in team order, with no multiplexing."""
     assert _callers("os.fork") == ["report.season_stage"]
     imported = []
     for path in sorted(Path(teamnets.__file__).parent.glob("*.py")):
@@ -98,4 +100,4 @@ def test_one_function_forks():
                 imported += [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
                 imported.append(node.module or "")
-    assert [m for m in imported if m.split(".")[0] == "multiprocessing"] == []
+    assert [m for m in imported if m.split(".")[0] in ("multiprocessing", "select")] == []
