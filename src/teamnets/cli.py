@@ -15,7 +15,8 @@ the chat parse, then for validate the repo parse, and for stc, correlate and
 report the repo parse and STC. The stage runs in forked worker processes,
 one per CPU the process may use and at most one per team, or in-process. The
 worker count is worked out, not set, and no output, message or exit code
-depends on it.
+depends on it. The stage applies each team's diagnostics, log records and
+error itself, and gives each command (team, value) pairs in team order.
 
 Exit codes: 0 success, 1 validation failure, 2 input error (also an input or
 output path the system cannot use, or a closed standard output), 3 internal
@@ -41,13 +42,14 @@ from .ingestion import (
 )
 from .network import write_edge_list
 from .report import (
+    BLANK_CENSUS,
+    CENSUS_COLUMNS,
     FORMATS,
     emit,
     run_pipeline,
     season_stage,
     sprint_census,
     team_chat,
-    team_result,
     team_stc,
     write_tables,
 )
@@ -106,28 +108,29 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
 
 
 def _validate_step(team_cfg: TeamConfig, config: PipelineConfig, diag: Diagnostics):
-    _, kept, replies = team_chat(team_cfg, config, diag)
-    _, commits, mrs = parse_repo_weeks(
-        team_cfg.repo_activity, team_cfg.roster, config.calendar, diag
+    """Whether the team's chat and repo are valid, and its line: the counts,
+    or the validation failure."""
+    team = team_cfg.team_id
+    try:
+        _, kept, replies = team_chat(team_cfg, config, diag)
+        _, commits, mrs = parse_repo_weeks(
+            team_cfg.repo_activity, team_cfg.roster, config.calendar, diag
+        )
+    except ValidationError as exc:
+        return False, f"team {team}: VALIDATION FAILURE: {exc}"
+    return True, (
+        f"team {team}: {kept} messages, {commits} commits, {mrs} merge requests, "
+        f"{replies} communication events"
     )
-    return kept, replies, commits, mrs
 
 
 def _cmd_validate(config: PipelineConfig) -> int:
     diag = Diagnostics()
     failures = 0
-    with season_stage(config, _validate_step) as results:
-        for team_cfg, result in zip(config.teams, results):
-            team = team_cfg.team_id
-            try:
-                kept, replies, commits, mrs = team_result(result, diag)
-                print(
-                    f"team {team}: {kept} messages, {commits} commits, {mrs} merge requests, "
-                    f"{replies} communication events"
-                )
-            except ValidationError as exc:
-                failures += 1
-                print(f"team {team}: VALIDATION FAILURE: {exc}", file=sys.stderr)
+    with season_stage(config, _validate_step, diag) as results:
+        for _, (valid, line) in results:
+            failures += not valid
+            print(line, file=sys.stdout if valid else sys.stderr)
     if config.outcomes_path:
         parse_outcomes(config.outcomes_path, config.calendar, config.team_ids(), diag)
     if config.feedback_path:
@@ -149,11 +152,8 @@ def _stc_step(team_cfg: TeamConfig, config: PipelineConfig, diag: Diagnostics):
 
 def _cmd_stc(config: PipelineConfig, out: Path) -> list[Path]:
     weeks = config.calendar.included_weeks()
-    rows = []
-    with season_stage(config, _stc_step) as results:
-        for team_cfg, result in zip(config.teams, results):
-            scores = team_result(result)
-            rows.extend((team_cfg.team_id, week, scores[week]) for week in weeks)
+    with season_stage(config, _stc_step, Diagnostics()) as results:
+        rows = [(t.team_id, week, scores[week]) for t, scores in results for week in weeks]
     return write_tables(out, {"stc_weekly": (("team", "week", "stc_score"), rows)}, "delimited-table")
 
 
@@ -163,18 +163,18 @@ def _census_step(team_cfg: TeamConfig, config: PipelineConfig, diag: Diagnostics
 
 def _cmd_census(config: PipelineConfig, out: Path) -> list[Path]:
     cal = config.calendar
+    diag = Diagnostics()
     rows = []
     edge_lists = {}
-    with season_stage(config, _census_step) as results:
-        for team_cfg, result in zip(config.teams, results):
+    with season_stage(config, _census_step, diag) as results:
+        for team_cfg, weekly in results:
             team = team_cfg.team_id
-            weekly = team_result(result)
             for sprint in cal.included_sprints():
-                net, census = sprint_census(weekly, team_cfg.roster, cal, sprint)
+                net, census = sprint_census(weekly, team_cfg.roster, cal, sprint, diag)
                 edge_lists[f"edges_{team}_sprint{sprint}.tsv"] = net
                 # a roster too small for triads keeps its row with blank cells
-                rows.append((team, sprint, *(census or (None,) * 4)))
-    table = (("team", "sprint", *(f"rel_{k}_edges" for k in range(4))), rows)
+                rows.append((team, sprint, *(census or BLANK_CENSUS)))
+    table = (("team", "sprint", *CENSUS_COLUMNS), rows)
     written = write_tables(out, {"census_sprint": table}, "delimited-table")
     for name, net in edge_lists.items():  # into the directory write_tables made
         write_edge_list(net, out / name)

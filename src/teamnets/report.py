@@ -21,10 +21,12 @@ another thread running. Censuses and tables stay in the calling process,
 which parses the tables while the workers run. Each worker sends its teams'
 results in team order down its own pipe, so team i's result is the next on
 worker i mod n's pipe, read there with blocking reads when it is asked for
-(``season_stage`` says why no worker can stall the command). Each team's
-result, with its diagnostics, log records and error, is taken
-(``team_result``) where a serial run reaches that team, so no output,
-message or exit code depends on the worker count.
+(``season_stage`` says why no worker can stall the command). The stage
+applies each team's result where a serial run reaches that team: it adds
+the team's diagnostics to the command's, replays its log records and raises
+its error, then gives the command the (team, value) pair. So no output,
+message or exit code depends on the worker count, and no command handles a
+worker's raw result.
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ __all__ = [
     "UTestSummary",
     "AnalysisReport",
     "season_stage",
-    "team_result",
     "team_chat",
     "team_stc",
     "sprint_census",
@@ -95,11 +96,12 @@ __all__ = [
 KIND_HIGH_STC_LOW_DELIVERY = "high-stc-low-delivery"
 KIND_LOW_STC_HIGH_PAIRING = "low-stc-high-pairing"
 
-# The frame's census columns: a sprint census's shares, then the mean weekly
-# census's; a roster too small for triads leaves them None.
-_CENSUS = tuple(f"rel_{k}_edges" for k in range(4))
-_MEAN_WEEKLY = tuple(f"mean_weekly_{c}" for c in _CENSUS)
-_BLANK = (None,) * 4
+# The census columns of every table and of the frame: a sprint census's
+# shares, then (in the frame and series) the mean weekly census's; a roster
+# too small for triads leaves them blank.
+CENSUS_COLUMNS = tuple(f"rel_{k}_edges" for k in range(4))
+_MEAN_WEEKLY = tuple(f"mean_weekly_{c}" for c in CENSUS_COLUMNS)
+BLANK_CENSUS = (None,) * 4
 
 
 @dataclass(frozen=True)
@@ -199,15 +201,14 @@ def _run_step(
     return value, dict(diag.counts), diag.notes, records, error
 
 
-def team_result(result: TeamResult, diag: Diagnostics | None = None):
+def _team_result(result: TeamResult, diag: Diagnostics):
     """The value of a team's step. Its diagnostics go into ``diag`` first, its
     log records are replayed, and its error is raised here, so each team's
     counters, log lines and error come where a serial run would give them."""
     value, counts, notes, records, error = result
-    if diag is not None:
-        for key, n in counts.items():
-            diag.bump(key, n)
-        diag.notes.extend(notes)
+    for key, n in counts.items():
+        diag.bump(key, n)
+    diag.notes.extend(notes)
     for fields in records:
         logging.getLogger(fields["name"]).handle(logging.makeLogRecord(fields))
     if error is not None:
@@ -228,9 +229,12 @@ def _season_workers(n_teams: int) -> int:
 
 
 @contextlib.contextmanager
-def season_stage(config: PipelineConfig, step: TeamStep) -> Iterator[Iterator[TeamResult]]:
-    """Run ``step`` for every team; the block reads each team's result, in
-    team order, through ``team_result``.
+def season_stage(
+    config: PipelineConfig, step: TeamStep, diag: Diagnostics
+) -> Iterator[Iterator[tuple[TeamConfig, object]]]:
+    """Run ``step`` for every team; the block reads (team, value) pairs in
+    team order. Before a team's pair is given, its diagnostic counts and notes
+    go into ``diag``, its log records are replayed, and its error is raised.
 
     With one worker each team's step runs in-process when its result is asked
     for. Otherwise entering forks n workers, worker w running teams w, w + n,
@@ -245,11 +249,10 @@ def season_stage(config: PipelineConfig, step: TeamStep) -> Iterator[Iterator[Te
     teams = config.teams
     jobs = _season_workers(len(teams))
     if jobs <= 1:
-        yield (_run_step(step, team, config, []) for team in teams)
+        yield ((team, _team_result(_run_step(step, team, config, []), diag)) for team in teams)
         return
     import signal
 
-    config.calendar._thresholds  # built once here, inherited by every worker
     fds: list[int] = []  # read end of each worker's pipe
     pids: dict[int, int] = {}  # worker -> pid, while it is not reaped
     try:
@@ -262,7 +265,10 @@ def season_stage(config: PipelineConfig, step: TeamStep) -> Iterator[Iterator[Te
                 pids[w] = pid
             finally:
                 os.close(write_fd)
-        yield (_receive(team, i % jobs, fds, pids) for i, team in enumerate(teams))
+        yield (
+            (team, _team_result(_receive(team, i % jobs, fds, pids), diag))
+            for i, team in enumerate(teams)
+        )
     finally:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
@@ -307,6 +313,11 @@ def _receive(team: TeamConfig, w: int, fds: list[int], pids: dict[int, int]) -> 
     teams in team order, read with blocking reads. A worker that ended without
     sending it is reaped, leaves ``pids`` and gives the team a RuntimeError
     naming it, which ends the command."""
+    # A length prefix and os.read, not marshal.load on a file object of the
+    # pipe: marshal.load makes one readinto call per marshalled item. For a
+    # 40-member team's 63 KB result (30 weeks of 400 pairs) it took 6-25 ms,
+    # buffered or not, against 1 ms for these reads and marshal.loads
+    # (Python 3.11, 2-CPU Xeon, median of 20).
     head = _read(fds[w], 8)
     size = int.from_bytes(head, "little")
     if len(head) == 8 and len(data := _read(fds[w], size)) == size:
@@ -369,13 +380,12 @@ def sprint_census(
     roster: Roster,
     cal: SprintCalendar,
     sprint: int,
-    diag: Diagnostics | None = None,
+    diag: Diagnostics,
 ) -> tuple[CommunicationNetwork, RelativeCensus | None]:
     """A sprint's network and relative census; None for rosters under 3 members."""
     net = window_network(weekly, roster, cal.sprint_weeks(sprint))
     if net.n < 3:
-        if diag is not None:
-            diag.bump("censuses_skipped_small_roster")
+        diag.bump("censuses_skipped_small_roster")
         return net, None
     return net, relative_census(census_closed_form(net))
 
@@ -421,23 +431,23 @@ def _census_table(
     return tuple(
         _cell(f"{name}~{outcome}", x, outcome, frame, teams)
         for outcome in ("pct_story_points_passed", "team_score")
-        for name, x in zip(_CENSUS, columns)
+        for name, x in zip(CENSUS_COLUMNS, columns)
     )
 
 
 def _team_rows(
     team_cfg: TeamConfig,
     config: PipelineConfig,
-    result: TeamResult,
+    weekly: WeeklyEdges,
+    stc: Mapping[int, float | None],
     outcomes: Mapping[str, Mapping[int, tuple[float, float, float]]],
     comm_rating: Mapping[str, Mapping[int, float]],
     diag: Diagnostics,
-) -> tuple[dict[int, float | None], list[dict]]:
-    """A team's weekly STC, from its ``_chat_and_stc`` result, and its frame
-    rows: one per included sprint, in calendar order."""
+) -> list[dict]:
+    """A team's frame rows, from its weekly reply edges and weekly STC: one per
+    included sprint, in calendar order."""
     cal = config.calendar
     roster = team_cfg.roster
-    weekly, stc = team_result(result, diag)
     outcome_of = outcomes.get(team_cfg.team_id, {})
     rows = []
     for sprint in cal.included_sprints():
@@ -459,14 +469,14 @@ def _team_rows(
             "pct_story_points_passed": passed / committed if committed else None,
             "team_score": score,
             "mean_peer_comm_rating": comm_rating.get(team_cfg.team_id, {}).get(sprint),
-            **dict(zip(_CENSUS, census or _BLANK)),
-            **dict(zip(_MEAN_WEEKLY, mean_weekly or _BLANK)),
+            **dict(zip(CENSUS_COLUMNS, census or BLANK_CENSUS)),
+            **dict(zip(_MEAN_WEEKLY, mean_weekly or BLANK_CENSUS)),
         })
     mean_score = _mean([row["team_score"] for row in rows if row["team_score"] is not None])
     for row, following in zip(rows, rows[1:] + [{}]):
         row["next_sprint_pct_passed"] = following.get("pct_story_points_passed")
         row["mean_team_score_year"] = mean_score
-    return stc, rows
+    return rows
 
 
 def _by_team(
@@ -492,7 +502,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     if config.feedback_path is None:
         raise InputError("missing input: no peer-feedback table configured")
     # The tables are parsed while the workers run the teams' steps.
-    with season_stage(config, _chat_and_stc) as results:
+    with season_stage(config, _chat_and_stc, diag) as results:
         outcomes, year_level = parse_outcomes(config.outcomes_path, cal, teams, diag)
         comm_rating = parse_feedback(
             config.feedback_path, cal, [t.roster for t in config.teams], diag
@@ -502,9 +512,9 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         )
         stc_weekly: dict[str, dict[int, float | None]] = {}
         frame: list[dict] = []
-        for t, result in zip(config.teams, results):
-            stc_weekly[t.team_id], rows = _team_rows(t, config, result, outcomes, comm_rating, diag)
-            frame += rows
+        for t, (weekly, stc) in results:
+            stc_weekly[t.team_id] = stc
+            frame += _team_rows(t, config, weekly, stc, outcomes, comm_rating, diag)
 
     def cells(*labels: str) -> tuple[CorrelationCell, ...]:
         """Each label's cell over every team; a label names its two columns."""
@@ -515,7 +525,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         "mean_peer_comm_rating~mean_sprint_stc",
         "mean_peer_comm_rating~pct_story_points_passed",
     )
-    census_sprint_table = _census_table(frame, _CENSUS, teams)
+    census_sprint_table = _census_table(frame, CENSUS_COLUMNS, teams)
     census_mw_table = _census_table(frame, _MEAN_WEEKLY, teams)
 
     # the trend runs over calendar positions, since week ids need not follow time
@@ -568,7 +578,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
 
     excluded = config.exclude_teams or tuple(sorted(f.team_id for f in anomalies))
     remaining = tuple(t for t in teams if t not in excluded)
-    census_sprint_excl = _census_table(frame, _CENSUS, remaining)
+    census_sprint_excl = _census_table(frame, CENSUS_COLUMNS, remaining)
     census_mw_excl = _census_table(frame, _MEAN_WEEKLY, remaining)
     lagged_table = (
         cells(
@@ -587,7 +597,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         sprints=cal.included_sprints(),
         stc_weekly=stc_weekly,
         stc_sprint_mean=_by_team(frame, teams, lambda row: row["mean_sprint_stc"]),
-        sprint_census=_by_team(frame, teams, lambda row: _census_at(row, _CENSUS)),
+        sprint_census=_by_team(frame, teams, lambda row: _census_at(row, CENSUS_COLUMNS)),
         mean_weekly_census=_by_team(frame, teams, lambda row: _census_at(row, _MEAN_WEEKLY)),
         stc_table=stc_table,
         census_sprint_table=census_sprint_table,
@@ -802,12 +812,12 @@ def _series(report: AnalysisReport) -> dict[str, Table]:
             [(w, report.stc_weekly[team].get(w)) for w in report.weeks],
         )
         series[f"series_census_{team}"] = (
-            ["sprint", *_CENSUS, *_MEAN_WEEKLY],
+            ["sprint", *CENSUS_COLUMNS, *_MEAN_WEEKLY],
             [
                 (
                     sprint,
-                    *(report.sprint_census[team].get(sprint) or _BLANK),
-                    *(report.mean_weekly_census[team].get(sprint) or _BLANK),
+                    *(report.sprint_census[team].get(sprint) or BLANK_CENSUS),
+                    *(report.mean_weekly_census[team].get(sprint) or BLANK_CENSUS),
                 )
                 for sprint in report.sprints
             ],

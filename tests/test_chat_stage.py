@@ -192,20 +192,32 @@ def test_json_nested_too_deeply_is_an_input_error(
 def test_validation_failure_in_a_worker_keeps_later_teams(
     five_teams, tmp_path, monkeypatch, capsys, forks
 ):
-    """A duplicate ts in team 2's chat fails validate for that team only; the
-    later teams' lines and every counter match the serial run."""
+    """A duplicate ts in team 2's chat and a merge request naming an unknown
+    commit in team 4's repo fail validate for those teams only, in team order;
+    the other teams' lines and every counter match the serial run."""
     work = copy_season(five_teams, tmp_path)
     day_file = first_day_file(team_chat_root(work, 1))
     messages = json.loads(day_file.read_text(encoding="utf-8"))
     kept = next(m for m in messages if m.get("user") and not m.get("subtype"))
     day_file.write_text(json.dumps(messages + [kept]), encoding="utf-8")
+    repo = work / team_entry(work, 3)["repo_activity"]
+    activity = json.loads(repo.read_text(encoding="utf-8"))
+    activity["merge_requests"][0]["commits"].append("no-such-sha")
+    repo.write_text(json.dumps(activity), encoding="utf-8")
     config_path = work / "config.json"
     serial = run(monkeypatch, capsys, tmp_path, config_path, ["validate"], 1)
     code, stdout, stderr, _ = serial
     assert code == 1
-    assert f"team B: VALIDATION FAILURE: {day_file}: " in stderr
+    chat_failure, repo_failure = stderr.splitlines()
+    assert chat_failure.startswith(f"team B: VALIDATION FAILURE: {day_file}: ")
+    assert "has duplicate ts" in chat_failure
+    mr_id = activity["merge_requests"][0]["id"]
+    assert repo_failure == (
+        f"team D: VALIDATION FAILURE: {repo}: merge request {mr_id} references unknown "
+        "commit sha(s): no-such-sha"
+    )
     assert [line.split(":")[0] for line in stdout.splitlines() if line.startswith("team")] == [
-        "team A", "team C", "team D", "team E"
+        "team A", "team C", "team E"
     ]
     assert "messages_seen" in stdout
     for workers in (2, 3):

@@ -5,7 +5,8 @@ Each module's ``__all__`` is checked with ``getattr``, and each name that
 looked up in the module it names. The package's sources are also read with
 ``ast`` to check that one function decodes every JSON input, that one
 function pairs the points of every correlation cell, that one function
-forks and that neither ``multiprocessing`` nor ``select`` is imported.
+forks, that neither ``multiprocessing`` nor ``select`` is imported, and
+that one function takes a season worker's result.
 """
 
 from __future__ import annotations
@@ -101,3 +102,11 @@ def test_one_function_forks():
             elif isinstance(node, ast.ImportFrom):
                 imported.append(node.module or "")
     assert [m for m in imported if m.split(".")[0] in ("multiprocessing", "select")] == []
+
+
+def test_one_function_takes_team_results():
+    """A team's raw step result is taken in one function, the season stage,
+    which gives every command (team, value) pairs; no module exports the taker."""
+    assert sorted(set(_callers("_team_result"))) == ["report.season_stage"]
+    exports = {m: getattr(importlib.import_module(m), "__all__", ()) for m in MODULES}
+    assert [m for m, names in exports.items() if "team_result" in names] == []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from teamnets.ingestion import Roster, Sprint, SprintCalendar, Week
+from teamnets.ingestion import Diagnostics, Roster, Sprint, SprintCalendar, Week
 from teamnets.network import CommunicationNetwork, window_network
 from teamnets.report import sprint_census
 from teamnets.triad import (
@@ -215,5 +215,5 @@ def test_closed_form_equals_enumeration_on_pipeline_networks(season):
     for week_ids in windows:
         net = window_network(weekly, roster, week_ids)
         assert census_closed_form(net) == triad_census(net)
-    sprint_net, rel = sprint_census(weekly, roster, cal, 1)
+    sprint_net, rel = sprint_census(weekly, roster, cal, 1, Diagnostics())
     assert rel == relative_census(triad_census(sprint_net))
