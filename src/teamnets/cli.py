@@ -207,9 +207,8 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except BrokenPipeError:  # no process reads stdout any more
         # what stdout still buffers goes nowhere at exit, without a second error
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         print("output error: standard output closed", file=sys.stderr)
         return 2
     except InputError as exc:

@@ -187,7 +187,7 @@ def load_config(path: Path | str) -> PipelineConfig:
     """Load and validate a pipeline config file; each of its errors names the file."""
     cfg_path = Path(path)
     require_file(cfg_path, "config file not found")
-    data = load_json(cfg_path)  # its errors name the file already
+    data = load_json(cfg_path, unique_keys=True)  # its errors name the file already
     try:
         return _read_config(data, cfg_path.parent)
     except (InputError, ValidationError) as exc:

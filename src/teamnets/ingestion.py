@@ -81,12 +81,48 @@ def parse_utc(value: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def load_json(path: Path | str):
-    """The JSON value of a UTF-8 file, for every JSON input (config, chat day
-    files, repo activity, report.json); each failure is an InputError naming it."""
+def _read_bytes(path: Path | str) -> bytes:
+    """A file's bytes through a raw descriptor: a chat day file holds a few
+    KB, and a buffered ``open()`` costs more than reading them."""
+    fd = os.open(path, os.O_RDONLY)
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        chunks = []
+        while chunk := os.read(fd, 65536):
+            chunks.append(chunk)
+    except OSError as exc:
+        # os.read names no file (EISDIR for a directory); open() named it.
+        exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+class _RepeatedKey(Exception):
+    """A key given twice in one JSON object; its argument is the key."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice raises _RepeatedKey."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
+    return obj
+
+
+def load_json(path: Path | str, *, unique_keys: bool):
+    """The JSON value of a UTF-8 file, for every JSON input (config, chat day
+    files, repo activity, report.json); each failure is an InputError naming it.
+
+    With ``unique_keys``, a key given twice in one object is an input error;
+    without, the last value counts. Chat day files are read without the
+    check, which about doubles their decoding time."""
+    try:
+        data = _read_bytes(path)
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc}") from None
     try:
@@ -96,7 +132,9 @@ def load_json(path: Path | str):
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8: {exc}") from None
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys if unique_keys else None)
+    except _RepeatedKey as exc:
+        raise InputError(f"{path}: key '{exc.args[0]}' given twice in one object") from None
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply") from None
     except json.JSONDecodeError as exc:
@@ -467,7 +505,7 @@ def parse_chat_edges(
                 if not name.endswith(".json"):
                     continue
                 day_file = f"{channel_dir}/{name}"
-                payload = load_json(day_file)
+                payload = load_json(day_file, unique_keys=False)
                 if not isinstance(payload, list):
                     raise InputError(f"{day_file}: expected a JSON array of messages")
                 for i, obj in enumerate(payload):
@@ -601,7 +639,7 @@ def parse_repo_weeks(
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
     require_file(p, "repo activity file not found")
-    payload = load_json(p)  # its errors name the file already
+    payload = load_json(p, unique_keys=True)  # its errors name the file already
     try:
         if type(payload) is not dict:
             raise InputError("repo activity must be a JSON object")

@@ -345,7 +345,7 @@ def _read(fd: int, size: int) -> bytes:
 
 
 def team_chat(
-    team: TeamConfig, config: PipelineConfig, diag: Diagnostics | None = None
+    team: TeamConfig, config: PipelineConfig, diag: Diagnostics
 ) -> tuple[WeeklyEdges, int, int]:
     """A team's weekly reply edges, kept-message count and reply count."""
     return parse_chat_edges(
@@ -357,7 +357,7 @@ def team_stc(
     team: TeamConfig,
     config: PipelineConfig,
     weekly: WeeklyEdges,
-    diag: Diagnostics | None = None,
+    diag: Diagnostics,
 ) -> dict[int, float | None]:
     """Parse a team's repo activity and score the STC of each included week."""
     mrs_by_week = parse_repo_weeks(team.repo_activity, team.roster, config.calendar, diag)[0]
@@ -928,7 +928,7 @@ def _dataclass_from_json(tp, obj: dict, where: str):
 def load_report(path: Path | str) -> AnalysisReport:
     """Re-parse a structured report.json written by emit(); a value of another
     kind than the report holds there is an InputError naming the file and path."""
-    data = load_json(path)  # its errors name the file already
+    data = load_json(path, unique_keys=True)  # its errors name the file already
     try:
         if type(data) is not dict:
             raise InputError("report must be a JSON object")

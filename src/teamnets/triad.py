@@ -4,12 +4,13 @@ Every 3-node subset of an undirected graph has 0, 1, 2, or 3 edges; the
 census counts each class over all C(n, 3) triples and is the plain tuple
 ``(c0, c1, c2, c3)``. ``census_closed_form`` derives the counts from the
 edge count, wedge count and triangle count (Moody 1998; Batagelj & Mrvar
-2001) and is what the pipeline uses: its cost grows with the edges and
-degrees, not with the C(n, 3) triples. ``triad_census`` enumerates every
-triple directly and is the reference the tests check the closed form
-against. Both give the same integers. The relative census divides each
-count by C(n, 3); Python's int division is correctly rounded, so each
-frequency is the float nearest the exact ratio.
+2001) and is what the pipeline uses: it keeps each member's neighbours as an
+int bitmask, so an edge's triangles are one AND and one popcount, and its
+cost grows with the edges, not with the C(n, 3) triples. ``triad_census``
+enumerates every triple directly and is the reference the tests check the
+closed form against. Both give the same integers. The relative census
+divides each count by C(n, 3); Python's int division is correctly rounded,
+so each frequency is the float nearest the exact ratio.
 """
 
 from __future__ import annotations
@@ -68,15 +69,19 @@ def census_closed_form(net: CommunicationNetwork) -> Census:
     _require_triads(net)
     n = net.n
     m = len(net.edges)
-    adjacency: dict[str, set[str]] = {v: set() for v in net.roster}
+    # Each member's neighbours as a bitmask over roster positions: a wedge
+    # count is a popcount, and an edge's triangles are its ends' common bits.
+    index = {v: i for i, v in enumerate(net.roster)}
+    adjacency = [0] * n
+    ends = []
     for a, b in net.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    wedges = sum(math.comb(len(nbrs), 2) for nbrs in adjacency.values())
+        i, j = index[a], index[b]
+        adjacency[i] |= 1 << j
+        adjacency[j] |= 1 << i
+        ends.append((i, j))
+    wedges = sum(math.comb(mask.bit_count(), 2) for mask in adjacency)
     # Each triangle is counted once per edge, so three times in total.
-    triangle_incidences = sum(
-        len(adjacency[a] & adjacency[b]) for a, b in net.edges
-    )
+    triangle_incidences = sum((adjacency[i] & adjacency[j]).bit_count() for i, j in ends)
     triangles = triangle_incidences // 3
     c3 = triangles
     c2 = wedges - 3 * triangles

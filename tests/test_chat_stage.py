@@ -189,6 +189,32 @@ def test_json_nested_too_deeply_is_an_input_error(
         assert f"input error: {named}: JSON nested too deeply\n" in stderr
 
 
+@pytest.mark.parametrize("target", ["config", "repo", "day"])
+def test_repeated_json_key(mini_dir, tmp_path, monkeypatch, capsys, target):
+    """A key given twice in one object of the config (alpha's identity map) or
+    a repo file (a commit's sha) is an input error naming the file, for 1 and
+    2 workers; a chat day file is not checked, and its last value counts."""
+    work = copy_season(mini_dir, tmp_path)
+    named, key, first = {
+        "config": (work / "config.json", "HA1", '"HA1": '),
+        "repo": (work / team_entry(work, 0)["repo_activity"], "sha", '"sha": '),
+        "day": (first_day_file(team_chat_root(work, 1)), "ts", '"ts": '),
+    }[target]
+    text = named.read_text(encoding="utf-8")
+    assert first in text
+    # The added value comes first, so the file's own value is the last one.
+    named.write_text(text.replace(first, f'{first}"ignored", {first}', 1), encoding="utf-8")
+    reference = run(monkeypatch, capsys, tmp_path, mini_dir / "config.json", ["report"], 1)
+    for workers in (1, 2):
+        result = run(monkeypatch, capsys, tmp_path, work / "config.json", ["report"], workers)
+        if target == "day":
+            assert result[0] == 0 and result[3] == reference[3]
+        else:
+            assert result[:3] == (
+                2, "", f"input error: {named}: key '{key}' given twice in one object\n"
+            )
+
+
 def test_validation_failure_in_a_worker_keeps_later_teams(
     five_teams, tmp_path, monkeypatch, capsys, forks
 ):

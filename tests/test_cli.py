@@ -222,6 +222,27 @@ class TestValidate:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"input error: {path}: not a directory\n"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_directory_in_place_of_a_day_file_cannot_be_read(
+        self, mini_dir, tmp_path, capsys, monkeypatch, workers
+    ):
+        """A directory named as a chat day file gives the errno text a
+        buffered open() gave, with the path, and leaves no descriptor open."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        path = sorted((work / "chat" / "beta").glob("*/*.json"))[0]
+        path.unlink()
+        path.mkdir()
+        argv = ["report", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
+        before = sorted(os.listdir("/proc/self/fd"))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {path}: cannot read: [Errno 21] Is a directory: '{path}'\n"
+        )
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
     def test_malformed_config_names_line_column_and_char(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text('{\n  "calendar": oops\n}\n', encoding="utf-8")

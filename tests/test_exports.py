@@ -4,9 +4,10 @@ Each module's ``__all__`` is checked with ``getattr``, and each name that
 ``teamnets/__init__.py`` imports is read from its source with ``ast`` and
 looked up in the module it names. The package's sources are also read with
 ``ast`` to check that one function decodes every JSON input, that one
-function pairs the points of every correlation cell, that one function
-forks, that neither ``multiprocessing`` nor ``select`` is imported, and
-that one function takes a season worker's result.
+function opens raw file descriptors, that one function pairs the points of
+every correlation cell, that one function forks, that neither
+``multiprocessing`` nor ``select`` is imported, and that one function takes
+a season worker's result.
 """
 
 from __future__ import annotations
@@ -80,6 +81,12 @@ def test_one_function_decodes_json():
     """json.loads is called in one function of the package, so every JSON
     input has the same error rules."""
     assert sorted(set(_callers("json.loads"))) == ["ingestion.load_json"]
+
+
+def test_one_function_opens_file_descriptors():
+    """os.open is called in one function of the package, load_json's byte
+    reader, which closes every descriptor it opens."""
+    assert _callers("os.open") == ["ingestion._read_bytes"]
 
 
 def test_one_function_pairs_correlation_points():

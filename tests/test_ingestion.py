@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import tempfile
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -19,6 +20,7 @@ from teamnets.ingestion import (
     Sprint,
     SprintCalendar,
     Week,
+    load_json,
     parse_chat_edges,
     parse_feedback,
     parse_outcomes,
@@ -200,6 +202,72 @@ class TestRoster:
     def test_empty_roster_rejected(self):
         with pytest.raises(ValidationError):
             Roster(team_id="T", members=frozenset(), identity_map={})
+
+
+def open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+class TestLoadJson:
+    """load_json reads through a raw descriptor; ``-X dev`` warns of no raw
+    descriptor left open, so the tests count the process's open ones."""
+
+    @pytest.mark.parametrize("size", [0, 65_535, 65_536, 200_000])
+    def test_reads_the_whole_file(self, tmp_path, size):
+        path = tmp_path / "value.json"
+        text = json.dumps("x" * (size - 2)) if size else ""  # size bytes
+        path.write_text(text, encoding="utf-8")
+        before = open_fds()
+        if size:
+            assert load_json(path, unique_keys=True) == json.loads(text)
+            assert load_json(str(path), unique_keys=False) == json.loads(text)
+        else:
+            with pytest.raises(InputError, match="malformed JSON at line 1 column 1"):
+                load_json(path, unique_keys=True)
+        assert open_fds() == before
+
+    @pytest.mark.parametrize(
+        "fault,errno_text",
+        [
+            ("missing", "[Errno 2] No such file or directory"),
+            ("directory", "[Errno 21] Is a directory"),
+            ("under a file", "[Errno 20] Not a directory"),
+        ],
+    )
+    def test_cannot_read_names_the_file(self, tmp_path, fault, errno_text):
+        """Each text is the one a buffered open() gave, also for a directory,
+        which os.open accepts and os.read rejects."""
+        (tmp_path / "file.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "dir.json").mkdir()
+        path = {
+            "missing": tmp_path / "none.json",
+            "directory": tmp_path / "dir.json",
+            "under a file": tmp_path / "file.json" / "x.json",
+        }[fault]
+        before = open_fds()
+        for spelling in (path, str(path)):
+            with pytest.raises(InputError) as err:
+                load_json(spelling, unique_keys=True)
+            assert str(err.value) == f"{path}: cannot read: {errno_text}: '{path}'"
+        assert open_fds() == before
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"a": 1, "a": 1}', "a"),
+            ('[{"b": [], "c": {"d": 0, "e": 1, "d": 2}}]', "d"),
+            ('{"f": 1, "g": 2, "g": 3, "f": 4}', "g"),
+        ],
+    )
+    def test_repeated_key(self, tmp_path, text, key):
+        path = tmp_path / "value.json"
+        path.write_text(text, encoding="utf-8")
+        before = open_fds()
+        with pytest.raises(InputError) as err:
+            load_json(path, unique_keys=True)
+        assert str(err.value) == f"{path}: key '{key}' given twice in one object"
+        assert load_json(path, unique_keys=False) == json.loads(text)
+        assert open_fds() == before
 
 
 def write_channel(root: Path, channel: str, day: str, messages: list[dict]) -> None:

@@ -458,6 +458,15 @@ class TestEmission:
             load_report(path)
         assert str(err.value).startswith(f"{path}: not UTF-8: 'utf-8' codec can't decode")
 
+    def test_load_report_repeated_key_is_input_error(self, mini_report, tmp_path):
+        emit(mini_report, "structured-data", tmp_path)
+        path = tmp_path / "report.json"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"teams": ', '"teams": [], "teams": ', 1), encoding="utf-8")
+        with pytest.raises(InputError) as err:
+            load_report(path)
+        assert str(err.value) == f"{path}: key 'teams' given twice in one object"
+
     def test_load_report_nested_too_deeply_is_input_error(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text('{"teams": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")

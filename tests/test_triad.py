@@ -84,6 +84,20 @@ class TestClosedForm:
             net = random_net(rng, n, rng.random())
             assert census_closed_form(net) == triad_census(net)
 
+    def test_matches_enumeration_on_wide_rosters(self):
+        """Rosters of 40 to 70 members, so the neighbour bitmasks cross 64
+        bits: empty, complete and random graphs, members in shuffled order."""
+        rng = random.Random(7)
+        nets = [make_net([f"v{i}" for i in range(64)], [])]
+        roster = [f"v{i}" for i in range(65)]
+        nets.append(make_net(roster, combinations(roster, 2)))
+        for _ in range(6):
+            net = random_net(rng, rng.randint(40, 70), rng.random())
+            nets.append(make_net(rng.sample(net.roster, net.n), net.edges))
+        censuses = [census_closed_form(net) for net in nets]
+        assert censuses[:2] == [(math.comb(64, 3), 0, 0, 0), (0, 0, 0, math.comb(65, 3))]
+        assert censuses == [triad_census(net) for net in nets]
+
 
 class TestRelativeCensus:
     def test_walkthrough(self):
