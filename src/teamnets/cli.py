@@ -15,7 +15,7 @@ the chat parse, then for validate the repo parse, and for stc, correlate and
 report the repo parse and STC. The stage runs in forked worker processes,
 one per CPU the process may use and at most one per team, or in-process. The
 worker count is worked out, not set, and no output, message or exit code
-depends on it. The stage applies each team's diagnostics, log records and
+depends on it. The stage applies each team's diagnostic counts, notes and
 error itself, and gives each command (team, value) pairs in team order.
 
 Exit codes: 0 success, 1 validation failure, 2 input error (also an input or

@@ -53,10 +53,10 @@ from __future__ import annotations
 import bisect
 import csv
 import json
-import logging
 import math
 import operator
 import os
+import stat
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -65,8 +65,6 @@ from pathlib import Path
 from typing import Collection, Iterable, Mapping
 
 from .errors import InputError, ValidationError
-
-logger = logging.getLogger(__name__)
 
 # Slack-style event subtypes that do not represent human communication.
 EXCLUDED_SUBTYPES = frozenset({"channel_join", "channel_leave", "bot_message"})
@@ -83,12 +81,19 @@ def parse_utc(value: str) -> datetime:
 
 def _read_bytes(path: Path | str) -> bytes:
     """A file's bytes through a raw descriptor: a chat day file holds a few
-    KB, and a buffered ``open()`` costs more than reading them."""
-    fd = os.open(path, os.O_RDONLY)
+    KB, and a buffered ``open()`` costs more than reading them. The open does
+    not block, so a FIFO is ``<path>: not a file``, not a wait for a writer;
+    only an empty read pays for an fstat, a third of a day file's read."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
         chunks = []
-        while chunk := os.read(fd, 65536):
-            chunks.append(chunk)
+        try:
+            while chunk := os.read(fd, 65536):
+                chunks.append(chunk)
+        except BlockingIOError:  # a FIFO whose writer has written nothing yet
+            chunks = []
+        if not chunks and not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise InputError(f"{path}: not a file")
     except OSError as exc:
         # os.read names no file (EISDIR for a directory); open() named it.
         exc.filename = os.fspath(path)
@@ -530,7 +535,6 @@ def parse_chat_edges(
                     person = person_of(handle)
                     if person is None:
                         dropped_unknown += 1
-                        logger.debug("%s: unknown handle %s", day_file, handle)
                         continue
                     ts_raw = obj["ts"]
                     try:
@@ -629,8 +633,8 @@ def parse_repo_weeks(
     merge request's authors are the people of its kept commits, whatever
     their dates, and each distinct listed sha of a dropped commit counts as
     a dropped link. A merge request referencing a sha absent from the raw
-    commit list is an integrity error. Merge requests with no changed files
-    stay in their week's list but are counted; STC scoring excludes them. A
+    commit list is an integrity error. A merge request with no changed files
+    stays in its week's list, counted and noted; STC scoring excludes it. A
     merge request created outside every week is in no list.
 
     Returns the pairs by week id in file order, the number of kept commits
@@ -686,7 +690,7 @@ def parse_repo_weeks(
                 diag.bump("mr_commit_links_dropped", len(dropped))
             if not files:
                 diag.bump("mrs_with_empty_files")
-                logger.warning("%s: merge request %s has no changed files", p, mr_id)
+                diag.note(f"team {roster.team_id}: merge request {mr_id} has no changed files")
             week = assign_week(created_at)
             if week is not None:
                 authors = frozenset(author_of[s] for s in shas if s not in dropped)
@@ -737,7 +741,15 @@ def _read_rows(path: Path, columns: tuple[str, ...], optional: tuple[str, ...] =
                     cells.append("")
                 yield line, pick(cells)
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8: {exc}") from None
+        # The stream's position counts within the decoder's chunk: the whole
+        # file, decoded again on this path only, names the line of the byte.
+        data = _read_bytes(path)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}:line {line}: not UTF-8: {exc}") from None
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise InputError(f"{path}:line {line + 1}: {exc}") from None
 

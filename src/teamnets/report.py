@@ -23,8 +23,8 @@ results in team order down its own pipe, so team i's result is the next on
 worker i mod n's pipe, read there with blocking reads when it is asked for
 (``season_stage`` says why no worker can stall the command). The stage
 applies each team's result where a serial run reaches that team: it adds
-the team's diagnostics to the command's, replays its log records and raises
-its error, then gives the command the (team, value) pair. So no output,
+the team's diagnostic counts and notes to the command's and raises its
+error, then gives the command the (team, value) pair. So no output,
 message or exit code depends on the worker count, and no command handles a
 worker's raw result.
 """
@@ -36,7 +36,6 @@ import csv
 import dataclasses
 import functools
 import json
-import logging
 import marshal
 import math
 import os
@@ -175,42 +174,31 @@ class AnalysisReport:
 TeamStep = Callable[[TeamConfig, PipelineConfig, Diagnostics], object]
 
 # A team's step result in plain values, as a worker sends it: the step's
-# value, the diagnostic counts and notes, the log records made meanwhile, and
-# the (class name, message) of the error the step raised, or None.
-TeamResult = tuple[object, dict[str, int], list[str], list[dict], tuple[str, str] | None]
+# value, the diagnostic counts and notes, and the (class name, message) of
+# the error the step raised, or None.
+TeamResult = tuple[object, dict[str, int], list[str], tuple[str, str] | None]
 
 _TEAM_ERRORS = (InputError, ValidationError, OSError)
 
-# What a log record says and where and when it was made; the process that
-# replays it fills in its own process and thread.
-_RECORD_FIELDS = (
-    "name", "levelno", "levelname", "pathname", "filename", "module", "lineno",
-    "funcName", "created", "msecs", "relativeCreated",
-)
 
-
-def _run_step(
-    step: TeamStep, team: TeamConfig, config: PipelineConfig, records: list[dict]
-) -> TeamResult:
+def _run_step(step: TeamStep, team: TeamConfig, config: PipelineConfig) -> TeamResult:
     diag = Diagnostics()
     value, error = None, None
     try:
         value = step(team, config, diag)
     except _TEAM_ERRORS as exc:
         error = (next(c.__name__ for c in _TEAM_ERRORS if isinstance(exc, c)), str(exc))
-    return value, dict(diag.counts), diag.notes, records, error
+    return value, dict(diag.counts), diag.notes, error
 
 
 def _team_result(result: TeamResult, diag: Diagnostics):
-    """The value of a team's step. Its diagnostics go into ``diag`` first, its
-    log records are replayed, and its error is raised here, so each team's
-    counters, log lines and error come where a serial run would give them."""
-    value, counts, notes, records, error = result
+    """The value of a team's step. Its diagnostics go into ``diag`` first and
+    its error is raised here, so each team's counters, notes and error come
+    where a serial run would give them."""
+    value, counts, notes, error = result
     for key, n in counts.items():
         diag.bump(key, n)
     diag.notes.extend(notes)
-    for fields in records:
-        logging.getLogger(fields["name"]).handle(logging.makeLogRecord(fields))
     if error is not None:
         name, message = error
         raise {c.__name__: c for c in _TEAM_ERRORS}.get(name, RuntimeError)(message)
@@ -234,7 +222,7 @@ def season_stage(
 ) -> Iterator[Iterator[tuple[TeamConfig, object]]]:
     """Run ``step`` for every team; the block reads (team, value) pairs in
     team order. Before a team's pair is given, its diagnostic counts and notes
-    go into ``diag``, its log records are replayed, and its error is raised.
+    go into ``diag`` and its error is raised.
 
     With one worker each team's step runs in-process when its result is asked
     for. Otherwise entering forks n workers, worker w running teams w, w + n,
@@ -249,7 +237,7 @@ def season_stage(
     teams = config.teams
     jobs = _season_workers(len(teams))
     if jobs <= 1:
-        yield ((team, _team_result(_run_step(step, team, config, []), diag)) for team in teams)
+        yield ((team, _team_result(_run_step(step, team, config), diag)) for team in teams)
         return
     import signal
 
@@ -286,23 +274,17 @@ def _season_worker(
     then end the process, without returning."""
     code = 1
     try:
-        records: list[dict] = []
-        # No handler runs here: the parent replays each record at its team's turn.
-        logging.Logger.handle = lambda logger, record: records.append(
-            {**{k: getattr(record, k) for k in _RECORD_FIELDS}, "msg": record.getMessage()}
-        )
         with open(fd, "wb") as out:
             for i in indices:
                 team = config.teams[i]
                 try:
-                    result = _run_step(step, team, config, records)
+                    result = _run_step(step, team, config)
                 except Exception as exc:  # a fault in teamnets: the parent raises it
                     failure = f"season worker of team {team.team_id}: {type(exc).__name__}: {exc}"
-                    result = (None, {}, [], records, ("RuntimeError", failure))
+                    result = (None, {}, [], ("RuntimeError", failure))
                 data = marshal.dumps(result)
                 out.write(len(data).to_bytes(8, "little") + data)
                 out.flush()
-                records.clear()
         code = 0
     finally:
         os._exit(code)
@@ -327,7 +309,7 @@ def _receive(team: TeamConfig, w: int, fds: list[int], pids: dict[int, int]) -> 
         f"season worker of team {team.team_id} ended with exit code {code} "
         "before sending its result"
     )
-    return None, {}, [], [], ("RuntimeError", failure)
+    return None, {}, [], ("RuntimeError", failure)
 
 
 def _read(fd: int, size: int) -> bytes:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import signal
 import sys
 from pathlib import Path
 
@@ -20,6 +22,27 @@ def team7_dir() -> Path:
 @pytest.fixture(scope="session")
 def mini_dir() -> Path:
     return DATA / "mini"
+
+
+@pytest.fixture()
+def within():
+    """``within(seconds)``: a block that fails with TimeoutError where it runs
+    over ``seconds``, so a read that would wait forever fails the test."""
+
+    @contextlib.contextmanager
+    def block(seconds: int):
+        def timeout(signum, frame):
+            raise TimeoutError(f"the block did not finish within {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return block
 
 
 @pytest.fixture()

@@ -242,6 +242,7 @@ def repo_weeks_oracle(path, roster, cal, diagnostics=None):
                 diag.bump("mr_commit_links_dropped", dropped)
             if not files:
                 diag.bump("mrs_with_empty_files")
+                diag.note(f"team {roster.team_id}: merge request {mr_id} has no changed files")
             merge_requests.append(
                 MergeRequest(
                     mr_id=mr_id,

@@ -5,14 +5,13 @@ of teams; these tests force it by patching ``os.sched_getaffinity``, which
 the count reads, and count the workers through a patched ``os.fork``. Each
 command's exit code, stdout, stderr and output tree with 2 and 3 workers
 must equal the in-process run with 1, also under faults in several teams
-and with log lines made in the workers, and no worker may outlive a
-command, whatever ends it.
+and with notes made in the workers, and no worker may outlive a command,
+whatever ends it.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import shutil
 import signal
@@ -324,31 +323,40 @@ def test_count_falls_back_to_cpu_count(mini_dir, tmp_path, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize(
-    "command", [["stc"], ["validate"], ["report"]], ids=["stc", "validate", "report"]
+    "command",
+    [["validate"], ["stc"], ["report", "--format", "structured-data"]],
+    ids=["validate", "stc", "report-structured"],
 )
-def test_worker_log_lines_are_replayed_in_team_order(
+def test_worker_notes_come_in_team_order(
     command, five_teams, tmp_path, monkeypatch, capsys, forks
 ):
-    """A merge request without changed files in teams B and D logs a warning
-    in the worker that parses that repo; the parent replays it at the team's
-    turn, so stderr is the serial run's for any worker count."""
-    # pytest's own handler on the root logger would take the records; without
-    # it they reach stderr through logging's last-resort handler, as in the CLI
-    monkeypatch.setattr(logging.root, "handlers", [])
+    """A merge request without changed files in teams B and D gives a note
+    naming the team in the worker that parses that repo; the stage adds it at
+    the team's turn, so validate's stdout and report.json's notes are the
+    serial run's for any worker count, and nothing goes to stderr."""
     work = copy_season(five_teams, tmp_path)
-    repos = []
+    notes = []
     for index in (1, 3):
-        repo = work / team_entry(work, index)["repo_activity"]
+        entry = team_entry(work, index)
+        repo = work / entry["repo_activity"]
         activity = json.loads(repo.read_text(encoding="utf-8"))
         activity["merge_requests"][2]["files"] = []
         repo.write_text(json.dumps(activity), encoding="utf-8")
-        repos.append((repo, activity["merge_requests"][2]["id"]))
+        mr_id = activity["merge_requests"][2]["id"]
+        notes.append(f"team {entry['team_id']}: merge request {mr_id} has no changed files")
+    assert [note.split(":")[0] for note in notes] == ["team B", "team D"]
     config_path = work / "config.json"
     serial = run(monkeypatch, capsys, tmp_path, config_path, command, 1)
-    assert serial[0] == 0
-    assert serial[2] == "".join(
-        f"{repo}: merge request {mr_id} has no changed files\n" for repo, mr_id in repos
-    )
+    code, stdout, stderr, out = serial
+    assert (code, stderr) == (0, "")
+    if command == ["validate"]:
+        assert "  mrs_with_empty_files: 2\n" in stdout
+        assert [line for line in stdout.splitlines() if "no changed files" in line] == [
+            f"  note: {note}" for note in notes
+        ]
+    elif command[0] == "report":
+        report_notes = json.loads(out["report.json"])["notes"]
+        assert [note for note in report_notes if "no changed files" in note] == notes
     for workers in (2, 3):
         forks.clear()
         assert run(monkeypatch, capsys, tmp_path, config_path, command, workers) == serial

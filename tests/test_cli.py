@@ -47,6 +47,11 @@ def _mini_config_with(mini_dir, tmp_path, path, value):
     return cfg
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # numpy is a test dependency only, and the census needs no rational
 # arithmetic: the command line must load neither.
 @pytest.mark.parametrize("module", ["numpy", "fractions"])
@@ -186,10 +191,11 @@ class TestValidate:
         ],
     )
     def test_directory_in_place_of_an_input_is_not_a_file(
-        self, mini_dir, tmp_path, capsys, name, missing
+        self, mini_dir, tmp_path, capsys, monkeypatch, within, name, missing
     ):
-        """A directory where an input file belongs is named as not a file;
-        a path with nothing there keeps its "not found" text."""
+        """A directory or a FIFO where an input file belongs is named as not a
+        file, the FIFO at once and with 1 or 2 workers; a path with nothing
+        there keeps its "not found" text."""
         work = tmp_path / "mini"
         shutil.copytree(mini_dir, work)
         path = work / name
@@ -201,6 +207,15 @@ class TestValidate:
         path.mkdir()
         assert main(argv) == 2
         assert capsys.readouterr().err == f"input error: {path}: not a file\n"
+        path.rmdir()
+        os.mkfifo(path)
+        for workers in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                                raising=False)
+            with within(10):
+                assert main(argv) == 2
+            assert capsys.readouterr().err == f"input error: {path}: not a file\n"
+            _assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_file_in_place_of_a_chat_export_is_not_a_directory(
@@ -224,10 +239,11 @@ class TestValidate:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_directory_in_place_of_a_day_file_cannot_be_read(
-        self, mini_dir, tmp_path, capsys, monkeypatch, workers
+        self, mini_dir, tmp_path, capsys, monkeypatch, within, workers
     ):
         """A directory named as a chat day file gives the errno text a
-        buffered open() gave, with the path, and leaves no descriptor open."""
+        buffered open() gave, with the path, and leaves no descriptor open. A
+        FIFO there is not a file, at once: no read waits for a writer."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
         work = tmp_path / "mini"
         shutil.copytree(mini_dir, work)
@@ -242,6 +258,13 @@ class TestValidate:
             f"input error: {path}: cannot read: [Errno 21] Is a directory: '{path}'\n"
         )
         assert sorted(os.listdir("/proc/self/fd")) == before
+        path.rmdir()
+        os.mkfifo(path)
+        with within(10):
+            assert main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {path}: not a file\n"
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        _assert_no_child_left()
 
     def test_malformed_config_names_line_column_and_char(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

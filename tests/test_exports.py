@@ -96,10 +96,11 @@ def test_one_function_pairs_correlation_points():
 
 
 def test_one_function_forks():
-    """os.fork is called in one function of the package, and neither
-    multiprocessing nor select is imported anywhere: the season stage is the
-    only process pool, and it reads each team's result from its worker's pipe
-    in team order, with no multiplexing."""
+    """os.fork is called in one function of the package, and none of
+    multiprocessing, select and logging is imported anywhere: the season
+    stage is the only process pool, it reads each team's result from its
+    worker's pipe in team order, with no multiplexing, and a team's
+    diagnostics are the one channel for what its step reports."""
     assert _callers("os.fork") == ["report.season_stage"]
     imported = []
     for path in sorted(Path(teamnets.__file__).parent.glob("*.py")):
@@ -108,7 +109,7 @@ def test_one_function_forks():
                 imported += [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
                 imported.append(node.module or "")
-    assert [m for m in imported if m.split(".")[0] in ("multiprocessing", "select")] == []
+    assert [m for m in imported if m.split(".")[0] in ("multiprocessing", "select", "logging")] == []
 
 
 def test_one_function_takes_team_results():

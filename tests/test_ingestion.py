@@ -251,6 +251,26 @@ class TestLoadJson:
             assert str(err.value) == f"{path}: cannot read: {errno_text}: '{path}'"
         assert open_fds() == before
 
+    @pytest.mark.parametrize("writer", ["none", "silent", "wrote"])
+    def test_fifo_is_not_a_file(self, tmp_path, within, writer):
+        """A FIFO is not a file, with no writer (the read ends at once), with a
+        writer that has written nothing (the read would block) and with one
+        that has written part of a value."""
+        path = tmp_path / "fifo.json"
+        os.mkfifo(path)
+        held = None if writer == "none" else os.open(path, os.O_RDWR)
+        try:
+            if writer == "wrote":
+                os.write(held, b'[{"ts": "1"')
+            before = open_fds()
+            with pytest.raises(InputError) as err, within(10):
+                load_json(path, unique_keys=False)
+            assert str(err.value) == f"{path}: not a file"
+            assert open_fds() == before
+        finally:
+            if held is not None:
+                os.close(held)
+
     @pytest.mark.parametrize(
         "text,key",
         [
@@ -855,6 +875,23 @@ class TestRepoParser:
         by_week = parse_repo_weeks(team.repo_activity, team.roster, team7_config.calendar)[0]
         assert [authors for authors, files in by_week[2] if not files] == [frozenset({"p3"})]
 
+    def test_empty_files_mr_is_counted_and_noted(self, tmp_path, two_person_roster):
+        """Each merge request with no changed files is counted and gets a
+        note naming the team, not the file, in file order."""
+        commits = [{"sha": "c1", "author": "alice", "authored_at": "2023-03-06T10:00:00Z"}]
+        mrs = [
+            {"id": mr_id, "created_at": "2023-03-07T10:00:00Z", "commits": ["c1"], "files": files}
+            for mr_id, files in (("M2", []), ("M1", ["a.py"]), (7, []))
+        ]
+        path = write_repo(tmp_path / "repo.json", commits, mrs)
+        diag = Diagnostics()
+        parse_repo_weeks(path, two_person_roster, simple_calendar(), diag)
+        assert diag.counts["mrs_with_empty_files"] == 2
+        assert diag.notes == [
+            "team T: merge request M2 has no changed files",
+            "team T: merge request 7 has no changed files",
+        ]
+
     @pytest.mark.parametrize("listed, dropped", [
         (["c1", "c1"], 0),  # a kept commit listed twice
         (["c1", "cx", "cx"], 1),  # a dropped commit listed twice
@@ -982,15 +1019,15 @@ def _repo_outcome(parse, path, roster) -> tuple:
     except (InputError, ValidationError) as exc:
         result = (type(exc), str(exc))
     # dict, not Counter: Counter equality ignores zero-count keys
-    return result, dict(diag.counts)
+    return result, dict(diag.counts), diag.notes
 
 
 @settings(max_examples=300, deadline=None)
 @given(repo_files())
 def test_repo_parser_equals_oracle(data):
     """parse_repo_weeks equals the record route: the week groups, commit and
-    merge-request counts and counters, or the error type, text and the
-    counters reached by then."""
+    merge-request counts, counters and notes, or the error type, text and the
+    counters and notes reached by then."""
     roster = Roster(
         team_id="T",
         members=frozenset({"alice", "bob", "carol"}),
@@ -1332,7 +1369,24 @@ class TestTables:
         path.write_bytes("team_id,hours\nÄ,1\n".encode("latin-1"))
         with pytest.raises(InputError) as err:
             parse_work_logs(path, TABLE_TEAMS)
-        assert str(err.value).startswith(f"{path}: not UTF-8: ")
+        assert str(err.value).startswith(f"{path}:line 2: not UTF-8: ")
+
+    def test_table_not_utf8_names_the_line_past_the_first_chunk(self, tmp_path):
+        """A bad byte far into a table is named by its file line, and by its
+        offset in the file, not in the chunk the stream was decoding."""
+        path = tmp_path / "fb.csv"
+        rows = [b"sprint_id,rater,ratee,communication_rating"] + [b"2,A,C,4"] * 1500
+        rows[1234] = b"2,A,C\xff,4"
+        data = b"\n".join(rows) + b"\n"
+        assert len(data) > 8192
+        path.write_bytes(data)
+        with pytest.raises(InputError) as err:
+            parse_feedback(path, TABLE_CALENDAR, TABLE_ROSTERS)
+        offset = data.index(b"\xff")
+        assert str(err.value) == (
+            f"{path}:line 1235: not UTF-8: 'utf-8' codec can't decode byte 0xff "
+            f"in position {offset}: invalid start byte"
+        )
 
     def test_work_logs_sum_per_team(self, tmp_path):
         path = tmp_path / "wl.csv"
