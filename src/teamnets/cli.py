@@ -17,6 +17,8 @@ one per CPU the process may use and at most one per team, or in-process. The
 worker count is worked out, not set, and no output, message or exit code
 depends on it. The stage applies each team's diagnostic counts, notes and
 error itself, and gives each command (team, value) pairs in team order.
+``validate`` prints the run's notes on stdout after its counters; every other
+subcommand prints them on stderr as ``note: <text>``.
 
 Exit codes: 0 success, 1 validation failure, 2 input error (also an input or
 output path the system cannot use, or a closed standard output), 3 internal
@@ -150,18 +152,20 @@ def _stc_step(team_cfg: TeamConfig, config: PipelineConfig, diag: Diagnostics):
     return team_stc(team_cfg, config, team_chat(team_cfg, config, diag)[0], diag)
 
 
-def _cmd_stc(config: PipelineConfig, out: Path) -> list[Path]:
+def _cmd_stc(config: PipelineConfig, out: Path) -> tuple[list[Path], list[str]]:
     weeks = config.calendar.included_weeks()
-    with season_stage(config, _stc_step, Diagnostics()) as results:
+    diag = Diagnostics()
+    with season_stage(config, _stc_step, diag) as results:
         rows = [(t.team_id, week, scores[week]) for t, scores in results for week in weeks]
-    return write_tables(out, {"stc_weekly": (("team", "week", "stc_score"), rows)}, "delimited-table")
+    table = (("team", "week", "stc_score"), rows)
+    return write_tables(out, {"stc_weekly": table}, "delimited-table"), diag.notes
 
 
 def _census_step(team_cfg: TeamConfig, config: PipelineConfig, diag: Diagnostics):
     return team_chat(team_cfg, config, diag)[0]
 
 
-def _cmd_census(config: PipelineConfig, out: Path) -> list[Path]:
+def _cmd_census(config: PipelineConfig, out: Path) -> tuple[list[Path], list[str]]:
     cal = config.calendar
     diag = Diagnostics()
     rows = []
@@ -178,7 +182,7 @@ def _cmd_census(config: PipelineConfig, out: Path) -> list[Path]:
     written = write_tables(out, {"census_sprint": table}, "delimited-table")
     for name, net in edge_lists.items():  # into the directory write_tables made
         write_edge_list(net, out / name)
-    return written
+    return written, diag.notes
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -193,15 +197,18 @@ def main(argv: list[str] | None = None) -> int:
         else:
             out = Path(args.out)
             if args.command == "stc":
-                written = _cmd_stc(config, out)
+                written, notes = _cmd_stc(config, out)
             elif args.command == "census":
-                written = _cmd_census(config, out)
+                written, notes = _cmd_census(config, out)
             else:
+                report = run_pipeline(config)
                 correlate = args.command == "correlate"
                 select = (lambda name: "correlations" in name) if correlate else None
-                written = emit(run_pipeline(config), args.format, out, select)
+                written, notes = emit(report, args.format, out, select), report.notes
             for path in written:
                 print(f"wrote {path}")
+            for note in notes:
+                print(f"note: {note}", file=sys.stderr)
             code = 0
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code

@@ -48,7 +48,7 @@ from typing import Collection, Iterable
 
 from .errors import InputError, ValidationError
 from .ingestion import FLAG, TEAM_ID, Roster, Sprint, SprintCalendar, Week
-from .ingestion import load_json, read_items, read_utc, read_value, require_file
+from .ingestion import load_json, read_items, read_utc, read_value
 
 __all__ = ["TeamConfig", "AnomalyThresholds", "PipelineConfig", "excluded_team_ids", "load_config"]
 
@@ -186,8 +186,7 @@ def _read_config(data, base: Path) -> PipelineConfig:
 def load_config(path: Path | str) -> PipelineConfig:
     """Load and validate a pipeline config file; each of its errors names the file."""
     cfg_path = Path(path)
-    require_file(cfg_path, "config file not found")
-    data = load_json(cfg_path, unique_keys=True)  # its errors name the file already
+    data = load_json(cfg_path, "config file not found", unique_keys=True)  # names the file
     try:
         return _read_config(data, cfg_path.parent)
     except (InputError, ValidationError) as exc:

@@ -29,6 +29,10 @@ Feedback / outcomes / work logs are delimited tables with header rows; see
 ``parse_feedback``, ``parse_outcomes`` and ``parse_work_logs`` for columns.
 Every row has the header's cell count, and no column is named twice.
 
+Every input file, JSON or table, is read whole by one reader that looks
+nothing up before it opens the file: anything but a regular file (a
+directory, a FIFO, a device) is ``<path>: not a file``.
+
 Calendar bounds and repo timestamps are timezone-aware UTC datetimes. A
 chat message's time is the float of its ``ts``, compared with the week
 bounds through exact thresholds: the least float whose
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import json
 import math
 import operator
@@ -79,25 +84,37 @@ def parse_utc(value: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def _read_bytes(path: Path | str) -> bytes:
-    """A file's bytes through a raw descriptor: a chat day file holds a few
+def _require_regular(fd: int, path: Path | str) -> None:
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        raise InputError(f"{path}: not a file")
+
+
+def _read_bytes(path: Path | str, missing: str) -> bytes:
+    """The bytes of the regular file ``path``; nothing there is ``<missing>:
+    <path>``. It reads through a raw descriptor: a chat day file holds a few
     KB, and a buffered ``open()`` costs more than reading them. The open does
-    not block, so a FIFO is ``<path>: not a file``, not a wait for a writer;
-    only an empty read pays for an fstat, a third of a day file's read."""
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    not block, so a FIFO is not a wait for a writer. The file's kind costs an
+    fstat, a third of a day file's read: only a read that gives no bytes,
+    fails, or fills the first buffer (a device that never ends) looks it up."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except (FileNotFoundError, NotADirectoryError):
+        raise InputError(f"{missing}: {path}") from None
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from None
     try:
         chunks = []
         try:
             while chunk := os.read(fd, 65536):
+                if len(chunk) == 65536 and not chunks:
+                    _require_regular(fd, path)
                 chunks.append(chunk)
-        except BlockingIOError:  # a FIFO whose writer has written nothing yet
-            chunks = []
-        if not chunks and not stat.S_ISREG(os.fstat(fd).st_mode):
-            raise InputError(f"{path}: not a file")
-    except OSError as exc:
-        # os.read names no file (EISDIR for a directory); open() named it.
-        exc.filename = os.fspath(path)
-        raise
+        except OSError as exc:  # EISDIR; BlockingIOError: a FIFO with nothing written yet
+            _require_regular(fd, path)
+            exc.filename = os.fspath(path)  # os.read names no file
+            raise InputError(f"{path}: cannot read: {exc}") from None
+        if not chunks:
+            _require_regular(fd, path)
     finally:
         os.close(fd)
     return b"".join(chunks)
@@ -119,17 +136,15 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def load_json(path: Path | str, *, unique_keys: bool):
+def load_json(path: Path | str, missing: str, *, unique_keys: bool):
     """The JSON value of a UTF-8 file, for every JSON input (config, chat day
-    files, repo activity, report.json); each failure is an InputError naming it.
+    files, repo activity, report.json); each failure is an InputError naming
+    it, and ``<missing>: <path>`` where nothing is there.
 
     With ``unique_keys``, a key given twice in one object is an input error;
     without, the last value counts. Chat day files are read without the
     check, which about doubles their decoding time."""
-    try:
-        data = _read_bytes(path)
-    except OSError as exc:
-        raise InputError(f"{path}: cannot read: {exc}") from None
+    data = _read_bytes(path, missing)
     try:
         # Decoded explicitly: json.loads(bytes) would also accept UTF-16/32
         # and a UTF-8 byte order mark.
@@ -152,13 +167,6 @@ def load_json(path: Path | str, *, unique_keys: bool):
         raise InputError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno} (char {exc.pos})"
         ) from None
-
-
-def require_file(path: Path, missing: str) -> None:
-    """An InputError unless ``path`` is a regular file: ``<missing>: <path>``
-    where nothing is there, ``<path>: not a file`` where something else is."""
-    if not path.is_file():
-        raise InputError(f"{path}: not a file" if path.exists() else f"{missing}: {path}")
 
 
 def _utc_or_none(value) -> datetime | None:
@@ -444,6 +452,10 @@ YearLevel = tuple[int | None, float | None]
 def _listdir(path: str) -> list[str]:
     try:
         return sorted(os.listdir(path))
+    except FileNotFoundError:
+        raise InputError(f"chat export directory not found: {path}") from None
+    except NotADirectoryError:
+        raise InputError(f"{path}: not a directory") from None
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc}") from None
 
@@ -482,11 +494,6 @@ def parse_chat_edges(
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     root = Path(export_root)
-    if not root.is_dir():
-        missing = not root.exists()
-        raise InputError(
-            f"chat export directory not found: {root}" if missing else f"{root}: not a directory"
-        )
     excluded = frozenset(excluded_handles)
     person_of = roster.identity_map.get
     week_of = cal.week_of_timestamp
@@ -510,7 +517,7 @@ def parse_chat_edges(
                 if not name.endswith(".json"):
                     continue
                 day_file = f"{channel_dir}/{name}"
-                payload = load_json(day_file, unique_keys=False)
+                payload = load_json(day_file, "chat day file not found", unique_keys=False)
                 if not isinstance(payload, list):
                     raise InputError(f"{day_file}: expected a JSON array of messages")
                 for i, obj in enumerate(payload):
@@ -642,8 +649,7 @@ def parse_repo_weeks(
     """
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
-    require_file(p, "repo activity file not found")
-    payload = load_json(p, unique_keys=True)  # its errors name the file already
+    payload = load_json(p, "repo activity file not found", unique_keys=True)  # names the file
     try:
         if type(payload) is not dict:
             raise InputError("repo activity must be a JSON object")
@@ -710,46 +716,40 @@ def parse_repo_weeks(
 def _read_rows(path: Path, columns: tuple[str, ...], optional: tuple[str, ...] = ()):
     """(line, cells) of each row of a delimited table: the cells of ``columns``
     and then of ``optional``, in that order, picked by position; an optional
-    column the header lacks reads as "" in every row."""
-    require_file(path, "table not found")
-    line = 0  # the last line of the records read whole
+    column the header lacks reads as "" in every row. The table is read whole
+    and decoded once, so a byte that is not UTF-8 is named by its line."""
+    data = _read_bytes(path, "table not found")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-            if twice := [c for c, n in Counter(header).items() if n > 1]:
-                raise InputError(f"{path}: column {twice[0]} is named twice")
-            # an absent optional column reads the "" appended to each row
-            index = {name: i for i, name in enumerate(header)}
-            pad = any(c not in index for c in optional)
-            pick = operator.itemgetter(*(index.get(c, -1) for c in columns + optional))
-            line = reader.line_num
-            for cells in reader:
-                # A row is named by the 1-based file line it ends on: blank
-                # lines are skipped, and a quoted field may span lines.
-                line = reader.line_num
-                if not cells:
-                    continue
-                if len(cells) != len(header):
-                    raise ValidationError(
-                        f"{path}:line {line}: {len(cells)} cells, the header has {len(header)}"
-                    )
-                if pad:
-                    cells.append("")
-                yield line, pick(cells)
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The stream's position counts within the decoder's chunk: the whole
-        # file, decoded again on this path only, names the line of the byte.
-        data = _read_bytes(path)
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
         line = data.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}:line {line}: not UTF-8: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    line = 0  # the last line of the records read whole
+    try:
+        header = next(reader, [])
+        if missing := [c for c in columns if c not in header]:
+            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
+        if twice := [c for c, n in Counter(header).items() if n > 1]:
+            raise InputError(f"{path}: column {twice[0]} is named twice")
+        # an absent optional column reads the "" appended to each row
+        index = {name: i for i, name in enumerate(header)}
+        pad = any(c not in index for c in optional)
+        pick = operator.itemgetter(*(index.get(c, -1) for c in columns + optional))
+        line = reader.line_num
+        for cells in reader:
+            # A row is named by the 1-based file line it ends on: blank
+            # lines are skipped, and a quoted field may span lines.
+            line = reader.line_num
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ValidationError(
+                    f"{path}:line {line}: {len(cells)} cells, the header has {len(header)}"
+                )
+            if pad:
+                cells.append("")
+            yield line, pick(cells)
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise InputError(f"{path}:line {line + 1}: {exc}") from None
 

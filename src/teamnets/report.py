@@ -910,7 +910,7 @@ def _dataclass_from_json(tp, obj: dict, where: str):
 def load_report(path: Path | str) -> AnalysisReport:
     """Re-parse a structured report.json written by emit(); a value of another
     kind than the report holds there is an InputError naming the file and path."""
-    data = load_json(path, unique_keys=True)  # its errors name the file already
+    data = load_json(path, "report not found", unique_keys=True)  # names the file
     try:
         if type(data) is not dict:
             raise InputError("report must be a JSON object")

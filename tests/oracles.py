@@ -193,7 +193,7 @@ def repo_weeks_oracle(path, roster, cal, diagnostics=None):
     are the same."""
     diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
-    if not p.is_file():
+    if not p.exists():
         raise InputError(f"repo activity file not found: {p}")
     payload = _load_json_oracle(p)
     try:
@@ -334,6 +334,8 @@ def assign_week_oracle(cal, ts) -> int | None:
 
 
 def _load_json_oracle(path: Path):
+    if path.is_dir():
+        raise InputError(f"{path}: not a file")
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:

@@ -332,8 +332,9 @@ def test_worker_notes_come_in_team_order(
 ):
     """A merge request without changed files in teams B and D gives a note
     naming the team in the worker that parses that repo; the stage adds it at
-    the team's turn, so validate's stdout and report.json's notes are the
-    serial run's for any worker count, and nothing goes to stderr."""
+    the team's turn, so validate's stdout, the notes stc and report print on
+    stderr and report.json's notes are the serial run's for any worker count,
+    each with the notes in B, D order."""
     work = copy_season(five_teams, tmp_path)
     notes = []
     for index in (1, 3):
@@ -348,13 +349,18 @@ def test_worker_notes_come_in_team_order(
     config_path = work / "config.json"
     serial = run(monkeypatch, capsys, tmp_path, config_path, command, 1)
     code, stdout, stderr, out = serial
-    assert (code, stderr) == (0, "")
+    assert code == 0
     if command == ["validate"]:
+        assert stderr == ""
         assert "  mrs_with_empty_files: 2\n" in stdout
         assert [line for line in stdout.splitlines() if "no changed files" in line] == [
             f"  note: {note}" for note in notes
         ]
-    elif command[0] == "report":
+    else:
+        assert [line for line in stderr.splitlines() if "no changed files" in line] == [
+            f"note: {note}" for note in notes
+        ]
+    if command[0] == "report":
         report_notes = json.loads(out["report.json"])["notes"]
         assert [note for note in report_notes if "no changed files" in note] == notes
     for workers in (2, 3):

@@ -52,6 +52,28 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "command",
+    [["stc"], ["correlate"], ["report"], ["report", "--format", "structured-data"]],
+    ids=["stc", "correlate", "report", "report-structured"],
+)
+def test_every_command_prints_its_notes(
+    team7_dir, tmp_path, capsys, monkeypatch, command, workers
+):
+    """team7's merge request M05 changes no file: every command that parses
+    the repo prints that note on stderr, as validate prints it on stdout."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    name, *rest = command
+    argv = [name, "--config", str(team7_dir / "config.json"), "--out", str(tmp_path), *rest]
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout, stderr = capsys.readouterr()
+    assert "note: team X: merge request M05 has no changed files\n" in stderr.splitlines(True)
+    assert "note:" not in stdout
+    _assert_no_child_left()
+
+
 # numpy is a test dependency only, and the census needs no rational
 # arithmetic: the command line must load neither.
 @pytest.mark.parametrize("module", ["numpy", "fractions"])
@@ -236,14 +258,19 @@ class TestValidate:
         path.write_text("[]", encoding="utf-8")
         assert main(argv) == 2
         assert capsys.readouterr().err == f"input error: {path}: not a directory\n"
+        config = json.loads((work / "config.json").read_text(encoding="utf-8"))
+        config["teams"][0]["chat_export"] = "chat/alpha/export"  # under the file
+        (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {path / 'export'}: not a directory\n"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_directory_in_place_of_a_day_file_cannot_be_read(
         self, mini_dir, tmp_path, capsys, monkeypatch, within, workers
     ):
-        """A directory named as a chat day file gives the errno text a
-        buffered open() gave, with the path, and leaves no descriptor open. A
-        FIFO there is not a file, at once: no read waits for a writer."""
+        """A directory named as a chat day file is not a file, as a directory
+        in place of any other input is, and leaves no descriptor open. A FIFO
+        there is not a file too, at once: no read waits for a writer."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
         work = tmp_path / "mini"
         shutil.copytree(mini_dir, work)
@@ -254,12 +281,34 @@ class TestValidate:
         before = sorted(os.listdir("/proc/self/fd"))
         capsys.readouterr()
         assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"input error: {path}: cannot read: [Errno 21] Is a directory: '{path}'\n"
-        )
+        assert capsys.readouterr().err == f"input error: {path}: not a file\n"
         assert sorted(os.listdir("/proc/self/fd")) == before
         path.rmdir()
         os.mkfifo(path)
+        with within(10):
+            assert main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {path}: not a file\n"
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_device_that_never_ends_in_place_of_a_day_file(
+        self, mini_dir, tmp_path, capsys, monkeypatch, within, command, workers
+    ):
+        """/dev/zero linked in place of a chat day file is not a file, at once
+        and not when memory runs out, with no child or descriptor left."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        path = sorted((work / "chat" / "alpha").glob("*/*.json"))[0]
+        path.unlink()
+        path.symlink_to("/dev/zero")
+        argv = [command, "--config", str(work / "config.json")]
+        if command == "report":
+            argv += ["--out", str(tmp_path / "out")]
+        before = sorted(os.listdir("/proc/self/fd"))
+        capsys.readouterr()
         with within(10):
             assert main(argv) == 2
         assert capsys.readouterr().err == f"input error: {path}: not a file\n"

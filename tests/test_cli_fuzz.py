@@ -13,6 +13,14 @@ a value of another JSON type is an input error (exit 2) naming the value's
 path, and a number out of range is a validation failure (exit 1). A third
 walks every value of ``mini``'s ``repo_alpha.json`` the same way, through
 ``parse_repo_weeks`` itself.
+
+A fourth draws a structural fault of one input file: the config, a chat day
+file, a repo file, each of the three tables, or ``report.json`` read back by
+``load_report``. The file becomes a directory, a FIFO, a link to
+``/dev/zero``, bytes that are not UTF-8, a truncated or empty file, deeply
+nested JSON, or JSON with a repeated key (not for day files and tables). With
+1 or 2 workers, ``report`` must fail validation (1) or the input (2) with the
+file named, at once, with no worker left.
 """
 
 from __future__ import annotations
@@ -20,20 +28,23 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
+import functools
 import io
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from teamnets.cli import main
 from teamnets.config import load_config
-from teamnets.errors import InputError
+from teamnets.errors import InputError, ValidationError
 from teamnets.ingestion import parse_repo_weeks
+from teamnets.report import emit, load_report, run_pipeline
 
 MINI = Path(__file__).parent / "data" / "mini"
 FILES = sorted(p.relative_to(MINI).as_posix() for p in MINI.rglob("*") if p.is_file())
@@ -204,3 +215,104 @@ def test_repo_value_of_another_type_names_its_path(path, tmp_path):
             parse_repo_weeks(repo, roster, config.calendar)
         name = _path_name(path, "repo activity")
         assert str(err.value).startswith(f"{repo}: {name} must be "), (kind, str(err.value))
+
+
+INPUTS = ("config", "day file", "repo file", "feedback", "outcomes", "work_logs", "report.json")
+FAULTS = (
+    "directory", "FIFO", "endless device", "not UTF-8", "truncated", "empty", "deep nesting",
+    "repeated key",
+)
+TABLES = ("feedback", "outcomes", "work_logs")
+
+
+@functools.cache
+def _mini_report_json() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        emit(run_pipeline(load_config(MINI / "config.json")), "structured-data", tmp)
+        return (Path(tmp) / "report.json").read_bytes()
+
+
+def _input_file(work: Path, kind: str, team: int) -> Path:
+    """The file of ``kind`` in a copy of mini whose config adds a work log;
+    ``team`` picks alpha's or beta's day file and repo file."""
+    config = json.loads((work / "config.json").read_text(encoding="utf-8"))
+    config["work_logs"] = "work_logs.csv"
+    (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    (work / "work_logs.csv").write_text("team_id,hours\nalpha,4\nbeta,2.5\n", encoding="utf-8")
+    (work / "report.json").write_bytes(_mini_report_json())
+    entry = sorted(config["teams"], key=lambda t: t["team_id"])[team]
+    return {
+        "config": work / "config.json",
+        "day file": sorted((work / entry["chat_export"]).glob("*/*.json"))[0],
+        "repo file": work / entry["repo_activity"],
+        "feedback": work / "feedback.csv",
+        "outcomes": work / "outcomes.csv",
+        "work_logs": work / "work_logs.csv",
+        "report.json": work / "report.json",
+    }[kind]
+
+
+@st.composite
+def structural_faults(draw):
+    """(input kind, team index, fault, the drawn byte position for the faults
+    that take one)."""
+    kind = draw(st.sampled_from(INPUTS))
+    repeatable = kind not in ("day file", *TABLES)
+    fault = draw(st.sampled_from([f for f in FAULTS if repeatable or f != "repeated key"]))
+    return kind, draw(st.integers(0, 1)), fault, draw(st.floats(0, 1, exclude_max=True))
+
+
+def _apply(path: Path, kind: str, fault: str, where: float) -> None:
+    data = path.read_bytes()
+    if fault in ("directory", "FIFO", "endless device"):
+        path.unlink()
+        {"directory": path.mkdir, "FIFO": lambda: os.mkfifo(path),
+         "endless device": lambda: path.symlink_to("/dev/zero")}[fault]()
+        return
+    if fault == "not UTF-8":
+        at = int(where * len(data))
+        data = data[:at] + b"\xff" + data[at + 1:]
+    elif fault == "truncated":
+        if kind in TABLES:  # within the last row, before its last delimiter: a cell short
+            body = data.rstrip(b"\n")
+            start, end = body.rfind(b"\n") + 2, body.rfind(b",")
+        else:  # any proper prefix of an object or array is malformed JSON
+            start, end = 1, len(data.rstrip()) - 1
+        data = data[:start + int(where * (end - start + 1))]
+    elif fault == "empty":
+        data = b""
+    elif fault == "deep nesting":
+        data = b"[" * 100_000 + b"]" * 100_000
+    else:
+        data = data.replace(b"{", b'{"k": 0, "k": 0, ', 1)
+    path.write_bytes(data)
+
+
+# monkeypatch and within are set up once, and every example sets what it uses.
+@settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(structural_faults(), st.sampled_from([1, 2]))
+def test_structural_fault_names_the_file(monkeypatch, within, fault_case, workers):
+    kind, team, fault, where = fault_case
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "mini"
+        shutil.copytree(MINI, work)
+        path = _input_file(work, kind, team)
+        _apply(path, kind, fault, where)
+        if kind == "report.json":
+            with pytest.raises((InputError, ValidationError)) as err, within(10):
+                load_report(path)
+            assert str(path) in str(err.value)
+            return
+        err = io.StringIO()
+        argv = ["report", "--config", str(work / "config.json"), "--out", f"{tmp}/out",
+                "--format", "structured-data"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with within(10):
+                code = main(argv)
+        assert code in (1, 2), err.getvalue()[-2000:]
+        assert str(path) in err.getvalue(), err.getvalue()[-2000:]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -4,10 +4,10 @@ Each module's ``__all__`` is checked with ``getattr``, and each name that
 ``teamnets/__init__.py`` imports is read from its source with ``ast`` and
 looked up in the module it names. The package's sources are also read with
 ``ast`` to check that one function decodes every JSON input, that one
-function opens raw file descriptors, that one function pairs the points of
-every correlation cell, that one function forks, that neither
-``multiprocessing`` nor ``select`` is imported, and that one function takes
-a season worker's result.
+function opens raw file descriptors and no input path is looked up before it
+is opened, that one function pairs the points of every correlation cell,
+that one function forks, that neither ``multiprocessing`` nor ``select`` is
+imported, and that one function takes a season worker's result.
 """
 
 from __future__ import annotations
@@ -87,6 +87,29 @@ def test_one_function_opens_file_descriptors():
     """os.open is called in one function of the package, load_json's byte
     reader, which closes every descriptor it opens."""
     assert _callers("os.open") == ["ingestion._read_bytes"]
+
+
+def test_no_input_path_is_looked_up_before_it_is_opened():
+    """Each input file's own open and reads decide what it is: require_file is
+    gone, and neither ingestion nor config asks a path whether it is a file, a
+    directory or there at all."""
+    package = Path(teamnets.__file__).parent
+    defined = [
+        node.name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    assert "require_file" not in defined
+    lookups = [
+        f"{name}:{node.lineno}"
+        for name in ("ingestion.py", "config.py")
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("is_file", "exists", "is_dir")
+    ]
+    assert lookups == []
 
 
 def test_one_function_pairs_correlation_points():

@@ -208,6 +208,9 @@ def open_fds() -> list[str]:
     return sorted(os.listdir("/proc/self/fd"))
 
 
+MISSING = "value not found"  # load_json's text for a path with nothing there
+
+
 class TestLoadJson:
     """load_json reads through a raw descriptor; ``-X dev`` warns of no raw
     descriptor left open, so the tests count the process's open ones."""
@@ -219,36 +222,42 @@ class TestLoadJson:
         path.write_text(text, encoding="utf-8")
         before = open_fds()
         if size:
-            assert load_json(path, unique_keys=True) == json.loads(text)
-            assert load_json(str(path), unique_keys=False) == json.loads(text)
+            assert load_json(path, MISSING, unique_keys=True) == json.loads(text)
+            assert load_json(str(path), MISSING, unique_keys=False) == json.loads(text)
         else:
             with pytest.raises(InputError, match="malformed JSON at line 1 column 1"):
-                load_json(path, unique_keys=True)
+                load_json(path, MISSING, unique_keys=True)
         assert open_fds() == before
 
     @pytest.mark.parametrize(
-        "fault,errno_text",
-        [
-            ("missing", "[Errno 2] No such file or directory"),
-            ("directory", "[Errno 21] Is a directory"),
-            ("under a file", "[Errno 20] Not a directory"),
-        ],
+        "fault", ["missing", "under a file", "directory", "endless device", "loop"]
     )
-    def test_cannot_read_names_the_file(self, tmp_path, fault, errno_text):
-        """Each text is the one a buffered open() gave, also for a directory,
-        which os.open accepts and os.read rejects."""
+    def test_each_fault_names_the_file(self, tmp_path, within, fault):
+        """Nothing there, or a path under a regular file, is the caller's "not
+        found" text. A directory, which os.open accepts and os.read rejects,
+        is not a file, and so is /dev/zero linked in place of the file, once
+        its first read fills the buffer rather than when memory runs out. Any
+        other open error, such as a symbolic link loop, gives its errno text
+        with the path."""
         (tmp_path / "file.json").write_text("{}", encoding="utf-8")
         (tmp_path / "dir.json").mkdir()
-        path = {
-            "missing": tmp_path / "none.json",
-            "directory": tmp_path / "dir.json",
-            "under a file": tmp_path / "file.json" / "x.json",
+        (tmp_path / "zero.json").symlink_to("/dev/zero")
+        (tmp_path / "loop.json").symlink_to(tmp_path / "loop.json")
+        path, text = {
+            "missing": (tmp_path / "none.json", "{missing}: {path}"),
+            "under a file": (tmp_path / "file.json" / "x.json", "{missing}: {path}"),
+            "directory": (tmp_path / "dir.json", "{path}: not a file"),
+            "endless device": (tmp_path / "zero.json", "{path}: not a file"),
+            "loop": (
+                tmp_path / "loop.json",
+                "{path}: cannot read: [Errno 40] Too many levels of symbolic links: '{path}'",
+            ),
         }[fault]
         before = open_fds()
         for spelling in (path, str(path)):
-            with pytest.raises(InputError) as err:
-                load_json(spelling, unique_keys=True)
-            assert str(err.value) == f"{path}: cannot read: {errno_text}: '{path}'"
+            with pytest.raises(InputError) as err, within(10):
+                load_json(spelling, MISSING, unique_keys=True)
+            assert str(err.value) == text.format(missing=MISSING, path=path)
         assert open_fds() == before
 
     @pytest.mark.parametrize("writer", ["none", "silent", "wrote"])
@@ -264,7 +273,7 @@ class TestLoadJson:
                 os.write(held, b'[{"ts": "1"')
             before = open_fds()
             with pytest.raises(InputError) as err, within(10):
-                load_json(path, unique_keys=False)
+                load_json(path, MISSING, unique_keys=False)
             assert str(err.value) == f"{path}: not a file"
             assert open_fds() == before
         finally:
@@ -284,9 +293,9 @@ class TestLoadJson:
         path.write_text(text, encoding="utf-8")
         before = open_fds()
         with pytest.raises(InputError) as err:
-            load_json(path, unique_keys=True)
+            load_json(path, MISSING, unique_keys=True)
         assert str(err.value) == f"{path}: key '{key}' given twice in one object"
-        assert load_json(path, unique_keys=False) == json.loads(text)
+        assert load_json(path, MISSING, unique_keys=False) == json.loads(text)
         assert open_fds() == before
 
 

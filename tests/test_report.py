@@ -467,6 +467,23 @@ class TestEmission:
             load_report(path)
         assert str(err.value) == f"{path}: key 'teams' given twice in one object"
 
+    @pytest.mark.parametrize("fault", ["missing", "under a file", "directory", "endless device"])
+    def test_load_report_of_no_file_is_input_error(self, tmp_path, within, fault):
+        """Nothing there, or a path under a regular file, is "report not found";
+        a directory, or /dev/zero linked in its place, is not a file, at once."""
+        path = tmp_path / "report.json"
+        if fault == "under a file":
+            path.write_text("{}", encoding="utf-8")
+            path = path / "report.json"
+        elif fault == "directory":
+            path.mkdir()
+        elif fault == "endless device":
+            path.symlink_to("/dev/zero")
+        with pytest.raises(InputError) as err, within(10):
+            load_report(path)
+        missing = fault in ("missing", "under a file")
+        assert str(err.value) == (f"report not found: {path}" if missing else f"{path}: not a file")
+
     def test_load_report_nested_too_deeply_is_input_error(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text('{"teams": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
