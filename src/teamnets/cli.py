@@ -10,15 +10,15 @@ Subcommands::
 
 Every subcommand also takes ``--exclude-sprints 1``.
 
-Every subcommand runs its per-team step in one stage, ``report.season_stage``:
-the chat parse, then for validate the repo parse, and for stc, correlate and
-report the repo parse and STC. The stage runs in forked worker processes,
-one per CPU the process may use and at most one per team, or in-process. The
-worker count is worked out, not set, and no output, message or exit code
-depends on it. The stage applies each team's diagnostic counts, notes and
-error itself, and gives each command (team, value) pairs in team order.
-``validate`` prints the run's notes on stdout after its counters; every other
-subcommand prints them on stderr as ``note: <text>``.
+Every subcommand passes ``report.season_stage`` one per-team step defined in
+``report``: ``team_validation``, ``team_scores`` (stc), ``team_chat``
+(census) or ``team_stc`` (correlate and report). The stage runs in forked
+worker processes, one per CPU the process may use and at most one per team,
+or in-process. No output, message or exit code depends on the worker count.
+The stage applies each team's diagnostic counts, notes and error itself, and
+gives each command (team, value) pairs in team order. ``validate`` prints
+the run's notes on stdout after its counters; every other subcommand prints
+them on stderr as ``note: <text>``.
 
 Exit codes: 0 success, 1 validation failure, 2 input error (also an input or
 output path the system cannot use, or a closed standard output), 3 internal
@@ -33,26 +33,22 @@ import sys
 import traceback
 from pathlib import Path
 
-from .config import PipelineConfig, TeamConfig, excluded_team_ids, load_config
+from .config import PipelineConfig, excluded_team_ids, load_config
 from .errors import InputError, ValidationError
-from .ingestion import (
-    Diagnostics,
-    parse_feedback,
-    parse_outcomes,
-    parse_repo_weeks,
-    parse_work_logs,
-)
+from .ingestion import Diagnostics
 from .network import write_edge_list
 from .report import (
     BLANK_CENSUS,
     CENSUS_COLUMNS,
     FORMATS,
     emit,
+    parse_tables,
     run_pipeline,
     season_stage,
     sprint_census,
     team_chat,
-    team_stc,
+    team_scores,
+    team_validation,
     write_tables,
 )
 
@@ -109,38 +105,14 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
     return config
 
 
-def _validate_step(team_cfg: TeamConfig, config: PipelineConfig, diag: Diagnostics):
-    """Whether the team's chat and repo are valid, and its line: the counts,
-    or the validation failure."""
-    team = team_cfg.team_id
-    try:
-        _, kept, replies = team_chat(team_cfg, config, diag)
-        _, commits, mrs = parse_repo_weeks(
-            team_cfg.repo_activity, team_cfg.roster, config.calendar, diag
-        )
-    except ValidationError as exc:
-        return False, f"team {team}: VALIDATION FAILURE: {exc}"
-    return True, (
-        f"team {team}: {kept} messages, {commits} commits, {mrs} merge requests, "
-        f"{replies} communication events"
-    )
-
-
 def _cmd_validate(config: PipelineConfig) -> int:
     diag = Diagnostics()
     failures = 0
-    with season_stage(config, _validate_step, diag) as results:
+    with season_stage(config, team_validation, diag) as results:
         for _, (valid, line) in results:
             failures += not valid
             print(line, file=sys.stdout if valid else sys.stderr)
-    if config.outcomes_path:
-        parse_outcomes(config.outcomes_path, config.calendar, config.team_ids(), diag)
-    if config.feedback_path:
-        parse_feedback(
-            config.feedback_path, config.calendar, [t.roster for t in config.teams], diag
-        )
-    if config.work_logs_path:
-        parse_work_logs(config.work_logs_path, config.team_ids(), diag)
+    parse_tables(config, diag)
     for key in sorted(diag.counts):
         print(f"  {key}: {diag.counts[key]}")
     for note in diag.notes:
@@ -148,21 +120,13 @@ def _cmd_validate(config: PipelineConfig) -> int:
     return 1 if failures else 0
 
 
-def _stc_step(team_cfg: TeamConfig, config: PipelineConfig, diag: Diagnostics):
-    return team_stc(team_cfg, config, team_chat(team_cfg, config, diag)[0], diag)
-
-
 def _cmd_stc(config: PipelineConfig, out: Path) -> tuple[list[Path], list[str]]:
     weeks = config.calendar.included_weeks()
     diag = Diagnostics()
-    with season_stage(config, _stc_step, diag) as results:
+    with season_stage(config, team_scores, diag) as results:
         rows = [(t.team_id, week, scores[week]) for t, scores in results for week in weeks]
     table = (("team", "week", "stc_score"), rows)
     return write_tables(out, {"stc_weekly": table}, "delimited-table"), diag.notes
-
-
-def _census_step(team_cfg: TeamConfig, config: PipelineConfig, diag: Diagnostics):
-    return team_chat(team_cfg, config, diag)[0]
 
 
 def _cmd_census(config: PipelineConfig, out: Path) -> tuple[list[Path], list[str]]:
@@ -170,7 +134,7 @@ def _cmd_census(config: PipelineConfig, out: Path) -> tuple[list[Path], list[str
     diag = Diagnostics()
     rows = []
     edge_lists = {}
-    with season_stage(config, _census_step, diag) as results:
+    with season_stage(config, team_chat, diag) as results:
         for team_cfg, weekly in results:
             team = team_cfg.team_id
             for sprint in cal.included_sprints():

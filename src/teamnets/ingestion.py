@@ -31,7 +31,8 @@ Every row has the header's cell count, and no column is named twice.
 
 Every input file, JSON or table, is read whole by one reader that looks
 nothing up before it opens the file: anything but a regular file (a
-directory, a FIFO, a device) is ``<path>: not a file``.
+directory, a FIFO, a device) is ``<path>: not a file``, and a file over
+``MAX_INPUT_BYTES`` (64 MiB) is ``<path>: too large: over 67108864 bytes``.
 
 Calendar bounds and repo timestamps are timezone-aware UTC datetimes. A
 chat message's time is the float of its ``ts``, compared with the week
@@ -74,6 +75,9 @@ from .errors import InputError, ValidationError
 # Slack-style event subtypes that do not represent human communication.
 EXCLUDED_SUBTYPES = frozenset({"channel_join", "channel_leave", "bot_message"})
 
+# The most bytes of any input file; a generated long season's largest is 430 KB.
+MAX_INPUT_BYTES = 64 * 1024 * 1024
+
 
 def parse_utc(value: str) -> datetime:
     """Parse an ISO-8601 timestamp; naive values and 'Z' suffixes mean UTC.
@@ -90,12 +94,13 @@ def _require_regular(fd: int, path: Path | str) -> None:
 
 
 def _read_bytes(path: Path | str, missing: str) -> bytes:
-    """The bytes of the regular file ``path``; nothing there is ``<missing>:
-    <path>``. It reads through a raw descriptor: a chat day file holds a few
-    KB, and a buffered ``open()`` costs more than reading them. The open does
-    not block, so a FIFO is not a wait for a writer. The file's kind costs an
-    fstat, a third of a day file's read: only a read that gives no bytes,
-    fails, or fills the first buffer (a device that never ends) looks it up."""
+    """The bytes of the regular file ``path``, at most MAX_INPUT_BYTES (more is
+    too large); nothing there is ``<missing>: <path>``. It reads through a raw
+    descriptor: a chat day file holds a few KB, and a buffered ``open()``
+    costs more than reading them. The open does not block, so a FIFO is not a
+    wait for a writer. The file's kind costs an fstat, a third of a day file's
+    read: only a read that gives no bytes, fails, or fills the first buffer (a
+    device that never ends) looks it up."""
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     except (FileNotFoundError, NotADirectoryError):
@@ -103,11 +108,13 @@ def _read_bytes(path: Path | str, missing: str) -> bytes:
     except OSError as exc:
         raise InputError(f"{path}: cannot read: {exc}") from None
     try:
-        chunks = []
+        chunks, size = [], 0
         try:
             while chunk := os.read(fd, 65536):
                 if len(chunk) == 65536 and not chunks:
                     _require_regular(fd, path)
+                if (size := size + len(chunk)) > MAX_INPUT_BYTES:
+                    raise InputError(f"{path}: too large: over {MAX_INPUT_BYTES} bytes")
                 chunks.append(chunk)
         except OSError as exc:  # EISDIR; BlockingIOError: a FIFO with nothing written yet
             _require_regular(fd, path)

@@ -13,20 +13,21 @@ decreasing-trend teams, flags anomalous teams, and can write everything as
 delimited tables or structured JSON. Output ordering is bit-stable: teams
 alphabetical, sprints and weeks in calendar order, fixed float formatting.
 
-Each command's per-team step, a team's chat parse and for most commands its
-repo parse and STC, runs in one season-level stage (``season_stage``): in
-forked worker processes, one per CPU this process may use and at most one
-per team, or in-process where there is one CPU or team, no ``os.fork``, or
-another thread running. Censuses and tables stay in the calling process,
-which parses the tables while the workers run. Each worker sends its teams'
-results in team order down its own pipe, so team i's result is the next on
-worker i mod n's pipe, read there with blocking reads when it is asked for
-(``season_stage`` says why no worker can stall the command). The stage
-applies each team's result where a serial run reaches that team: it adds
-the team's diagnostic counts and notes to the command's and raises its
-error, then gives the command the (team, value) pair. So no output,
-message or exit code depends on the worker count, and no command handles a
-worker's raw result.
+Each command has one per-team step, defined here: ``team_validation``
+(validate), ``team_scores`` (stc), ``team_chat`` (census) and ``team_stc``
+(correlate and report). It runs in one season-level stage
+(``season_stage``): in forked worker processes, one per CPU this process may
+use and at most one per team, or in-process where there is one CPU or team,
+no ``os.fork``, or another thread running. Censuses and tables stay in the
+calling process, where the pipeline parses the tables (``parse_tables``)
+while the workers run. Each worker sends its teams' results in team order
+down its own pipe, so team i's result is the next on worker i mod n's pipe,
+read there with blocking reads when it is asked for (``season_stage`` says
+why no worker can stall the command). The stage applies each team's result
+where a serial run reaches that team: it adds the team's diagnostic counts
+and notes to the command's and raises its error, then gives the command the
+(team, value) pair. So no output, message or exit code depends on the worker
+count, and no command handles a worker's raw result.
 """
 
 from __future__ import annotations
@@ -322,39 +323,68 @@ def _read(fd: int, size: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Per-team steps, shared by the pipeline and the single-stage subcommands
+# Each command's per-team step, and the tables of the pipeline and validate
 # ---------------------------------------------------------------------------
 
 
-def team_chat(
-    team: TeamConfig, config: PipelineConfig, diag: Diagnostics
-) -> tuple[WeeklyEdges, int, int]:
-    """A team's weekly reply edges, kept-message count and reply count."""
+def team_chat(team: TeamConfig, config: PipelineConfig, diag: Diagnostics) -> WeeklyEdges:
+    """A team's weekly reply edges: the step of ``census``."""
     return parse_chat_edges(
         team.chat_export, team.roster, config.calendar, config.excluded_handles, diag
-    )
+    )[0]
 
 
 def team_stc(
-    team: TeamConfig,
-    config: PipelineConfig,
-    weekly: WeeklyEdges,
-    diag: Diagnostics,
-) -> dict[int, float | None]:
-    """Parse a team's repo activity and score the STC of each included week."""
+    team: TeamConfig, config: PipelineConfig, diag: Diagnostics
+) -> tuple[WeeklyEdges, dict[int, float | None]]:
+    """A team's weekly reply edges and the STC of each included week, from its
+    chat and repo activity: the step of ``report`` and ``correlate``."""
+    weekly = team_chat(team, config, diag)
     mrs_by_week = parse_repo_weeks(team.repo_activity, team.roster, config.calendar, diag)[0]
     weeks = config.calendar.included_weeks()
-    return weekly_team_scores(
+    return weekly, weekly_team_scores(
         mrs_by_week, weekly, team.roster, weeks, config.self_dependency, diag
     )
 
 
-def _chat_and_stc(
+def team_scores(
     team: TeamConfig, config: PipelineConfig, diag: Diagnostics
-) -> tuple[WeeklyEdges, dict[int, float | None]]:
-    """A team's weekly reply edges and weekly STC: the step of ``run_pipeline``."""
-    weekly = team_chat(team, config, diag)[0]
-    return weekly, team_stc(team, config, weekly, diag)
+) -> dict[int, float | None]:
+    """A team's weekly STC: the step of ``stc``. The edges stay in the worker,
+    so only the scores cross its pipe."""
+    return team_stc(team, config, diag)[1]
+
+
+def team_validation(
+    team: TeamConfig, config: PipelineConfig, diag: Diagnostics
+) -> tuple[bool, str]:
+    """Whether a team's chat and repo activity are valid, and its line: their
+    counts, or the validation failure. The step of ``validate``."""
+    try:
+        _, kept, replies = parse_chat_edges(
+            team.chat_export, team.roster, config.calendar, config.excluded_handles, diag
+        )
+        _, commits, mrs = parse_repo_weeks(team.repo_activity, team.roster, config.calendar, diag)
+    except ValidationError as exc:
+        return False, f"team {team.team_id}: VALIDATION FAILURE: {exc}"
+    return True, (
+        f"team {team.team_id}: {kept} messages, {commits} commits, {mrs} merge requests, "
+        f"{replies} communication events"
+    )
+
+
+def parse_tables(config: PipelineConfig, diag: Diagnostics) -> tuple[tuple[dict, dict], dict, dict]:
+    """The outcomes, peer-feedback and work-log tables, parsed in that order:
+    (each team's sprint outcomes, its year-level values), its communication
+    ratings and its pair hours, each empty where its table is not configured."""
+    cal, teams = config.calendar, config.team_ids()
+    rosters = [t.roster for t in config.teams]
+    outcomes, feedback, logs = config.outcomes_path, config.feedback_path, config.work_logs_path
+    return (
+        parse_outcomes(outcomes, cal, teams, diag) if outcomes else ({}, {}),
+        parse_feedback(feedback, cal, rosters, diag) if feedback else {},
+        parse_work_logs(logs, teams, diag) if logs else {},
+    )
 
 
 def sprint_census(
@@ -484,14 +514,8 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     if config.feedback_path is None:
         raise InputError("missing input: no peer-feedback table configured")
     # The tables are parsed while the workers run the teams' steps.
-    with season_stage(config, _chat_and_stc, diag) as results:
-        outcomes, year_level = parse_outcomes(config.outcomes_path, cal, teams, diag)
-        comm_rating = parse_feedback(
-            config.feedback_path, cal, [t.roster for t in config.teams], diag
-        )
-        work_hours = (
-            parse_work_logs(config.work_logs_path, teams, diag) if config.work_logs_path else {}
-        )
+    with season_stage(config, team_stc, diag) as results:
+        (outcomes, year_level), comm_rating, work_hours = parse_tables(config, diag)
         stc_weekly: dict[str, dict[int, float | None]] = {}
         frame: list[dict] = []
         for t, (weekly, stc) in results:

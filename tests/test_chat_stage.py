@@ -250,8 +250,12 @@ def test_validation_failure_in_a_worker_keeps_later_teams(
     assert forks
 
 
+# Each command's step reaches the chat parser through teamnets.report, where
+# these tests and stall_in_workers patch it: a step that imported the parser
+# elsewhere would run unpatched.
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
 def test_worker_killed_mid_parse_is_internal_error(
-    mini_dir, tmp_path, monkeypatch, capsys, forks
+    command, mini_dir, tmp_path, monkeypatch, capsys, forks
 ):
     real_parse = teamnets.report.parse_chat_edges
 
@@ -261,9 +265,7 @@ def test_worker_killed_mid_parse_is_internal_error(
         return real_parse(export_root, roster, *args)
 
     monkeypatch.setattr(teamnets.report, "parse_chat_edges", parse_or_die)
-    code, _, stderr, _ = run(
-        monkeypatch, capsys, tmp_path, mini_dir / "config.json", ["report"], 2
-    )
+    code, _, stderr, _ = run(monkeypatch, capsys, tmp_path, mini_dir / "config.json", command, 2)
     assert len(forks) == 2
     assert code == 3
     assert stderr.startswith(
@@ -272,14 +274,15 @@ def test_worker_killed_mid_parse_is_internal_error(
     )
 
 
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
 def test_error_raised_in_a_worker_is_internal_error(
-    mini_dir, tmp_path, monkeypatch, capsys, forks
+    command, mini_dir, tmp_path, monkeypatch, capsys, forks
 ):
     def crash(export_root, roster, *args):
         raise KeyError("boom")
 
     monkeypatch.setattr(teamnets.report, "parse_chat_edges", crash)
-    code, _, stderr, _ = run(monkeypatch, capsys, tmp_path, mini_dir / "config.json", ["stc"], 2)
+    code, _, stderr, _ = run(monkeypatch, capsys, tmp_path, mini_dir / "config.json", command, 2)
     assert len(forks) == 2
     assert code == 3
     assert stderr.startswith(

@@ -15,7 +15,7 @@ from teamnets.cli import main
 from teamnets.config import load_config
 from teamnets.report import load_report, run_pipeline
 
-from oracles import parse_chat_export_oracle
+from oracles import parse_chat_export_oracle, pearson_r_oracle
 
 
 def _cell(value) -> str:
@@ -315,6 +315,35 @@ class TestValidate:
         assert sorted(os.listdir("/proc/self/fd")) == before
         _assert_no_child_left()
 
+    @pytest.mark.parametrize(
+        "kind,workers",
+        [("day file", 1), ("day file", 2), ("config", 1), ("repo file", 2), ("table", 2)],
+        ids=["day-file-1", "day-file-2", "config-1", "repo-file-2", "table-2"],
+    )
+    def test_input_over_the_cap_is_too_large(
+        self, mini_dir, tmp_path, capsys, monkeypatch, within, kind, workers
+    ):
+        """A sparse 2 GiB file in place of any input is an input error naming
+        it as too large, at once and not when memory runs out, with no child
+        or descriptor left."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        path = {
+            "day file": sorted((work / "chat" / "alpha").glob("*/*.json"))[0],
+            "config": work / "config.json",
+            "repo file": work / "repo_beta.json",
+            "table": work / "feedback.csv",
+        }[kind]
+        os.truncate(path, 2**31)  # sparse: it takes no disk
+        before = sorted(os.listdir("/proc/self/fd"))
+        capsys.readouterr()
+        with within(10):
+            assert main(["validate", "--config", str(work / "config.json")]) == 2
+        assert capsys.readouterr().err == f"input error: {path}: too large: over 67108864 bytes\n"
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        _assert_no_child_left()
+
     def test_malformed_config_names_line_column_and_char(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text('{\n  "calendar": oops\n}\n', encoding="utf-8")
@@ -417,6 +446,7 @@ class TestValidate:
             (("options", "self_dependency"), 0, "options.self_dependency"),
             (("calendar", "weeks", 0, "start"), 5, "calendar.weeks[0].start"),
             (("calendar", "weeks", 1, "end"), "next monday", "calendar.weeks[1].end"),
+            (("teams",), [], "teams must be a non-empty array"),
         ],
         ids=[
             "week_id-str",
@@ -447,6 +477,7 @@ class TestValidate:
             "self_dependency-int",
             "week_start-int",
             "week_end-str",
+            "teams-empty",
         ],
     )
     def test_bad_config_value_is_named_input_error(
@@ -469,8 +500,20 @@ class TestValidate:
                 1.5,
                 "anomaly top fraction must be in (0, 1), got 1.5",
             ),
+            (("teams", 1, "team_id"), "alpha", "duplicate team id alpha"),
+            (("calendar", "weeks", 1, "week_id"), 1, "duplicate week id 1"),
+            (("calendar", "weeks", 0, "end"), "2024-03-04T00:00:00Z", "week 1 has end <= start"),
+            (("calendar", "sprints", 1, "sprint_id"), 1, "duplicate sprint id 1"),
         ],
-        ids=["no-weeks", "empty-roster", "top_fraction-range"],
+        ids=[
+            "no-weeks",
+            "empty-roster",
+            "top_fraction-range",
+            "duplicate-team",
+            "duplicate-week",
+            "week-ends-at-start",
+            "duplicate-sprint",
+        ],
     )
     def test_config_validation_failure_names_config(
         self, mini_dir, tmp_path, capsys, path, value, text
@@ -478,6 +521,25 @@ class TestValidate:
         cfg = _mini_config_with(mini_dir, tmp_path, path, value)
         assert main(["validate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"validation failure: {cfg}: {text}\n"
+
+    def test_exclude_sprints_of_no_integer_is_input_error(self, mini_dir, capsys):
+        config = str(mini_dir / "config.json")
+        assert main(["validate", "--config", config, "--exclude-sprints", "x"]) == 2
+        assert capsys.readouterr().err == "input error: --exclude-sprints must be integers: 'x'\n"
+
+    def test_non_numeric_work_log_hours_is_validation_failure(self, mini_dir, tmp_path, capsys):
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        logs = work / "work_logs.csv"
+        logs.write_text("team_id,hours\nalpha,4\nbeta,lots\n", encoding="utf-8")
+        config = json.loads((work / "config.json").read_text())
+        config["work_logs"] = "work_logs.csv"
+        (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        for command in (["validate"], ["report", "--out", str(tmp_path / "out")]):
+            assert main([*command, "--config", str(work / "config.json")]) == 1
+            assert capsys.readouterr().err == (
+                f"validation failure: {logs}:line 3: non-numeric hours\n"
+            )
 
     @pytest.mark.parametrize(
         "kind,key,value,text",
@@ -652,6 +714,83 @@ class TestSubcommands:
         assert code == 0
         report = load_report(out / "report.json")
         assert report.teams == ("alpha", "beta")
+
+    @pytest.mark.parametrize("format", ["delimited-table", "structured-data"])
+    def test_lagged_table_is_written_when_asked(self, mini_dir, tmp_path, format):
+        """options.include_lagged_table adds lagged_correlations. Its first cell
+        has 2 points, since the last sprint has no next one: too few for r. Its
+        second pairs each team's year-mean score (85 twice, 65 twice) with its
+        sprint ratings (4.5, 4.75, 2.5, 2); with 2 degrees of freedom p = 1 - r."""
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        config = json.loads((work / "config.json").read_text())
+        config["options"]["include_lagged_table"] = True
+        (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["report", "--config", str(work / "config.json"), "--out", str(out)]
+        assert main([*argv, "--format", format]) == 0
+        r = pearson_r_oracle([85, 85, 65, 65], [4.5, 4.75, 2.5, 2.0])
+        if format == "delimited-table":
+            assert (out / "lagged_correlations.csv").read_text() == (
+                "pair,r,n,p,stars\n"
+                "next_sprint_pct_passed~mean_peer_comm_rating,,2,,\n"
+                f"mean_team_score_year~mean_peer_comm_rating,{r:.6f},4,{1 - r:.6f},*\n"
+            )
+            assert f"{r:.6f}" == "0.986431"
+            return
+        first, second = json.loads((out / "lagged_correlations.json").read_text())
+        assert first == {
+            "pair": "next_sprint_pct_passed~mean_peer_comm_rating",
+            "r": None, "n": 2, "p": None, "stars": "",
+        }
+        assert second["pair"] == "mean_team_score_year~mean_peer_comm_rating"
+        assert (second["n"], second["stars"]) == (4, "*")
+        assert second["r"] == pytest.approx(r, abs=1e-12)
+        assert second["p"] == pytest.approx(1 - r, abs=1e-12)
+
+    def test_pair_hours_of_work_logs_that_differ_are_noted(self, mini_dir, tmp_path, capsys):
+        """alpha's work logs total 107.5 hours against the outcomes table's 120:
+        a note names both, and the team summary keeps the outcomes value."""
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        (work / "work_logs.csv").write_text(
+            "team_id,hours\nalpha,100\nalpha,7.5\nbeta,300\n", encoding="utf-8"
+        )
+        config = json.loads((work / "config.json").read_text())
+        config["work_logs"] = "work_logs.csv"
+        (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines() if "pair hours" in line]
+        assert notes == [
+            "note: team alpha: pair hours differ between outcomes table (120) and work logs "
+            "(107.5); using the outcomes value"
+        ]
+        golden = mini_dir.parent / "mini_golden" / "team_summary.csv"
+        assert (out / "team_summary.csv").read_text() == golden.read_text()
+
+    def test_team_with_one_defined_stc_week_has_no_trend(self, mini_dir, tmp_path, capsys):
+        """beta keeps only its week-3 merge requests: one defined STC week gives
+        no trend, a note, and no place in either U-test group."""
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        repo_path = work / "repo_beta.json"
+        repo = json.loads(repo_path.read_text())
+        repo["merge_requests"] = [m for m in repo["merge_requests"] if m["id"] in ("B1", "B2")]
+        repo_path.write_text(json.dumps(repo), encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
+        stderr = capsys.readouterr().err
+        assert "note: team beta: no STC trend (fewer than 2 defined weeks)\n" in stderr
+        assert "note: team alpha: no STC trend" not in stderr
+        assert (out / "series_stc_beta.csv").read_text() == (
+            "week,stc_score\n3,1.000000\n4,\n5,\n6,\n"
+        )
+        assert (out / "trend_utest.csv").read_text() == (
+            "increasing_teams,decreasing_teams,u,p,method\nalpha,,,,undefined\n"
+        )
 
     def test_correlate_writes_only_correlation_tables(self, mini_dir, tmp_path):
         """In either format, correlate writes the correlation tables of

@@ -17,10 +17,11 @@ walks every value of ``mini``'s ``repo_alpha.json`` the same way, through
 A fourth draws a structural fault of one input file: the config, a chat day
 file, a repo file, each of the three tables, or ``report.json`` read back by
 ``load_report``. The file becomes a directory, a FIFO, a link to
-``/dev/zero``, bytes that are not UTF-8, a truncated or empty file, deeply
-nested JSON, or JSON with a repeated key (not for day files and tables). With
-1 or 2 workers, ``report`` must fail validation (1) or the input (2) with the
-file named, at once, with no worker left.
+``/dev/zero``, a sparse file over the 64 MiB input cap, bytes that are not
+UTF-8, a truncated or empty file, deeply nested JSON, or JSON with a repeated
+key (not for day files and tables). With 1 or 2 workers, ``report`` must fail
+validation (1) or the input (2) with the file named, at once, with no worker
+left.
 """
 
 from __future__ import annotations
@@ -219,8 +220,8 @@ def test_repo_value_of_another_type_names_its_path(path, tmp_path):
 
 INPUTS = ("config", "day file", "repo file", "feedback", "outcomes", "work_logs", "report.json")
 FAULTS = (
-    "directory", "FIFO", "endless device", "not UTF-8", "truncated", "empty", "deep nesting",
-    "repeated key",
+    "directory", "FIFO", "endless device", "over the cap", "not UTF-8", "truncated", "empty",
+    "deep nesting", "repeated key",
 )
 TABLES = ("feedback", "outcomes", "work_logs")
 
@@ -263,6 +264,9 @@ def structural_faults(draw):
 
 
 def _apply(path: Path, kind: str, fault: str, where: float) -> None:
+    if fault == "over the cap":
+        os.truncate(path, 2**31)  # sparse: it takes no disk
+        return
     data = path.read_bytes()
     if fault in ("directory", "FIFO", "endless device"):
         path.unlink()

@@ -7,7 +7,8 @@ looked up in the module it names. The package's sources are also read with
 function opens raw file descriptors and no input path is looked up before it
 is opened, that one function pairs the points of every correlation cell,
 that one function forks, that neither ``multiprocessing`` nor ``select`` is
-imported, and that one function takes a season worker's result.
+imported, that one function takes a season worker's result, and that every
+command's per-team step and every parser call lives in ``report``.
 """
 
 from __future__ import annotations
@@ -141,3 +142,38 @@ def test_one_function_takes_team_results():
     assert sorted(set(_callers("_team_result"))) == ["report.season_stage"]
     exports = {m: getattr(importlib.import_module(m), "__all__", ()) for m in MODULES}
     assert [m for m, names in exports.items() if "team_result" in names] == []
+
+
+def _source(module: str) -> ast.Module:
+    return ast.parse((Path(teamnets.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def test_one_function_parses_the_tables():
+    """Each of the three table parsers is called in one function,
+    report.parse_tables, so the pipeline and validate parse them alike."""
+    for parser in ("parse_outcomes", "parse_feedback", "parse_work_logs"):
+        assert _callers(parser) == ["report.parse_tables"], parser
+
+
+def test_every_step_and_parser_call_is_in_report():
+    """Every command passes season_stage a function defined in report.py, and
+    a team's chat and repo are parsed only there, where the tests patch the
+    parsers; the command line imports no parser from ingestion."""
+    defined = {n.name for n in _source("report").body if isinstance(n, ast.FunctionDef)}
+    steps = [
+        (f"{path.stem}:{node.lineno}", _dotted(node.args[1]))
+        for path in sorted(Path(teamnets.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _dotted(node.func) == "season_stage"
+    ]
+    assert len(steps) == 4
+    assert [where for where, step in steps if step not in defined] == []
+    parses = _callers("parse_chat_edges") + _callers("parse_repo_weeks")
+    assert parses and {c.split(".")[0] for c in parses} == {"report"}
+    from_ingestion = [
+        alias.name
+        for node in ast.walk(_source("cli"))
+        if isinstance(node, ast.ImportFrom) and node.module == "ingestion"
+        for alias in node.names
+    ]
+    assert from_ingestion == ["Diagnostics"]

@@ -260,6 +260,35 @@ class TestLoadJson:
             assert str(err.value) == text.format(missing=MISSING, path=path)
         assert open_fds() == before
 
+    def test_file_over_the_cap_is_too_large(self, tmp_path, monkeypatch, within):
+        """A file of MAX_INPUT_BYTES is read whole and one byte more is too
+        large. A sparse 2 GiB file is too large at once: the reader takes at
+        most one read past the cap, and closes its descriptor."""
+        cap = 3 * 65536 + 5
+        monkeypatch.setattr(ingestion, "MAX_INPUT_BYTES", cap)
+        path = tmp_path / "big.json"
+        path.write_bytes(b"[" + b" " * (cap - 2) + b"]")
+        assert load_json(path, MISSING, unique_keys=True) == []
+        path.write_bytes(b"[" + b" " * (cap - 1) + b"]")
+        before = open_fds()
+        with pytest.raises(InputError) as err:
+            load_json(path, MISSING, unique_keys=True)
+        assert str(err.value) == f"{path}: too large: over {cap} bytes"
+        os.truncate(path, 2**31)
+        sizes = []
+        real_read = os.read
+
+        def read(fd, n):
+            sizes.append(len(chunk := real_read(fd, n)))
+            return chunk
+
+        monkeypatch.setattr(os, "read", read)
+        with pytest.raises(InputError) as err, within(10):
+            load_json(path, MISSING, unique_keys=False)
+        assert str(err.value) == f"{path}: too large: over {cap} bytes"
+        assert cap < sum(sizes) <= cap + 65536
+        assert open_fds() == before
+
     @pytest.mark.parametrize("writer", ["none", "silent", "wrote"])
     def test_fifo_is_not_a_file(self, tmp_path, within, writer):
         """A FIFO is not a file, with no writer (the read ends at once), with a

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import shutil
 from dataclasses import replace
 
@@ -483,6 +484,14 @@ class TestEmission:
             load_report(path)
         missing = fault in ("missing", "under a file")
         assert str(err.value) == (f"report not found: {path}" if missing else f"{path}: not a file")
+
+    def test_load_report_over_the_cap_is_too_large(self, tmp_path, within):
+        path = tmp_path / "report.json"
+        path.write_text("{}", encoding="utf-8")
+        os.truncate(path, 2**31)  # sparse: it takes no disk
+        with pytest.raises(InputError) as err, within(10):
+            load_report(path)
+        assert str(err.value) == f"{path}: too large: over 67108864 bytes"
 
     def test_load_report_nested_too_deeply_is_input_error(self, tmp_path):
         path = tmp_path / "report.json"

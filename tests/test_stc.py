@@ -214,6 +214,27 @@ class TestCoordinationRequirements:
         by_week = parse_repo_weeks(path, roster_of("P1", "P2"), one_week_calendar())[0]
         assert required_of(by_week[1]) == {("P1", "P2")}
 
+    def test_merge_request_of_unknown_authors_adds_no_requirement(self, tmp_path):
+        """M1's one commit is by X, on no roster: M1 keeps its files but has no
+        author. It shares file a with P1's M2 and file b with P2's M3, which
+        share no file: no one must coordinate."""
+        commits = [
+            {"sha": sha, "author": author, "authored_at": "2023-03-06T10:00:00Z"}
+            for sha, author in (("c1", "X"), ("c2", "P1"), ("c3", "P2"))
+        ]
+        mrs = [
+            {"id": f"M{i}", "created_at": f"2023-03-07T1{i}:00:00Z", "commits": [sha],
+             "files": files}
+            for i, sha, files in ((1, "c1", ["a", "b"]), (2, "c2", ["a"]), (3, "c3", ["b"]))
+        ]
+        path = tmp_path / "repo.json"
+        path.write_text(json.dumps({"commits": commits, "merge_requests": mrs}))
+        by_week = parse_repo_weeks(path, roster_of("P1", "P2"), one_week_calendar())[0]
+        assert by_week[1][0] == (frozenset(), frozenset({"a", "b"}))
+        for self_dependency in (True, False):
+            assert required_of(by_week[1], self_dependency) == frozenset()
+            assert required_of(by_week[1][1:], self_dependency) == frozenset()
+
 
 def net_of(people, pairs):
     return CommunicationNetwork(
