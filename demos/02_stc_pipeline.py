@@ -7,7 +7,8 @@ export are written to a temporary directory: task assignments
 from merge-request authorship, task dependencies from file overlap,
 coordination requirements as the pairs of people whose merge requests
 depend on each other, actual coordination from the week's network of
-threaded chat replies, and finally per-person scores.
+threaded chat replies, and finally per-person scores. Both parsers count
+what they keep and drop into one Diagnostics, printed at the end.
 """
 
 import json
@@ -16,6 +17,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from teamnets import (
+    Diagnostics,
     Roster,
     Sprint,
     SprintCalendar,
@@ -37,6 +39,7 @@ roster = Roster(
     members=frozenset({"ana", "ben", "cal"}),
     identity_map={"U_ANA": "ana", "U_BEN": "ben", "U_CAL": "cal"},  # chat handle -> person
 )
+diag = Diagnostics()  # the counters both parsers bump
 
 
 def at(hours: int) -> str:
@@ -60,7 +63,7 @@ with tempfile.TemporaryDirectory() as tmp:
     repo_file.write_text(json.dumps(repo), encoding="utf-8")
     # each week's merge requests as (authors, files) pairs, in file order; also
     # the number of kept commits and of merge requests
-    by_week, _, _ = parse_repo_weeks(repo_file, roster, cal)
+    by_week, _, _ = parse_repo_weeks(repo_file, roster, cal, diag)
 mrs = by_week[1]
 names = [mr["id"] for mr in repo["merge_requests"]]  # both were created in week 1
 
@@ -92,7 +95,7 @@ with tempfile.TemporaryDirectory() as export:
     day_file.parent.mkdir()
     day_file.write_text(json.dumps(day), encoding="utf-8")
     # also the number of kept messages and of replies counted
-    weekly, _, _ = parse_chat_edges(export, roster, cal)
+    weekly, _, _ = parse_chat_edges(export, roster, cal, (), diag)  # () excludes no handle
 net = window_network(weekly, roster, (1,))
 print("\nstep 4, actual coordination (the week's network of threaded replies):")
 for a, b in sorted(net.edges):
@@ -104,3 +107,7 @@ for s in scores:
     shown = "undefined" if s.value is None else f"{s.value:.3f} ({s.n_fulfilled}/{s.n_required})"
     print(f"    {s.person_id}: {shown}")
 print(f"    team week score: {team:.3f}")
+
+print("\nwhat the parsers counted (the report's diagnostics):")
+for key, n in sorted(diag.counts.items()):
+    print(f"    {key}: {n}")

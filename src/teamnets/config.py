@@ -32,23 +32,27 @@ Every value is read by one reader and must be of its kind, or it is an
 InputError naming its path (``calendar.weeks[0].week_id``, ``teams[1].members``,
 ``options.self_dependency``). Ids are integers (``1.0`` reads as 1; a string
 or a boolean is no integer); ``start`` and ``end`` are ISO-8601 strings;
-members, handles and identity-map values are strings. ``chat_export`` and
-``repo_activity`` are non-empty strings; for the optional paths ``""`` and
-``null`` mean absent. Fractions are numbers, flags true or false.
+handles are strings, and members and identity-map values strings that encode
+as UTF-8 (no lone surrogate such as ``"\\ud800"``). A team id names files:
+it also holds no NUL. ``chat_export`` and ``repo_activity`` are non-empty
+paths, strings without NUL that ``os.fsencode`` takes; for the optional paths
+``""`` and ``null`` mean absent. Fractions are numbers, flags true or false.
 ``exclude_teams`` is deduplicated and sorted, and names configured teams.
+The defaults shown are the format's, held by ``_read_config`` alone (the
+anomaly fractions by ``AnomalyThresholds``); ``PipelineConfig`` has none.
 Each error, a ValidationError of the calendar, a roster or the anomaly
 thresholds included, starts with the config file's path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable
 
 from .errors import InputError, ValidationError
-from .ingestion import FLAG, TEAM_ID, Roster, Sprint, SprintCalendar, Week
-from .ingestion import load_json, read_items, read_utc, read_value
+from .ingestion import FLAG, OPTIONAL_PATH, PATH, TEAM_ID, TEXT, Roster, Sprint, SprintCalendar
+from .ingestion import Week, load_json, read_items, read_utc, read_value
 
 __all__ = ["TeamConfig", "AnomalyThresholds", "PipelineConfig", "excluded_team_ids", "load_config"]
 
@@ -79,14 +83,14 @@ class AnomalyThresholds:
 class PipelineConfig:
     calendar: SprintCalendar
     teams: list[TeamConfig]
-    feedback_path: Path | None = None
-    outcomes_path: Path | None = None
-    work_logs_path: Path | None = None
-    excluded_handles: tuple[str, ...] = ()
-    anomaly: AnomalyThresholds = field(default_factory=AnomalyThresholds)
-    exclude_teams: tuple[str, ...] = ()
-    include_lagged_table: bool = False
-    self_dependency: bool = True
+    feedback_path: Path | None
+    outcomes_path: Path | None
+    work_logs_path: Path | None
+    excluded_handles: tuple[str, ...]
+    anomaly: AnomalyThresholds
+    exclude_teams: tuple[str, ...]
+    include_lagged_table: bool
+    self_dependency: bool
 
     def team_ids(self) -> tuple[str, ...]:
         return tuple(sorted(t.team_id for t in self.teams))
@@ -130,12 +134,12 @@ def _read_teams(data: dict, base: Path) -> list[TeamConfig]:
     for i, entry in enumerate(read_items(data, "teams", "", "an object", ...)):
         where = f"teams[{i}]"
         team_id = read_value(entry, "team_id", where, TEAM_ID, ...)
-        members = read_items(entry, "members", where, "a string", ...)
+        members = read_items(entry, "members", where, TEXT, ...)
         handles = read_value(entry, "identity_map", where, "an object", {})
         where_map = f"{where}.identity_map"
-        identity_map = {h: read_value(handles, h, where_map, "a string", ...) for h in handles}
-        chat_export = read_value(entry, "chat_export", where, "a non-empty string", ...)
-        repo_activity = read_value(entry, "repo_activity", where, "a non-empty string", ...)
+        identity_map = {h: read_value(handles, h, where_map, TEXT, ...) for h in handles}
+        chat_export = read_value(entry, "chat_export", where, PATH, ...)
+        repo_activity = read_value(entry, "repo_activity", where, PATH, ...)
         if any(t.team_id == team_id for t in teams):
             raise ValidationError(f"duplicate team id {team_id}")
         # one team per person: a peer rating counts for its rater's team
@@ -158,15 +162,16 @@ def _read_config(data, base: Path) -> PipelineConfig:
     calendar = _read_calendar(data)
     teams = _read_teams(data, base)
     options = read_value(data, "options", "", "an object", {})
+    top, bottom = AnomalyThresholds.top_fraction, AnomalyThresholds.bottom_fraction
     anomaly = AnomalyThresholds(
-        top_fraction=read_value(options, "anomaly_top_fraction", "options", "a number", 0.2),
-        bottom_fraction=read_value(options, "anomaly_bottom_fraction", "options", "a number", 0.3),
+        read_value(options, "anomaly_top_fraction", "options", "a number", top),
+        read_value(options, "anomaly_bottom_fraction", "options", "a number", bottom),
     )
     exclude = read_items(options, "exclude_teams", "options", "a string", [])
     exclude_teams = excluded_team_ids(exclude, {t.team_id for t in teams}, "options.exclude_teams")
 
     def optional_path(key: str) -> Path | None:
-        value = read_value(data, key, "", "a string or null", None)
+        value = read_value(data, key, "", OPTIONAL_PATH, None)
         return _resolve(base, value) if value else None
 
     return PipelineConfig(

@@ -22,8 +22,9 @@ Repo activity (one JSON file per team):
                          "files": [path]}, ...]}
     with ISO-8601 UTC timestamps. ``sha``, ``author`` and the entries of
     the ``commits`` and ``files`` arrays are strings, and ``id`` is a string
-    or an integer (not a boolean). Another type or a missing key is an input
-    error naming the file and the value's path (``commits[3].sha``).
+    that encodes as UTF-8 (no lone surrogate) or an integer (not a boolean).
+    Another value or a missing key is an input error naming the file and the
+    value's path (``commits[3].sha``).
 
 Feedback / outcomes / work logs are delimited tables with header rows; see
 ``parse_feedback``, ``parse_outcomes`` and ``parse_work_logs`` for columns.
@@ -184,25 +185,49 @@ def _utc_or_none(value) -> datetime | None:
         return None
 
 
+def _encodes(text: str, encode) -> bool:
+    """Whether ``encode`` takes ``text``: ``str.encode`` (UTF-8) or
+    ``os.fsencode`` (a path). JSON can spell a lone surrogate (``"\\ud800"``),
+    which neither takes; os.fsencode takes the escape of a byte that is not
+    UTF-8 (``"\\udcff"``), as Python names such a file. ASCII needs no encoding."""
+    if text.isascii():
+        return True
+    try:
+        encode(text)
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 TIMESTAMP = "an ISO-8601 timestamp"
 FLAG = "true or false"
-TEAM_ID = "a file name without '/', '\\', ',' (not empty, '.' or '..')"
+TEAM_ID = "a UTF-8 file name without '/', '\\', ',' or NUL (not empty, '.' or '..')"
+TEXT = "a UTF-8 string"
+MR_ID = "a UTF-8 string or an integer"
+PATH = "a non-empty file system path (no NUL)"
+OPTIONAL_PATH = "a file system path (no NUL) or null"
 
 # Each kind of JSON value, as errors name it, and its test. JSON values have
-# exact Python types, so a boolean is neither an integer nor a number.
+# exact Python types, so a boolean is neither an integer nor a number. A
+# value that reaches a file name or standard output encodes as UTF-8
+# (TEAM_ID, TEXT, MR_ID), and a path holds no NUL and os.fsencode takes it.
 KINDS = {
     "an object": lambda v: type(v) is dict,
     "an array": lambda v: type(v) is list,
     "a string": lambda v: type(v) is str,
-    "a non-empty string": lambda v: type(v) is str and v != "",
-    "a string or null": lambda v: v is None or type(v) is str,
-    "a string or an integer": lambda v: type(v) is str or type(v) is int,
+    TEXT: lambda v: type(v) is str and _encodes(v, str.encode),
+    MR_ID: lambda v: type(v) is int or type(v) is str and _encodes(v, str.encode),
+    PATH: lambda v: type(v) is str and v != "" and "\0" not in v and _encodes(v, os.fsencode),
+    OPTIONAL_PATH: lambda v: v is None or v == "" or KINDS[PATH](v),
     "an integer": lambda v: type(v) is int or type(v) is float and v.is_integer(),
     "a number": lambda v: type(v) in (int, float),
     FLAG: lambda v: type(v) is bool,
     TIMESTAMP: lambda v: _utc_or_none(v) is not None,
     # a team id names output files, and team lists are joined and split on commas
-    TEAM_ID: lambda v: type(v) is str and v not in ("", ".", "..") and set(v).isdisjoint("/\\,"),
+    TEAM_ID: lambda v: (
+        type(v) is str and v not in ("", ".", "..") and set(v).isdisjoint("/\\,\0")
+        and _encodes(v, str.encode)
+    ),
 }
 
 
@@ -476,8 +501,8 @@ def parse_chat_edges(
     export_root: Path | str,
     roster: Roster,
     cal: SprintCalendar,
-    excluded_handles: Iterable[str] = (),
-    diagnostics: Diagnostics | None = None,
+    excluded_handles: Iterable[str],
+    diag: Diagnostics,
 ) -> tuple[dict[int, frozenset[tuple[str, str]]], int, int]:
     """Each week's reply edges of a chat workspace export tree, in one walk.
 
@@ -499,7 +524,6 @@ def parse_chat_edges(
     updated also when the parse raises, with the counts reached by then;
     replies to a dropped root are counted once every channel is read.
     """
-    diag = diagnostics if diagnostics is not None else Diagnostics()
     root = Path(export_root)
     excluded = frozenset(excluded_handles)
     person_of = roster.identity_map.get
@@ -637,7 +661,7 @@ def parse_repo_weeks(
     path: Path | str,
     roster: Roster,
     cal: SprintCalendar,
-    diagnostics: Diagnostics | None = None,
+    diag: Diagnostics,
 ) -> tuple[dict[int, list[MrSets]], int, int]:
     """Each calendar week's merge requests as (authors, files) pairs, in one walk.
 
@@ -654,7 +678,6 @@ def parse_repo_weeks(
     Returns the pairs by week id in file order, the number of kept commits
     and the number of merge requests.
     """
-    diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
     payload = load_json(p, "repo activity file not found", unique_keys=True)  # names the file
     try:
@@ -685,7 +708,7 @@ def parse_repo_weeks(
         seen_mrs: set[str] = set()
         for i, obj in enumerate(merge_requests):
             where = f"merge_requests[{i}]"
-            mr_id = str(read_value(obj, "id", where, "a string or an integer", ...))
+            mr_id = str(read_value(obj, "id", where, MR_ID, ...))
             created_at = read_utc(obj, "created_at", where)
             shas = read_items(obj, "commits", where, "a string", ...)
             files = read_items(obj, "files", where, "a string", ...)
@@ -765,7 +788,7 @@ def parse_feedback(
     path: Path | str,
     cal: SprintCalendar,
     rosters: Iterable[Roster],
-    diagnostics: Diagnostics | None = None,
+    diag: Diagnostics,
 ) -> dict[str, dict[int, float]]:
     """Each team's mean communication rating per sprint, in one walk.
 
@@ -775,7 +798,6 @@ def parse_feedback(
     for no team, and each such rater gets a note naming its row count, as in
     ``parse_outcomes``. Rows for excluded sprints are filtered out.
     """
-    diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
     team_of = {person: roster.team_id for roster in rosters for person in roster.members}
     ratings: dict[str, dict[int, list[int]]] = {}
@@ -832,7 +854,7 @@ def parse_outcomes(
     path: Path | str,
     cal: SprintCalendar,
     teams: Collection[str],
-    diagnostics: Diagnostics | None = None,
+    diag: Diagnostics,
 ) -> tuple[dict[str, dict[int, SprintOutcome]], dict[str, YearLevel]]:
     """Each team's sprint outcomes and year-level values, in one walk.
 
@@ -849,7 +871,6 @@ def parse_outcomes(
     pair_programming_hours) of each team with a kept row, taken from all of
     its rows; a value blank on every row is None.
     """
-    diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
     by_team: dict[str, dict[int, SprintOutcome]] = {}
     known_sprints = {s.sprint_id for s in cal.sprints}
@@ -916,7 +937,7 @@ def parse_outcomes(
 def parse_work_logs(
     path: Path | str,
     teams: Collection[str],
-    diagnostics: Diagnostics | None = None,
+    diag: Diagnostics,
 ) -> dict[str, float]:
     """Sum pair-programming hours per team from a granular work log.
 
@@ -924,7 +945,6 @@ def parse_work_logs(
     activity) are ignored for the totals. A team not in ``teams`` gets a note
     naming its row count, as in ``parse_outcomes``.
     """
-    diag = diagnostics if diagnostics is not None else Diagnostics()
     p = Path(path)
     totals: dict[str, float] = {}
     rows_of: Counter = Counter()

@@ -13,9 +13,9 @@ fulfilled / required over the pairs that name them. A person with no
 requirements has an undefined score; the team week score averages the
 defined member scores and is undefined when all are.
 
-Self-dependency is on by default so that co-authors of one merge request
-count as needing to coordinate (same MR implies same files); pass
-``include_self_dependency=False`` for the strict other-MRs-only reading.
+Self-dependency makes co-authors of one merge request need to coordinate
+(same MR implies same files); off is the strict other-MRs-only reading. The
+default, on, belongs to ``coordination_requirements`` and the config.
 Merge requests with no changed files are excluded from the week's universe,
 with a diagnostic. The pair set is the nonzero off-diagonal part of the
 binarized matrix product T_A . T_D . T_A^T (assignment, dependency).
@@ -123,15 +123,15 @@ def weekly_team_scores(
     weekly: WeeklyEdges,
     roster: Roster,
     week_ids: Iterable[int],
-    include_self_dependency: bool = True,
-    diagnostics: Diagnostics | None = None,
+    include_self_dependency: bool,
+    diag: Diagnostics,
 ) -> dict[int, float | None]:
     """Score each week's required pairs against its network; return team week scores.
 
     ``mrs_by_week`` holds each week's merge requests (``parse_repo_weeks``)
     and ``weekly`` its communication edges (``parse_chat_edges``). Merge
     requests without changed files are left out and counted, in the given
-    weeks only.
+    weeks only, in ``diag``.
     """
     out: dict[int, float | None] = {}
     empty = 0
@@ -141,8 +141,8 @@ def weekly_team_scores(
         empty += len(mrs) - len(with_files)
         required = coordination_requirements(with_files, include_self_dependency)
         _, out[week_id] = stc_scores(required, window_network(weekly, roster, (week_id,)))
-    if empty and diagnostics is not None:
-        diagnostics.bump("mrs_excluded_empty_files", empty)
+    if empty:
+        diag.bump("mrs_excluded_empty_files", empty)
     return out
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from teamnets.errors import InputError, ValidationError
 from teamnets.ingestion import (
     EXCLUDED_SUBTYPES,
+    MR_ID,
     TIMESTAMP,
     Diagnostics,
     _read_rows,
@@ -223,7 +224,7 @@ def repo_weeks_oracle(path, roster, cal, diagnostics=None):
         seen_mrs: set[str] = set()
         for i, obj in enumerate(raw_mrs):
             where = f"merge_requests[{i}]"
-            mr_id = str(read_value(obj, "id", where, "a string or an integer", ...))
+            mr_id = str(read_value(obj, "id", where, MR_ID, ...))
             created_at = parse_utc(read_value(obj, "created_at", where, TIMESTAMP, ...))
             shas = read_items(obj, "commits", where, "a string", ...)
             files = read_items(obj, "files", where, "a string", ...)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import pytest
 
 from teamnets.cli import main
 from teamnets.config import load_config
+from teamnets.ingestion import TEAM_ID
 from teamnets.report import load_report, run_pipeline
 
 from oracles import parse_chat_export_oracle, pearson_r_oracle
@@ -344,6 +346,61 @@ class TestValidate:
         assert sorted(os.listdir("/proc/self/fd")) == before
         _assert_no_child_left()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unreadable_chat_directory_names_it(
+        self, mini_dir, tmp_path, capsys, monkeypatch, workers
+    ):
+        """A chat directory the system will not list (root ignores file
+        modes, so os.listdir is made to refuse it) is an input error naming it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        channel = str(work / "chat" / "alpha" / "dev")
+        real_listdir = os.listdir
+
+        def listdir(path):
+            if os.fspath(path) == channel:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), channel)
+            return real_listdir(path)
+
+        monkeypatch.setattr(os, "listdir", listdir)
+        assert main(["validate", "--config", str(work / "config.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {channel}: cannot read: [Errno 13] Permission denied: '{channel}'\n"
+        )
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_read_error_of_a_file_names_it(self, mini_dir, tmp_path, capsys, monkeypatch, workers):
+        """A read that fails on a regular file (os.read raises EIO for that
+        file's descriptor, once) is an input error naming the file."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        path = sorted((work / "chat" / "beta").glob("*/*.json"))[0]
+        real_open, real_read = os.open, os.read
+        failing: set[int] = set()
+
+        def open_(file, flags, *args, **kwargs):
+            fd = real_open(file, flags, *args, **kwargs)
+            if os.fspath(file) == str(path):
+                failing.add(fd)
+            return fd
+
+        def read(fd, n):
+            if fd in failing:
+                failing.discard(fd)  # the number is free for reuse once closed
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return real_read(fd, n)
+
+        monkeypatch.setattr(os, "open", open_)
+        monkeypatch.setattr(os, "read", read)
+        assert main(["validate", "--config", str(work / "config.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {path}: cannot read: [Errno 5] Input/output error: '{path}'\n"
+        )
+        _assert_no_child_left()
+
     def test_malformed_config_names_line_column_and_char(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text('{\n  "calendar": oops\n}\n', encoding="utf-8")
@@ -489,6 +546,115 @@ class TestValidate:
         assert f"input error: {cfg}: " in err
         assert field in err
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "edits,file,field,kind",
+        [
+            ({("teams", 0, "team_id"): "al\u0000pha"}, "config.json", "teams[0].team_id", TEAM_ID),
+            ({("teams", 0, "team_id"): "\ud800"}, "config.json", "teams[0].team_id", TEAM_ID),
+            (
+                {("teams", 0, "chat_export"): "chat/al\u0000pha"},
+                "config.json",
+                "teams[0].chat_export",
+                "a non-empty file system path (no NUL)",
+            ),
+            (
+                {("teams", 0, "chat_export"): "chat/\ud800"},
+                "config.json",
+                "teams[0].chat_export",
+                "a non-empty file system path (no NUL)",
+            ),
+            (
+                {("teams", 0, "repo_activity"): "repo_al\u0000pha.json"},
+                "config.json",
+                "teams[0].repo_activity",
+                "a non-empty file system path (no NUL)",
+            ),
+            (
+                {("outcomes",): "out\u0000comes.csv"},
+                "config.json",
+                "outcomes",
+                "a file system path (no NUL) or null",
+            ),
+            (
+                {
+                    ("teams", 0, "members", 0): "\ud800",
+                    ("teams", 0, "identity_map", "HA1"): "\ud800",
+                },
+                "config.json",
+                "teams[0].members[0]",
+                "a UTF-8 string",
+            ),
+            (
+                {("teams", 0, "identity_map", "HA1"): "\ud800"},
+                "config.json",
+                "teams[0].identity_map.HA1",
+                "a UTF-8 string",
+            ),
+            (
+                {("merge_requests", 0, "id"): "MR\ud800", ("merge_requests", 0, "files"): []},
+                "repo_alpha.json",
+                "merge_requests[0].id",
+                "a UTF-8 string or an integer",
+            ),
+        ],
+        ids=[
+            "team_id-nul",
+            "team_id-surrogate",
+            "chat_export-nul",
+            "chat_export-surrogate",
+            "repo_activity-nul",
+            "outcomes-nul",
+            "member-surrogate",
+            "identity_map-surrogate",
+            "mr_id-surrogate",
+        ],
+    )
+    def test_nul_or_lone_surrogate_is_named_input_error(
+        self, mini_dir, tmp_path, capsys, monkeypatch, edits, file, field, kind, workers
+    ):
+        """A NUL or a lone surrogate, which JSON can spell, where a value
+        reaches a path, a file name or standard output is an input error naming
+        the file and the value's path, for every command that reads it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        doc = json.loads((work / file).read_text())
+        for (*parents, last), value in edits.items():
+            node = doc
+            for key in parents:
+                node = node[key]
+            node[last] = value
+        (work / file).write_text(json.dumps(doc), encoding="utf-8")
+        value = edits[next(iter(edits))]
+        commands = [["validate"], ["report", "--out", str(tmp_path / "out")]]
+        if file == "config.json":  # census reads no repo file
+            commands.append(["census", "--out", str(tmp_path / "out")])
+        for command in commands:
+            capsys.readouterr()
+            assert main([*command, "--config", str(work / "config.json")]) == 2, command
+            assert capsys.readouterr().err == (
+                f"input error: {work / file}: {field} must be {kind}, got {value!r}\n"
+            )
+            _assert_no_child_left()
+        assert not (tmp_path / "out").exists()
+
+    def test_path_of_a_byte_that_is_not_utf8_is_read(self, mini_dir, tmp_path, capsys):
+        """A surrogate escape of a byte that is not UTF-8 (os.fsencode's
+        "\\udcff") names the file it escapes: the run equals mini's."""
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        os.rename(work / "chat" / "alpha", os.fsencode(work / "chat") + b"/\xff")
+        os.rename(work / "repo_alpha.json", os.fsencode(work) + b"/repo_\xfe.json")
+        config = json.loads((work / "config.json").read_text())
+        config["teams"][0]["chat_export"] = "chat/\udcff"
+        config["teams"][0]["repo_activity"] = "repo_\udcfe.json"
+        (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["validate", "--config", str(mini_dir / "config.json")]) == 0
+        expected = capsys.readouterr()
+        assert main(["validate", "--config", str(work / "config.json")]) == 0
+        assert capsys.readouterr() == expected
+
 
     @pytest.mark.parametrize(
         "path,value,text",
@@ -568,19 +734,19 @@ class TestValidate:
                 "merge_requests",
                 "id",
                 ["M1"],
-                "merge_requests[0].id must be a string or an integer, got ['M1']",
+                "merge_requests[0].id must be a UTF-8 string or an integer, got ['M1']",
             ),
             (
                 "merge_requests",
                 "id",
                 {"id": "M1"},
-                "merge_requests[0].id must be a string or an integer, got {'id': 'M1'}",
+                "merge_requests[0].id must be a UTF-8 string or an integer, got {'id': 'M1'}",
             ),
             (
                 "merge_requests",
                 "id",
                 True,
-                "merge_requests[0].id must be a string or an integer, got True",
+                "merge_requests[0].id must be a UTF-8 string or an integer, got True",
             ),
         ],
         ids=[
@@ -624,6 +790,23 @@ class TestValidate:
 
 
 class TestSubcommands:
+    @pytest.mark.parametrize("command", ["report", "correlate"])
+    @pytest.mark.parametrize(
+        "key,table", [("outcomes", "outcomes table"), ("feedback", "peer-feedback table")]
+    )
+    def test_pipeline_without_a_table_is_missing_input(
+        self, mini_dir, tmp_path, capsys, command, key, table
+    ):
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        config = json.loads((work / "config.json").read_text())
+        config[key] = None
+        (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(work / "config.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"input error: missing input: no {table} configured\n"
+        assert not out.exists()
+
     def test_mini_outputs_match_golden_files(self, mini_dir, tmp_path, capsys):
         """validate's stdout and every file stc and census write, byte for byte."""
         golden = mini_dir.parent / "mini_golden" / "subcommands"

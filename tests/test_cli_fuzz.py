@@ -2,10 +2,10 @@
 
 Each example copies ``tests/data/mini``, replaces one JSON value or one
 delimited-table cell with a hostile value (not-a-number, an infinity, a
-200k-character string, a value of the wrong type or an empty value), and runs
-``validate`` and ``report`` on the copy. Each run must succeed (exit 0), fail
-validation (1) or report an input error (2); an internal error (3) or a
-Python traceback is a fault in teamnets.
+200k-character string, a NUL, a lone surrogate, a value of the wrong type or
+an empty value), and runs ``validate``, ``census`` and ``report`` on the
+copy. Each run must succeed (exit 0), fail validation (1) or report an input
+error (2); an internal error (3) or a Python traceback is a fault in teamnets.
 
 A second, exhaustive test walks every value of ``mini``'s config, its
 containers and the config itself included, with each option at its default:
@@ -44,7 +44,7 @@ from hypothesis import strategies as st
 from teamnets.cli import main
 from teamnets.config import load_config
 from teamnets.errors import InputError, ValidationError
-from teamnets.ingestion import parse_repo_weeks
+from teamnets.ingestion import Diagnostics, parse_repo_weeks
 from teamnets.report import emit, load_report, run_pipeline
 
 MINI = Path(__file__).parent / "data" / "mini"
@@ -52,6 +52,7 @@ FILES = sorted(p.relative_to(MINI).as_posix() for p in MINI.rglob("*") if p.is_f
 LONG = "x" * 200_000
 JSON_VALUES = (
     float("nan"), float("inf"), float("-inf"), LONG, "", None, True, 7, 1.5, -1, "abc", [], {},
+    "\u0000", "\ud800",  # a NUL and a lone surrogate: JSON spells both
 )
 CELL_VALUES = ("nan", "inf", "-inf", LONG, "", "abc", "1.5", "-1")
 
@@ -99,7 +100,8 @@ def test_one_hostile_value_never_crashes_the_cli(mutation):
         work = Path(tmp) / "mini"
         shutil.copytree(MINI, work)
         (work / name).write_text(text, encoding="utf-8")
-        for command in (["validate"], ["report", "--out", f"{tmp}/out"]):
+        for command in (["validate"], ["census", "--out", f"{tmp}/census"],
+                        ["report", "--out", f"{tmp}/out"]):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([*command, "--config", str(work / "config.json")])
@@ -213,7 +215,7 @@ def test_repo_value_of_another_type_names_its_path(path, tmp_path):
             continue
         repo.write_text(json.dumps(_replaced(REPO_DOC, path, value)), encoding="utf-8")
         with pytest.raises(InputError) as err:
-            parse_repo_weeks(repo, roster, config.calendar)
+            parse_repo_weeks(repo, roster, config.calendar, Diagnostics())
         name = _path_name(path, "repo activity")
         assert str(err.value).startswith(f"{repo}: {name} must be "), (kind, str(err.value))
 

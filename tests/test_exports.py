@@ -7,20 +7,25 @@ looked up in the module it names. The package's sources are also read with
 function opens raw file descriptors and no input path is looked up before it
 is opened, that one function pairs the points of every correlation cell,
 that one function forks, that neither ``multiprocessing`` nor ``select`` is
-imported, that one function takes a season worker's result, and that every
-command's per-team step and every parser call lives in ``report``.
+imported, that one function takes a season worker's result, that every
+command's per-team step and every parser call lives in ``report``, that every
+function that counts takes the Diagnostics it counts into, and that the
+config format's defaults are written once, in ``config._read_config``.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import json
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import teamnets
+from teamnets.config import AnomalyThresholds, PipelineConfig, load_config
 
 MODULES = sorted(
     f"teamnets.{m.name}"
@@ -177,3 +182,66 @@ def test_every_step_and_parser_call_is_in_report():
         for alias in node.names
     ]
     assert from_ingestion == ["Diagnostics"]
+
+
+def test_every_counter_takes_the_callers_diagnostics():
+    """No parser or scorer builds a Diagnostics of its own, and no parameter
+    of the package defaults one: a function that counts counts into the
+    Diagnostics its caller passes."""
+    built = [c for c in _callers("Diagnostics") if c.split(".")[0] in ("ingestion", "stc")]
+    assert built == []
+    optional = []
+    for path in sorted(Path(teamnets.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted = positional[len(positional) - len(a.defaults):]
+            defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for arg in positional + a.kwonlyargs:
+                annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+                if "Diagnostics" in annotation and (
+                    annotation != "Diagnostics" or arg in defaulted
+                ):
+                    optional.append(f"{path.stem}.{node.name}({arg.arg}: {annotation})")
+    assert optional == []
+
+
+def test_config_defaults_are_written_once():
+    """PipelineConfig is built in one function, config._read_config, which
+    holds the config format's defaults; the dataclass declares none, and the
+    anomaly fractions are written only in AnomalyThresholds."""
+    assert _callers("PipelineConfig") == ["config._read_config"]
+    defaulted = [
+        f.name
+        for f in dataclasses.fields(PipelineConfig)
+        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+    ]
+    assert defaulted == []
+    tree = _source("config")
+    thresholds = next(
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "AnomalyThresholds"
+    )
+    inside = {id(n) for n in ast.walk(thresholds)}
+    fractions = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in (0.2, 0.3) and id(node) not in inside
+    ]
+    assert fractions == []
+
+
+def test_config_without_options_reads_the_defaults(mini_dir, tmp_path):
+    """A config that leaves out ``options`` and ``excluded_handles`` reads
+    each option's default from _read_config."""
+    raw = json.loads((mini_dir / "config.json").read_text())
+    del raw["options"], raw["excluded_handles"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    config = load_config(path)
+    assert config.anomaly == AnomalyThresholds()
+    assert config.exclude_teams == ()
+    assert config.excluded_handles == ()
+    assert config.include_lagged_table is False
+    assert config.self_dependency is True

@@ -84,6 +84,11 @@ class TestCalendar:
         with pytest.raises(ValidationError):
             SprintCalendar(weeks=weeks, sprints=(Sprint(1, ()),))
 
+    def test_weeks_of_unknown_sprint_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            simple_calendar().sprint_weeks(99)
+        assert str(err.value) == "unknown sprint 99"
+
     def test_unknown_excluded_sprint_rejected(self):
         weeks = (Week(1, utc(2023, 3, 6), utc(2023, 3, 13)),)
         with pytest.raises(ValidationError):
@@ -345,7 +350,8 @@ def two_person_roster():
 
 def parse(root, roster, excluded=(), diag=None):
     """parse_chat_edges over ``simple_calendar``: week 1 starts 2023-03-06,
-    week 2 ends 2023-03-20."""
+    week 2 ends 2023-03-20. Counts go to ``diag``, or to a fresh one."""
+    diag = Diagnostics() if diag is None else diag
     return parse_chat_edges(root, roster, simple_calendar(), excluded, diag)
 
 
@@ -390,7 +396,8 @@ class TestChatParser:
     def test_identity_mapping_total_over_retained(self, team7_config):
         team = team7_config.teams[0]
         weekly, _, replies = parse_chat_edges(
-            team.chat_export, team.roster, team7_config.calendar, team7_config.excluded_handles
+            team.chat_export, team.roster, team7_config.calendar, team7_config.excluded_handles,
+            Diagnostics(),
         )
         assert replies
         assert all({a, b} <= team.roster.members for edges in weekly.values() for a, b in edges)
@@ -810,12 +817,14 @@ def test_chat_parse_makes_no_datetime_per_message(mini_config, tmp_path, monkeyp
     monkeypatch.setattr(ingestion, "datetime", _CountingDatetime)
     monkeypatch.setattr(_CountingDatetime, "calls", [])
     for team in mini_config.teams:
-        parse_chat_edges(team.chat_export, team.roster, cal, mini_config.excluded_handles)
+        parse_chat_edges(
+            team.chat_export, team.roster, cal, mini_config.excluded_handles, Diagnostics()
+        )
     assert _CountingDatetime.calls == []
     team = mini_config.teams[0]
     handle = next(iter(team.roster.identity_map))
     write_channel(tmp_path, "general", "1969-12-31", [{"user": handle, "ts": "-1.5"}])
-    assert parse_chat_edges(tmp_path, team.roster, cal) == ({}, 1, 0)
+    assert parse_chat_edges(tmp_path, team.roster, cal, (), Diagnostics()) == ({}, 1, 0)
     assert len(_CountingDatetime.calls) == 1
 
 
@@ -841,7 +850,9 @@ class TestRepoParser:
                 }
             ],
         )
-        by_week, commits, mrs = parse_repo_weeks(path, two_person_roster, simple_calendar())
+        by_week, commits, mrs = parse_repo_weeks(
+            path, two_person_roster, simple_calendar(), Diagnostics()
+        )
         assert by_week == {1: [(frozenset({"alice", "bob"}), frozenset({"a.py"}))]}
         assert (commits, mrs) == (2, 1)
 
@@ -849,16 +860,16 @@ class TestRepoParser:
         mr = {"id": 7, "created_at": "2023-03-07T10:00:00Z", "commits": [], "files": []}
         path = write_repo(tmp_path / "repo.json", [], [mr, dict(mr, id="7")])
         with pytest.raises(ValidationError, match="duplicate merge request id 7"):
-            parse_repo_weeks(path, two_person_roster, simple_calendar())
+            parse_repo_weeks(path, two_person_roster, simple_calendar(), Diagnostics())
         write_repo(path, [], [dict(mr, commits=["gone"])])
         with pytest.raises(ValidationError, match="merge request 7 references unknown"):
-            parse_repo_weeks(path, two_person_roster, simple_calendar())
+            parse_repo_weeks(path, two_person_roster, simple_calendar(), Diagnostics())
 
     def test_not_utf8_is_input_error(self, tmp_path, two_person_roster):
         path = tmp_path / "repo.json"
         path.write_bytes(b"\xff\xfe" + json.dumps({"commits": [], "merge_requests": []}).encode())
         with pytest.raises(InputError) as err:
-            parse_repo_weeks(path, two_person_roster, simple_calendar())
+            parse_repo_weeks(path, two_person_roster, simple_calendar(), Diagnostics())
         assert str(err.value).startswith(f"{path}: not UTF-8: ")
 
     def test_dangling_sha_names_mr(self, tmp_path, two_person_roster):
@@ -870,7 +881,7 @@ class TestRepoParser:
         }
         path = write_repo(tmp_path / "repo.json", [], [mr])
         with pytest.raises(ValidationError) as err:
-            parse_repo_weeks(path, two_person_roster, simple_calendar())
+            parse_repo_weeks(path, two_person_roster, simple_calendar(), Diagnostics())
         assert "M7" in str(err.value)
 
     # the last one is ISO-8601 but leaves the datetime range once moved to UTC
@@ -887,7 +898,7 @@ class TestRepoParser:
             mr["created_at"] = stamp
         path = write_repo(tmp_path / "repo.json", [commit], [mr])
         with pytest.raises(InputError) as err:
-            parse_repo_weeks(path, two_person_roster, simple_calendar())
+            parse_repo_weeks(path, two_person_roster, simple_calendar(), Diagnostics())
         field = "commits[0].authored_at" if entry == "commit" else "merge_requests[0].created_at"
         assert str(err.value) == (
             f"{path}: {field} must be an ISO-8601 timestamp, got {stamp!r}"
@@ -910,7 +921,9 @@ class TestRepoParser:
     def test_empty_files_mr_kept_with_diagnostic(self, team7_config):
         # M05, created in week 2, changed no files
         team = team7_config.teams[0]
-        by_week = parse_repo_weeks(team.repo_activity, team.roster, team7_config.calendar)[0]
+        by_week = parse_repo_weeks(
+            team.repo_activity, team.roster, team7_config.calendar, Diagnostics()
+        )[0]
         assert [authors for authors, files in by_week[2] if not files] == [frozenset({"p3"})]
 
     def test_empty_files_mr_is_counted_and_noted(self, tmp_path, two_person_roster):
@@ -957,7 +970,9 @@ class TestRepoParser:
             for i, created in enumerate(("2023-03-01T00:00:00Z", "2023-03-13T00:00:00Z"))
         ]
         path = write_repo(tmp_path / "repo.json", [commit], mrs)
-        by_week, commits, n_mrs = parse_repo_weeks(path, two_person_roster, simple_calendar())
+        by_week, commits, n_mrs = parse_repo_weeks(
+            path, two_person_roster, simple_calendar(), Diagnostics()
+        )
         # the commit predates the calendar but still assigns alice to M1
         assert by_week == {2: [(frozenset({"alice"}), frozenset({"a.py"}))]}
         assert (commits, n_mrs) == (1, 2)
@@ -1088,7 +1103,7 @@ TABLE_TEAMS = tuple(roster.team_id for roster in TABLE_ROSTERS)
 
 
 def _work_logs(path):
-    return parse_work_logs(path, TABLE_TEAMS)
+    return parse_work_logs(path, TABLE_TEAMS, Diagnostics())
 
 
 class TestTables:
@@ -1098,7 +1113,8 @@ class TestTables:
             "sprint_id,rater,ratee,communication_rating\n2,A,C,4\n", encoding="utf-8"
         )
         # the rating counts for its rater's team
-        assert parse_feedback(path, simple_calendar(), TABLE_ROSTERS) == {"X": {2: 4.0}}
+        feedback = parse_feedback(path, simple_calendar(), TABLE_ROSTERS, Diagnostics())
+        assert feedback == {"X": {2: 4.0}}
 
     def test_rater_on_no_roster_is_noted(self, tmp_path):
         path = tmp_path / "fb.csv"
@@ -1125,7 +1141,7 @@ class TestTables:
         )
         # an excluded sprint's row is checked too
         with pytest.raises(ValidationError) as err:
-            parse_feedback(path, simple_calendar(), TABLE_ROSTERS)
+            parse_feedback(path, simple_calendar(), TABLE_ROSTERS, Diagnostics())
         assert str(err.value) == f"{path}:line 3: ratee {ratee} is not on team {team}"
 
     def test_rating_out_of_bounds_names_row(self, tmp_path):
@@ -1134,7 +1150,7 @@ class TestTables:
             "sprint_id,rater,ratee,communication_rating\n2,A,C,4\n2,C,A,6\n", encoding="utf-8"
         )
         with pytest.raises(ValidationError) as err:
-            parse_feedback(path, simple_calendar(), TABLE_ROSTERS)
+            parse_feedback(path, simple_calendar(), TABLE_ROSTERS, Diagnostics())
         assert "line 3" in str(err.value)
 
     def test_self_rating_rejected(self, tmp_path):
@@ -1143,7 +1159,7 @@ class TestTables:
             "sprint_id,rater,ratee,communication_rating\n2,A,A,4\n", encoding="utf-8"
         )
         with pytest.raises(ValidationError):
-            parse_feedback(path, simple_calendar(), TABLE_ROSTERS)
+            parse_feedback(path, simple_calendar(), TABLE_ROSTERS, Diagnostics())
 
     def test_excluded_sprints_filtered(self, team7_config, team7_dir):
         diag = Diagnostics()
@@ -1171,12 +1187,13 @@ class TestTables:
             encoding="utf-8",
         )
         with pytest.raises(ValidationError) as err:
-            parse_outcomes(path, simple_calendar(), TABLE_TEAMS)
+            parse_outcomes(path, simple_calendar(), TABLE_TEAMS, Diagnostics())
         assert "line 2" in str(err.value)
 
     def test_outcomes_table3_team_g(self, team7_config, team7_dir):
         year_level = parse_outcomes(
-            team7_dir / "outcomes_table3.csv", team7_config.calendar, team7_config.team_ids()
+            team7_dir / "outcomes_table3.csv", team7_config.calendar, team7_config.team_ids(),
+            Diagnostics(),
         )[1]
         assert year_level["G"] == (23, 434)
 
@@ -1189,7 +1206,7 @@ class TestTables:
             encoding="utf-8",
         )
         with pytest.raises(ValidationError):
-            parse_outcomes(path, simple_calendar(), TABLE_TEAMS)
+            parse_outcomes(path, simple_calendar(), TABLE_TEAMS, Diagnostics())
 
     @pytest.mark.parametrize("sprint", [1, 2])  # sprint 1 is excluded
     def test_outcomes_second_row_for_team_sprint_names_line(self, tmp_path, sprint):
@@ -1200,7 +1217,7 @@ class TestTables:
             encoding="utf-8",
         )
         with pytest.raises(ValidationError) as err:
-            parse_outcomes(path, simple_calendar(), TABLE_TEAMS)
+            parse_outcomes(path, simple_calendar(), TABLE_TEAMS, Diagnostics())
         assert str(err.value) == (
             f"{path}:line 4: second row for team X sprint {sprint} (first at line 2)"
         )
@@ -1226,7 +1243,7 @@ class TestTables:
             encoding="utf-8",
         )
         with pytest.raises(ValidationError) as err:
-            parse_outcomes(path, simple_calendar(), TABLE_TEAMS)
+            parse_outcomes(path, simple_calendar(), TABLE_TEAMS, Diagnostics())
         assert str(err.value) == f"{path}:line 3: {text}"
 
     # A row is named by the file line it ends on: a blank line is skipped but
@@ -1236,24 +1253,24 @@ class TestTables:
         [
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score\nX,1",
-                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS, Diagnostics()),
                 2,
             ),
             (
                 "sprint_id,rater,ratee,communication_rating\n1,A",
-                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
+                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS, Diagnostics()),
                 2,
             ),
             ("team_id,person_id,hours\nX,p1", _work_logs, 2),
             (
                 "sprint_id,rater,ratee,communication_rating\n2,A,C,4\n\n1,A",
-                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
+                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS, Diagnostics()),
                 4,
             ),
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score\n"
                 '"X\nY",2,10,5,70\nX,1',
-                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS, Diagnostics()),
                 4,
             ),
         ],
@@ -1274,22 +1291,22 @@ class TestTables:
             (
                 "sprint_id,story_points_committed,story_points_passed,team_score,team_id",
                 "2,10,5,70",
-                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS, Diagnostics()),
             ),
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score",
                 "X,2,10,5,70,9",
-                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS, Diagnostics()),
             ),
             (
                 "communication_rating,sprint_id,ratee,rater",
                 "4,2,C",
-                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
+                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS, Diagnostics()),
             ),
             (
                 "sprint_id,rater,ratee,communication_rating",
                 "2,A,C,4,9",
-                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
+                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS, Diagnostics()),
             ),
             ("hours,team_id", "3", _work_logs),
             ("team_id,hours", "X,3,9", _work_logs),
@@ -1317,12 +1334,12 @@ class TestTables:
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score,"
                 "team_score\nX,2,10,5,70,80",
-                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS, Diagnostics()),
                 "team_score",
             ),
             (
                 "sprint_id,rater,ratee,rater,communication_rating\n2,A,C,Q,4",
-                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
+                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS, Diagnostics()),
                 "rater",
             ),
             ("team_id,hours,hours\nX,3,9", _work_logs, "hours"),
@@ -1342,19 +1359,19 @@ class TestTables:
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score\n"
                 "X,2,nan,15,80",
-                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS, Diagnostics()),
                 "non-finite outcome value",
             ),
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score\n"
                 "X,2,20,15,inf",
-                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS, Diagnostics()),
                 "non-finite outcome value",
             ),
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score,"
                 "pair_programming_hours\nX,2,20,15,80,NaN",
-                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS, Diagnostics()),
                 "non-finite outcome value",
             ),
             ("team_id,hours\nX,-inf", _work_logs, "non-finite hours"),
@@ -1385,11 +1402,11 @@ class TestTables:
         [
             (
                 "team_id,sprint_id,story_points_committed,story_points_passed,team_score",
-                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS),
+                lambda path: parse_outcomes(path, simple_calendar(), TABLE_TEAMS, Diagnostics()),
             ),
             (
                 "sprint_id,rater,ratee,communication_rating",
-                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS),
+                lambda path: parse_feedback(path, simple_calendar(), TABLE_ROSTERS, Diagnostics()),
             ),
             ("team_id,hours", _work_logs),
         ],
@@ -1406,7 +1423,7 @@ class TestTables:
         path = tmp_path / "wl.csv"
         path.write_bytes("team_id,hours\nÄ,1\n".encode("latin-1"))
         with pytest.raises(InputError) as err:
-            parse_work_logs(path, TABLE_TEAMS)
+            parse_work_logs(path, TABLE_TEAMS, Diagnostics())
         assert str(err.value).startswith(f"{path}:line 2: not UTF-8: ")
 
     def test_table_not_utf8_names_the_line_past_the_first_chunk(self, tmp_path):
@@ -1419,7 +1436,7 @@ class TestTables:
         assert len(data) > 8192
         path.write_bytes(data)
         with pytest.raises(InputError) as err:
-            parse_feedback(path, TABLE_CALENDAR, TABLE_ROSTERS)
+            parse_feedback(path, TABLE_CALENDAR, TABLE_ROSTERS, Diagnostics())
         offset = data.index(b"\xff")
         assert str(err.value) == (
             f"{path}:line 1235: not UTF-8: 'utf-8' codec can't decode byte 0xff "
@@ -1432,7 +1449,7 @@ class TestTables:
             "team_id,person_id,week_id,hours\nX,p1,1,2.5\nX,p2,1,1.5\nY,q1,2,3\n",
             encoding="utf-8",
         )
-        assert parse_work_logs(path, TABLE_TEAMS) == {"X": 4.0, "Y": 3.0}
+        assert parse_work_logs(path, TABLE_TEAMS, Diagnostics()) == {"X": 4.0, "Y": 3.0}
 
     def test_work_logs_unconfigured_team_is_noted(self, tmp_path):
         path = tmp_path / "wl.csv"
@@ -1446,20 +1463,20 @@ class TestTables:
         path = tmp_path / "wl.csv"
         path.write_text("team_id,hours\nX,1e308\nY,1e308\nX,1e308\n", encoding="utf-8")
         with pytest.raises(ValidationError) as err:
-            parse_work_logs(path, TABLE_TEAMS)
+            parse_work_logs(path, TABLE_TEAMS, Diagnostics())
         assert str(err.value) == f"{path}:line 4: hours total of team X overflows"
 
     def test_work_logs_negative_hours(self, tmp_path):
         path = tmp_path / "wl.csv"
         path.write_text("team_id,hours\nX,-1\n", encoding="utf-8")
         with pytest.raises(ValidationError):
-            parse_work_logs(path, TABLE_TEAMS)
+            parse_work_logs(path, TABLE_TEAMS, Diagnostics())
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "fb.csv"
         path.write_text("sprint_id,rater\n1,A\n", encoding="utf-8")
         with pytest.raises(InputError) as err:
-            parse_feedback(path, simple_calendar(), TABLE_ROSTERS)
+            parse_feedback(path, simple_calendar(), TABLE_ROSTERS, Diagnostics())
         assert "communication_rating" in str(err.value)
 
 

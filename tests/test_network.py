@@ -44,7 +44,8 @@ def chat_edges(messages, roster, cal, diag=None):
     """parse_chat_edges over a one-channel export of (author, when, root)
     messages, where root is the list index of the thread root or None. The
     i-th message is sent i milliseconds after its ``when``, so every ts is
-    unique."""
+    unique. Counts go to ``diag``, or to a fresh one."""
+    diag = Diagnostics() if diag is None else diag
     stamps = [f"{when.timestamp() + i / 1000:.3f}" for i, (_, when, _) in enumerate(messages)]
     entries = [
         {"user": author, "ts": stamp, **({} if root is None else {"thread_ts": stamps[root]})}
@@ -66,17 +67,17 @@ def threads_of(*replies):
     return messages
 
 
-def team7_events(config):
+def team7_events(config, diag):
     """The team7 fixture's (sender, recipient, week) replies, by the oracle route."""
     team = config.teams[0]
-    log = parse_chat_export_oracle(team.chat_export, team.roster, config.excluded_handles)
-    return comm_events_oracle(log, config.calendar)[1]
+    log = parse_chat_export_oracle(team.chat_export, team.roster, config.excluded_handles, diag)
+    return comm_events_oracle(log, config.calendar, diag)[1]
 
 
-def team7_weekly(config, cal=None):
+def team7_weekly(config, diag, cal=None):
     team = config.teams[0]
     return parse_chat_edges(
-        team.chat_export, team.roster, cal or config.calendar, config.excluded_handles
+        team.chat_export, team.roster, cal or config.calendar, config.excluded_handles, diag
     )
 
 
@@ -105,8 +106,10 @@ class TestDeriveEvents:
     def test_fixture_event_count(self, team7_config, team7_dir):
         manifest = json.loads((team7_dir / "manifest.json").read_text())
         cal = team7_config.calendar
-        weekly, _, replies = team7_weekly(team7_config)
-        events = team7_events(team7_config)
+        diag, oracle_diag = Diagnostics(), Diagnostics()
+        weekly, _, replies = team7_weekly(team7_config, diag)
+        events = team7_events(team7_config, oracle_diag)
+        assert dict(diag.counts) == dict(oracle_diag.counts)
         assert replies == len(events) == manifest["cross_person_replies"] == 37
         assert weekly == {w: window_edges_oracle(events, (w,)) for w in {e[2] for e in events}}
         per_week = Counter(week for _, _, week in events)
@@ -114,7 +117,7 @@ class TestDeriveEvents:
         # partition property: a one-week calendar counts exactly that week's replies
         for week in cal.weeks:
             one_week = SprintCalendar(weeks=(week,), sprints=(Sprint(1, (week.week_id,)),))
-            assert team7_weekly(team7_config, one_week)[2] == per_week[week.week_id]
+            assert team7_weekly(team7_config, Diagnostics(), one_week)[2] == per_week[week.week_id]
 
 
 def week_network(replies, roster, cal, week_id):
@@ -160,8 +163,8 @@ class TestBuildNetwork:
     def test_sprint_equals_union_of_weeks(self, team7_config):
         team = team7_config.teams[0]
         cal = team7_config.calendar
-        weekly, _, _ = team7_weekly(team7_config)
-        events = team7_events(team7_config)
+        weekly, _, _ = team7_weekly(team7_config, Diagnostics())
+        events = team7_events(team7_config, Diagnostics())
         sprint_net = window_network(weekly, team.roster, cal.sprint_weeks(2))
         assert sprint_net.edges == weekly[2] | weekly[3]
         assert sprint_net.edges == window_edges_oracle(events, (2, 3))
@@ -197,9 +200,9 @@ class TestActualCoordination:
     def test_fixture_week3_pairs(self, team7_config, team7_dir):
         manifest = json.loads((team7_dir / "manifest.json").read_text())
         team = team7_config.teams[0]
-        events = team7_events(team7_config)
+        events = team7_events(team7_config, Diagnostics())
         for edges in (
-            window_network(team7_weekly(team7_config)[0], team.roster, (3,)).edges,
+            window_network(team7_weekly(team7_config, Diagnostics())[0], team.roster, (3,)).edges,
             window_edges_oracle(events, (3,)),
         ):
             assert sorted(f"{a},{b}" for a, b in edges) == manifest["week3_pairs"]

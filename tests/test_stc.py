@@ -59,14 +59,14 @@ def required_of(mrs, include_self_dependency=True):
 def team7_repo(config):
     """The team7 fixture's merge requests by week."""
     team = config.teams[0]
-    return parse_repo_weeks(team.repo_activity, team.roster, config.calendar)[0]
+    return parse_repo_weeks(team.repo_activity, team.roster, config.calendar, Diagnostics())[0]
 
 
 def team7_weekly(config):
     """The team7 fixture's merge requests and communication edges by week."""
     team = config.teams[0]
     weekly, _, _ = parse_chat_edges(
-        team.chat_export, team.roster, config.calendar, config.excluded_handles
+        team.chat_export, team.roster, config.calendar, config.excluded_handles, Diagnostics()
     )
     return team7_repo(config), weekly
 
@@ -134,7 +134,7 @@ class TestDependencyMatrix:
         # M04 (p1, p2), M05 (p3, no files), M06 (p1, p4, p5, p6, p7)
         assert [files == frozenset() for _, files in by_week[2]] == [False, True, False]
         diag = Diagnostics()
-        scored = weekly_team_scores(by_week, {}, team.roster, (2,), diagnostics=diag)
+        scored = weekly_team_scores(by_week, {}, team.roster, (2,), True, diag)
         assert diag.counts["mrs_excluded_empty_files"] == 1
         assert scored == {2: 0.0}  # no edges: every required pair is unfulfilled
 
@@ -211,7 +211,8 @@ class TestCoordinationRequirements:
         ]
         path = tmp_path / "repo.json"
         path.write_text(json.dumps({"commits": commits, "merge_requests": mrs}))
-        by_week = parse_repo_weeks(path, roster_of("P1", "P2"), one_week_calendar())[0]
+        roster, cal = roster_of("P1", "P2"), one_week_calendar()
+        by_week = parse_repo_weeks(path, roster, cal, Diagnostics())[0]
         assert required_of(by_week[1]) == {("P1", "P2")}
 
     def test_merge_request_of_unknown_authors_adds_no_requirement(self, tmp_path):
@@ -229,7 +230,8 @@ class TestCoordinationRequirements:
         ]
         path = tmp_path / "repo.json"
         path.write_text(json.dumps({"commits": commits, "merge_requests": mrs}))
-        by_week = parse_repo_weeks(path, roster_of("P1", "P2"), one_week_calendar())[0]
+        roster, cal = roster_of("P1", "P2"), one_week_calendar()
+        by_week = parse_repo_weeks(path, roster, cal, Diagnostics())[0]
         assert by_week[1][0] == (frozenset(), frozenset({"a", "b"}))
         for self_dependency in (True, False):
             assert required_of(by_week[1], self_dependency) == frozenset()
@@ -352,7 +354,8 @@ class TestWeeklyAndYear:
         team = team7_config.teams[0]
         by_week, edges = team7_weekly(team7_config)
         weekly = weekly_team_scores(
-            by_week, edges, team.roster, team7_config.calendar.week_ids()
+            by_week, edges, team.roster, team7_config.calendar.week_ids(),
+            team7_config.self_dependency, Diagnostics(),
         )
         assert set(weekly) == {1, 2, 3, 4}
         assert weekly[3] == pytest.approx(1 / 3)
@@ -361,7 +364,8 @@ class TestWeeklyAndYear:
                 assert 0.0 <= value <= 1.0
 
     def test_week_without_mrs_is_undefined(self):
-        weekly = weekly_team_scores({}, {}, roster_of("P1", "P2"), one_week_calendar().week_ids())
+        weeks = one_week_calendar().week_ids()
+        weekly = weekly_team_scores({}, {}, roster_of("P1", "P2"), weeks, True, Diagnostics())
         assert weekly == {1: None}
 
     def test_year_summary_exact_line(self):
@@ -391,7 +395,8 @@ class TestWeeklyAndYear:
         team = team7_config.teams[0]
         by_week, edges = team7_weekly(team7_config)
         weekly = weekly_team_scores(
-            by_week, edges, team.roster, team7_config.calendar.week_ids()
+            by_week, edges, team.roster, team7_config.calendar.week_ids(),
+            team7_config.self_dependency, Diagnostics(),
         )
         summary = year_summary(weekly)
         defined = [v for v in weekly.values() if v is not None]

@@ -130,11 +130,16 @@ def with_export(chat, read):
 
 
 def weekly_and_events(chat, roster, cal):
-    """The weekly edges of parse_chat_edges and the oracle's reply tuples."""
+    """The weekly edges of parse_chat_edges and the oracle's reply tuples,
+    whose routes count alike."""
 
     def read(root):
-        log = parse_chat_export_oracle(root, roster)
-        return parse_chat_edges(root, roster, cal)[0], comm_events_oracle(log, cal)[1]
+        diag, oracle_diag = Diagnostics(), Diagnostics()
+        log = parse_chat_export_oracle(root, roster, (), oracle_diag)
+        weekly = parse_chat_edges(root, roster, cal, (), diag)[0]
+        events = comm_events_oracle(log, cal, oracle_diag)[1]
+        assert dict(diag.counts) == dict(oracle_diag.counts)
+        return weekly, events
 
     return with_export(chat, read)
 
@@ -173,9 +178,9 @@ def test_weekly_scores_equal_brute_force(season):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "repo.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        mrs_by_week = parse_repo_weeks(path, roster, cal)[0]
+        mrs_by_week = parse_repo_weeks(path, roster, cal, Diagnostics())[0]
     diag = Diagnostics()
-    got = weekly_team_scores(mrs_by_week, weekly, roster, week_ids, diagnostics=diag)
+    got = weekly_team_scores(mrs_by_week, weekly, roster, week_ids, True, diag)
 
     expected, empty = {}, 0
     for week in (w for w in cal.weeks if w.week_id in week_ids):
