@@ -16,9 +16,11 @@ Every subcommand passes ``report.season_stage`` one per-team step defined in
 worker processes, one per CPU the process may use and at most one per team,
 or in-process. No output, message or exit code depends on the worker count.
 The stage applies each team's diagnostic counts, notes and error itself, and
-gives each command (team, value) pairs in team order. ``validate`` prints
-the run's notes on stdout after its counters; every other subcommand prints
-them on stderr as ``note: <text>``.
+gives each command (team, value) pairs in team order. ``validate`` parses
+the outcomes, feedback and work-log tables while the workers run, and gives
+their error, counters and notes after the teams', as a serial run would.
+It prints the run's notes on stdout after its counters; every other
+subcommand prints them on stderr as ``note: <text>``.
 
 Exit codes: 0 success, 1 validation failure, 2 input error (also an input or
 output path the system cannot use, or a closed standard output), 3 internal
@@ -106,13 +108,23 @@ def _apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
 
 
 def _cmd_validate(config: PipelineConfig) -> int:
-    diag = Diagnostics()
+    diag, tables = Diagnostics(), Diagnostics()
     failures = 0
+    table_error = None
     with season_stage(config, team_validation, diag) as results:
+        # The tables are parsed while the workers run the teams' steps; their
+        # error, counts and notes come after the teams', as in a serial run.
+        try:
+            parse_tables(config, tables)
+        except (InputError, ValidationError, OSError) as exc:
+            table_error = exc
         for _, (valid, line) in results:
             failures += not valid
             print(line, file=sys.stdout if valid else sys.stderr)
-    parse_tables(config, diag)
+    if table_error is not None:
+        raise table_error
+    diag.counts.update(tables.counts)
+    diag.notes += tables.notes
     for key in sorted(diag.counts):
         print(f"  {key}: {diag.counts[key]}")
     for note in diag.notes:

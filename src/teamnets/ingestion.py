@@ -56,7 +56,6 @@ concurrently.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import json
@@ -64,7 +63,8 @@ import math
 import operator
 import os
 import stat
-from collections import Counter
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
@@ -352,30 +352,23 @@ class SprintCalendar:
         object.__setattr__(self, "_starts", tuple(w.start for w in self.weeks))
         object.__setattr__(self, "_ends", tuple(w.end for w in self.weeks))
 
-    def _week_at(self, starts: tuple, ends: tuple, x: datetime | float) -> int | None:
-        """Week i with starts[i] <= x < ends[i], or None; starts ascend."""
-        i = bisect.bisect_right(starts, x) - 1
-        if i < 0 or x >= ends[i]:
+    def assign_week(self, ts: datetime) -> int | None:
+        """Week containing ts under [start, end), or None (e.g. break gaps)."""
+        i = bisect_right(self._starts, ts) - 1
+        if i < 0 or ts >= self._ends[i]:
             return None
         return self.weeks[i].week_id
 
-    def assign_week(self, ts: datetime) -> int | None:
-        """Week containing ts under [start, end), or None (e.g. break gaps)."""
-        return self._week_at(self._starts, self._ends, ts)
-
     @cached_property
-    def _thresholds(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    def thresholds(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Each week's start, and each week's end, as the least float whose
-        UTC datetime reaches it (built on first use, not with the calendar)."""
+        UTC datetime reaches it (built on first use, not with the calendar):
+        a float x lies in week i exactly when ``datetime.fromtimestamp(x,
+        timezone.utc)`` does, that is when starts[i] <= x < ends[i]."""
         return (
             tuple(_least_time_at_or_after(w.start) for w in self.weeks),
             tuple(_least_time_at_or_after(w.end) for w in self.weeks),
         )
-
-    def week_of_timestamp(self, ts: float) -> int | None:
-        """assign_week of datetime.fromtimestamp(ts, timezone.utc), for any ts
-        that fromtimestamp accepts, without building the datetime."""
-        return self._week_at(*self._thresholds, ts)
 
     def week_ids(self) -> tuple[int, ...]:
         return tuple(w.week_id for w in self.weeks)
@@ -512,8 +505,8 @@ def parse_chat_edges(
     handles are dropped with diagnostics. A reply joins its author and its
     thread root's author, as a pair sorted by name, in the calendar week it
     was sent. A message's time is the float of its ``ts``; its week is found
-    through the calendar's exact thresholds (``week_of_timestamp``), so it is
-    the week of the UTC datetime that ``datetime.fromtimestamp`` gives.
+    by a bisect over the calendar's exact thresholds (``thresholds``), so it
+    is the week of the UTC datetime that ``datetime.fromtimestamp`` gives.
     Replies to a dropped root, self-replies and replies outside every week
     make no edge; each rule is counted. A reply whose datetime predates its
     root's is a validation error naming the least (timestamp, message_id)
@@ -526,10 +519,15 @@ def parse_chat_edges(
     """
     root = Path(export_root)
     excluded = frozenset(excluded_handles)
-    person_of = roster.identity_map.get
-    week_of = cal.week_of_timestamp
+    # A kept message's handle is found with one lookup: the map holds no
+    # handle that is dropped as empty or excluded. A miss is classified after.
+    person_of = {
+        h: p for h, p in roster.identity_map.items() if h and h not in excluded
+    }.get
+    starts, ends = cal.thresholds
+    week_ids = cal.week_ids()
     utc = timezone.utc
-    by_week: dict[int, set[tuple[str, str]]] = {}
+    by_week: defaultdict[int, set[tuple[str, str]]] = defaultdict(set)
     late: tuple[datetime, str, str] | None = None
     seen = dropped_subtype = dropped_excluded = dropped_unknown = dropped_root = 0
     n_kept = orphans = replies = self_reply = out_of_calendar = 0
@@ -552,8 +550,12 @@ def parse_chat_edges(
                 if not isinstance(payload, list):
                     raise InputError(f"{day_file}: expected a JSON array of messages")
                 for i, obj in enumerate(payload):
-                    if not isinstance(obj, dict) or "ts" not in obj:
-                        raise InputError(f"{day_file}: entry {i} is not a message object")
+                    try:  # of the JSON values, only an object takes a string key
+                        ts_raw = obj["ts"]
+                    except (KeyError, TypeError):
+                        raise InputError(
+                            f"{day_file}: entry {i} is not a message object"
+                        ) from None
                     seen += 1
                     subtype = obj.get("subtype")
                     if subtype is not None:
@@ -565,16 +567,20 @@ def parse_chat_edges(
                             dropped_subtype += 1
                             continue
                     handle = obj.get("user")
-                    if handle is not None and not isinstance(handle, str):
-                        raise InputError(f"{day_file}: entry {i} has invalid user {handle!r}")
-                    if not handle or handle in excluded:
-                        dropped_excluded += 1
-                        continue
-                    person = person_of(handle)
+                    try:
+                        person = person_of(handle)
+                    except TypeError:  # an unhashable user: a list or an object
+                        person = None
                     if person is None:
-                        dropped_unknown += 1
+                        if handle is not None and not isinstance(handle, str):
+                            raise InputError(
+                                f"{day_file}: entry {i} has invalid user {handle!r}"
+                            )
+                        if not handle or handle in excluded:
+                            dropped_excluded += 1
+                        else:
+                            dropped_unknown += 1
                         continue
-                    ts_raw = obj["ts"]
                     try:
                         if type(ts_raw) is bool:  # float(True) is 1.0
                             raise TypeError
@@ -622,12 +628,12 @@ def parse_chat_edges(
                         late = reply
                 elif root_author == author:
                     self_reply += 1
-                elif (week := week_of(ts)) is None:
+                elif (w := bisect_right(starts, ts) - 1) < 0 or ts >= ends[w]:
                     out_of_calendar += 1
                 else:
                     replies += 1
                     pair = (author, root_author) if author < root_author else (root_author, author)
-                    by_week.setdefault(week, set()).add(pair)
+                    by_week[week_ids[w]].add(pair)
         # An input error in a later channel leaves this counter at 0.
         dropped_root = orphans
         if late is not None:

@@ -19,15 +19,16 @@ Each command has one per-team step, defined here: ``team_validation``
 (``season_stage``): in forked worker processes, one per CPU this process may
 use and at most one per team, or in-process where there is one CPU or team,
 no ``os.fork``, or another thread running. Censuses and tables stay in the
-calling process, where the pipeline parses the tables (``parse_tables``)
-while the workers run. Each worker sends its teams' results in team order
-down its own pipe, so team i's result is the next on worker i mod n's pipe,
-read there with blocking reads when it is asked for (``season_stage`` says
-why no worker can stall the command). The stage applies each team's result
-where a serial run reaches that team: it adds the team's diagnostic counts
-and notes to the command's and raises its error, then gives the command the
-(team, value) pair. So no output, message or exit code depends on the worker
-count, and no command handles a worker's raw result.
+calling process, where the pipeline and ``validate`` parse the tables
+(``parse_tables``) while the workers run; ``validate`` raises a table's error
+only after every team's result. Each worker sends its teams' results in team
+order down its own pipe, so team i's result is the next on worker i mod n's
+pipe, read there with blocking reads when it is asked for (``season_stage``
+says why no worker can stall the command). The stage applies each team's
+result where a serial run reaches that team: it adds the team's diagnostic
+counts and notes to the command's and raises its error, then gives the
+command the (team, value) pair. So no output, message or exit code depends
+on the worker count, and no command handles a worker's raw result.
 """
 
 from __future__ import annotations

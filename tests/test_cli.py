@@ -15,7 +15,7 @@ import pytest
 from teamnets.cli import main
 from teamnets.config import load_config
 from teamnets.ingestion import TEAM_ID
-from teamnets.report import load_report, run_pipeline
+from teamnets.report import _receive, load_report, parse_tables, run_pipeline
 
 from oracles import parse_chat_export_oracle, pearson_r_oracle
 
@@ -787,6 +787,87 @@ class TestValidate:
         assert capsys.readouterr().err == (
             f"validation failure: {feedback}:line 2: 3 cells, the header has 4\n"
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", ["notes", "table-and-team-failure", "table-and-missing-chat"])
+    def test_tables_come_after_the_teams(
+        self, mini_dir, tmp_path, capsys, monkeypatch, case, workers
+    ):
+        """validate parses the tables while the teams' steps run, yet gives
+        the teams' lines, notes and errors first: a team's note comes before a
+        table's, a table's error after every team's line, and a team's input
+        error in place of a table's error."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        work = tmp_path / "mini"
+        shutil.copytree(mini_dir, work)
+        repo_path = work / "repo_alpha.json"
+        repo = json.loads(repo_path.read_text())
+        if case == "notes":
+            config = json.loads((work / "config.json").read_text())
+            config["work_logs"] = "work_logs.csv"
+            (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            (work / "work_logs.csv").write_text(
+                "team_id,hours\nalpha,4\ngamma,2\n", encoding="utf-8"
+            )
+            repo["merge_requests"][1]["files"] = []
+        else:
+            with (work / "feedback.csv").open("a", encoding="utf-8") as fh:
+                fh.write("3,a1,zz,2\n")
+            if case == "table-and-team-failure":
+                repo["merge_requests"][0]["commits"].append("nonexistent")
+            else:
+                shutil.rmtree(work / "chat" / "beta")
+        repo_path.write_text(json.dumps(repo), encoding="utf-8")
+        alpha = "team alpha: 17 messages, 9 commits, 7 merge requests, 10 communication events\n"
+        beta = "team beta: 10 messages, 12 commits, 11 merge requests, 5 communication events\n"
+        expected = {
+            "notes": (0, alpha + beta + (
+                "  commits_kept: 21\n"
+                "  feedback_rows_excluded_sprint: 2\n"
+                "  feedback_rows_kept: 16\n"
+                "  messages_dropped_subtype: 4\n"
+                "  messages_dropped_unknown_handle: 2\n"
+                "  messages_kept: 27\n"
+                "  messages_seen: 33\n"
+                "  mrs_kept: 18\n"
+                "  mrs_with_empty_files: 1\n"
+                "  outcome_rows_excluded_sprint: 2\n"
+                "  outcome_rows_kept: 4\n"
+                "  work_log_rows: 2\n"
+                "  note: team alpha: merge request M2 has no changed files\n"
+                "  note: team gamma: 1 work log row(s) of a team not configured; ignored\n"
+            ), ""),
+            "table-and-team-failure": (1, beta, (
+                f"team alpha: VALIDATION FAILURE: {repo_path}: merge request M1 references "
+                "unknown commit sha(s): nonexistent\n"
+                f"validation failure: {work}/feedback.csv:line 20: ratee zz is not on team alpha\n"
+            )),
+            "table-and-missing-chat": (2, alpha, (
+                f"input error: chat export directory not found: {work}/chat/beta\n"
+            )),
+        }[case]
+        capsys.readouterr()
+        code = main(["validate", "--config", str(work / "config.json")])
+        assert (code, *capsys.readouterr()) == expected
+        _assert_no_child_left()
+
+    def test_tables_are_parsed_before_the_first_result_is_read(self, mini_dir, monkeypatch):
+        """With two workers the parent parses the tables while they run:
+        before it reads the first team's result from a pipe."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        calls = []
+
+        def recorded(name, function):
+            def call(*args):
+                calls.append(name)
+                return function(*args)
+            return call
+
+        monkeypatch.setattr("teamnets.cli.parse_tables", recorded("tables", parse_tables))
+        monkeypatch.setattr("teamnets.report._receive", recorded("receive", _receive))
+        assert main(["validate", "--config", str(mini_dir / "config.json")]) == 0
+        assert calls == ["tables", "receive", "receive"]
+        _assert_no_child_left()
 
 
 class TestSubcommands:

@@ -1,11 +1,14 @@
 """Fuzz test of the command line: one hostile input value never crashes it.
 
 Each example copies ``tests/data/mini``, replaces one JSON value or one
-delimited-table cell with a hostile value (not-a-number, an infinity, a
-200k-character string, a NUL, a lone surrogate, a value of the wrong type or
-an empty value), and runs ``validate``, ``census`` and ``report`` on the
-copy. Each run must succeed (exit 0), fail validation (1) or report an input
-error (2); an internal error (3) or a Python traceback is a fault in teamnets.
+delimited-table cell of one file with a hostile value (not-a-number, an
+infinity, a 200k-character string, a NUL, a lone surrogate, a value of the
+wrong type or an empty value), and runs ``validate``, ``census`` and
+``report`` on the copy. The file is drawn by input kind (the config, a repo
+file, each table, a day file), so the config is mutated as often as all day
+files together. Each run must succeed (exit 0), fail validation (1) or
+report an input error (2); an internal error (3) or a Python traceback is a
+fault in teamnets.
 
 A second, exhaustive test walks every value of ``mini``'s config, its
 containers and the config itself included, with each option at its default:
@@ -49,6 +52,18 @@ from teamnets.report import emit, load_report, run_pipeline
 
 MINI = Path(__file__).parent / "data" / "mini"
 FILES = sorted(p.relative_to(MINI).as_posix() for p in MINI.rglob("*") if p.is_file())
+
+
+def _kind(name: str) -> str:
+    if name.startswith("chat/"):
+        return "day file"
+    return "repo file" if name.startswith("repo_") else name
+
+
+# mini's files by input kind: the config, the repo files, each table, and the
+# day files, which all stand for one kind.
+KINDS = {k: [f for f in FILES if _kind(f) == k] for k in sorted({_kind(f) for f in FILES})}
+
 LONG = "x" * 200_000
 JSON_VALUES = (
     float("nan"), float("inf"), float("-inf"), LONG, "", None, True, 7, 1.5, -1, "abc", [], {},
@@ -70,8 +85,9 @@ def _json_paths(node, path=()):
 
 @st.composite
 def mutations(draw):
-    """(file name under mini, its new text) with one value or cell replaced."""
-    name = draw(st.sampled_from(FILES))
+    """(file name under mini, its new text) with one value or cell replaced;
+    each input kind is drawn as often, so the config is not one file in 17."""
+    name = draw(st.sampled_from(KINDS[draw(st.sampled_from(list(KINDS)))]))
     text = (MINI / name).read_text(encoding="utf-8")
     if name.endswith(".json"):
         doc = json.loads(text)

@@ -187,16 +187,21 @@ def calendars_and_timestamps(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(calendars_and_timestamps())
-def test_week_of_timestamp_equals_assign_week(season):
-    """The float lookup's thresholds are exact: every float that
-    datetime.fromtimestamp accepts lands in the week of its datetime."""
+def test_week_thresholds_are_exact(season):
+    """The thresholds the chat parser compares a ts with are exact: every
+    float that datetime.fromtimestamp accepts reaches a week's start or end
+    threshold exactly when its datetime reaches that bound, so it lands in
+    the week of its datetime."""
     cal, times = season
+    starts, ends = cal.thresholds
     for x in times:
         try:
             at = datetime.fromtimestamp(x, timezone.utc)
         except (OverflowError, ValueError, OSError):
             continue  # an invalid chat ts, rejected before any week lookup
-        assert cal.week_of_timestamp(x) == cal.assign_week(at), x
+        for week, start, end in zip(cal.weeks, starts, ends):
+            assert (x >= start) == (at >= week.start), (x, week)
+            assert (x >= end) == (at >= week.end), (x, week)
 
 
 class TestRoster:
@@ -631,13 +636,17 @@ TS_POOL = (
     "1678100200.0000008",
 )
 STRAY = "1678100050.0"
-CHAT_ROSTER = Roster(
-    team_id="T",
-    members=frozenset({"alice", "bob", "carol"}),
-    identity_map={"UA": "alice", "UB": "bob", "UC": "carol"},
+CHAT_MAP = {"UA": "alice", "UB": "bob", "UC": "carol"}
+# An identity map may also name the excluded handle UBOT or the empty handle;
+# their messages are dropped as excluded all the same.
+CHAT_ROSTERS = tuple(
+    Roster(team_id="T", members=frozenset({"alice", "bob", "carol"}),
+           identity_map={**CHAT_MAP, **extra})
+    for extra in ({}, {"UBOT": "alice"}, {"": "bob"}, {"UBOT": "carol", "": "alice"})
 )
 ENTRY_FAULTS = (
-    "duplicate-ts", "not-object", "no-ts", "bad-ts", "user-list", "user-int",
+    "duplicate-ts", "not-object", "entry-string", "entry-number", "no-ts", "bad-ts",
+    "user-list", "user-object", "user-int", "user-bool",
     "subtype-list", "thread-list", "thread-object", "thread-bool",
 )
 FILE_FAULTS = ("bom", "utf-16", "latin-1", "crlf-truncated", "not-array", "dir")
@@ -649,14 +658,22 @@ def _break_entry(draw, entries: list, at: int, fault: str) -> None:
         entries.append({**entry, "ts": entries[0]["ts"]})
     elif fault == "not-object":
         entries[at] = [entry]
+    elif fault == "entry-string":
+        entries[at] = "ts"
+    elif fault == "entry-number":
+        entries[at] = 7
     elif fault == "no-ts":
         del entry["ts"]
     elif fault == "bad-ts":
         entry["ts"] = draw(st.sampled_from(["inf", "nan", "-inf"]))
     elif fault == "user-list":
         entry["user"] = ["UA"]
+    elif fault == "user-object":
+        entry["user"] = {}
     elif fault == "user-int":
         entry["user"] = 7
+    elif fault == "user-bool":
+        entry["user"] = True
     elif fault == "subtype-list":
         entry["subtype"] = ["bot_message"]
     else:
@@ -762,10 +779,10 @@ CHAT_CALENDARS = (
 )
 
 
-def _parse_outcome(parse, root, cal) -> tuple:
+def _parse_outcome(parse, root, roster, cal) -> tuple:
     diag = Diagnostics()
     try:
-        result = parse(root, CHAT_ROSTER, cal, ("UBOT",), diag)
+        result = parse(root, roster, cal, ("UBOT",), diag)
     except (InputError, ValidationError) as exc:
         result = (type(exc), str(exc))
     # dict, not Counter: Counter equality ignores zero-count keys
@@ -773,8 +790,13 @@ def _parse_outcome(parse, root, cal) -> tuple:
 
 
 @settings(max_examples=300, deadline=None)
-@given(export_trees(), st.sampled_from(CHAT_CALENDARS), st.sampled_from(["path", "str", "slash"]))
-def test_chat_parser_equals_oracle(tree, cal, spelling):
+@given(
+    export_trees(),
+    st.sampled_from(CHAT_ROSTERS),
+    st.sampled_from(CHAT_CALENDARS),
+    st.sampled_from(["path", "str", "slash"]),
+)
+def test_chat_parser_equals_oracle(tree, roster, cal, spelling):
     """parse_chat_edges equals the message log then reply tuples route: the
     weekly edge sets, kept-message and reply counts and counters, or the
     error type, text and the counters reached by then."""
@@ -791,8 +813,8 @@ def test_chat_parser_equals_oracle(tree, cal, spelling):
                     path.parent.mkdir(parents=True, exist_ok=True)
                     path.write_bytes(data)
         given_root = {"path": root, "str": str(root), "slash": f"{root}/"}[spelling]
-        assert _parse_outcome(parse_chat_edges, given_root, cal) == _parse_outcome(
-            chat_edges_oracle, given_root, cal
+        assert _parse_outcome(parse_chat_edges, given_root, roster, cal) == _parse_outcome(
+            chat_edges_oracle, given_root, roster, cal
         )
 
 
@@ -813,7 +835,7 @@ def test_chat_parse_makes_no_datetime_per_message(mini_config, tmp_path, monkeyp
     outside the window that needs no check is still converted, which shows
     that the count sees the parser's calls."""
     cal = mini_config.calendar
-    cal.week_of_timestamp(0.0)  # builds the thresholds, once per calendar
+    cal.thresholds  # builds the thresholds, once per calendar
     monkeypatch.setattr(ingestion, "datetime", _CountingDatetime)
     monkeypatch.setattr(_CountingDatetime, "calls", [])
     for team in mini_config.teams:
