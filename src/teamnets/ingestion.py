@@ -94,19 +94,24 @@ def _require_regular(fd: int, path: Path | str) -> None:
         raise InputError(f"{path}: not a file")
 
 
-def _read_bytes(path: Path | str, missing: str) -> bytes:
+def _read_bytes(path: Path | str, missing: str, dir_fd: int | None = None) -> bytes:
     """The bytes of the regular file ``path``, at most MAX_INPUT_BYTES (more is
-    too large); nothing there is ``<missing>: <path>``. It reads through a raw
-    descriptor: a chat day file holds a few KB, and a buffered ``open()``
-    costs more than reading them. The open does not block, so a FIFO is not a
-    wait for a writer. The file's kind costs an fstat, a third of a day file's
-    read: only a read that gives no bytes, fails, or fills the first buffer (a
-    device that never ends) looks it up."""
+    too large); nothing there is ``<missing>: <path>``. With ``dir_fd``, a
+    descriptor of the file's directory, ``path`` is a str and its last
+    component is opened in that directory, so the open walks one name; every
+    error still names the whole path. It reads through a raw descriptor: a
+    chat day file holds a few KB, and a buffered ``open()`` costs more than
+    reading them. The open does not block, so a FIFO is not a wait for a
+    writer. The file's kind costs an fstat, a third of a day file's read: only
+    a read that gives no bytes, fails, or fills the first buffer (a device
+    that never ends) looks it up."""
+    name = path if dir_fd is None else path.rpartition("/")[2]
     try:
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        fd = os.open(name, os.O_RDONLY | os.O_NONBLOCK, dir_fd=dir_fd)
     except (FileNotFoundError, NotADirectoryError):
         raise InputError(f"{missing}: {path}") from None
     except OSError as exc:
+        exc.filename = os.fspath(path)  # a relative open names the last component only
         raise InputError(f"{path}: cannot read: {exc}") from None
     try:
         chunks, size = [], 0
@@ -144,15 +149,21 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def load_json(path: Path | str, missing: str, *, unique_keys: bool):
+# The decoder of every JSON input read without the repeated-key check: called
+# directly, a chat day file skips json.loads's checks of its arguments.
+_DECODER = json.JSONDecoder()
+
+
+def load_json(path: Path | str, missing: str, *, unique_keys: bool, dir_fd: int | None = None):
     """The JSON value of a UTF-8 file, for every JSON input (config, chat day
     files, repo activity, report.json); each failure is an InputError naming
-    it, and ``<missing>: <path>`` where nothing is there.
+    it, and ``<missing>: <path>`` where nothing is there. ``dir_fd`` is as in
+    ``_read_bytes``.
 
     With ``unique_keys``, a key given twice in one object is an input error;
     without, the last value counts. Chat day files are read without the
     check, which about doubles their decoding time."""
-    data = _read_bytes(path, missing)
+    data = _read_bytes(path, missing, dir_fd)
     try:
         # Decoded explicitly: json.loads(bytes) would also accept UTF-16/32
         # and a UTF-8 byte order mark.
@@ -160,7 +171,9 @@ def load_json(path: Path | str, missing: str, *, unique_keys: bool):
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8: {exc}") from None
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys if unique_keys else None)
+        if unique_keys:
+            return json.loads(text, object_pairs_hook=_unique_keys)
+        return _DECODER.decode(text)
     except _RepeatedKey as exc:
         raise InputError(f"{path}: key '{exc.args[0]}' given twice in one object") from None
     except RecursionError:
@@ -474,14 +487,31 @@ YearLevel = tuple[int | None, float | None]
 # ---------------------------------------------------------------------------
 
 
-def _listdir(path: str) -> list[str]:
+def _listdir(path: str, fd: int | None = None) -> list[str]:
+    """The sorted names in the directory ``path``, listed through its
+    descriptor ``fd`` where one is given; each error names ``path``."""
     try:
-        return sorted(os.listdir(path))
+        return sorted(os.listdir(path if fd is None else fd))
     except FileNotFoundError:
         raise InputError(f"chat export directory not found: {path}") from None
     except NotADirectoryError:
         raise InputError(f"{path}: not a directory") from None
     except OSError as exc:
+        exc.filename = path  # a listing through a descriptor names no path
+        raise InputError(f"{path}: cannot read: {exc}") from None
+
+
+def _open_dir(path: str) -> int | None:
+    """A descriptor of the directory ``path``; None where it is no directory,
+    is gone or cannot be looked up. A directory that cannot be opened is
+    ``<path>: cannot read: ...``."""
+    try:
+        return os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except OSError as exc:
+        if not os.path.isdir(path):
+            return None
         raise InputError(f"{path}: cannot read: {exc}") from None
 
 
@@ -501,7 +531,11 @@ def parse_chat_edges(
 
     Walks every channel directory and day file, maps raw handles through the
     roster's identity map, and resolves a channel's thread roots once all of
-    its day files are read. Bot/app messages, excluded subtypes, and unknown
+    its day files are read. Each channel directory is opened once, listed
+    through its descriptor and its day files opened in it, so each open walks
+    one name; errors still name the full path. An entry of the export root
+    that is no directory, or is gone, is skipped; a channel that cannot be
+    read is an input error. Bot/app messages, excluded subtypes, and unknown
     handles are dropped with diagnostics. A reply joins its author and its
     thread root's author, as a pair sorted by name, in the calendar week it
     was sent. A message's time is the float of its ``ts``; its week is found
@@ -534,7 +568,7 @@ def parse_chat_edges(
     try:
         for channel in _listdir(str(root)):
             channel_dir = str(root / channel)
-            if not os.path.isdir(channel_dir):
+            if (dir_fd := _open_dir(channel_dir)) is None:
                 continue
             # ts text -> (time, author) of every kept message of this channel,
             # since a thread_ts names a root in its own channel only: the
@@ -542,73 +576,78 @@ def parse_chat_edges(
             # check and each reply's week and edge all read it.
             kept: dict[str, tuple[float, str]] = {}
             threaded: list[tuple[str, str]] = []  # (reply ts text, root ts text)
-            for name in _listdir(channel_dir):
-                if not name.endswith(".json"):
-                    continue
-                day_file = f"{channel_dir}/{name}"
-                payload = load_json(day_file, "chat day file not found", unique_keys=False)
-                if not isinstance(payload, list):
-                    raise InputError(f"{day_file}: expected a JSON array of messages")
-                for i, obj in enumerate(payload):
-                    try:  # of the JSON values, only an object takes a string key
-                        ts_raw = obj["ts"]
-                    except (KeyError, TypeError):
-                        raise InputError(
-                            f"{day_file}: entry {i} is not a message object"
-                        ) from None
-                    seen += 1
-                    subtype = obj.get("subtype")
-                    if subtype is not None:
-                        if not isinstance(subtype, str):
-                            raise InputError(
-                                f"{day_file}: entry {i} has invalid subtype {subtype!r}"
-                            )
-                        if subtype in EXCLUDED_SUBTYPES:
-                            dropped_subtype += 1
-                            continue
-                    handle = obj.get("user")
-                    try:
-                        person = person_of(handle)
-                    except TypeError:  # an unhashable user: a list or an object
-                        person = None
-                    if person is None:
-                        if handle is not None and not isinstance(handle, str):
-                            raise InputError(
-                                f"{day_file}: entry {i} has invalid user {handle!r}"
-                            )
-                        if not handle or handle in excluded:
-                            dropped_excluded += 1
-                        else:
-                            dropped_unknown += 1
+            try:
+                for name in _listdir(channel_dir, dir_fd):
+                    if not name.endswith(".json"):
                         continue
-                    try:
-                        if type(ts_raw) is bool:  # float(True) is 1.0
-                            raise TypeError
-                        ts = float(ts_raw)
-                        # NaN fails the comparison too, and so is converted.
-                        if not 0.0 <= ts <= _TS_ALWAYS_VALID:
-                            datetime.fromtimestamp(ts, utc)  # validated, not kept
-                    except (TypeError, ValueError, OverflowError, OSError):
-                        raise InputError(
-                            f"{day_file}: entry {i} has invalid ts {ts_raw!r}"
-                        ) from None
-                    key = f"{ts_raw}"
-                    if key in kept:
-                        raise ValidationError(
-                            f"{day_file}: entry {i} has duplicate ts {ts_raw!r}"
-                        )
-                    thread_ts = obj.get("thread_ts")
-                    if thread_ts is not None and type(thread_ts) not in (str, int, float):
-                        raise InputError(
-                            f"{day_file}: entry {i} has invalid thread_ts {thread_ts!r}"
-                        )
-                    kept[key] = (ts, person)
-                    if thread_ts:
-                        # Messages are named by text, so a root may spell its
-                        # own thread_ts as a number where its ts is a string.
-                        thread_key = f"{thread_ts}"
-                        if thread_key != key:
-                            threaded.append((key, thread_key))
+                    day_file = f"{channel_dir}/{name}"
+                    payload = load_json(
+                        day_file, "chat day file not found", unique_keys=False, dir_fd=dir_fd
+                    )
+                    if not isinstance(payload, list):
+                        raise InputError(f"{day_file}: expected a JSON array of messages")
+                    for i, obj in enumerate(payload):
+                        try:  # of the JSON values, only an object takes a string key
+                            ts_raw = obj["ts"]
+                        except (KeyError, TypeError):
+                            raise InputError(
+                                f"{day_file}: entry {i} is not a message object"
+                            ) from None
+                        seen += 1
+                        subtype = obj.get("subtype")
+                        if subtype is not None:
+                            if not isinstance(subtype, str):
+                                raise InputError(
+                                    f"{day_file}: entry {i} has invalid subtype {subtype!r}"
+                                )
+                            if subtype in EXCLUDED_SUBTYPES:
+                                dropped_subtype += 1
+                                continue
+                        handle = obj.get("user")
+                        try:
+                            person = person_of(handle)
+                        except TypeError:  # an unhashable user: a list or an object
+                            person = None
+                        if person is None:
+                            if handle is not None and not isinstance(handle, str):
+                                raise InputError(
+                                    f"{day_file}: entry {i} has invalid user {handle!r}"
+                                )
+                            if not handle or handle in excluded:
+                                dropped_excluded += 1
+                            else:
+                                dropped_unknown += 1
+                            continue
+                        try:
+                            if type(ts_raw) is bool:  # float(True) is 1.0
+                                raise TypeError
+                            ts = float(ts_raw)
+                            # NaN fails the comparison too, and so is converted.
+                            if not 0.0 <= ts <= _TS_ALWAYS_VALID:
+                                datetime.fromtimestamp(ts, utc)  # validated, not kept
+                        except (TypeError, ValueError, OverflowError, OSError):
+                            raise InputError(
+                                f"{day_file}: entry {i} has invalid ts {ts_raw!r}"
+                            ) from None
+                        key = f"{ts_raw}"
+                        if key in kept:
+                            raise ValidationError(
+                                f"{day_file}: entry {i} has duplicate ts {ts_raw!r}"
+                            )
+                        thread_ts = obj.get("thread_ts")
+                        if thread_ts is not None and type(thread_ts) not in (str, int, float):
+                            raise InputError(
+                                f"{day_file}: entry {i} has invalid thread_ts {thread_ts!r}"
+                            )
+                        kept[key] = (ts, person)
+                        if thread_ts:
+                            # Messages are named by text, so a root may spell its
+                            # own thread_ts as a number where its ts is a string.
+                            thread_key = f"{thread_ts}"
+                            if thread_key != key:
+                                threaded.append((key, thread_key))
+            finally:
+                os.close(dir_fd)
 
             n_kept += len(kept)
             for key, thread_key in threaded:

@@ -21,14 +21,15 @@ use and at most one per team, or in-process where there is one CPU or team,
 no ``os.fork``, or another thread running. Censuses and tables stay in the
 calling process, where the pipeline and ``validate`` parse the tables
 (``parse_tables``) while the workers run; ``validate`` raises a table's error
-only after every team's result. Each worker sends its teams' results in team
-order down its own pipe, so team i's result is the next on worker i mod n's
-pipe, read there with blocking reads when it is asked for (``season_stage``
-says why no worker can stall the command). The stage applies each team's
-result where a serial run reaches that team: it adds the team's diagnostic
-counts and notes to the command's and raises its error, then gives the
-command the (team, value) pair. So no output, message or exit code depends
-on the worker count, and no command handles a worker's raw result.
+only after every team's result. The workers claim teams from one queue: a
+free worker takes the next team and sends its result, tagged with the team,
+down its own pipe. The calling process waits on every pipe at once and keeps
+the results that come before their turn (``season_stage`` says why no worker
+can stall the command). The stage applies each team's result where a serial
+run reaches that team: it adds the team's diagnostic counts and notes to the
+command's and raises its error, then gives the command the (team, value)
+pair. So no output, message or exit code depends on the worker count, and no
+command handles a worker's raw result.
 """
 
 from __future__ import annotations
@@ -218,6 +219,22 @@ def _season_workers(n_teams: int) -> int:
     return min(cpus, n_teams)
 
 
+class _Workers:
+    """The calling process's side of the season workers while they run. A
+    plain class: a dataclass would add half a millisecond to every command's
+    start-up."""
+
+    def __init__(self, teams: Sequence[TeamConfig], queue: int, tokens: bytes):
+        self.teams = teams
+        self.queue = queue  # the claim pipe's write end, open while tokens are left
+        self.tokens = tokens  # the claim tokens not yet written, 4 bytes per team index
+        # The read end of each worker's pipe while it is open -> the team its
+        # worker has claimed and not sent, or None.
+        self.claimed: dict[int, int | None] = {}
+        self.pids: dict[int, int] = {}  # read end -> pid, until reaped
+        self.early: dict[int, TeamResult] = {}  # results that came before their turn
+
+
 @contextlib.contextmanager
 def season_stage(
     config: PipelineConfig, step: TeamStep, diag: Diagnostics
@@ -227,14 +244,19 @@ def season_stage(
     go into ``diag`` and its error is raised.
 
     With one worker each team's step runs in-process when its result is asked
-    for. Otherwise entering forks n workers, worker w running teams w, w + n,
-    ... one at a time and sending each result down its own pipe as it is
-    done. Team i's result is read from worker i mod n's pipe when the block
-    asks for it, while later teams still run. No worker can stall the
-    command: a worker waits only for room in its own pipe, and the block
-    reads that pipe as soon as every earlier team is taken, by when every
-    earlier result of that worker has been read. Leaving the block kills every
-    worker still running and reaps every worker.
+    for. Otherwise entering forks n workers and then queues every team index
+    on one claim pipe. A worker that is free takes the next index, runs that
+    team and sends the result, tagged with the team, down its own pipe; so a
+    slow team holds up only its own worker, not the teams queued after it.
+    A worker also sends a claim notice as it takes a team, so a worker that
+    ends before sending a team it claimed is reaped and named, with its exit
+    code, at that team's turn. Team i's result is taken when the block asks
+    for it (``_receive``), while later teams still run. No worker can stall
+    the command: while the block waits for a team, it reads every message
+    that arrives on any pipe and keeps the results that come before their
+    turn, at most one per team. So a worker waits for room in its pipe only
+    while the command does its own work. Leaving the block kills every worker
+    still running and reaps every worker.
     """
     teams = config.teams
     jobs = _season_workers(len(teams))
@@ -243,75 +265,120 @@ def season_stage(
         return
     import signal
 
-    fds: list[int] = []  # read end of each worker's pipe
-    pids: dict[int, int] = {}  # worker -> pid, while it is not reaped
+    claims, queue = os.pipe()
+    pool = _Workers(teams, queue, b"".join(i.to_bytes(4, "little") for i in range(len(teams))))
     try:
-        for w in range(jobs):
+        for _ in range(jobs):
             read_fd, write_fd = os.pipe()
-            fds.append(read_fd)
+            pool.claimed[read_fd] = None
             try:
                 if (pid := os.fork()) == 0:
-                    _season_worker(config, step, range(w, len(teams), jobs), write_fd)
-                pids[w] = pid
+                    os.close(queue)
+                    _season_worker(config, step, claims, write_fd)
+                pool.pids[read_fd] = pid
             finally:
                 os.close(write_fd)
-        yield (
-            (team, _team_result(_receive(team, i % jobs, fds, pids), diag))
-            for i, team in enumerate(teams)
-        )
+        os.set_blocking(queue, False)
+        _feed(pool)
+        yield ((team, _team_result(_receive(i, pool), diag)) for i, team in enumerate(teams))
     finally:
-        for pid in pids.values():
+        for pid in pool.pids.values():
             os.kill(pid, signal.SIGKILL)
-        for fd in fds:
+        for fd in [claims, *pool.claimed, *([queue] if pool.tokens else [])]:
             os.close(fd)
-        for pid in pids.values():
+        for pid in pool.pids.values():
             os.waitpid(pid, 0)
 
 
-def _season_worker(
-    config: PipelineConfig, step: TeamStep, indices: range, fd: int
-) -> NoReturn:
-    """Run ``step`` for each team of ``indices`` and send its TeamResult down
-    the pipe ``fd`` as it is done, as an 8-byte length and marshal's bytes;
-    then end the process, without returning."""
+def _season_worker(config: PipelineConfig, step: TeamStep, claims: int, fd: int) -> NoReturn:
+    """Take team indices from the claim pipe ``claims``, one 4-byte token at a
+    time, until it is empty. For each, send a claim notice down the pipe
+    ``fd`` at once, then run ``step`` and send the TeamResult. A message is
+    the team's token, an 8-byte size and that many bytes of marshal's: none
+    in a notice. Then end the process, without returning."""
     code = 1
     try:
         with open(fd, "wb") as out:
-            for i in indices:
-                team = config.teams[i]
+            while token := os.read(claims, 4):
+                out.write(token + bytes(8))
+                out.flush()
+                team = config.teams[int.from_bytes(token, "little")]
                 try:
                     result = _run_step(step, team, config)
                 except Exception as exc:  # a fault in teamnets: the parent raises it
                     failure = f"season worker of team {team.team_id}: {type(exc).__name__}: {exc}"
                     result = (None, {}, [], ("RuntimeError", failure))
                 data = marshal.dumps(result)
-                out.write(len(data).to_bytes(8, "little") + data)
+                out.write(token + len(data).to_bytes(8, "little") + data)
                 out.flush()
         code = 0
     finally:
         os._exit(code)
 
 
-def _receive(team: TeamConfig, w: int, fds: list[int], pids: dict[int, int]) -> TeamResult:
-    """Team ``team``'s result: the next on worker ``w``'s pipe, which sends its
-    teams in team order, read with blocking reads. A worker that ended without
-    sending it is reaped, leaves ``pids`` and gives the team a RuntimeError
-    naming it, which ends the command."""
-    # A length prefix and os.read, not marshal.load on a file object of the
+def _feed(pool: _Workers) -> None:
+    """Write the claim tokens the claim pipe has room for, without waiting,
+    and close it after the last. Each write is at most 4096 bytes, which a
+    Linux pipe takes whole or not at all, so no worker's read of 4 bytes sees
+    part of a token."""
+    with contextlib.suppress(BlockingIOError):
+        while pool.tokens:
+            pool.tokens = pool.tokens[os.write(pool.queue, pool.tokens[:4096]) :]
+        os.close(pool.queue)
+
+
+def _receive(i: int, pool: _Workers) -> TeamResult:
+    """Team i's result. Until it is in, wait on every open worker pipe, and on
+    room in the claim pipe while tokens are left, and take each message that
+    is ready. Where every worker has ended without sending it, the team gets
+    a RuntimeError, which ends the command."""
+    import select
+
+    while i not in pool.early and pool.claimed:
+        # poll, not select.select, which refuses a descriptor numbered 1024 or more.
+        ready = select.poll()
+        for fd in pool.claimed:
+            ready.register(fd, select.POLLIN)
+        if pool.tokens:
+            ready.register(pool.queue, select.POLLOUT)
+        for fd, _ in ready.poll():
+            if fd == pool.queue:
+                _feed(pool)
+            else:
+                _take(fd, pool)
+    if i in pool.early:
+        return pool.early.pop(i)
+    failure = f"season workers ended before sending the result of team {pool.teams[i].team_id}"
+    return None, {}, [], ("RuntimeError", failure)
+
+
+def _take(fd: int, pool: _Workers) -> None:
+    """Read the next message on the worker pipe ``fd``, a claim notice or a
+    team's result; the rest of a message follows its first byte without the
+    worker doing anything else. A worker that ended without sending a team it
+    claimed is reaped and gives that team a RuntimeError naming it."""
+    # A size prefix and os.read, not marshal.load on a file object of the
     # pipe: marshal.load makes one readinto call per marshalled item. For a
     # 40-member team's 63 KB result (30 weeks of 400 pairs) it took 6-25 ms,
     # buffered or not, against 1 ms for these reads and marshal.loads
     # (Python 3.11, 2-CPU Xeon, median of 20).
-    head = _read(fds[w], 8)
-    size = int.from_bytes(head, "little")
-    if len(head) == 8 and len(data := _read(fds[w], size)) == size:
-        return marshal.loads(data)
-    code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
-    failure = (
-        f"season worker of team {team.team_id} ended with exit code {code} "
-        "before sending its result"
-    )
-    return None, {}, [], ("RuntimeError", failure)
+    head = _read(fd, 12)
+    team, size = int.from_bytes(head[:4], "little"), int.from_bytes(head[4:], "little")
+    if len(head) == 12 and not size:
+        pool.claimed[fd] = team
+    elif len(head) == 12 and len(data := _read(fd, size)) == size:
+        pool.claimed[fd] = None
+        pool.early[team] = marshal.loads(data)
+    elif (claimed := pool.claimed.pop(fd)) is None:  # it ended after its last result
+        os.close(fd)
+    else:
+        os.close(fd)
+        code = os.waitstatus_to_exitcode(os.waitpid(pool.pids.pop(fd), 0)[1])
+        failure = (
+            f"season worker of team {pool.teams[claimed].team_id} ended with exit code {code} "
+            "before sending its result"
+        )
+        pool.early[claimed] = None, {}, [], ("RuntimeError", failure)
 
 
 def _read(fd: int, size: int) -> bytes:

@@ -386,6 +386,68 @@ def stall_in_workers(monkeypatch, *team_ids: str, seconds: float = 30) -> None:
     monkeypatch.setattr(teamnets.report, "parse_chat_edges", parse)
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_slow_team_holds_up_only_its_worker(
+    workers, five_teams, tmp_path, monkeypatch, capsys, forks
+):
+    """Team A's chat parse takes 1 s in a worker. The free workers claim
+    teams B to E meanwhile, so A's worker runs A alone, and the output is the
+    serial run's."""
+    log = tmp_path / "steps"
+    real_parse = teamnets.report.parse_chat_edges
+
+    def parse(export_root, roster, *args):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{roster.team_id} {os.getpid()}\n")
+        return real_parse(export_root, roster, *args)
+
+    monkeypatch.setattr(teamnets.report, "parse_chat_edges", parse)
+    stall_in_workers(monkeypatch, "A", seconds=1)
+    config_path = five_teams / "config.json"
+    serial = run(monkeypatch, capsys, tmp_path, config_path, ["census"], 1)
+    assert serial[0] == 0, serial[2]
+    log.unlink()
+    assert run(monkeypatch, capsys, tmp_path, config_path, ["census"], workers) == serial
+    ran = dict(line.split() for line in log.read_text(encoding="utf-8").splitlines())
+    assert sorted(ran) == ["A", "B", "C", "D", "E"]
+    assert {int(pid) for pid in ran.values()} <= set(forks)
+    assert [team for team, pid in ran.items() if pid == ran["A"]] == ["A"]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_killed_while_it_holds_a_claim(
+    workers, five_teams, tmp_path, monkeypatch, capsys, forks
+):
+    """The worker that claimed team C ends in its step: the command names C
+    and the exit code, at C's turn, and no worker is left."""
+    real_parse = teamnets.report.parse_chat_edges
+
+    def parse_or_die(export_root, roster, *args):
+        if roster.team_id == "C":
+            os._exit(9)
+        return real_parse(export_root, roster, *args)
+
+    monkeypatch.setattr(teamnets.report, "parse_chat_edges", parse_or_die)
+    code, stdout, stderr, _ = run(
+        monkeypatch, capsys, tmp_path, five_teams / "config.json", ["census"], workers
+    )
+    assert len(forks) == workers
+    assert (code, stdout) == (3, "")
+    assert stderr.startswith(
+        "internal error: RuntimeError: season worker of team C ended with exit code 9"
+        " before sending its result\n"
+    )
+
+
+def test_team_no_worker_sent_is_internal_error(mini_config):
+    """Where every worker pipe has closed without team i's result, as when a
+    worker is killed between taking a claim and sending its notice, the team
+    gets an error at once rather than a wait."""
+    pool = teamnets.report._Workers(mini_config.teams, queue=-1, tokens=b"")
+    failure = "season workers ended before sending the result of team beta"
+    assert teamnets.report._receive(1, pool) == (None, {}, [], ("RuntimeError", failure))
+
+
 @pytest.mark.parametrize("command", [["correlate"], ["report"]], ids=["correlate", "report"])
 def test_table_error_while_workers_run_kills_them(
     command, five_teams, tmp_path, monkeypatch, capsys, forks

@@ -15,7 +15,7 @@ import pytest
 from teamnets.cli import main
 from teamnets.config import load_config
 from teamnets.ingestion import TEAM_ID
-from teamnets.report import _receive, load_report, parse_tables, run_pipeline
+from teamnets.report import _take, load_report, parse_tables, run_pipeline
 
 from oracles import parse_chat_export_oracle, pearson_r_oracle
 
@@ -350,20 +350,24 @@ class TestValidate:
     def test_unreadable_chat_directory_names_it(
         self, mini_dir, tmp_path, capsys, monkeypatch, workers
     ):
-        """A chat directory the system will not list (root ignores file
-        modes, so os.listdir is made to refuse it) is an input error naming it."""
+        """A chat directory the system will not open or list (root ignores
+        file modes, so os.open and os.listdir are made to refuse it) is an
+        input error naming it."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
         work = tmp_path / "mini"
         shutil.copytree(mini_dir, work)
         channel = str(work / "chat" / "alpha" / "dev")
-        real_listdir = os.listdir
+        real_open, real_listdir = os.open, os.listdir
 
-        def listdir(path):
-            if os.fspath(path) == channel:
-                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), channel)
-            return real_listdir(path)
+        def refuse(real):
+            def call(path, *args, **kwargs):
+                if not isinstance(path, int) and os.fspath(path) == channel:
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), channel)
+                return real(path, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(os, "listdir", listdir)
+        monkeypatch.setattr(os, "open", refuse(real_open))
+        monkeypatch.setattr(os, "listdir", refuse(real_listdir))
         assert main(["validate", "--config", str(work / "config.json")]) == 2
         assert capsys.readouterr().err == (
             f"input error: {channel}: cannot read: [Errno 13] Permission denied: '{channel}'\n"
@@ -378,12 +382,13 @@ class TestValidate:
         work = tmp_path / "mini"
         shutil.copytree(mini_dir, work)
         path = sorted((work / "chat" / "beta").glob("*/*.json"))[0]
+        target = os.stat(path)
         real_open, real_read = os.open, os.read
         failing: set[int] = set()
 
         def open_(file, flags, *args, **kwargs):
             fd = real_open(file, flags, *args, **kwargs)
-            if os.fspath(file) == str(path):
+            if os.path.samestat(os.fstat(fd), target):  # by path or in its directory
                 failing.add(fd)
             return fd
 
@@ -853,7 +858,7 @@ class TestValidate:
 
     def test_tables_are_parsed_before_the_first_result_is_read(self, mini_dir, monkeypatch):
         """With two workers the parent parses the tables while they run:
-        before it reads the first team's result from a pipe."""
+        before it reads the first message, a claim or a result, from a pipe."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         calls = []
 
@@ -864,9 +869,10 @@ class TestValidate:
             return call
 
         monkeypatch.setattr("teamnets.cli.parse_tables", recorded("tables", parse_tables))
-        monkeypatch.setattr("teamnets.report._receive", recorded("receive", _receive))
+        monkeypatch.setattr("teamnets.report._take", recorded("take", _take))
         assert main(["validate", "--config", str(mini_dir / "config.json")]) == 0
-        assert calls == ["tables", "receive", "receive"]
+        # At least a claim and a result for each of the two teams.
+        assert calls[0] == "tables" and calls.count("take") == len(calls) - 1 >= 4
         _assert_no_child_left()
 
 

@@ -163,6 +163,12 @@ def _mini_config() -> dict:
     return config
 
 
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _replaced(doc, path, value):
     if not path:
         return value
@@ -193,10 +199,7 @@ def test_config_value_of_another_type_names_its_path(path, tmp_path):
     work = tmp_path / "mini"
     shutil.copytree(MINI, work)
     config = _mini_config()
-    node = config
-    for key in path:
-        node = node[key]
-    own = _json_type(node)
+    own = _json_type(_at(config, path))
     cfg = work / "config.json"
     for kind, value in JSON_TYPES.items():
         if kind == own or (kind == "null" and path in NULL_MEANS_ABSENT):
@@ -209,6 +212,31 @@ def test_config_value_of_another_type_names_its_path(path, tmp_path):
         code, err = _run_validate(work, _replaced(config, path, -1))
         assert code == 1, err
         assert err.startswith("validation failure: "), err
+
+
+# A NUL, a lone surrogate and a NUL inside text: JSON spells each one.
+HOSTILE_STRINGS = {"nul": "\u0000", "surrogate": "\ud800", "inner-nul": "a\u0000b"}
+CONFIG_LEAVES = [p for p in CONFIG_PATHS if not isinstance(_at(_mini_config(), p), (dict, list))]
+
+
+@pytest.mark.parametrize("value", HOSTILE_STRINGS.values(), ids=HOSTILE_STRINGS.keys())
+def test_hostile_string_in_any_config_leaf_never_crashes(value, tmp_path):
+    """The string in each leaf of mini's config in turn, as a path, a handle,
+    a team id, a date or in place of a number: validate and report exit 0, 1
+    or 2, never 3."""
+    work = tmp_path / "mini"
+    shutil.copytree(MINI, work)
+    cfg = work / "config.json"
+    crashed = []
+    for path in CONFIG_LEAVES:
+        cfg.write_text(json.dumps(_replaced(_mini_config(), path, value)), encoding="utf-8")
+        for command in (["validate"], ["report", "--out", str(tmp_path / "out")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*command, "--config", str(cfg)])
+            if code not in (0, 1, 2) or "Traceback" in err.getvalue():
+                crashed.append((_path_name(path, "config"), command[0], err.getvalue()[-500:]))
+    assert crashed == []
 
 
 REPO_DOC = json.loads((MINI / "repo_alpha.json").read_text(encoding="utf-8"))

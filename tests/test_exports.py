@@ -3,14 +3,15 @@
 Each module's ``__all__`` is checked with ``getattr``, and each name that
 ``teamnets/__init__.py`` imports is read from its source with ``ast`` and
 looked up in the module it names. The package's sources are also read with
-``ast`` to check that one function decodes every JSON input, that one
-function opens raw file descriptors and no input path is looked up before it
+``ast`` to check that one function decodes every JSON input, that two
+functions open raw file descriptors and no input path is looked up before it
 is opened, that one function pairs the points of every correlation cell,
-that one function forks, that neither ``multiprocessing`` nor ``select`` is
-imported, that one function takes a season worker's result, that every
-command's per-team step and every parser call lives in ``report``, that every
-function that counts takes the Diagnostics it counts into, and that the
-config format's defaults are written once, in ``config._read_config``.
+that one function forks and only the season stage imports ``select``, that
+neither ``multiprocessing`` nor ``logging`` is imported, that one function
+takes a season worker's result, that every command's per-team step and
+every parser call lives in ``report``, that every function that counts
+takes the Diagnostics it counts into, and that the config format's defaults
+are written once, in ``config._read_config``.
 """
 
 from __future__ import annotations
@@ -64,14 +65,18 @@ def _callers(name: str) -> list[str]:
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and _dotted(node.func) == name
         ]
-        for call in calls:
-            owner = max(
-                (f for f in functions if f.lineno <= call.lineno <= f.end_lineno),
-                key=lambda f: f.lineno,
-                default=None,
-            )
-            callers.append(f"{path.stem}.{owner.name if owner else '<module>'}")
+        callers += [f"{path.stem}.{_owner(functions, call)}" for call in calls]
     return callers
+
+
+def _owner(functions: list[ast.FunctionDef], node: ast.AST) -> str:
+    """The name of the innermost of ``functions`` whose lines hold ``node``."""
+    owner = max(
+        (f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+        key=lambda f: f.lineno,
+        default=None,
+    )
+    return owner.name if owner else "<module>"
 
 
 def _dotted(func: ast.expr) -> str | None:
@@ -89,10 +94,11 @@ def test_one_function_decodes_json():
     assert sorted(set(_callers("json.loads"))) == ["ingestion.load_json"]
 
 
-def test_one_function_opens_file_descriptors():
-    """os.open is called in one function of the package, load_json's byte
-    reader, which closes every descriptor it opens."""
-    assert _callers("os.open") == ["ingestion._read_bytes"]
+def test_two_functions_open_file_descriptors():
+    """os.open is called in two functions of the package: load_json's byte
+    reader, which closes every descriptor it opens, and the chat parse's
+    opener of a channel directory, whose descriptor the parse closes."""
+    assert sorted(_callers("os.open")) == ["ingestion._open_dir", "ingestion._read_bytes"]
 
 
 def test_no_input_path_is_looked_up_before_it_is_opened():
@@ -125,20 +131,28 @@ def test_one_function_pairs_correlation_points():
 
 
 def test_one_function_forks():
-    """os.fork is called in one function of the package, and none of
-    multiprocessing, select and logging is imported anywhere: the season
-    stage is the only process pool, it reads each team's result from its
-    worker's pipe in team order, with no multiplexing, and a team's
-    diagnostics are the one channel for what its step reports."""
+    """os.fork is called in one function of the package, neither
+    multiprocessing nor logging is imported anywhere, and select only by the
+    season stage's _receive: the stage is the only process pool, it waits on
+    its workers' pipes in one place, and a team's diagnostics are the one
+    channel for what its step reports."""
     assert _callers("os.fork") == ["report.season_stage"]
     imported = []
     for path in sorted(Path(teamnets.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                imported += [a.name for a in node.names]
+                names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
-                imported.append(node.module or "")
-    assert [m for m in imported if m.split(".")[0] in ("multiprocessing", "select", "logging")] == []
+                names = [node.module or ""]
+            else:
+                continue
+            imported += [(name, f"{path.stem}.{_owner(functions, node)}") for name in names]
+    pools = ("multiprocessing", "select", "logging")
+    assert [(m, where) for m, where in imported if m.split(".")[0] in pools] == [
+        ("select", "report._receive")
+    ]
 
 
 def test_one_function_takes_team_results():

@@ -850,6 +850,91 @@ def test_chat_parse_makes_no_datetime_per_message(mini_config, tmp_path, monkeyp
     assert len(_CountingDatetime.calls) == 1
 
 
+THREAD = [
+    {"user": "UB", "ts": "1678100000.0001", "thread_ts": "1678100000.0001"},
+    {"user": "UA", "ts": "1678100100.0002", "thread_ts": "1678100000.0001"},
+]
+WEEK_2_THREAD = [  # a thread of week 2, 2023-03-13 to 2023-03-20
+    {"user": "UA", "ts": "1678800000.0001", "thread_ts": "1678800000.0001"},
+    {"user": "UB", "ts": "1678800100.0002", "thread_ts": "1678800000.0001"},
+]
+
+
+@pytest.mark.parametrize("day", ["read", "malformed", "directory"])
+def test_chat_parse_closes_every_descriptor(tmp_path, two_person_roster, day):
+    """The parse opens each channel directory once and its day files in it:
+    the process's open descriptors are the same after the parse, when it
+    succeeds and when the second channel's day file is malformed or a
+    directory."""
+    write_channel(tmp_path, "general", "2023-03-06", THREAD)
+    write_channel(tmp_path, "random", "2023-03-13", WEEK_2_THREAD)
+    bad = tmp_path / "random" / "2023-03-14.json"
+    if day == "malformed":
+        bad.write_text("[{", encoding="utf-8")
+    elif day == "directory":
+        bad.mkdir()
+    before = open_fds()
+    if day == "read":
+        assert parse(tmp_path, two_person_roster) == (
+            {1: {("alice", "bob")}, 2: {("alice", "bob")}}, 4, 2
+        )
+    else:
+        with pytest.raises(InputError) as err:
+            parse(tmp_path, two_person_roster)
+        assert str(err.value) == {
+            "malformed": f"{bad}: malformed JSON at line 1 column 3 (char 2)",
+            "directory": f"{bad}: not a file",
+        }[day]
+    assert open_fds() == before
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["file", "dangling link", "link to a directory", "no read permission", "no search permission"],
+)
+def test_channel_entry_outcomes(tmp_path, two_person_roster, entry):
+    """Beside a readable channel, a regular file or a dangling link in the
+    export root is skipped, and a link to a directory is a channel whose day
+    files are named through the link. A channel that cannot be listed, or
+    whose day files cannot be opened, is an input error naming it."""
+    if entry.startswith("no ") and os.geteuid() == 0:
+        pytest.skip("root ignores file modes")
+    root = tmp_path / "export"
+    write_channel(root, "general", "2023-03-06", THREAD)
+    other = root / "other"
+    if entry == "file":
+        other.write_text("[]", encoding="utf-8")
+    elif entry == "dangling link":
+        other.symlink_to(tmp_path / "none")
+    elif entry == "link to a directory":
+        write_channel(tmp_path, "elsewhere", "2023-03-13", WEEK_2_THREAD)
+        other.symlink_to(tmp_path / "elsewhere")
+    else:
+        write_channel(root, "other", "2023-03-13", WEEK_2_THREAD)
+        other.chmod(0o300 if entry == "no read permission" else 0o600)
+    try:
+        if entry.startswith("no "):
+            with pytest.raises(InputError) as err:
+                parse(root, two_person_roster)
+            named = other if entry == "no read permission" else other / "2023-03-13.json"
+            assert str(err.value) == f"{named}: cannot read: [Errno 13] Permission denied: '{named}'"
+        elif entry == "link to a directory":
+            assert parse(root, two_person_roster) == (
+                {1: {("alice", "bob")}, 2: {("alice", "bob")}}, 4, 2
+            )
+            (tmp_path / "elsewhere" / "2023-03-14.json").write_text("[{", encoding="utf-8")
+            with pytest.raises(InputError) as err:
+                parse(root, two_person_roster)
+            assert str(err.value) == (
+                f"{other}/2023-03-14.json: malformed JSON at line 1 column 3 (char 2)"
+            )
+        else:
+            assert parse(root, two_person_roster) == ({1: {("alice", "bob")}}, 2, 1)
+    finally:
+        if entry.startswith("no "):
+            other.chmod(0o700)
+
+
 def write_repo(path: Path, commits: list, merge_requests: list) -> Path:
     path.write_text(json.dumps({"commits": commits, "merge_requests": merge_requests}))
     return path
